@@ -18,7 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import measure, optics
-from .states import CoherentSuperposition, coherent_overlap
+# coherent_overlap stays bound here for bench/tracer.py, which wraps it per module
+from .states import CoherentSuperposition, _overlap_matrix, coherent_overlap  # noqa: F401
 
 __all__ = [
     "QubitEncoding",
@@ -79,35 +80,6 @@ def encode(mu: complex, nu: complex, enc: QubitEncoding) -> CoherentSuperpositio
     return s.normalize()
 
 
-def _logical_basis_overlaps(s: CoherentSuperposition, encs: list[QubitEncoding]) -> np.ndarray:
-    """<basis_i|s> for the 2^n product basis over the encoded modes, with
-    bit 0 of i addressing the last encoding and logical 0 = -alpha."""
-    n = len(encs)
-    out = np.empty(2**n, dtype=complex)
-    for i in range(2**n):
-        w = np.ones(s.nterms, dtype=complex)
-        for q, e in enumerate(encs):
-            bit = (i >> (n - 1 - q)) & 1
-            basis_amp = e.alpha if bit else -e.alpha
-            w = w * np.array([coherent_overlap(basis_amp, a) for a in s.amps[:, e.mode]])
-        out[i] = np.sum(w * s.coeffs)
-    return out
-
-
-def _logical_gram(encs: list[QubitEncoding]) -> np.ndarray:
-    n = len(encs)
-    g = np.ones((2**n, 2**n), dtype=complex)
-    for q, e in enumerate(encs):
-        for i in range(2**n):
-            for j in range(2**n):
-                bi = (i >> (n - 1 - q)) & 1
-                bj = (j >> (n - 1 - q)) & 1
-                ai = e.alpha if bi else -e.alpha
-                aj = e.alpha if bj else -e.alpha
-                g[i, j] *= coherent_overlap(ai, aj)
-    return g
-
-
 def logical_coefficients(
     s: CoherentSuperposition, encs: list[QubitEncoding]
 ) -> tuple[np.ndarray, float]:
@@ -117,8 +89,13 @@ def logical_coefficients(
     state to live entirely on the encoded modes)."""
     if s.modes != len(encs):
         raise ValueError("state must have exactly one mode per encoding")
-    b = _logical_basis_overlaps(s, encs)
-    g = _logical_gram(encs)
+    n = len(encs)
+    # product basis: bit 0 of row i addresses the last encoding; logical 0 = -alpha
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    alphas = np.array([e.alpha for e in encs], dtype=complex)
+    basis = np.where(bits == 1, alphas, -alphas)
+    b = _overlap_matrix(basis, s.amps[:, [e.mode for e in encs]]) @ s.coeffs
+    g = _overlap_matrix(basis, basis)
     try:
         x = np.linalg.solve(g, b)
     except np.linalg.LinAlgError as exc:

@@ -165,12 +165,8 @@ def cat_projection(
         raise ValueError("parity must be +1 or -1")
     ref = complex(ref_amp)
     norm_cat = math.sqrt(2 + parity * 2 * math.exp(-2 * abs(ref) ** 2))
-    w = np.array(
-        [
-            (coherent_overlap(ref, a) + parity * coherent_overlap(-ref, a)) / norm_cat
-            for a in s.amps[:, mode]
-        ]
-    )
+    a = s.amps[:, mode]
+    w = (coherent_overlap(ref, a) + parity * coherent_overlap(-ref, a)) / norm_cat
     branch = _rest(s, [mode], w).merge_terms()
     p = branch.norm_squared()
     name = "even" if parity > 0 else "odd"
@@ -339,8 +335,8 @@ def bell_cat_outcomes(
     b = s.amps[:, mode_b]
     sgn_a = np.where(np.abs(a - ref) <= np.abs(a + ref), 1.0, -1.0)
     sgn_b = np.where(np.abs(b - ref) <= np.abs(b + ref), 1.0, -1.0)
-    wa = np.array([coherent_overlap(si * ref, ai) for si, ai in zip(sgn_a, a)])
-    wb = np.array([coherent_overlap(si * ref, bi) for si, bi in zip(sgn_b, b)])
+    wa = coherent_overlap(sgn_a * ref, a)
+    wb = coherent_overlap(sgn_b * ref, b)
     same = (sgn_a == sgn_b).astype(complex)
     anti = 1.0 - same
     # bra-side coefficient of the matched component: +1 on the all-minus
@@ -360,9 +356,7 @@ def bell_cat_outcomes(
         p = branch.norm_squared()
         state = branch.normalize() if p > PROB_FLOOR else None
         records[name] = MeasurementRecord("bell", name, p, state)
-    w0 = np.array(
-        [coherent_overlap(0.0, ai) * coherent_overlap(0.0, bi) for ai, bi in zip(a, b)]
-    )
+    w0 = coherent_overlap(0.0, a) * coherent_overlap(0.0, b)
     fail = _rest(s, [mode_a, mode_b], w0).merge_terms()
     pf = fail.norm_squared()
     state = fail.normalize() if (keep_fail_state and pf > PROB_FLOOR) else None

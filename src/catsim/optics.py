@@ -105,7 +105,7 @@ def _project_coherent(
     s: CoherentSuperposition, mode: int, value: complex
 ) -> CoherentSuperposition:
     """Contract `mode` with the coherent bra <value| (unnormalized)."""
-    ov = np.array([coherent_overlap(value, a) for a in s.amps[:, mode]])
+    ov = coherent_overlap(value, s.amps[:, mode])
     amps = np.delete(s.amps, mode, axis=1)
     return CoherentSuperposition(s.coeffs * ov, amps)
 

@@ -42,14 +42,15 @@ class ZeroNormError(ValueError):
     """State (or measurement branch) has vanishing norm."""
 
 
-def coherent_overlap(a: complex, b: complex) -> complex:
-    """Overlap <a|b> of two single-mode coherent states.
+def coherent_overlap(a: complex | np.ndarray, b: complex | np.ndarray) -> complex | np.ndarray:
+    """Overlap <a|b> of single-mode coherent states, elementwise over
+    broadcast arrays of amplitudes (scalars give a scalar).
 
     <a|b> = exp(-|a|^2/2 - |b|^2/2 + conj(a) b); magnitude <= 1.
     """
-    a = complex(a)
-    b = complex(b)
-    return np.exp(-0.5 * abs(a) ** 2 - 0.5 * abs(b) ** 2 + np.conj(a) * b)
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    return np.exp(-0.5 * np.abs(a) ** 2 - 0.5 * np.abs(b) ** 2 + np.conj(a) * b)
 
 
 def _overlap_matrix(amps_x: np.ndarray, amps_y: np.ndarray) -> np.ndarray:
@@ -114,31 +115,51 @@ class CoherentSuperposition:
 
     def merge_terms(self, tol: float = MERGE_TOL) -> "CoherentSuperposition":
         """Combine terms whose amplitude vectors agree to within `tol`
-        (max-norm) and drop negligibly small coefficients."""
+        (max-norm) and drop negligibly small coefficients.
+
+        Terms are grouped greedily in term order: each term joins the first
+        earlier representative it is close to, or else becomes one.  A
+        representative keeps its first term's amplitudes, and its
+        coefficient is the sum of its terms' coefficients in term order.
+        """
         if tol < 0:
             raise ValueError("tol must be >= 0")
-        rep_amps: list[np.ndarray] = []
-        rep_coeffs: list[complex] = []
-        for k in range(self.nterms):
-            a = self.amps[k]
-            for j, r in enumerate(rep_amps):
-                if (np.max(np.abs(a - r)) <= tol) if a.size else True:
-                    rep_coeffs[j] += self.coeffs[k]
-                    break
-            else:
-                rep_amps.append(a.copy())
-                rep_coeffs.append(complex(self.coeffs[k]))
-        coeffs = np.array(rep_coeffs, dtype=complex)
-        amps = (
-            np.array(rep_amps, dtype=complex)
-            if rep_amps
-            else np.zeros((0, self.modes), dtype=complex)
-        )
-        cmax = np.max(np.abs(coeffs)) if coeffs.size else 0.0
-        keep = np.abs(coeffs) >= DROP_THRESHOLD * cmax
-        if not np.all(keep) and np.any(keep):
-            coeffs = coeffs[keep]
-            amps = amps[keep]
+        k = self.nterms
+        if k <= 1:
+            return self
+        if self.modes == 0:
+            # a scalar: all terms are one, summed in term order
+            return CoherentSuperposition(np.cumsum(self.coeffs)[-1:], self.amps[:1])
+        # max-norm distances, accumulated mode by mode into one K x K array
+        cols = self.amps.T
+        dist = np.abs(cols[0][:, None] - cols[0])
+        for col in cols[1:]:
+            np.maximum(dist, np.abs(col[:, None] - col), out=dist)
+        close = dist <= tol
+        # label[j]: first term close to term j.  If every label is its own
+        # label, the terms with label[j] == j are the greedy representatives.
+        label = close.argmax(axis=1)
+        if not (label[label] == label).all():
+            # not transitive: greedy scan (close[j, j] holds, so it stops by j)
+            is_rep = np.ones(k, dtype=bool)
+            for j in range(k):
+                label[j] = (close[j] & is_rep).argmax()
+                is_rep[j] = label[j] == j
+        reps = label == np.arange(k)
+        if reps.all():
+            coeffs, amps = self.coeffs, self.amps
+        else:
+            # unbuffered, in term order, onto each representative's own value
+            sums = self.coeffs.copy()
+            dups = ~reps
+            np.add.at(sums, label[dups], self.coeffs[dups])
+            coeffs, amps = sums[reps], self.amps[reps]
+        mag = np.abs(coeffs)
+        keep = mag >= DROP_THRESHOLD * mag.max()
+        if not keep.all() and keep.any():
+            coeffs, amps = coeffs[keep], amps[keep]
+        if coeffs is self.coeffs:
+            return self
         return CoherentSuperposition(coeffs, amps)
 
     def scaled(self, factor: complex) -> "CoherentSuperposition":

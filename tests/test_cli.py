@@ -1,6 +1,7 @@
 import io
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -126,6 +127,15 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert __version__ in proc.stdout
+
+
+def test_package_version_comes_from_catsim():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    cfg = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+    assert "version" not in cfg["project"]
+    assert "version" in cfg["project"]["dynamic"]
+    assert cfg["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "catsim.__version__"}
 
 
 def test_gate_check_properties_pass(capsys):

@@ -17,10 +17,11 @@ from catsim.gates import (
     gate_rz,
     gate_x,
     gate_z,
+    logical_coefficients,
     process_fidelity,
     teleport,
 )
-from catsim.states import CoherentSuperposition, cat, fidelity
+from catsim.states import CoherentSuperposition, cat, coherent_overlap, fidelity
 
 ENC = QubitEncoding(2.0)
 
@@ -252,3 +253,43 @@ def test_teleport_fail_branch():
     assert 0 < out.probability < 10 * math.exp(-2 * ENC.alpha**2)
     assert fidelity(out.state, s) == pytest.approx(1.0)
     assert isinstance(GateFailure("x"), RuntimeError)
+
+
+def test_logical_coefficients_on_permuted_modes():
+    # qubit q lives on mode encs[q].mode; unequal alphas pin the column order
+    encs = [QubitEncoding(1.6, 2), QubitEncoding(2.1, 0), QubitEncoding(1.3, 1)]
+    rng = np.random.default_rng(5)
+    x_true = rng.normal(size=8) + 1j * rng.normal(size=8)
+    bits = [[(i >> (2 - q)) & 1 for q in range(3)] for i in range(8)]
+    amps = np.zeros((9, 3), dtype=complex)
+    for i, row in enumerate(bits):
+        for q, e in enumerate(encs):
+            amps[i, e.mode] = e.alpha if row[q] else -e.alpha
+    amps[8] = [0.4 + 0.2j, -0.3, 1.1j]  # a term outside the logical span
+    s = CoherentSuperposition(np.append(x_true, 0.05), amps).normalize()
+
+    basis = [[e.alpha if row[q] else -e.alpha for q, e in enumerate(encs)] for row in bits]
+    b = np.array([
+        sum(
+            c * np.prod([coherent_overlap(bq, a[e.mode]) for bq, e in zip(bi, encs)])
+            for c, a in zip(s.coeffs, s.amps)
+        )
+        for bi in basis
+    ])
+    g = np.array([
+        [np.prod([coherent_overlap(p, q) for p, q in zip(bi, bj)]) for bj in basis]
+        for bi in basis
+    ])
+    x_ref = np.linalg.solve(g, b)
+    leak_ref = 1.0 - float(np.real(np.conj(x_ref) @ g @ x_ref))
+
+    x, leakage = logical_coefficients(s, encs)
+    np.testing.assert_allclose(x, x_ref, rtol=1e-12, atol=0)
+    assert leakage == pytest.approx(leak_ref, rel=1e-9)
+    assert leakage > 1e-6
+    # the logical part alone decodes to the amplitudes it was built from
+    scale = math.sqrt(CoherentSuperposition(x_true, amps[:8]).norm_squared())
+    logical = CoherentSuperposition(x_true / scale, amps[:8])
+    x_logical, leak_logical = logical_coefficients(logical, encs)
+    np.testing.assert_allclose(x_logical, x_true / scale, rtol=1e-12)
+    assert leak_logical < 1e-12

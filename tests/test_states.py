@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from catsim.states import (
+    DROP_THRESHOLD,
+    MERGE_TOL,
     CoherentSuperposition,
     ZeroNormError,
     bell_cat,
@@ -102,6 +104,69 @@ def test_merge_preserves_inner_products():
     before = inner_product(probe, s)
     after = inner_product(probe, s.merge_terms())
     assert abs(before - after) < 1e-12
+
+
+def _merge_reference(s, tol):
+    """Greedy first-representative merge, one term at a time."""
+    rep_amps, rep_coeffs = [], []
+    for k in range(s.nterms):
+        a = s.amps[k]
+        for j, r in enumerate(rep_amps):
+            if (np.max(np.abs(a - r)) <= tol) if a.size else True:
+                rep_coeffs[j] += s.coeffs[k]
+                break
+        else:
+            rep_amps.append(a.copy())
+            rep_coeffs.append(complex(s.coeffs[k]))
+    coeffs = np.array(rep_coeffs, dtype=complex)
+    amps = np.array(rep_amps, dtype=complex).reshape(len(rep_amps), s.modes)
+    cmax = np.max(np.abs(coeffs)) if coeffs.size else 0.0
+    keep = np.abs(coeffs) >= DROP_THRESHOLD * cmax
+    if not np.all(keep) and np.any(keep):
+        coeffs, amps = coeffs[keep], amps[keep]
+    return CoherentSuperposition(coeffs, amps)
+
+
+def _random_state_with_duplicates(rng, k, m):
+    amps = rng.normal(size=(k, m)) + 1j * rng.normal(size=(k, m))
+    for i in range(1, k):
+        kind = rng.integers(4)
+        if kind == 1:  # exact duplicate of an earlier row
+            amps[i] = amps[rng.integers(i)]
+        elif kind == 2:  # duplicate up to round-off-sized jitter
+            amps[i] = amps[rng.integers(i)] + 1e-13 * (rng.normal(size=m) + 1j * rng.normal(size=m))
+    coeffs = np.empty(k, dtype=complex)
+    coeffs.real, coeffs.imag = rng.normal(size=k), rng.normal(size=k)
+    coeffs.real[rng.random(k) < 0.3] = -0.0
+    coeffs.imag[rng.random(k) < 0.1] = -0.0
+    coeffs[rng.random(k) < 0.1] *= 1e-20  # below the drop threshold
+    return CoherentSuperposition(coeffs, amps)
+
+
+def test_merge_terms_bit_identical_to_greedy_reference():
+    rng = np.random.default_rng(2024)
+    tols = (0.0, MERGE_TOL, 0.5, 1.0, 2.0)
+    nontransitive = 0
+    for k in range(41):
+        for m in range(5):
+            s = _random_state_with_duplicates(rng, k, m)
+            for tol in tols:
+                expected = _merge_reference(s, tol)
+                assert to_record(s.merge_terms(tol)) == to_record(expected), (k, m, tol)
+                if k and m:
+                    close = np.max(np.abs(s.amps[:, None] - s.amps[None]), axis=2) <= tol
+                    first = close.argmax(axis=1)
+                    nontransitive += not np.all(first[first] == first)
+    # the large tolerances must exercise the non-transitive grouping path
+    assert nontransitive > 50
+
+
+def test_merge_terms_keeps_negative_zero():
+    coeffs = np.array([complex(-0.0, 1.0), complex(-0.0, -0.0), 2.0])
+    s = CoherentSuperposition(coeffs, np.array([[1.0], [1.0], [3.0]]))
+    m = s.merge_terms()
+    assert to_record(m) == to_record(_merge_reference(s, MERGE_TOL))
+    assert math.copysign(1.0, m.coeffs[0].real) == -1.0
 
 
 def test_zero_norm_rejected():
