@@ -127,7 +127,7 @@ def _check_homodyne_pdf(rng, s):
     mode = int(rng.integers(s.modes))
     n = _nmax(_amp_scale(s))
     xs = np.linspace(-(_amp_scale(s) * np.sqrt(2) + 5), _amp_scale(s) * np.sqrt(2) + 5, 41)
-    exact = np.array([measure.homodyne_pdf(s, mode, x) for x in xs])
+    exact = measure.homodyne_pdf(s, mode, xs)
     oracle = fo.fock_quadrature_pdf(fo.to_fock(s, n), mode, xs)
     return float(np.max(np.abs(exact - oracle)))
 

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical-budget error,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Optional
@@ -361,7 +362,10 @@ _EXPERIMENTS = {
 _FLAG_ALIASES = {"wavelength": ["--lambda"], "epsilon": ["--eps"]}
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every `main` call can share it."""
     parser = argparse.ArgumentParser(
         prog="catsim",
         description="Seeded coherent-state quantum computing and metrology experiments.",

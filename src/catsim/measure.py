@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from .optics import BeamSplitterSpec, beamsplitter, phase_shift
-from .states import CoherentSuperposition, ZeroNormError, coherent_overlap
+from .states import CoherentSuperposition, ZeroNormError, _overlap_matrix, coherent_overlap
 
 __all__ = [
     "MeasurementRecord",
@@ -57,17 +56,25 @@ class MeasurementRecord:
         return f"{self.kind}\t{self.outcome}\t{self.probability:.17g}"
 
 
-def fock_amplitude(n: int, alpha: complex) -> complex:
-    """<n|alpha> = e^{-|a|^2/2} a^n / sqrt(n!), evaluated in log domain."""
-    if n < 0:
+_lgamma = np.frompyfunc(math.lgamma, 1, 1)
+
+
+def fock_amplitude(n: int | np.ndarray, alpha: complex | np.ndarray) -> complex | np.ndarray:
+    """<n|alpha> = e^{-|a|^2/2} a^n / sqrt(n!), evaluated in log domain,
+    elementwise over broadcast arrays of n and alpha (scalars give a
+    scalar)."""
+    n = np.asarray(n)
+    if np.any(n < 0):
         raise ValueError("n must be >= 0")
-    alpha = complex(alpha)
-    r = abs(alpha)
-    if r == 0.0:
-        return 1.0 + 0j if n == 0 else 0.0 + 0j
-    logmag = n * math.log(r) - 0.5 * r * r - 0.5 * gammaln(n + 1)
+    alpha = np.asarray(alpha, dtype=complex)
+    r = np.abs(alpha)
+    nonzero = r > 0.0
+    r_safe = np.where(nonzero, r, 1.0)
+    log_fact = np.asarray(_lgamma(n + 1.0), dtype=float)
+    logmag = n * np.log(r_safe) - 0.5 * r * r - 0.5 * log_fact
     # integer power of the unit phase keeps signs exact for real alpha
-    return math.exp(logmag) * (alpha / r) ** n
+    amp = np.exp(logmag) * (alpha / r_safe) ** n
+    return np.where(nonzero, amp, n == 0)[()]
 
 
 def default_nmax(amp_scale: float) -> int:
@@ -83,6 +90,15 @@ def _rest(s: CoherentSuperposition, modes: list[int], weights: np.ndarray) -> Co
     return CoherentSuperposition(s.coeffs * weights, amps)
 
 
+def _branch_norms(s: CoherentSuperposition, modes: list[int], weights: np.ndarray) -> np.ndarray:
+    """Squared norm of `_rest(s, modes, w)` for every row w of a (..., K)
+    stack of weights: one Gram matrix G of the remaining modes, then the
+    quadratic form v* G v with v = w * coeffs for each row."""
+    rest = np.delete(s.amps, modes, axis=1)
+    v = weights * s.coeffs
+    return np.einsum("...j,...j->...", v.conj() @ _overlap_matrix(rest, rest), v).real
+
+
 def photon_statistics(s: CoherentSuperposition, mode: int, n_max: int | None = None) -> np.ndarray:
     """P(n) for n = 0..n_max of counting photons in `mode`."""
     s.check_mode(mode)
@@ -90,18 +106,14 @@ def photon_statistics(s: CoherentSuperposition, mode: int, n_max: int | None = N
         n_max = default_nmax(np.max(np.abs(s.amps[:, mode])) if s.nterms else 0.0)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    probs = np.empty(n_max + 1)
-    for n in range(n_max + 1):
-        w = np.array([fock_amplitude(n, a) for a in s.amps[:, mode]])
-        probs[n] = _rest(s, [mode], w).norm_squared()
-    return probs
+    w = fock_amplitude(np.arange(n_max + 1)[:, None], s.amps[:, mode])
+    return _branch_norms(s, [mode], w)
 
 
 def project_photon_number(s: CoherentSuperposition, mode: int, n: int) -> MeasurementRecord:
     """Condition on counting exactly n photons in `mode`."""
     s.check_mode(mode)
-    w = np.array([fock_amplitude(n, a) for a in s.amps[:, mode]])
-    branch = _rest(s, [mode], w)
+    branch = _rest(s, [mode], fock_amplitude(n, s.amps[:, mode]))
     p = branch.norm_squared()
     if p < PROB_FLOOR:
         raise ZeroNormError(f"photon-number branch n={n} has probability 0")
@@ -153,6 +165,14 @@ def parity_projection(s: CoherentSuperposition, mode: int) -> dict[str, Measurem
     return records
 
 
+def _cat_weights(ref_amp: complex, parity: int, amps: np.ndarray) -> np.ndarray:
+    """<cat|a> for each amplitude a, against the normalized even (+1) or
+    odd (-1) cat at amplitude `ref_amp`."""
+    ref = complex(ref_amp)
+    norm_cat = math.sqrt(2 + parity * 2 * math.exp(-2 * abs(ref) ** 2))
+    return (coherent_overlap(ref, amps) + parity * coherent_overlap(-ref, amps)) / norm_cat
+
+
 def cat_projection(
     s: CoherentSuperposition, mode: int, ref_amp: complex, parity: int
 ) -> MeasurementRecord:
@@ -163,11 +183,7 @@ def cat_projection(
     s.check_mode(mode)
     if parity not in (+1, -1):
         raise ValueError("parity must be +1 or -1")
-    ref = complex(ref_amp)
-    norm_cat = math.sqrt(2 + parity * 2 * math.exp(-2 * abs(ref) ** 2))
-    a = s.amps[:, mode]
-    w = (coherent_overlap(ref, a) + parity * coherent_overlap(-ref, a)) / norm_cat
-    branch = _rest(s, [mode], w).merge_terms()
+    branch = _rest(s, [mode], _cat_weights(ref_amp, parity, s.amps[:, mode])).merge_terms()
     p = branch.norm_squared()
     name = "even" if parity > 0 else "odd"
     state = branch.normalize() if p > PROB_FLOOR else None
@@ -177,30 +193,29 @@ def cat_projection(
 # ---------------------------------------------------------------------------
 # homodyne
 
-_SQRT_PI = math.sqrt(math.pi)
-
-
-def _quadrature_overlap(x: float, alpha: complex) -> complex:
-    """<x|alpha> under x = (a + a^dag)/sqrt(2)."""
-    alpha = complex(alpha)
+def _quadrature_overlap(x: float | np.ndarray, alpha: complex | np.ndarray) -> complex | np.ndarray:
+    """<x|alpha> under x = (a + a^dag)/sqrt(2), elementwise over broadcast
+    arrays of x and alpha."""
+    x = np.asarray(x, dtype=float)
+    alpha = np.asarray(alpha, dtype=complex)
     return math.pi ** -0.25 * np.exp(
-        -0.5 * x * x + math.sqrt(2) * x * alpha - 0.5 * alpha * alpha - 0.5 * abs(alpha) ** 2
+        -0.5 * x * x + math.sqrt(2) * x * alpha - 0.5 * alpha * alpha - 0.5 * np.abs(alpha) ** 2
     )
 
 
-def homodyne_pdf(s: CoherentSuperposition, mode: int, x: float) -> float:
-    """Marginal density of the x quadrature of `mode` at x."""
+def homodyne_pdf(s: CoherentSuperposition, mode: int, x: float | np.ndarray) -> float | np.ndarray:
+    """Marginal density of the x quadrature of `mode` at x, elementwise
+    over an array of x (a scalar x gives a scalar)."""
     s.check_mode(mode)
-    w = np.array([_quadrature_overlap(x, a) for a in s.amps[:, mode]])
-    return max(_rest(s, [mode], w).norm_squared(), 0.0)
+    w = _quadrature_overlap(np.asarray(x, dtype=float)[..., None], s.amps[:, mode])
+    return np.maximum(_branch_norms(s, [mode], w), 0.0)[()]
 
 
 def homodyne_condition(s: CoherentSuperposition, mode: int, x: float) -> MeasurementRecord:
     """Condition the remaining modes on a homodyne result x.  The record's
     probability field holds the density at x."""
     s.check_mode(mode)
-    w = np.array([_quadrature_overlap(x, a) for a in s.amps[:, mode]])
-    branch = _rest(s, [mode], w)
+    branch = _rest(s, [mode], _quadrature_overlap(x, s.amps[:, mode]))
     density = branch.norm_squared()
     if density < PROB_FLOOR:
         raise ZeroNormError(f"zero homodyne density at x={x}")
@@ -218,7 +233,7 @@ def homodyne_sample(
 ) -> MeasurementRecord:
     """Draw a homodyne result by inverse CDF on a fixed grid, then condition."""
     xs = homodyne_grid(s, mode, points)
-    pdf = np.array([homodyne_pdf(s, mode, x) for x in xs])
+    pdf = homodyne_pdf(s, mode, xs)
     cdf = np.cumsum(pdf)
     cdf /= cdf[-1]
     x = float(np.interp(rng.random(), cdf, xs))

@@ -296,18 +296,26 @@ def ramsey_fisher(
 # ---------------------------------------------------------------------------
 # quantum ruler
 
-def ruler_probability(alpha: float, theta: float) -> float:
-    """Even-cat readout probability of the ruler probe at arm phase theta.
+def ruler_probability(alpha: float, theta: float | np.ndarray) -> float | np.ndarray:
+    """Even-cat readout probability of the ruler probe at arm phase theta,
+    elementwise over an array of theta (a scalar theta gives a scalar).
 
     The phase enters the balanced interferometer as a displacement i theta/2
     of the cat probe; the normalized even/odd discrimination then reads
     cos^2(alpha theta), fringes alpha times narrower than the classical
     cos^2(theta) pattern.
     """
-    probe = optics.displace(cat(alpha, +1), 0, 0.5j * theta)
-    p_even = measure.cat_projection(probe, 0, alpha, +1).probability
-    p_odd = measure.cat_projection(probe, 0, alpha, -1).probability
-    return p_even / (p_even + p_odd)
+    probe = cat(alpha, +1)
+    a = probe.amps[:, 0]
+    beta = 0.5j * np.asarray(theta, dtype=float)[..., None]
+    # the displacement acts on the bra: each term's weight is its
+    # displacement phase times the cat weight at the shifted amplitude
+    phases = optics._displacement_phases(beta, a)
+    p_even, p_odd = (
+        measure._branch_norms(probe, [0], phases * measure._cat_weights(alpha, parity, a + beta))
+        for parity in (+1, -1)
+    )
+    return (p_even / (p_even + p_odd))[()]
 
 
 def _peak_positions(xs: np.ndarray, ys: np.ndarray) -> list[float]:
@@ -341,7 +349,7 @@ def quantum_ruler(
     if theta_max is None:
         theta_max = 3.4 * math.pi / alpha
     thetas = np.linspace(0.0, theta_max, points)
-    probs = np.array([ruler_probability(alpha, t) for t in thetas])
+    probs = ruler_probability(alpha, thetas)
     peaks = _peak_positions(thetas, probs)
     if len(peaks) < 2:
         raise ValueError("fewer than 2 fringe peaks in the scan range")

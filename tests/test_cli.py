@@ -146,3 +146,39 @@ def test_gate_check_properties_pass(capsys):
         fields = row.split("\t")
         assert float(fields[3]) < 1e-6  # rz phase error
         assert float(fields[4]) < 1e-6  # entangling step phase error
+
+
+def test_import_does_not_load_scipy_special():
+    import catsim
+
+    src = Path(catsim.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, catsim; sys.exit('scipy.special' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys):
+    sweep = ["weak-force", "--sweep-n", "--seed", "3"]
+    plain = ["weak-force"]
+
+    def fresh(args):
+        proc = subprocess.run(
+            [sys.executable, "-m", "catsim.cli", *args], capture_output=True, text=True
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        return proc.stdout
+
+    first = run_cli(sweep, capsys)
+    second = run_cli(plain, capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"catsim {__version__}\n"
+    third = run_cli(sweep, capsys)
+    assert first == third == (EXIT_OK, fresh(sweep))
+    assert second == (EXIT_OK, fresh(plain))
