@@ -37,7 +37,6 @@ from .measure import (
     MeasurementRecord,
     UnsupportedStateError,
     bell_cat_outcomes,
-    bell_measurement,
     bell_outcomes,
     cat_projection,
     homodyne_pdf,

@@ -21,6 +21,8 @@ __all__ = ["AuditRow", "run_audit", "AUDIT_CHECKS"]
 
 FIDELITY_TOL = 1e-8
 DIST_TOL = 1e-10
+# smallest qubit amplitude the parity checks draw, so alpha_max must reach it
+QUBIT_ALPHA_MIN = 0.8
 
 
 @dataclass(frozen=True)
@@ -134,7 +136,7 @@ def _check_homodyne_pdf(rng, s):
 
 def _random_qubit_like(rng, alpha_max):
     """State supported on {+a, -a} in every mode, as parity checks require."""
-    a = rng.uniform(0.8, alpha_max)
+    a = rng.uniform(QUBIT_ALPHA_MIN, alpha_max)
     m = int(rng.integers(1, 3))
     k = int(rng.integers(1, 5))
     signs = rng.choice([-1.0, 1.0], size=(k, m))

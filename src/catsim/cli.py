@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical-budget error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import sys
@@ -66,6 +67,12 @@ def parse_config_file(path: str) -> dict[str, str]:
     return out
 
 
+def _require(ok: bool, reason: str) -> None:
+    """Range check on a configuration value (NaN compares false, so fails)."""
+    if not ok:
+        raise ConfigError(reason)
+
+
 def _coerce(key: str, raw: str, kind: type):
     try:
         if kind is bool:
@@ -118,8 +125,8 @@ def emit(
 
 def _alpha_grid(cfg: dict) -> list[float]:
     steps = cfg["alpha_steps"]
-    if steps < 1:
-        raise ConfigError("alpha_steps must be >= 1")
+    _require(steps >= 1, "alpha_steps must be >= 1")
+    _require(cfg["alpha_min"] > 0 and cfg["alpha_max"] > 0, "alpha_min and alpha_max must be > 0")
     if steps == 1:
         return [cfg["alpha_min"]]
     return list(np.linspace(cfg["alpha_min"], cfg["alpha_max"], steps))
@@ -129,6 +136,7 @@ def _alpha_grid(cfg: dict) -> list[float]:
 # experiments
 
 def run_bell_stats(cfg: dict, seed: int) -> tuple[list[str], list[list], int]:
+    _require(cfg["trials"] >= 0, "trials must be >= 0")
     if cfg["alpha_max"] > 6 or cfg["alpha_steps"] > 1000 or cfg["trials"] > 10_000_000:
         raise BudgetError("bell-stats budget: alpha <= 6, alpha_steps <= 1000, trials <= 1e7")
     columns = [
@@ -223,6 +231,10 @@ def run_gate_check(cfg: dict, seed: int) -> tuple[list[str], list[list], int]:
 
 
 def run_weak_force(cfg: dict, seed: int) -> tuple[list[str], list[list], int]:
+    _require(cfg["alpha"] > 0, "alpha must be > 0")
+    _require(cfg["n"] >= 1, "n must be >= 1")
+    _require(cfg["n_max"] >= 1 or not cfg["sweep_n"], "n_max must be >= 1")
+    _require(cfg["trials"] >= 0 and cfg["batches"] >= 1, "trials must be >= 0 and batches >= 1")
     if cfg["trials"] > 10_000_000 or cfg["batches"] > 100_000 or cfg["n_max"] > 64:
         raise BudgetError("weak-force budget: trials <= 1e7, batches <= 1e5, n <= 64")
     columns = [
@@ -253,6 +265,8 @@ def run_weak_force(cfg: dict, seed: int) -> tuple[list[str], list[list], int]:
 
 
 def run_ruler(cfg: dict, seed: int) -> tuple[list[str], list[list], int]:
+    _require(cfg["alpha"] > 0 and cfg["wavelength"] > 0, "alpha and wavelength must be > 0")
+    _require(cfg["points"] >= 16, "points must be >= 16")
     if cfg["points"] > 200_001 or cfg["alpha"] > 16:
         raise BudgetError("ruler budget: points <= 200001, alpha <= 16")
     scan = metrology.quantum_ruler(cfg["alpha"], cfg["wavelength"], points=cfg["points"])
@@ -274,22 +288,25 @@ def run_ramsey(cfg: dict, seed: int) -> tuple[list[str], list[list], int]:
     rows = []
     status = EXIT_OK
     theta = cfg["theta"]
+    _require(cfg["n_max"] >= 1, "n_max must be >= 1")
     for n in range(1, cfg["n_max"] + 1):
+        pp = metrology.ramsey_probability(theta, n, False)
+        pe = metrology.ramsey_probability(theta, n, True)
+        _require(0 < pp < 1 and 0 < pe < 1,
+                 f"theta = {theta} is a fringe extremum at n = {n}: Fisher information undefined")
         fp = metrology.ramsey_fisher(theta, n, entangled=False)
         fe = metrology.ramsey_fisher(theta, n, entangled=True)
         ratio = fe / fp
         if abs(ratio - n) > 1e-6 * n:
             status = EXIT_PROPERTY
-        rows.append([
-            n, theta,
-            metrology.ramsey_probability(theta, n, False),
-            metrology.ramsey_probability(theta, n, True),
-            fp, fe, ratio,
-        ])
+        rows.append([n, theta, pp, pe, fp, fe, ratio])
     return columns, rows, status
 
 
 def run_oracle_audit(cfg: dict, seed: int) -> tuple[list[str], list[list], int]:
+    floor = audit.QUBIT_ALPHA_MIN
+    _require(cfg["alpha_max"] >= floor, f"alpha_max must be >= {floor}")
+    _require(cfg["cases"] >= 1, "cases must be >= 1")
     if cfg["alpha_max"] > 4 or cfg["cases"] > 1000:
         raise BudgetError("oracle-audit budget: alpha_max <= 4, cases <= 1000")
     rows_out = audit.run_audit(
@@ -388,6 +405,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _open_output(path: Optional[str]):
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc}") from exc
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -395,18 +421,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = resolve_config(args, schema)
         seed = args.seed if args.seed is not None else 0
-        columns, rows, status = run(cfg, seed)
+        _require(seed >= 0, "seed must be >= 0")
+        # open the output first, so an unwritable path fails before any work
+        with _open_output(args.output) as out:
+            columns, rows, status = run(cfg, seed)
+            emit(out, args.experiment, seed, cfg, columns, rows)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            emit(fh, args.experiment, seed, cfg, columns, rows)
-    else:
-        emit(sys.stdout, args.experiment, seed, cfg, columns, rows)
     return status
 
 

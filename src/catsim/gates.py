@@ -12,7 +12,7 @@ space exactly linear for process tomography.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -167,18 +167,12 @@ def teleport(
         branches = measure.bell_cat_outcomes(joint, enc.mode, m, enc.alpha)
     else:
         branches = measure.bell_outcomes(joint, enc.mode, m)
-    if branch is None:
-        branch_pick = "I" if rng is None else None
+    if rng is not None and branch is None:
+        rec = measure.sample(branches, rng)
     else:
-        branch_pick = branch
-    if branch_pick is not None:
-        rec = branches[branch_pick]
-        if rec.state is None and branch_pick != "FAIL":
-            raise GateFailure(f"branch {branch_pick} has zero probability")
-    else:
-        names = list(branches)
-        probs = np.clip([branches[n].probability for n in names], 0.0, None)
-        rec = branches[names[rng.choice(len(names), p=probs / probs.sum())]]
+        rec = branches[branch or "I"]
+    if rec.state is None and rec.outcome != "FAIL":
+        raise GateFailure(f"branch {rec.outcome} has zero probability")
     trace = (_traced("bell_measurement", f"alpha={enc.alpha}", str(rec.outcome), rec.probability),)
     if rec.outcome == "FAIL":
         return GateOutcome(s, False, "FAIL", rec.probability, trace=trace)
@@ -212,6 +206,28 @@ def gate_z(
     raise GateFailure(f"Z branch did not land within {MAX_REPEATS} teleports")
 
 
+def _undo_z(
+    s: CoherentSuperposition,
+    step: GateOutcome,
+    enc: QubitEncoding,
+    rng: Optional[np.random.Generator],
+) -> GateOutcome:
+    """Settle one step of a gate on input `s`.  `step` carries the gate's
+    running probability, repetitions and trace; a failed step fails the
+    gate, and a Z residual (step.applied == "Z") is undone with gate_z on
+    `enc`, whose probability, repetitions and trace are folded in."""
+    if not step.success:
+        return GateOutcome(s, False, "FAIL", step.probability, trace=step.trace)
+    if step.applied != "Z":
+        return step
+    fix = gate_z(step.state, enc, rng)
+    prob, trace = step.probability * fix.probability, step.trace + fix.trace
+    if not fix.success:
+        return GateOutcome(s, False, "FAIL", prob, trace=trace)
+    reps = step.repetitions + fix.repetitions
+    return GateOutcome(fix.state, True, "identity", prob, reps, trace)
+
+
 def gate_rz(
     s: CoherentSuperposition,
     enc: QubitEncoding,
@@ -232,27 +248,19 @@ def gate_rz(
     displaced = optics.displace(s, enc.mode, 1j * enc.alpha * theta)
     trace = (_traced("displace", f"beta={1j * enc.alpha * theta:.6g}", "-", 1.0),)
     out = teleport(displaced, enc, rng)
-    trace = trace + out.trace
-    if not out.success:
-        return GateOutcome(s, False, "FAIL", out.probability, trace=trace)
-    state, prob, reps = out.state, out.probability, 1
-    if out.applied == "Z":
-        fix = gate_z(state, enc, rng)
-        trace = trace + fix.trace
-        if not fix.success:
-            return GateOutcome(s, False, "FAIL", prob * fix.probability, trace=trace)
-        state, prob, reps = fix.state, prob * fix.probability, 1 + fix.repetitions
-    return GateOutcome(state, True, f"Rz({4 * theta * enc.alpha ** 2:.6g})", prob, reps, trace)
+    out = _undo_z(s, replace(out, trace=trace + out.trace), enc, rng)
+    return replace(out, applied=f"Rz({4 * theta * enc.alpha ** 2:.6g})") if out.success else out
 
 
-# map from (parity on input mode, parity on measured resource mode) to the
-# corrections restoring the canonical Rx action; verified against the
-# decoded 2x2 matrix in the test suite
+# map from (parity on input mode, parity on measured resource mode) to
+# (apply X correction?, residual op), as in _TELEPORT_BRANCHES; the Z gate
+# runs before the X correction.  Verified against the Rx(pi/2) target on
+# every branch in the test suite
 _RX_CORRECTIONS = {
-    ("even", "even"): (),
-    ("even", "odd"): ("Z",),
-    ("odd", "even"): ("Z", "X"),
-    ("odd", "odd"): ("X",),
+    ("even", "even"): (False, "identity"),
+    ("even", "odd"): (False, "Z"),
+    ("odd", "even"): (True, "Z"),
+    ("odd", "odd"): (True, "identity"),
 }
 
 
@@ -290,41 +298,34 @@ def gate_rx(
             continue
         for pa in (+1, -1):
             rec_a = measure.cat_projection(rec_b.state, enc.mode, enc.alpha, pa)
-            if rec_a.state is None:
-                continue
-            key = ("even" if pa > 0 else "odd", "even" if pb > 0 else "odd")
-            branches[key] = (rec_b.probability * rec_a.probability, rec_a.state)
+            if rec_a.state is not None:
+                key = (rec_a.outcome, rec_b.outcome)
+                branches[key] = measure.MeasurementRecord(
+                    "cat_projection", key, rec_b.probability * rec_a.probability, rec_a.state
+                )
     if not branches:
         raise GateFailure("all cat-projection branches have zero probability")
-
-    if rng is None:
-        key = ("even", "even")
-        if key not in branches:
-            raise GateFailure("even/even branch has zero probability")
+    if rng is not None:
+        rec = measure.sample(branches, rng)
+    elif ("even", "even") in branches:
+        rec = branches["even", "even"]
     else:
-        keys = list(branches)
-        probs = np.array([branches[k][0] for k in keys])
-        key = keys[rng.choice(len(keys), p=probs / probs.sum())]
-    prob, conditioned = branches[key]
-    trace = trace + (_traced("cat_projection", f"ref={enc.alpha}", f"{key}", prob),)
-
-    out = _replace_mode(conditioned, enc.mode)
-    reps = 1
-    for corr in _RX_CORRECTIONS[key]:
-        if corr == "X":
-            out = gate_x(out, enc)
-            trace = trace + (_traced("phase_shift", "theta=pi (X correction)", "-", 1.0),)
-        else:
-            fix = gate_z(out, enc, rng)
-            trace = trace + fix.trace
-            if not fix.success:
-                return GateOutcome(s, False, "FAIL", prob * fix.probability, trace=trace)
-            out = fix.state
-            prob *= fix.probability
-            reps += fix.repetitions
-    return GateOutcome(
-        out.merge_terms(), True, f"Rx({2 * theta * enc.alpha ** 2:.6g})", prob, reps, trace
+        raise GateFailure("even/even branch has zero probability")
+    trace = trace + (
+        _traced("cat_projection", f"ref={enc.alpha}", str(rec.outcome), rec.probability),
     )
+
+    flip, residual = _RX_CORRECTIONS[rec.outcome]
+    conditioned = _replace_mode(rec.state, enc.mode)
+    out = _undo_z(s, GateOutcome(conditioned, True, residual, rec.probability, 1, trace), enc, rng)
+    if not out.success:
+        return out
+    state, trace = out.state, out.trace
+    if flip:
+        state = gate_x(state, enc)
+        trace = trace + (_traced("phase_shift", "theta=pi (X correction)", "-", 1.0),)
+    applied = f"Rx({2 * theta * enc.alpha ** 2:.6g})"
+    return GateOutcome(state.merge_terms(), True, applied, out.probability, out.repetitions, trace)
 
 
 def entangling_gate(
@@ -348,26 +349,19 @@ def entangling_gate(
     # each of the two teleport projections contributes half the phase
     mixed = optics.beamsplitter(s, optics.BeamSplitterSpec(enc_a.mode, enc_b.mode, theta / 2.0))
     trace = (_traced("beamsplitter", f"theta={theta / 2.0:.6g}", "-", 1.0),)
-    prob = 1.0
-    state = mixed
-    reps = 0
+    out = GateOutcome(mixed, True, "identity", 1.0, 0, trace)
     for enc in (enc_a, enc_b):
-        out = teleport(state, enc, rng)
-        trace = trace + out.trace
-        prob *= out.probability
+        tele = teleport(out.state, enc, rng)
+        step = replace(
+            tele,
+            probability=out.probability * tele.probability,
+            repetitions=out.repetitions + tele.repetitions,
+            trace=out.trace + tele.trace,
+        )
+        out = _undo_z(s, step, enc, rng)
         if not out.success:
-            return GateOutcome(s, False, "FAIL", prob, trace=trace)
-        state = out.state
-        reps += 1
-        if out.applied == "Z":
-            fix = gate_z(state, enc, rng)
-            trace = trace + fix.trace
-            prob *= fix.probability
-            if not fix.success:
-                return GateOutcome(s, False, "FAIL", prob, trace=trace)
-            state = fix.state
-            reps += fix.repetitions
-    return GateOutcome(state, True, f"ZZ({theta * enc_a.alpha ** 2:.6g})", prob, reps, trace)
+            return out
+    return replace(out, applied=f"ZZ({theta * enc_a.alpha ** 2:.6g})")
 
 
 # ---------------------------------------------------------------------------

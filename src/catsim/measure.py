@@ -1,6 +1,8 @@
 """Photon counting, parity conditioning, homodyne detection and the
 Bell-cat measurement, with exact outcome probabilities and conditioned
-pure states.
+pure states.  The parity and Bell-cat measurements return their exact
+branch table {outcome: MeasurementRecord}; `sample` draws one outcome from
+such a table.
 
 Quadrature convention: x = (a + a^dag)/sqrt(2), so a coherent state |a>
 has mean sqrt(2) Re a and variance 1/2.
@@ -31,7 +33,7 @@ __all__ = [
     "homodyne_sample",
     "bell_outcomes",
     "bell_cat_outcomes",
-    "bell_measurement",
+    "sample",
 ]
 
 PROB_FLOOR = 1e-300
@@ -54,6 +56,26 @@ class MeasurementRecord:
 
     def to_row(self) -> str:
         return f"{self.kind}\t{self.outcome}\t{self.probability:.17g}"
+
+
+def _record(
+    kind: str, outcome: object, branch: CoherentSuperposition, weight: float = 1.0,
+    keep: bool = True,
+) -> MeasurementRecord:
+    """Branch record with probability weight * ||branch||^2; the state is
+    the normalized branch, or None if not kept or below PROB_FLOOR."""
+    p = weight * branch.norm_squared()
+    state = branch.normalize() if keep and p > PROB_FLOOR else None
+    return MeasurementRecord(kind, outcome, p, state)
+
+
+def sample(table: dict, rng: np.random.Generator) -> MeasurementRecord:
+    """Draw one record of an exact branch table {outcome: record}: a single
+    rng.choice over the table in dict order, with probabilities clipped at
+    0 (round-off) and renormalized."""
+    names = list(table)
+    probs = np.clip([table[n].probability for n in names], 0.0, None)
+    return table[names[rng.choice(len(names), p=probs / probs.sum())]]
 
 
 _lgamma = np.frompyfunc(math.lgamma, 1, 1)
@@ -152,17 +174,8 @@ def parity_projection(s: CoherentSuperposition, mode: int) -> dict[str, Measurem
     z0, even_nz, odd = _parity_class_weights(abs(ref) ** 2)
     v_even = _rest(s, [mode], np.ones(s.nterms)).merge_terms()
     v_odd = _rest(s, [mode], signs.astype(complex)).merge_terms()
-    ne, no = v_even.norm_squared(), v_odd.norm_squared()
-    records = {}
-    for name, weight, vec, n2 in [
-        ("zero", z0, v_even, ne),
-        ("even_nonzero", even_nz, v_even, ne),
-        ("odd", odd, v_odd, no),
-    ]:
-        p = weight * n2
-        state = vec.normalize() if p > PROB_FLOOR else None
-        records[name] = MeasurementRecord("parity", name, p, state)
-    return records
+    classes = {"zero": (z0, v_even), "even_nonzero": (even_nz, v_even), "odd": (odd, v_odd)}
+    return {name: _record("parity", name, vec, w) for name, (w, vec) in classes.items()}
 
 
 def _cat_weights(ref_amp: complex, parity: int, amps: np.ndarray) -> np.ndarray:
@@ -184,10 +197,7 @@ def cat_projection(
     if parity not in (+1, -1):
         raise ValueError("parity must be +1 or -1")
     branch = _rest(s, [mode], _cat_weights(ref_amp, parity, s.amps[:, mode])).merge_terms()
-    p = branch.norm_squared()
-    name = "even" if parity > 0 else "odd"
-    state = branch.normalize() if p > PROB_FLOOR else None
-    return MeasurementRecord("cat_projection", name, p, state)
+    return _record("cat_projection", "even" if parity > 0 else "odd", branch)
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +268,7 @@ def _group_signs(amps: np.ndarray, mask: np.ndarray) -> tuple[complex, np.ndarra
 
 
 def bell_outcomes(
-    s: CoherentSuperposition,
-    mode_a: int,
-    mode_b: int,
-    keep_fail_state: bool = False,
+    s: CoherentSuperposition, mode_a: int, mode_b: int
 ) -> dict[str, MeasurementRecord]:
     """All five outcome branches of the Bell-cat measurement on two modes
     whose amplitudes lie in {+a, -a} for a common a.
@@ -269,7 +276,7 @@ def bell_outcomes(
     The Bell-state creation is run in reverse (compensating +pi/2 phase on
     mode_b, then B(-pi/4)), after which photon counting on the two output
     modes is classified as I=(even>0, 0), II=(odd, 0), III=(0, even>0),
-    IV=(0, odd) and FAIL=(0, 0).
+    IV=(0, odd) and FAIL=(0, 0).  The FAIL record carries no state.
     """
     s.check_mode(mode_a)
     s.check_mode(mode_b)
@@ -300,38 +307,26 @@ def bell_outcomes(
     drop = [mode_a, mode_b]
     sel_a = in_a.astype(complex)
     sel_b = (~in_a).astype(complex)
-    v_ae = _rest(mixed, drop, sel_a).merge_terms()
-    v_ao = _rest(mixed, drop, sel_a * signs_u).merge_terms()
-    v_be = _rest(mixed, drop, sel_b).merge_terms()
-    v_bo = _rest(mixed, drop, sel_b * signs_v).merge_terms()
-    v_fail = _rest(mixed, drop, np.ones(mixed.nterms)).merge_terms()
-
-    records = {}
-    for name, weight, vec in [
-        ("I", even_nz, v_ae),
-        ("II", odd, v_ao),
-        ("III", even_nz, v_be),
-        ("IV", odd, v_bo),
-        ("FAIL", z0, v_fail),
-    ]:
-        p = weight * vec.norm_squared()
-        keep = (name != "FAIL") or keep_fail_state
-        state = vec.normalize() if (keep and p > PROB_FLOOR) else None
-        records[name] = MeasurementRecord("bell", name, p, state)
-    return records
+    return {
+        name: _record("bell", name, _rest(mixed, drop, w).merge_terms(), weight, name != "FAIL")
+        for name, weight, w in [
+            ("I", even_nz, sel_a),
+            ("II", odd, sel_a * signs_u),
+            ("III", even_nz, sel_b),
+            ("IV", odd, sel_b * signs_v),
+            ("FAIL", z0, np.ones(mixed.nterms)),
+        ]
+    }
 
 
 def bell_cat_outcomes(
-    s: CoherentSuperposition,
-    mode_a: int,
-    mode_b: int,
-    ref_amp: complex,
-    keep_fail_state: bool = False,
+    s: CoherentSuperposition, mode_a: int, mode_b: int, ref_amp: complex
 ) -> dict[str, MeasurementRecord]:
     """Idealized Bell measurement for inputs that have leaked slightly off
     the logical amplitudes: each coherent term is contracted against the
     Bell-cat bra component whose per-mode amplitudes are *nearest* to the
-    term's own, and only that component (FAIL = joint vacuum).
+    term's own, and only that component (FAIL = joint vacuum, recorded
+    without a state).
 
     Dropping the non-nearest bra components removes the O(e^{-2|a|^2})
     cross-overlap contamination, which is exactly the orthogonal-support
@@ -364,32 +359,10 @@ def bell_cat_outcomes(
         "II": same * flip * wa * wb / norm_minus,
         "III": anti * wa * wb / norm_plus,
         "IV": anti * flip * wa * wb / norm_minus,
+        "FAIL": coherent_overlap(0.0, a) * coherent_overlap(0.0, b),
     }
-    records = {}
-    for name, w in weight_table.items():
-        branch = _rest(s, [mode_a, mode_b], w).merge_terms()
-        p = branch.norm_squared()
-        state = branch.normalize() if p > PROB_FLOOR else None
-        records[name] = MeasurementRecord("bell", name, p, state)
-    w0 = coherent_overlap(0.0, a) * coherent_overlap(0.0, b)
-    fail = _rest(s, [mode_a, mode_b], w0).merge_terms()
-    pf = fail.norm_squared()
-    state = fail.normalize() if (keep_fail_state and pf > PROB_FLOOR) else None
-    records["FAIL"] = MeasurementRecord("bell", "FAIL", pf, state)
-    return records
-
-
-def bell_measurement(
-    s: CoherentSuperposition,
-    mode_a: int,
-    mode_b: int,
-    rng: np.random.Generator,
-    keep_fail_state: bool = False,
-) -> MeasurementRecord:
-    """Sample one Bell-cat measurement outcome and condition on it."""
-    branches = bell_outcomes(s, mode_a, mode_b, keep_fail_state)
-    names = list(branches)
-    probs = np.array([branches[n].probability for n in names])
-    probs = np.clip(probs, 0.0, None)
-    pick = rng.choice(len(names), p=probs / probs.sum())
-    return branches[names[pick]]
+    drop = [mode_a, mode_b]
+    return {
+        name: _record("bell", name, _rest(s, drop, w).merge_terms(), keep=name != "FAIL")
+        for name, w in weight_table.items()
+    }

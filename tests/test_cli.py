@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from catsim import __version__
+from catsim import __version__, cli
 from catsim.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
@@ -79,6 +79,40 @@ def test_config_error_exit_codes(tmp_path, capsys):
     assert code == EXIT_CONFIG
     code, _ = run_cli(["ramsey", "--config", str(tmp_path / "missing.cfg")], capsys)
     assert code == EXIT_CONFIG
+
+
+def test_unwritable_output_is_config_error_before_any_work(tmp_path, capsys, monkeypatch):
+    ran = []
+    run, schema = cli._EXPERIMENTS["ramsey"]
+    monkeypatch.setitem(cli._EXPERIMENTS, "ramsey", (lambda *a: ran.append(a) or run(*a), schema))
+    target = tmp_path / "missing" / "x.tsv"
+    code = main(["ramsey", "--output", str(target)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_CONFIG
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert not ran and not target.parent.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["ruler", "--points", "3"],
+    ["ruler", "--alpha", "0"],
+    ["ruler", "--wavelength", "-1"],
+    ["weak-force", "--seed", "-1"],
+    ["weak-force", "--alpha", "0"],
+    ["weak-force", "--n", "0"],
+    ["ramsey", "--theta", "0"],
+    ["oracle-audit", "--alpha-max", "-1"],
+    ["bell-stats", "--alpha-min", "0"],
+    ["gate-check", "--alpha-min", "0"],
+])
+def test_out_of_range_input_exits_2_with_one_line(args):
+    proc = subprocess.run(
+        [sys.executable, "-m", "catsim.cli", *args], capture_output=True, text=True
+    )
+    assert proc.returncode == EXIT_CONFIG
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stdout == ""
 
 
 def test_budget_exit_code(capsys):

@@ -293,3 +293,53 @@ def test_logical_coefficients_on_permuted_modes():
     x_logical, leak_logical = logical_coefficients(logical, encs)
     np.testing.assert_allclose(x_logical, x_true / scale, rtol=1e-12)
     assert leak_logical < 1e-12
+
+
+def _logical_fidelity(x, y) -> float:
+    """|<x|y>|^2 / (<x|x><y|y>): equality up to a global phase and scale."""
+    x, y = np.asarray(x), np.asarray(y)
+    return abs(np.vdot(x, y)) ** 2 / (np.vdot(x, x).real * np.vdot(y, y).real)
+
+
+def test_sampled_gate_rx_corrects_every_branch():
+    enc = QubitEncoding(2.0)
+    mu, nu = 0.6 + 0.2j, 0.7 - 0.3j
+    psi = encode(mu, nu, enc)
+    phi = math.pi / 4
+    target = np.array(
+        [[np.exp(1j * phi), np.exp(-1j * phi)], [np.exp(-1j * phi), np.exp(1j * phi)]]
+    ) @ np.array([mu, nu])
+    seen, z_ran = set(), False
+    for seed in range(200):
+        out = gate_rx(psi, enc, rng=np.random.default_rng(seed))
+        assert out.success
+        seen.add(next(t[2] for t in out.trace if t[0] == "cat_projection"))
+        z_ran |= out.repetitions > 1
+        m, n, _ = decode(out.state, enc)
+        assert _logical_fidelity([m, n], target) >= 1 - 10 * math.exp(-2 * enc.alpha**2)
+        if len(seen) == 4:
+            break
+    assert seen == {str((pa, pb)) for pa in ("even", "odd") for pb in ("even", "odd")}
+    assert z_ran
+
+
+def test_sampled_rz_and_entangling_match_canonical_branch():
+    enc, enc_b = QubitEncoding(2.0, 0), QubitEncoding(2.0, 1)
+    psi = encode(0.6 + 0.2j, 0.7 - 0.3j, enc)
+    two = optics.tensor(psi, encode(1.0, 1.0j, enc_b))
+    theta = 0.02 / enc.alpha**2
+    rz_ref = decode(gate_rz(psi, enc, theta).state, enc)[:2]
+    zz_ref, _ = decode_two(entangling_gate(two, enc, enc_b, theta).state, enc, enc_b)
+    rz_z = zz_z = 0
+    for seed in range(20):
+        out = gate_rz(psi, enc, theta, np.random.default_rng(seed))
+        assert out.success
+        rz_z += out.repetitions > 1
+        assert _logical_fidelity(decode(out.state, enc)[:2], rz_ref) == pytest.approx(1, abs=1e-12)
+        out = entangling_gate(two, enc, enc_b, theta, np.random.default_rng(seed))
+        assert out.success
+        zz_z += out.repetitions > 2
+        x, _ = decode_two(out.state, enc, enc_b)
+        assert _logical_fidelity(x, zz_ref) == pytest.approx(1, abs=1e-12)
+    # the Z-residual branches (gate_z ran) are among the sampled runs
+    assert rz_z > 0 and zz_z > 0

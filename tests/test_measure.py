@@ -6,9 +6,9 @@ from scipy.special import gammaln
 
 from catsim import optics
 from catsim.measure import (
+    MeasurementRecord,
     UnsupportedStateError,
     bell_cat_outcomes,
-    bell_measurement,
     bell_outcomes,
     cat_projection,
     default_nmax,
@@ -20,6 +20,7 @@ from catsim.measure import (
     parity_projection,
     photon_statistics,
     project_photon_number,
+    sample,
 )
 from catsim.states import (
     CoherentSuperposition,
@@ -203,9 +204,29 @@ def test_bell_cat_outcomes_cleans_leaked_input():
 
 def test_bell_measurement_sampling_reproducible():
     s = bell_cat(2.0, "iii")
-    r1 = bell_measurement(s, 0, 1, np.random.default_rng(9))
-    r2 = bell_measurement(s, 0, 1, np.random.default_rng(9))
+    r1 = sample(bell_outcomes(s, 0, 1), np.random.default_rng(9))
+    r2 = sample(bell_outcomes(s, 0, 1), np.random.default_rng(9))
     assert r1.outcome == r2.outcome == "III"
+
+
+def test_sample_is_one_rng_choice_in_dict_order():
+    def table(probs):
+        return {name: MeasurementRecord("t", name, p, None) for name, p in probs.items()}
+
+    probs = {"a": 0.1, "b": 0.25, "c": 0.4, "d": 0.25}
+    reordered = {k: probs[k] for k in ("d", "c", "a", "b")}
+    for seed in range(50):
+        for order in (probs, reordered):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            p = np.array(list(order.values()))
+            expected = list(order)[ref.choice(len(order), p=p / p.sum())]
+            assert sample(table(order), rng).outcome == expected
+            # the draw consumes exactly what one rng.choice does
+            assert rng.random() == ref.random()
+    # a -1e-17 round-off probability is clipped to 0, never drawn, never an error
+    rounded = table({"x": 0.5, "y": -1e-17, "z": 0.5})
+    rng = np.random.default_rng(3)
+    assert {sample(rounded, rng).outcome for _ in range(200)} == {"x", "z"}
 
 
 def test_default_nmax_rule():
