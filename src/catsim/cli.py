@@ -151,7 +151,10 @@ def run_bell_stats(cfg: dict, seed: int) -> tuple[list[str], list[list], int]:
         row = [alpha]
         worst_completeness = 0.0
         for kind, name in zip(("i", "ii", "iii", "iv"), ("I", "II", "III", "IV")):
-            state = states.bell_cat(alpha, kind)
+            try:
+                state = states.bell_cat(alpha, kind)
+            except states.ZeroNormError as exc:
+                raise ConfigError(f"alpha = {alpha}: Bell cat {kind} has zero norm") from exc
             recs = measure.bell_outcomes(state, 0, 1)
             total = sum(r.probability for r in recs.values())
             worst_completeness = max(worst_completeness, abs(total - 1.0))
@@ -163,7 +166,7 @@ def run_bell_stats(cfg: dict, seed: int) -> tuple[list[str], list[list], int]:
         if worst_completeness > 1e-10:
             status = EXIT_PROPERTY
         if cfg["trials"] > 0:
-            rng = np.random.default_rng(seed ^ index)
+            rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
             counts = {"identity": 0, "z": 0, "fail": 0}
             for _ in range(cfg["trials"]):
                 out = gates.teleport(plus, gates.QubitEncoding(alpha), rng=rng)
@@ -249,7 +252,7 @@ def run_weak_force(cfg: dict, seed: int) -> tuple[list[str], list[list], int]:
         if eps < 0:  # mid-fringe operating point
             eps = math.pi / (4 * math.sqrt(n) * alpha)
         if cfg["trials"] > 0:
-            rng = np.random.default_rng(seed ^ index)
+            rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
             rep = metrology.weak_force_experiment(
                 alpha, n, eps, cfg["trials"], rng, cfg["batches"]
             )
@@ -269,7 +272,10 @@ def run_ruler(cfg: dict, seed: int) -> tuple[list[str], list[list], int]:
     _require(cfg["points"] >= 16, "points must be >= 16")
     if cfg["points"] > 200_001 or cfg["alpha"] > 16:
         raise BudgetError("ruler budget: points <= 200001, alpha <= 16")
-    scan = metrology.quantum_ruler(cfg["alpha"], cfg["wavelength"], points=cfg["points"])
+    try:
+        scan = metrology.quantum_ruler(cfg["alpha"], cfg["wavelength"], points=cfg["points"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     columns = ["theta", "length_m", "probability", "spacing_theta", "spacing_length_m"]
     rows = [
         [float(t), float(l), float(p), scan.spacing_theta, scan.spacing_length]

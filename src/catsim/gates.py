@@ -133,6 +133,20 @@ _TELEPORT_BRANCHES = {
 }
 
 
+def _pick(
+    table: dict, rng: Optional[np.random.Generator], canonical
+) -> measure.MeasurementRecord:
+    """The record a gate goes on with: drawn from its exact branch table
+    when an rng is given, else the canonical branch.  Picking a branch
+    without a state (other than FAIL) is a GateFailure."""
+    if all(r.probability <= measure.PROB_FLOOR for r in table.values()):
+        raise GateFailure("all branches have zero probability")
+    rec = table[canonical] if rng is None else measure.sample(table, rng)
+    if rec.state is None and rec.outcome != "FAIL":
+        raise GateFailure(f"branch {rec.outcome} has zero probability")
+    return rec
+
+
 def _replace_mode(s: CoherentSuperposition, target_mode: int) -> CoherentSuperposition:
     """Move the last mode (a fresh teleported output) into target_mode's slot."""
     m = s.modes
@@ -167,12 +181,7 @@ def teleport(
         branches = measure.bell_cat_outcomes(joint, enc.mode, m, enc.alpha)
     else:
         branches = measure.bell_outcomes(joint, enc.mode, m)
-    if rng is not None and branch is None:
-        rec = measure.sample(branches, rng)
-    else:
-        rec = branches[branch or "I"]
-    if rec.state is None and rec.outcome != "FAIL":
-        raise GateFailure(f"branch {rec.outcome} has zero probability")
+    rec = _pick(branches, rng if branch is None else None, branch or "I")
     trace = (_traced("bell_measurement", f"alpha={enc.alpha}", str(rec.outcome), rec.probability),)
     if rec.outcome == "FAIL":
         return GateOutcome(s, False, "FAIL", rec.probability, trace=trace)
@@ -290,27 +299,14 @@ def gate_rx(
     mixed = optics.beamsplitter(joint, optics.BeamSplitterSpec(enc.mode, m, theta / 2.0))
     trace = (_traced("beamsplitter", f"theta={theta / 2.0:.6g}", "-", 1.0),)
 
-    # branch table: project resource half (mode m) then the input mode
-    branches = {}
-    for pb in (+1, -1):
-        rec_b = measure.cat_projection(mixed, m, enc.alpha, pb)
-        if rec_b.state is None:
-            continue
-        for pa in (+1, -1):
-            rec_a = measure.cat_projection(rec_b.state, enc.mode, enc.alpha, pa)
-            if rec_a.state is not None:
-                key = (rec_a.outcome, rec_b.outcome)
-                branches[key] = measure.MeasurementRecord(
-                    "cat_projection", key, rec_b.probability * rec_a.probability, rec_a.state
-                )
-    if not branches:
-        raise GateFailure("all cat-projection branches have zero probability")
-    if rng is not None:
-        rec = measure.sample(branches, rng)
-    elif ("even", "even") in branches:
-        rec = branches["even", "even"]
-    else:
-        raise GateFailure("even/even branch has zero probability")
+    # joint cat projection of the input mode and resource half m, keys (pa, pb)
+    parity = {"even": +1, "odd": -1}
+    a, b = mixed.amps[:, enc.mode], mixed.amps[:, m]
+    wa = {k: measure._cat_weights(enc.alpha, p, a) for k, p in parity.items()}
+    wb = {k: measure._cat_weights(enc.alpha, p, b) for k, p in parity.items()}
+    rows = [((ka, kb), 1.0, wa[ka] * wb[kb], True) for kb in parity for ka in parity]
+    table = measure._table("cat_projection", mixed, [enc.mode, m], rows)
+    rec = _pick(table, rng, ("even", "even"))
     trace = trace + (
         _traced("cat_projection", f"ref={enc.alpha}", str(rec.outcome), rec.probability),
     )

@@ -1,8 +1,8 @@
 """Photon counting, parity conditioning, homodyne detection and the
 Bell-cat measurement, with exact outcome probabilities and conditioned
-pure states.  The parity and Bell-cat measurements return their exact
-branch table {outcome: MeasurementRecord}; `sample` draws one outcome from
-such a table.
+pure states.  Every conditioning is an exact branch table {outcome:
+MeasurementRecord} scored from one Gram matrix; the parity and Bell-cat
+measurements return the whole table, and `sample` draws one outcome.
 
 Quadrature convention: x = (a + a^dag)/sqrt(2), so a coherent state |a>
 has mean sqrt(2) Re a and variance 1/2.
@@ -58,15 +58,22 @@ class MeasurementRecord:
         return f"{self.kind}\t{self.outcome}\t{self.probability:.17g}"
 
 
-def _record(
-    kind: str, outcome: object, branch: CoherentSuperposition, weight: float = 1.0,
-    keep: bool = True,
-) -> MeasurementRecord:
-    """Branch record with probability weight * ||branch||^2; the state is
-    the normalized branch, or None if not kept or below PROB_FLOOR."""
-    p = weight * branch.norm_squared()
-    state = branch.normalize() if keep and p > PROB_FLOOR else None
-    return MeasurementRecord(kind, outcome, p, state)
+def _table(kind: str, s: CoherentSuperposition, modes: list[int], rows: list[tuple]) -> dict:
+    """Branch table {outcome: MeasurementRecord} of measuring `modes` of `s`.
+    Row (outcome, factor, weights, keep) has probability factor times the
+    squared norm of the unmerged branch (per-term contraction `weights`),
+    all rows from one `_branch_norms` call.  A kept branch above PROB_FLOOR
+    carries its normalized, merged state; the others carry None."""
+    norms = _branch_norms(s, modes, np.array([w for _, _, w, _ in rows]))
+    rest = np.delete(s.amps, modes, axis=1)
+    table = {}
+    for (outcome, factor, w, keep), n2 in zip(rows, norms):
+        p = float(factor * n2)
+        state = None
+        if keep and p > PROB_FLOOR:
+            state = CoherentSuperposition(s.coeffs * w / np.sqrt(n2), rest).merge_terms()
+        table[outcome] = MeasurementRecord(kind, outcome, p, state)
+    return table
 
 
 def sample(table: dict, rng: np.random.Generator) -> MeasurementRecord:
@@ -105,17 +112,10 @@ def default_nmax(amp_scale: float) -> int:
     return math.ceil(a * a + 10 * a + 20)
 
 
-def _rest(s: CoherentSuperposition, modes: list[int], weights: np.ndarray) -> CoherentSuperposition:
-    """Unnormalized state on the modes not in `modes`, coefficients
-    multiplied by per-term contraction weights."""
-    amps = np.delete(s.amps, modes, axis=1)
-    return CoherentSuperposition(s.coeffs * weights, amps)
-
-
 def _branch_norms(s: CoherentSuperposition, modes: list[int], weights: np.ndarray) -> np.ndarray:
-    """Squared norm of `_rest(s, modes, w)` for every row w of a (..., K)
-    stack of weights: one Gram matrix G of the remaining modes, then the
-    quadratic form v* G v with v = w * coeffs for each row."""
+    """Squared norm of the branch sum_k w_k c_k |rest_k> on the modes not in
+    `modes`, for every row w of a (..., K) stack of weights: one Gram matrix
+    G of the remaining modes, then v* G v with v = w * coeffs for each row."""
     rest = np.delete(s.amps, modes, axis=1)
     v = weights * s.coeffs
     return np.einsum("...j,...j->...", v.conj() @ _overlap_matrix(rest, rest), v).real
@@ -135,11 +135,11 @@ def photon_statistics(s: CoherentSuperposition, mode: int, n_max: int | None = N
 def project_photon_number(s: CoherentSuperposition, mode: int, n: int) -> MeasurementRecord:
     """Condition on counting exactly n photons in `mode`."""
     s.check_mode(mode)
-    branch = _rest(s, [mode], fock_amplitude(n, s.amps[:, mode]))
-    p = branch.norm_squared()
-    if p < PROB_FLOOR:
+    w = fock_amplitude(n, s.amps[:, mode])
+    (rec,) = _table("photon_count", s, [mode], [(n, 1.0, w, True)]).values()
+    if rec.state is None:
         raise ZeroNormError(f"photon-number branch n={n} has probability 0")
-    return MeasurementRecord("photon_count", n, p, branch.normalize())
+    return rec
 
 
 def _signs_against_reference(amps: np.ndarray, tol: float = 1e-9) -> tuple[complex, np.ndarray]:
@@ -172,10 +172,12 @@ def parity_projection(s: CoherentSuperposition, mode: int) -> dict[str, Measurem
     s.check_mode(mode)
     ref, signs = _signs_against_reference(s.amps[:, mode])
     z0, even_nz, odd = _parity_class_weights(abs(ref) ** 2)
-    v_even = _rest(s, [mode], np.ones(s.nterms)).merge_terms()
-    v_odd = _rest(s, [mode], signs.astype(complex)).merge_terms()
-    classes = {"zero": (z0, v_even), "even_nonzero": (even_nz, v_even), "odd": (odd, v_odd)}
-    return {name: _record("parity", name, vec, w) for name, (w, vec) in classes.items()}
+    ones = np.ones(s.nterms)
+    return _table("parity", s, [mode], [
+        ("zero", z0, ones, True),
+        ("even_nonzero", even_nz, ones, True),
+        ("odd", odd, signs, True),
+    ])
 
 
 def _cat_weights(ref_amp: complex, parity: int, amps: np.ndarray) -> np.ndarray:
@@ -196,8 +198,9 @@ def cat_projection(
     s.check_mode(mode)
     if parity not in (+1, -1):
         raise ValueError("parity must be +1 or -1")
-    branch = _rest(s, [mode], _cat_weights(ref_amp, parity, s.amps[:, mode])).merge_terms()
-    return _record("cat_projection", "even" if parity > 0 else "odd", branch)
+    outcome = "even" if parity > 0 else "odd"
+    w = _cat_weights(ref_amp, parity, s.amps[:, mode])
+    return _table("cat_projection", s, [mode], [(outcome, 1.0, w, True)])[outcome]
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +228,11 @@ def homodyne_condition(s: CoherentSuperposition, mode: int, x: float) -> Measure
     """Condition the remaining modes on a homodyne result x.  The record's
     probability field holds the density at x."""
     s.check_mode(mode)
-    branch = _rest(s, [mode], _quadrature_overlap(x, s.amps[:, mode]))
-    density = branch.norm_squared()
-    if density < PROB_FLOOR:
+    w = _quadrature_overlap(x, s.amps[:, mode])
+    (rec,) = _table("homodyne", s, [mode], [(float(x), 1.0, w, True)]).values()
+    if rec.state is None:
         raise ZeroNormError(f"zero homodyne density at x={x}")
-    return MeasurementRecord("homodyne", float(x), density, branch.normalize())
+    return rec
 
 
 def homodyne_grid(s: CoherentSuperposition, mode: int, points: int = 4096) -> np.ndarray:
@@ -252,9 +255,6 @@ def homodyne_sample(
 
 # ---------------------------------------------------------------------------
 # Bell-cat measurement
-
-BELL_OUTCOMES = ("I", "II", "III", "IV", "FAIL")
-
 
 def _group_signs(amps: np.ndarray, mask: np.ndarray) -> tuple[complex, np.ndarray]:
     """Signs of the masked amplitudes against their common reference;
@@ -304,19 +304,13 @@ def bell_outcomes(
     mag2 = abs(ref_u) ** 2 if abs(ref_u) > 0 else abs(ref_v) ** 2
     z0, even_nz, odd = _parity_class_weights(mag2)
 
-    drop = [mode_a, mode_b]
-    sel_a = in_a.astype(complex)
-    sel_b = (~in_a).astype(complex)
-    return {
-        name: _record("bell", name, _rest(mixed, drop, w).merge_terms(), weight, name != "FAIL")
-        for name, weight, w in [
-            ("I", even_nz, sel_a),
-            ("II", odd, sel_a * signs_u),
-            ("III", even_nz, sel_b),
-            ("IV", odd, sel_b * signs_v),
-            ("FAIL", z0, np.ones(mixed.nterms)),
-        ]
-    }
+    return _table("bell", mixed, [mode_a, mode_b], [
+        ("I", even_nz, in_a, True),
+        ("II", odd, in_a * signs_u, True),
+        ("III", even_nz, ~in_a, True),
+        ("IV", odd, ~in_a * signs_v, True),
+        ("FAIL", z0, np.ones(mixed.nterms), False),
+    ])
 
 
 def bell_cat_outcomes(
@@ -354,15 +348,10 @@ def bell_cat_outcomes(
     flip = -sgn_a
     norm_plus = math.sqrt(2 + 2 * math.exp(-4 * abs(ref) ** 2))
     norm_minus = math.sqrt(2 - 2 * math.exp(-4 * abs(ref) ** 2))
-    weight_table = {
-        "I": same * wa * wb / norm_plus,
-        "II": same * flip * wa * wb / norm_minus,
-        "III": anti * wa * wb / norm_plus,
-        "IV": anti * flip * wa * wb / norm_minus,
-        "FAIL": coherent_overlap(0.0, a) * coherent_overlap(0.0, b),
-    }
-    drop = [mode_a, mode_b]
-    return {
-        name: _record("bell", name, _rest(s, drop, w).merge_terms(), keep=name != "FAIL")
-        for name, w in weight_table.items()
-    }
+    return _table("bell", s, [mode_a, mode_b], [
+        ("I", 1.0, same * wa * wb / norm_plus, True),
+        ("II", 1.0, same * flip * wa * wb / norm_minus, True),
+        ("III", 1.0, anti * wa * wb / norm_plus, True),
+        ("IV", 1.0, anti * flip * wa * wb / norm_minus, True),
+        ("FAIL", 1.0, coherent_overlap(0.0, a) * coherent_overlap(0.0, b), False),
+    ])

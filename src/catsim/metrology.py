@@ -349,7 +349,11 @@ def quantum_ruler(
     if theta_max is None:
         theta_max = 3.4 * math.pi / alpha
     thetas = np.linspace(0.0, theta_max, points)
-    probs = ruler_probability(alpha, thetas)
+    with np.errstate(invalid="ignore"):
+        probs = ruler_probability(alpha, thetas)
+    if not np.all(np.isfinite(probs)):
+        # both branch norms underflow to 0 far out on the scan at small alpha
+        raise ValueError(f"ruler probability is not finite in the scan at alpha = {alpha}")
     peaks = _peak_positions(thetas, probs)
     if len(peaks) < 2:
         raise ValueError("fewer than 2 fringe peaks in the scan range")

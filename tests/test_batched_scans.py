@@ -10,7 +10,6 @@ import pytest
 from catsim import optics
 from catsim.measure import (
     _quadrature_overlap,
-    _rest,
     cat_projection,
     fock_amplitude,
     homodyne_pdf,
@@ -31,6 +30,12 @@ def _random_states(seed, count=12):
         coeffs = rng.normal(size=k) + 1j * rng.normal(size=k)
         amps = rng.uniform(-2, 2, size=(k, m)) + 1j * rng.uniform(-2, 2, size=(k, m))
         yield CoherentSuperposition(coeffs, amps).normalize()
+
+
+def _rest(s, modes, weights):
+    """Reference branch: the unnormalized state on the modes not in `modes`,
+    coefficients multiplied by per-term contraction weights."""
+    return CoherentSuperposition(s.coeffs * weights, np.delete(s.amps, modes, axis=1))
 
 
 def test_homodyne_pdf_array_matches_scalar_and_loop():

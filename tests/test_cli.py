@@ -104,6 +104,9 @@ def test_unwritable_output_is_config_error_before_any_work(tmp_path, capsys, mon
     ["oracle-audit", "--alpha-max", "-1"],
     ["bell-stats", "--alpha-min", "0"],
     ["gate-check", "--alpha-min", "0"],
+    ["ruler", "--alpha", "0.1"],
+    ["ruler", "--alpha", "0.01"],
+    ["bell-stats", "--alpha-min", "1e-9"],
 ])
 def test_out_of_range_input_exits_2_with_one_line(args):
     proc = subprocess.run(
@@ -113,6 +116,20 @@ def test_out_of_range_input_exits_2_with_one_line(args):
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stdout == ""
+
+
+def test_seeded_rows_draw_from_independent_streams(capsys):
+    args = ["bell-stats", "--alpha-min", "2", "--alpha-max", "2", "--alpha-steps", "2",
+            "--trials", "200"]
+
+    def sampled(seed):
+        code, out = run_cli(args + ["--seed", str(seed)], capsys)
+        assert code == EXIT_OK
+        rows = [l.split("\t") for l in out.splitlines() if not l.startswith(("#", "alpha\t"))]
+        return [row[-3:] for row in rows]
+
+    # with one stream per seed ^ index, seed 0 row 1 replayed seed 1 row 0
+    assert sampled(0)[1] != sampled(1)[0]
 
 
 def test_budget_exit_code(capsys):

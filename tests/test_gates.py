@@ -343,3 +343,11 @@ def test_sampled_rz_and_entangling_match_canonical_branch():
         assert _logical_fidelity(x, zz_ref) == pytest.approx(1, abs=1e-12)
     # the Z-residual branches (gate_z ran) are among the sampled runs
     assert rz_z > 0 and zz_z > 0
+
+
+def test_gate_rx_on_input_far_from_the_cats_is_a_gate_failure():
+    # every joint cat projection of |40> underflows to probability 0
+    far = CoherentSuperposition(np.array([1.0]), np.array([[40.0]]))
+    for rng in (None, np.random.default_rng(0)):
+        with pytest.raises(GateFailure, match="all branches have zero probability"):
+            gate_rx(far, QubitEncoding(1.0), rng=rng)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from catsim import optics
+from catsim import fockoracle as fo
+from catsim import gates, measure, optics, states
+from catsim.audit import DIST_TOL, FIDELITY_TOL
 from catsim.measure import (
     MeasurementRecord,
     UnsupportedStateError,
@@ -231,3 +233,204 @@ def test_sample_is_one_rng_choice_in_dict_order():
 
 def test_default_nmax_rule():
     assert default_nmax(2.0) == math.ceil(4 + 20 + 20)
+
+
+# ---------------------------------------------------------------------------
+# branch tables against the Fock oracle: every branch probability and
+# conditioned state of a table, from projectors in the truncated number basis
+
+
+def _random_state(rng):
+    """K <= 8 terms on M <= 3 modes, amplitudes |a| <= 2."""
+    k, m = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+    amps = rng.uniform(0, 2, size=(k, m)) * np.exp(1j * rng.uniform(0, 2 * np.pi, size=(k, m)))
+    return CoherentSuperposition(rng.normal(size=k) + 1j * rng.normal(size=k), amps).normalize()
+
+
+def _random_qubit_like(rng, min_modes=1):
+    """K <= 8 terms on M <= 3 modes, every amplitude in {+a, -a}, a <= 2."""
+    a = rng.uniform(0.8, 2.0)
+    k, m = int(rng.integers(1, 9)), int(rng.integers(min_modes, 4))
+    coeffs = rng.normal(size=k) + 1j * rng.normal(size=k)
+    amps = a * rng.choice([-1.0, 1.0], size=(k, m))
+    return CoherentSuperposition(coeffs, amps).merge_terms().normalize()
+
+
+def _basis_rows(n_max, ns):
+    return np.eye(n_max + 1)[list(ns)]
+
+
+def _oracle_branch(v, projectors):
+    """(probability, amplitudes) of the projector on `v` given per measured
+    mode as orthonormal rows {mode: (r, d) array}; amplitudes[i] is the
+    remaining-mode vector for the i-th combination of rows."""
+    data = v.data
+    # last mode first; each contraction puts its row axis in front
+    for done, mode in enumerate(sorted(projectors, reverse=True)):
+        data = np.tensordot(projectors[mode].conj(), data, axes=([1], [mode + done]))
+    amps = data.reshape(-1, *data.shape[len(projectors):])
+    return float(np.sum(np.abs(amps) ** 2)), amps
+
+
+def _assert_matches_oracle(rec, v, projectors, n_max):
+    p, amps = _oracle_branch(v, projectors)
+    assert abs(rec.probability - p) < DIST_TOL, (rec.outcome, rec.probability, p)
+    if rec.state is None:
+        return
+    assert abs(rec.state.norm_squared() - 1.0) < 1e-12
+    # fidelity of the conditioned pure state with the oracle's remaining-mode
+    # density matrix sum_i |amps_i><amps_i| / p: 1 only if that is pure and equal
+    phi = fo.to_fock(rec.state, n_max)
+    fid = sum(abs(np.vdot(phi.data, a)) ** 2 for a in amps) / (p * phi.norm_squared())
+    assert abs(1.0 - fid) < FIDELITY_TOL, (rec.outcome, fid)
+
+
+def _parity_rows(n_max):
+    return {
+        "zero": _basis_rows(n_max, [0]),
+        "even_nonzero": _basis_rows(n_max, range(2, n_max + 1, 2)),
+        "odd": _basis_rows(n_max, range(1, n_max + 1, 2)),
+    }
+
+
+def test_parity_projection_table_matches_fock_oracle():
+    rng = np.random.default_rng(21)
+    for _ in range(12):
+        s = _random_qubit_like(rng)
+        mode = int(rng.integers(s.modes))
+        n_max = default_nmax(np.max(np.abs(s.amps)))
+        v = fo.to_fock(s, n_max)
+        recs = parity_projection(s, mode)
+        assert list(recs) == ["zero", "even_nonzero", "odd"]
+        for name, rows in _parity_rows(n_max).items():
+            _assert_matches_oracle(recs[name], v, {mode: rows}, n_max)
+
+
+def test_cat_projection_matches_fock_oracle():
+    rng = np.random.default_rng(22)
+    for _ in range(12):
+        s = _random_state(rng)
+        mode = int(rng.integers(s.modes))
+        ref = rng.uniform(0.5, 2.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        n_max = default_nmax(max(np.max(np.abs(s.amps)), abs(ref)))
+        v = fo.to_fock(s, n_max)
+        for parity in (+1, -1):
+            rec = cat_projection(s, mode, ref, parity)
+            bra = fo.to_fock(cat(ref, parity), n_max).data[None, :]
+            _assert_matches_oracle(rec, v, {mode: bra}, n_max)
+
+
+def test_bell_outcomes_table_matches_fock_oracle():
+    rng = np.random.default_rng(23)
+    for _ in range(8):
+        s = _random_qubit_like(rng, min_modes=2)
+        mode_a, mode_b = (int(m) for m in rng.choice(s.modes, size=2, replace=False))
+        n_max = default_nmax(math.sqrt(2) * np.max(np.abs(s.amps)))
+        # the measurement itself: +pi/2 on mode_b, B(-pi/4), then photon counting
+        v = fo.fock_beamsplitter(
+            fo.fock_phase(fo.to_fock(s, n_max), mode_b, np.pi / 2), mode_a, mode_b, -np.pi / 4
+        )
+        classes = _parity_rows(n_max)
+        zero = classes["zero"]
+        recs = bell_outcomes(s, mode_a, mode_b)
+        assert list(recs) == ["I", "II", "III", "IV", "FAIL"]
+        for name, (on_a, on_b) in {
+            "I": (classes["even_nonzero"], zero),
+            "II": (classes["odd"], zero),
+            "III": (zero, classes["even_nonzero"]),
+            "IV": (zero, classes["odd"]),
+            "FAIL": (zero, zero),
+        }.items():
+            _assert_matches_oracle(recs[name], v, {mode_a: on_a, mode_b: on_b}, n_max)
+        assert recs["FAIL"].state is None
+
+
+def test_bell_cat_outcomes_equal_bell_outcomes_on_logical_inputs():
+    rng = np.random.default_rng(24)
+    for _ in range(12):
+        s = _random_qubit_like(rng, min_modes=2)
+        a = float(np.max(np.abs(s.amps)))
+        counting = bell_outcomes(s, 0, 1)
+        ideal = bell_cat_outcomes(s, 0, 1, a)
+        assert list(ideal) == list(counting)
+        for name in ("I", "II", "III", "IV"):
+            x, y = counting[name].state, ideal[name].state
+            assert (x is None) == (y is None), name
+            if x is None:
+                continue
+            assert abs(y.norm_squared() - 1.0) < 1e-12
+            assert fidelity(x, y) == pytest.approx(1.0, abs=FIDELITY_TOL)
+            # the idealized projection drops only O(e^{-2a^2}) cross overlaps
+            assert ideal[name].probability == pytest.approx(
+                counting[name].probability, abs=4 * math.exp(-2 * a * a)
+            )
+
+
+def _sequential_rx_table(mixed, mode, m, alpha):
+    """The gate_rx branch table as two cat projections in sequence: the
+    resource half (mode m), then the input mode of the conditioned state."""
+    table = {}
+    for pb in (+1, -1):
+        rec_b = cat_projection(mixed, m, alpha, pb)
+        if rec_b.state is None:
+            continue
+        for pa in (+1, -1):
+            rec_a = cat_projection(rec_b.state, mode, alpha, pa)
+            if rec_a.state is not None:
+                key = (rec_a.outcome, rec_b.outcome)
+                table[key] = (rec_b.probability * rec_a.probability, rec_a.state)
+    return table
+
+
+def test_gate_rx_table_matches_sequential_projections_and_fock_oracle(monkeypatch):
+    built = []
+    table = measure._table
+
+    def recording(kind, s, modes, rows):
+        out = table(kind, s, modes, rows)
+        built.append((s, modes, out))
+        return out
+
+    monkeypatch.setattr(measure, "_table", recording)
+    rng = np.random.default_rng(25)
+    for _ in range(8):
+        alpha = rng.uniform(1.0, 2.0)
+        k = int(rng.integers(1, 9))
+        # single-mode input near the logical amplitudes, K <= 8 terms
+        amps = alpha * rng.choice([-1.0, 1.0], size=(k, 1)) + rng.normal(scale=0.1, size=(k, 1))
+        s = CoherentSuperposition(rng.normal(size=k) + 1j * rng.normal(size=k), amps).normalize()
+        built.clear()
+        gates.gate_rx(s, gates.QubitEncoding(alpha))
+        (mixed, modes, recs), = [b for b in built if len(b[1]) == 2]
+        mode, m = modes
+        assert list(recs) == [("even", "even"), ("odd", "even"), ("even", "odd"), ("odd", "odd")]
+        reference = _sequential_rx_table(mixed, mode, m, alpha)
+        assert list(reference) == list(recs)
+        n_max = default_nmax(np.max(np.abs(mixed.amps)))
+        v = fo.to_fock(mixed, n_max)
+        bra = {name: fo.to_fock(cat(alpha, p), n_max).data[None, :]
+               for name, p in (("even", +1), ("odd", -1))}
+        for (pa, pb), rec in recs.items():
+            p_ref, state_ref = reference[pa, pb]
+            assert rec.probability == pytest.approx(p_ref, rel=1e-12)
+            assert fidelity(rec.state, state_ref) == pytest.approx(1.0, abs=1e-12)
+            _assert_matches_oracle(rec, v, {mode: bra[pa], m: bra[pb]}, n_max)
+
+
+@pytest.mark.parametrize("measure_fn, make_args", [
+    (bell_outcomes, lambda: (bell_cat(1.5, "ii"), 0, 1)),
+    (bell_cat_outcomes, lambda: (optics.tensor(cat(1.5, -1), bell_cat(1.5, "i")), 0, 1, 1.5)),
+    (parity_projection, lambda: (optics.tensor(cat(1.5, +1), coherent(0.5, 1.5)), 0)),
+    (cat_projection, lambda: (optics.tensor(coherent(0.3), cat(1.5, -1)), 1, 1.5, -1)),
+], ids=["bell_outcomes", "bell_cat_outcomes", "parity_projection", "cat_projection"])
+def test_each_table_builds_one_gram_matrix(monkeypatch, measure_fn, make_args):
+    args = make_args()
+    calls = []
+    overlap = measure._overlap_matrix
+    # counted in both modules, so a per-branch norm_squared() would show too
+    for module in (measure, states):
+        monkeypatch.setattr(
+            module, "_overlap_matrix", lambda x, y: calls.append(x.shape) or overlap(x, y)
+        )
+    measure_fn(*args)
+    assert len(calls) == 1
