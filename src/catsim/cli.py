@@ -5,8 +5,10 @@ block echoing the full configuration, the seed and the package version,
 so an identical configuration and seed reproduce the output byte for
 byte.  Floats are printed with 17 significant digits.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical-budget error,
-4 property-check failure.
+Exit codes: 0 success, 2 configuration error (a non-finite or out-of-range
+field, checked with the budgets before any work, or a cross-field check),
+3 numerical-budget error (a field over its cap), 4 property-check failure
+(the first failing row and check are named on stderr).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import contextlib
 import functools
 import math
 import sys
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -34,6 +36,16 @@ class ConfigError(ValueError):
 
 class BudgetError(ValueError):
     pass
+
+
+class Field(NamedTuple):
+    """One config field.  A non-finite float, a value not `> gt` or not
+    `>= ge` is a configuration error; a value above `cap` a budget error."""
+    kind: type
+    default: object
+    gt: Optional[float] = None
+    ge: Optional[float] = None
+    cap: Optional[float] = None
 
 
 def _fmt(value) -> str:
@@ -87,21 +99,27 @@ def _coerce(key: str, raw: str, kind: type):
         raise ConfigError(f"config field {key!r}: cannot parse {raw!r} as {kind.__name__}") from exc
 
 
-def resolve_config(args: argparse.Namespace, schema: dict[str, tuple[type, object]]) -> dict:
-    """Merge defaults < config file < explicit command-line flags."""
-    cfg = {key: default for key, (_, default) in schema.items()}
+def resolve_config(args: argparse.Namespace, schema: dict[str, Field]) -> dict:
+    """Merge defaults < config file < explicit command-line flags, then check
+    every merged value against its field: all range errors before any budget error."""
+    cfg = {key: field.default for key, field in schema.items()}
     if args.config:
         for key, raw in parse_config_file(args.config).items():
             if key not in schema:
                 raise ConfigError(f"unknown config field {key!r}")
-            cfg[key] = _coerce(key, raw, schema[key][0])
+            cfg[key] = _coerce(key, raw, schema[key].kind)
     for key in schema:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             cfg[key] = flag_value
-    missing = [k for k, v in cfg.items() if v is None]
-    if missing:
-        raise ConfigError(f"missing required field(s): {', '.join(missing)}")
+    for key, field in schema.items():
+        value = cfg[key]
+        _require(field.kind is not float or math.isfinite(value), f"{key} = {value} must be finite")
+        _require(field.gt is None or value > field.gt, f"{key} = {value} must be > {field.gt}")
+        _require(field.ge is None or value >= field.ge, f"{key} = {value} must be >= {field.ge}")
+    for key, field in schema.items():
+        if field.cap is not None and cfg[key] > field.cap:
+            raise BudgetError(f"{args.experiment} budget: {key} = {cfg[key]} exceeds {field.cap}")
     return cfg
 
 
@@ -124,29 +142,20 @@ def emit(
 
 
 def _alpha_grid(cfg: dict) -> list[float]:
-    steps = cfg["alpha_steps"]
-    _require(steps >= 1, "alpha_steps must be >= 1")
-    _require(cfg["alpha_min"] > 0 and cfg["alpha_max"] > 0, "alpha_min and alpha_max must be > 0")
-    if steps == 1:
-        return [cfg["alpha_min"]]
-    return list(np.linspace(cfg["alpha_min"], cfg["alpha_max"], steps))
+    return list(np.linspace(cfg["alpha_min"], cfg["alpha_max"], cfg["alpha_steps"]))
 
 
 # ---------------------------------------------------------------------------
 # experiments
 
-def run_bell_stats(cfg: dict, seed: int) -> tuple[list[str], list[list], int]:
-    _require(cfg["trials"] >= 0, "trials must be >= 0")
-    if cfg["alpha_max"] > 6 or cfg["alpha_steps"] > 1000 or cfg["trials"] > 10_000_000:
-        raise BudgetError("bell-stats budget: alpha <= 6, alpha_steps <= 1000, trials <= 1e7")
+def run_bell_stats(cfg: dict, seed: int) -> tuple[list[str], list[list], list[tuple[int, str]]]:
     columns = [
         "alpha", "p_correct_i", "p_correct_ii", "p_correct_iii", "p_correct_iv",
         "p_fail_teleport", "completeness_error",
     ]
     if cfg["trials"] > 0:
         columns += ["freq_identity", "freq_z", "freq_fail"]
-    rows = []
-    status = EXIT_OK
+    rows, failed = [], []
     for index, alpha in enumerate(_alpha_grid(cfg)):
         row = [alpha]
         worst_completeness = 0.0
@@ -164,7 +173,7 @@ def run_bell_stats(cfg: dict, seed: int) -> tuple[list[str], list[list], int]:
         fail = measure.bell_outcomes(joint, 0, 1)["FAIL"].probability
         row += [fail, worst_completeness]
         if worst_completeness > 1e-10:
-            status = EXIT_PROPERTY
+            failed.append((index, "completeness_error > 1e-10"))
         if cfg["trials"] > 0:
             rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
             counts = {"identity": 0, "z": 0, "fail": 0}
@@ -182,64 +191,59 @@ def run_bell_stats(cfg: dict, seed: int) -> tuple[list[str], list[list], int]:
                 counts["fail"] / cfg["trials"],
             ]
         rows.append(row)
-    return columns, rows, status
+    return columns, rows, failed
 
 
-def run_gate_check(cfg: dict, seed: int) -> tuple[list[str], list[list], int]:
-    if cfg["alpha_max"] > 6 or cfg["alpha_steps"] > 1000:
-        raise BudgetError("gate-check budget: alpha <= 6, alpha_steps <= 1000")
+def run_gate_check(cfg: dict, seed: int) -> tuple[list[str], list[list], list[tuple[int, str]]]:
     columns = [
         "alpha", "theta", "rz_phase", "rz_phase_err",
         "zz_step_phase_err", "rx_fidelity", "x_fidelity",
     ]
-    rows = []
-    status = EXIT_OK
+    rows, failed = [], []
     mu, nu = 0.6 + 0.2j, 0.7 - 0.3j
-    for alpha in _alpha_grid(cfg):
+    for index, alpha in enumerate(_alpha_grid(cfg)):
         enc = gates.QubitEncoding(alpha)
         theta = cfg["theta_alpha2"] / alpha**2
-        psi = gates.encode(mu, nu, enc)
-        # Rz decoded relative phase
-        out = gates.gate_rz(psi, enc, theta)
-        m2, n2, _ = gates.decode(out.state, enc)
-        rz_phase = float(np.angle((n2 / m2) / (nu / mu)))
-        rz_err = abs(rz_phase - 4 * theta * alpha**2)
-        # entangling step phase on (|--> + |-+>)/norm
-        enc_b = gates.QubitEncoding(alpha, mode=1)
-        two = optics.tensor(gates.encode(1, 1, enc), gates.encode(1, 1, enc))
-        zz = gates.entangling_gate(two, enc, enc_b, theta)
-        x4, _ = gates.decode_two(zz.state, enc, enc_b)
-        phases = np.angle(x4 / x4[0])
-        expected = np.array([0.0, -2 * theta * alpha**2, -2 * theta * alpha**2, 0.0])
-        zz_err = float(np.max(np.abs(phases - expected)))
-        # Rx(pi/2) fidelity against its 2x2 target
-        phi = math.pi / 4
-        target = np.array(
-            [[np.exp(1j * phi), np.exp(-1j * phi)], [np.exp(-1j * phi), np.exp(1j * phi)]]
-        ) / math.sqrt(2)
-        rx = gates.gate_rx(psi, enc)
-        mr, nr, _ = gates.decode(rx.state, enc)
-        v = np.array([mr, nr])
-        v = v / np.linalg.norm(v)
-        t = target @ np.array([mu, nu])
-        t = t / np.linalg.norm(t)
-        rx_fid = float(abs(np.vdot(t, v)) ** 2)
-        # X gate round trip
-        xx = gates.gate_x(gates.gate_x(psi, enc), enc)
-        x_fid = states.fidelity(xx, psi)
-        if rz_err > 1e-6 or zz_err > 1e-6 or rx_fid < 1 - 10 * math.exp(-2 * alpha**2):
-            status = EXIT_PROPERTY
+        try:  # the teleported gates and the decoding fail at large theta or tiny alpha
+            psi = gates.encode(mu, nu, enc)
+            # Rz decoded relative phase
+            out = gates.gate_rz(psi, enc, theta)
+            m2, n2, _ = gates.decode(out.state, enc)
+            rz_phase = float(np.angle((n2 / m2) / (nu / mu)))
+            rz_err = abs(rz_phase - 4 * theta * alpha**2)
+            # entangling step phase on (|--> + |-+>)/norm
+            enc_b = gates.QubitEncoding(alpha, mode=1)
+            two = optics.tensor(gates.encode(1, 1, enc), gates.encode(1, 1, enc))
+            zz = gates.entangling_gate(two, enc, enc_b, theta)
+            x4, _ = gates.decode_two(zz.state, enc, enc_b)
+            phases = np.angle(x4 / x4[0])
+            expected = np.array([0.0, -2 * theta * alpha**2, -2 * theta * alpha**2, 0.0])
+            zz_err = float(np.max(np.abs(phases - expected)))
+            # Rx(pi/2) fidelity against its 2x2 target
+            phi = math.pi / 4
+            target = np.array(
+                [[np.exp(1j * phi), np.exp(-1j * phi)], [np.exp(-1j * phi), np.exp(1j * phi)]]
+            ) / math.sqrt(2)
+            rx = gates.gate_rx(psi, enc)
+            mr, nr, _ = gates.decode(rx.state, enc)
+            v = np.array([mr, nr])
+            v = v / np.linalg.norm(v)
+            t = target @ np.array([mu, nu])
+            t = t / np.linalg.norm(t)
+            rx_fid = float(abs(np.vdot(t, v)) ** 2)
+            # X gate round trip
+            xx = gates.gate_x(gates.gate_x(psi, enc), enc)
+            x_fid = states.fidelity(xx, psi)
+        except (gates.GateFailure, ValueError) as exc:
+            raise ConfigError(f"alpha = {alpha}, theta = {theta}: {exc}") from exc
+        checks = {"rz_phase_err > 1e-6": rz_err > 1e-6, "zz_step_phase_err > 1e-6": zz_err > 1e-6,
+                  "rx_fidelity < 1 - 10 exp(-2 alpha^2)": rx_fid < 1 - 10 * math.exp(-2 * alpha**2)}
+        failed += [(index, check) for check, bad in checks.items() if bad]
         rows.append([alpha, theta, rz_phase, rz_err, zz_err, rx_fid, x_fid])
-    return columns, rows, status
+    return columns, rows, failed
 
 
-def run_weak_force(cfg: dict, seed: int) -> tuple[list[str], list[list], int]:
-    _require(cfg["alpha"] > 0, "alpha must be > 0")
-    _require(cfg["n"] >= 1, "n must be >= 1")
-    _require(cfg["n_max"] >= 1 or not cfg["sweep_n"], "n_max must be >= 1")
-    _require(cfg["trials"] >= 0 and cfg["batches"] >= 1, "trials must be >= 0 and batches >= 1")
-    if cfg["trials"] > 10_000_000 or cfg["batches"] > 100_000 or cfg["n_max"] > 64:
-        raise BudgetError("weak-force budget: trials <= 1e7, batches <= 1e5, n <= 64")
+def run_weak_force(cfg: dict, seed: int) -> tuple[list[str], list[list], list[tuple[int, str]]]:
     columns = [
         "alpha", "n_modes", "n_tot", "qfi", "epsilon_min", "epsilon", "snr",
         "trials", "estimate_mean", "estimate_var", "crb_var", "saturation",
@@ -251,27 +255,24 @@ def run_weak_force(cfg: dict, seed: int) -> tuple[list[str], list[list], int]:
         eps = cfg["epsilon"]
         if eps < 0:  # mid-fringe operating point
             eps = math.pi / (4 * math.sqrt(n) * alpha)
-        if cfg["trials"] > 0:
-            rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
-            rep = metrology.weak_force_experiment(
-                alpha, n, eps, cfg["trials"], rng, cfg["batches"]
-            )
-        else:
-            bound = metrology.sensitivity_bound(alpha, n)
-            rep = bound
+        try:
+            if cfg["trials"] > 0:
+                rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
+                rep = metrology.weak_force_experiment(
+                    alpha, n, eps, cfg["trials"], rng, cfg["batches"])
+            else:
+                rep = metrology.sensitivity_bound(alpha, n)
+        except ValueError as exc:
+            raise ConfigError(f"alpha = {alpha}, epsilon = {eps}, n = {n}: {exc}") from exc
         rows.append([
             alpha, n, rep.n_tot, rep.qfi, rep.epsilon_min, eps,
             metrology.classical_snr(alpha, eps), cfg["trials"],
             rep.estimate_mean, rep.estimate_var, rep.crb_var, rep.saturation,
         ])
-    return columns, rows, EXIT_OK
+    return columns, rows, []
 
 
-def run_ruler(cfg: dict, seed: int) -> tuple[list[str], list[list], int]:
-    _require(cfg["alpha"] > 0 and cfg["wavelength"] > 0, "alpha and wavelength must be > 0")
-    _require(cfg["points"] >= 16, "points must be >= 16")
-    if cfg["points"] > 200_001 or cfg["alpha"] > 16:
-        raise BudgetError("ruler budget: points <= 200001, alpha <= 16")
+def run_ruler(cfg: dict, seed: int) -> tuple[list[str], list[list], list[tuple[int, str]]]:
     try:
         scan = metrology.quantum_ruler(cfg["alpha"], cfg["wavelength"], points=cfg["points"])
     except ValueError as exc:
@@ -281,20 +282,16 @@ def run_ruler(cfg: dict, seed: int) -> tuple[list[str], list[list], int]:
         [float(t), float(l), float(p), scan.spacing_theta, scan.spacing_length]
         for t, l, p in zip(scan.theta, scan.length, scan.probability)
     ]
-    return columns, rows, EXIT_OK
+    return columns, rows, []
 
 
-def run_ramsey(cfg: dict, seed: int) -> tuple[list[str], list[list], int]:
-    if cfg["n_max"] > 64:
-        raise BudgetError("ramsey budget: n <= 64")
+def run_ramsey(cfg: dict, seed: int) -> tuple[list[str], list[list], list[tuple[int, str]]]:
     columns = [
         "n", "theta", "p_product", "p_entangled",
         "fisher_product", "fisher_entangled", "fisher_ratio",
     ]
-    rows = []
-    status = EXIT_OK
+    rows, failed = [], []
     theta = cfg["theta"]
-    _require(cfg["n_max"] >= 1, "n_max must be >= 1")
     for n in range(1, cfg["n_max"] + 1):
         pp = metrology.ramsey_probability(theta, n, False)
         pe = metrology.ramsey_probability(theta, n, True)
@@ -302,26 +299,24 @@ def run_ramsey(cfg: dict, seed: int) -> tuple[list[str], list[list], int]:
                  f"theta = {theta} is a fringe extremum at n = {n}: Fisher information undefined")
         fp = metrology.ramsey_fisher(theta, n, entangled=False)
         fe = metrology.ramsey_fisher(theta, n, entangled=True)
+        # theta +- step rounds to theta itself once theta is large
+        _require(fp > 0 and fe > 0, f"theta = {theta}: Fisher information is 0 at n = {n}")
         ratio = fe / fp
         if abs(ratio - n) > 1e-6 * n:
-            status = EXIT_PROPERTY
+            failed.append((n - 1, "|fisher_ratio - n| > 1e-6 n"))
         rows.append([n, theta, pp, pe, fp, fe, ratio])
-    return columns, rows, status
+    return columns, rows, failed
 
 
-def run_oracle_audit(cfg: dict, seed: int) -> tuple[list[str], list[list], int]:
-    floor = audit.QUBIT_ALPHA_MIN
-    _require(cfg["alpha_max"] >= floor, f"alpha_max must be >= {floor}")
-    _require(cfg["cases"] >= 1, "cases must be >= 1")
-    if cfg["alpha_max"] > 4 or cfg["cases"] > 1000:
-        raise BudgetError("oracle-audit budget: alpha_max <= 4, cases <= 1000")
+def run_oracle_audit(cfg: dict, seed: int) -> tuple[list[str], list[list], list[tuple[int, str]]]:
     rows_out = audit.run_audit(
         seed, cases_per_check=cfg["cases"], alpha_max=cfg["alpha_max"]
     )
     columns = ["check", "cases", "max_error", "tolerance", "passed"]
-    status = EXIT_OK if all(r.passed for r in rows_out) else EXIT_PROPERTY
+    failed = [(i, f"{r.name} max_error > tolerance")
+              for i, r in enumerate(rows_out) if not r.passed]
     rows = [[r.name, r.cases, r.max_error, r.tolerance, r.passed] for r in rows_out]
-    return columns, rows, status
+    return columns, rows, failed
 
 
 # ---------------------------------------------------------------------------
@@ -331,53 +326,53 @@ _EXPERIMENTS = {
     "bell-stats": (
         run_bell_stats,
         {
-            "alpha_min": (float, 1.0),
-            "alpha_max": (float, 3.0),
-            "alpha_steps": (int, 5),
-            "trials": (int, 0),
+            "alpha_min": Field(float, 1.0, gt=0, cap=6),
+            "alpha_max": Field(float, 3.0, gt=0, cap=6),
+            "alpha_steps": Field(int, 5, ge=1, cap=1000),
+            "trials": Field(int, 0, ge=0, cap=10_000_000),
         },
     ),
     "gate-check": (
         run_gate_check,
         {
-            "alpha_min": (float, 1.5),
-            "alpha_max": (float, 3.0),
-            "alpha_steps": (int, 4),
-            "theta_alpha2": (float, 0.01),
+            "alpha_min": Field(float, 1.5, gt=0, cap=6),
+            "alpha_max": Field(float, 3.0, gt=0, cap=6),
+            "alpha_steps": Field(int, 4, ge=1, cap=1000),
+            "theta_alpha2": Field(float, 0.01),
         },
     ),
     "weak-force": (
         run_weak_force,
         {
-            "alpha": (float, 2.0),
-            "n": (int, 1),
-            "n_max": (int, 4),
-            "sweep_n": (bool, False),
-            "epsilon": (float, -1.0),
-            "trials": (int, 10_000),
-            "batches": (int, 2000),
+            "alpha": Field(float, 2.0, gt=0),
+            "n": Field(int, 1, ge=1, cap=64),
+            "n_max": Field(int, 4, ge=1, cap=64),
+            "sweep_n": Field(bool, False),
+            "epsilon": Field(float, -1.0),
+            "trials": Field(int, 10_000, ge=0, cap=10_000_000),
+            "batches": Field(int, 2000, ge=1, cap=100_000),
         },
     ),
     "ruler": (
         run_ruler,
         {
-            "alpha": (float, 10.0),
-            "wavelength": (float, 10e-6),
-            "points": (int, 2001),
+            "alpha": Field(float, 10.0, gt=0, cap=16),
+            "wavelength": Field(float, 10e-6, gt=0),
+            "points": Field(int, 2001, ge=16, cap=200_001),
         },
     ),
     "ramsey": (
         run_ramsey,
         {
-            "n_max": (int, 10),
-            "theta": (float, 0.3),
+            "n_max": Field(int, 10, ge=1, cap=64),
+            "theta": Field(float, 0.3),
         },
     ),
     "oracle-audit": (
         run_oracle_audit,
         {
-            "alpha_max": (float, 3.0),
-            "cases": (int, 20),
+            "alpha_max": Field(float, 3.0, ge=audit.QUBIT_ALPHA_MIN, cap=4),
+            "cases": Field(int, 20, ge=1, cap=1000),
         },
     ),
 }
@@ -400,14 +395,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
         p.add_argument("--output", help="output file (default stdout)")
-        for key, (kind, default) in schema.items():
+        for key, field in schema.items():
             flags = [f"--{key.replace('_', '-')}"] + _FLAG_ALIASES.get(key, [])
-            if kind is bool:
+            if field.kind is bool:
                 p.add_argument(*flags, dest=key, default=None,
                                action=argparse.BooleanOptionalAction)
             else:
-                p.add_argument(*flags, dest=key, type=kind, default=None,
-                               help=f"default {default}")
+                p.add_argument(*flags, dest=key, type=field.kind, default=None,
+                               help=f"default {field.default}")
     return parser
 
 
@@ -430,7 +425,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         _require(seed >= 0, "seed must be >= 0")
         # open the output first, so an unwritable path fails before any work
         with _open_output(args.output) as out:
-            columns, rows, status = run(cfg, seed)
+            columns, rows, failed = run(cfg, seed)
             emit(out, args.experiment, seed, cfg, columns, rows)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -438,7 +433,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    return status
+    if failed:
+        row, check = failed[0]
+        print(f"property check failed: {args.experiment} row {row}: {check}", file=sys.stderr)
+        return EXIT_PROPERTY
+    return EXIT_OK
 
 
 if __name__ == "__main__":

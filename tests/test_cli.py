@@ -10,6 +10,7 @@ from catsim.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_PROPERTY,
     ConfigError,
     main,
     parse_config_file,
@@ -79,6 +80,10 @@ def test_config_error_exit_codes(tmp_path, capsys):
     assert code == EXIT_CONFIG
     code, _ = run_cli(["ramsey", "--config", str(tmp_path / "missing.cfg")], capsys)
     assert code == EXIT_CONFIG
+    infinite = tmp_path / "inf.cfg"
+    infinite.write_text("alpha = inf\n")
+    code, out = run_cli(["weak-force", "--config", str(infinite)], capsys)
+    assert code == EXIT_CONFIG and out == ""
 
 
 def test_unwritable_output_is_config_error_before_any_work(tmp_path, capsys, monkeypatch):
@@ -107,6 +112,12 @@ def test_unwritable_output_is_config_error_before_any_work(tmp_path, capsys, mon
     ["ruler", "--alpha", "0.1"],
     ["ruler", "--alpha", "0.01"],
     ["bell-stats", "--alpha-min", "1e-9"],
+    ["weak-force", "--epsilon", "nan"],
+    ["weak-force", "--eps", "inf"],
+    ["weak-force", "--alpha", "inf"],
+    ["gate-check", "--theta-alpha2", "nan"],
+    ["ruler", "--wavelength", "inf"],
+    ["ramsey", "--theta", "1e308"],
 ])
 def test_out_of_range_input_exits_2_with_one_line(args):
     proc = subprocess.run(
@@ -116,6 +127,17 @@ def test_out_of_range_input_exits_2_with_one_line(args):
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["gate-check", "--theta-alpha2", "100", "--alpha-steps", "1"],  # Rz gate fails on every branch
+    ["weak-force", "--alpha", "1e-12"],  # readout probability is NaN
+])
+def test_numerical_limit_is_a_config_error(args, capsys):
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG and captured.out == ""
+    assert captured.err.startswith("config error:") and len(captured.err.splitlines()) == 1
 
 
 def test_seeded_rows_draw_from_independent_streams(capsys):
@@ -137,6 +159,41 @@ def test_budget_exit_code(capsys):
     assert code == EXIT_BUDGET
     code, _ = run_cli(["ruler", "--alpha", "50"], capsys)
     assert code == EXIT_BUDGET
+    # alpha_min and n are capped like alpha_max and n_max
+    for args in (["bell-stats", "--alpha-min", "50", "--alpha-steps", "1"],
+                 ["gate-check", "--alpha-min", "7", "--alpha-max", "3"],
+                 ["weak-force", "--n", "100"]):
+        code, out = run_cli(args, capsys)
+        assert (code, out) == (EXIT_BUDGET, ""), args
+    # a range error wins over a budget error, and n_max is checked with or without --sweep-n
+    for args in (["bell-stats", "--alpha-min", "0", "--alpha-max", "50"],
+                 ["weak-force", "--n-max", "0"],
+                 ["weak-force", "--n-max", "0", "--sweep-n"]):
+        code, out = run_cli(args, capsys)
+        assert (code, out) == (EXIT_CONFIG, ""), args
+
+
+@pytest.mark.parametrize("args, code", [
+    (["ramsey", "--n-max", "1000"], EXIT_BUDGET),
+    (["weak-force", "--alpha", "0"], EXIT_CONFIG),
+])
+def test_rejected_field_leaves_existing_output_untouched(tmp_path, args, code):
+    target = tmp_path / "x.tsv"
+    target.write_bytes(b"# an earlier run\n")
+    assert main(args + ["--output", str(target)]) == code
+    assert target.read_bytes() == b"# an earlier run\n"
+
+
+def test_property_failure_names_row_and_check(capsys):
+    # 1 - rx_fidelity falls slower than 10 exp(-2 alpha^2) at large alpha
+    code = main(["gate-check", "--alpha-min", "4", "--alpha-steps", "1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_PROPERTY
+    assert captured.err.splitlines() == [
+        "property check failed: gate-check row 0: rx_fidelity < 1 - 10 exp(-2 alpha^2)"
+    ]
+    data = [l for l in captured.out.splitlines() if not l.startswith("#")]
+    assert data[0].startswith("alpha\t") and len(data) == 2
 
 
 def test_float_formatting_17_digits(capsys):
