@@ -203,8 +203,12 @@ def run_gate_check(cfg: dict, seed: int) -> tuple[list[str], list[list], list[tu
     mu, nu = 0.6 + 0.2j, 0.7 - 0.3j
     for index, alpha in enumerate(_alpha_grid(cfg)):
         enc = gates.QubitEncoding(alpha)
+        # theta^2 alpha^2 = theta_alpha2^2 / alpha^2, compared without dividing
+        _require(abs(cfg["theta_alpha2"]) <= math.sqrt(gates.MAX_THETA2_ALPHA2) * alpha,
+                 f"alpha = {alpha}: theta^2 alpha^2 = theta_alpha2^2 / alpha^2 exceeds "
+                 f"{gates.MAX_THETA2_ALPHA2}, outside the gates' near-deterministic regime")
         theta = cfg["theta_alpha2"] / alpha**2
-        try:  # the teleported gates and the decoding fail at large theta or tiny alpha
+        try:  # the teleported gates and the decoding fail at tiny alpha
             psi = gates.encode(mu, nu, enc)
             # Rz decoded relative phase
             out = gates.gate_rz(psi, enc, theta)
@@ -406,11 +410,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open_output(path: Optional[str]):
+def _open_output(path: Optional[str], mode: str):
     if not path:
         return contextlib.nullcontext(sys.stdout)
     try:
-        return open(path, "w", encoding="utf-8", newline="\n")
+        return open(path, mode, encoding="utf-8", newline="\n")
     except OSError as exc:
         raise ConfigError(f"cannot write output file {path}: {exc}") from exc
 
@@ -423,9 +427,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         cfg = resolve_config(args, schema)
         seed = args.seed if args.seed is not None else 0
         _require(seed >= 0, "seed must be >= 0")
-        # open the output first, so an unwritable path fails before any work
-        with _open_output(args.output) as out:
-            columns, rows, failed = run(cfg, seed)
+        # an unwritable path fails before any work, and an existing file is
+        # truncated only once the run has returned
+        with _open_output(args.output, "a"):
+            pass
+        columns, rows, failed = run(cfg, seed)
+        with _open_output(args.output, "w") as out:
             emit(out, args.experiment, seed, cfg, columns, rows)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

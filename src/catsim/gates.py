@@ -39,6 +39,9 @@ __all__ = [
 ]
 
 MAX_REPEATS = 64
+# theta^2 alpha^2 above which a teleported gate leaves its near-deterministic
+# regime; gate_rz and entangling_gate warn beyond it
+MAX_THETA2_ALPHA2 = 0.05
 
 
 class GateFailure(RuntimeError):
@@ -248,9 +251,9 @@ def gate_rz(
     is undone with the Z gate, so the net effect is always the rotation.
     """
     t2a2 = theta**2 * enc.alpha**2
-    if t2a2 > 0.05:
+    if t2a2 > MAX_THETA2_ALPHA2:
         warnings.warn(
-            f"theta^2 alpha^2 = {t2a2:.3g} > 0.05: gate is far from its "
+            f"theta^2 alpha^2 = {t2a2:.3g} > {MAX_THETA2_ALPHA2}: gate is far from its "
             "near-deterministic regime",
             stacklevel=2,
         )
@@ -340,8 +343,8 @@ def entangling_gate(
     if enc_a.mode == enc_b.mode:
         raise ValueError("the two qubits must occupy distinct modes")
     t2a2 = theta**2 * max(enc_a.alpha, enc_b.alpha) ** 2
-    if t2a2 > 0.05:
-        warnings.warn(f"theta^2 alpha^2 = {t2a2:.3g} > 0.05 per step", stacklevel=2)
+    if t2a2 > MAX_THETA2_ALPHA2:
+        warnings.warn(f"theta^2 alpha^2 = {t2a2:.3g} > {MAX_THETA2_ALPHA2} per step", stacklevel=2)
     # each of the two teleport projections contributes half the phase
     mixed = optics.beamsplitter(s, optics.BeamSplitterSpec(enc_a.mode, enc_b.mode, theta / 2.0))
     trace = (_traced("beamsplitter", f"theta={theta / 2.0:.6g}", "-", 1.0),)

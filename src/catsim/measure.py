@@ -185,6 +185,8 @@ def _cat_weights(ref_amp: complex, parity: int, amps: np.ndarray) -> np.ndarray:
     odd (-1) cat at amplitude `ref_amp`."""
     ref = complex(ref_amp)
     norm_cat = math.sqrt(2 + parity * 2 * math.exp(-2 * abs(ref) ** 2))
+    if norm_cat == 0.0:  # the odd cat once e^{-2|a|^2} rounds to 1
+        raise ZeroNormError(f"the odd cat at amplitude {ref:.3g} has zero norm")
     return (coherent_overlap(ref, amps) + parity * coherent_overlap(-ref, amps)) / norm_cat
 
 
@@ -348,6 +350,8 @@ def bell_cat_outcomes(
     flip = -sgn_a
     norm_plus = math.sqrt(2 + 2 * math.exp(-4 * abs(ref) ** 2))
     norm_minus = math.sqrt(2 - 2 * math.exp(-4 * abs(ref) ** 2))
+    if norm_minus == 0.0:  # once e^{-4|a|^2} rounds to 1
+        raise ZeroNormError(f"the odd Bell cats at amplitude {ref:.3g} have zero norm")
     return _table("bell", s, [mode_a, mode_b], [
         ("I", 1.0, same * wa * wb / norm_plus, True),
         ("II", 1.0, same * flip * wa * wb / norm_minus, True),

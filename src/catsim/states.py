@@ -37,6 +37,12 @@ MERGE_TOL = 1e-12
 # keeps the term count bounded under repeated teleportations.
 DROP_THRESHOLD = 1e-14
 
+# Rows of the K x K distance table `merge_terms` builds at a time.  A band
+# of K = 128 complex differences is 64 KiB, below glibc's 128 KiB mmap
+# threshold, so its temporaries are reused instead of mapped and faulted in
+# afresh on every call.
+_MERGE_ROWS = 32
+
 
 class ZeroNormError(ValueError):
     """State (or measurement branch) has vanishing norm."""
@@ -58,8 +64,11 @@ def _overlap_matrix(amps_x: np.ndarray, amps_y: np.ndarray) -> np.ndarray:
     # exponent: -|x_j|^2/2 - |y_k|^2/2 + conj(x_j).y_k summed over modes
     nx = 0.5 * np.sum(np.abs(amps_x) ** 2, axis=1)
     ny = 0.5 * np.sum(np.abs(amps_y) ** 2, axis=1)
-    cross = np.conj(amps_x) @ amps_y.T
-    return np.exp(cross - nx[:, None] - ny[None, :])
+    # in place, so a large K x K exponent costs one allocation, not four
+    out = np.conj(amps_x) @ amps_y.T
+    out -= nx[:, None]
+    out -= ny[None, :]
+    return np.exp(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -130,12 +139,15 @@ class CoherentSuperposition:
         if self.modes == 0:
             # a scalar: all terms are one, summed in term order
             return CoherentSuperposition(np.cumsum(self.coeffs)[-1:], self.amps[:1])
-        # max-norm distances, accumulated mode by mode into one K x K array
+        # max-norm distances, accumulated mode by mode, a band of rows at a time
         cols = self.amps.T
-        dist = np.abs(cols[0][:, None] - cols[0])
-        for col in cols[1:]:
-            np.maximum(dist, np.abs(col[:, None] - col), out=dist)
-        close = dist <= tol
+        close = np.empty((k, k), dtype=bool)
+        for band in range(0, k, _MERGE_ROWS):
+            rows = slice(band, band + _MERGE_ROWS)
+            dist = np.abs(cols[0][rows, None] - cols[0])
+            for col in cols[1:]:
+                np.maximum(dist, np.abs(col[rows, None] - col), out=dist)
+            close[rows] = dist <= tol
         # label[j]: first term close to term j.  If every label is its own
         # label, the terms with label[j] == j are the greedy representatives.
         label = close.argmax(axis=1)

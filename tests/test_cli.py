@@ -118,6 +118,11 @@ def test_unwritable_output_is_config_error_before_any_work(tmp_path, capsys, mon
     ["gate-check", "--theta-alpha2", "nan"],
     ["ruler", "--wavelength", "inf"],
     ["ramsey", "--theta", "1e308"],
+    # numerical limits found by the runners: no library warning may precede the reason
+    ["gate-check", "--theta-alpha2", "100", "--alpha-steps", "1"],  # theta^2 alpha^2 > 0.05
+    ["weak-force", "--alpha", "1e-12"],  # the odd readout cat has zero norm
+    ["gate-check", "--alpha-min", "3e-9", "--alpha-max", "3e-9", "--alpha-steps", "1",
+     "--theta-alpha2=-1e-12"],  # the odd Bell cats of the teleport have zero norm
 ])
 def test_out_of_range_input_exits_2_with_one_line(args):
     proc = subprocess.run(
@@ -126,18 +131,8 @@ def test_out_of_range_input_exits_2_with_one_line(args):
     assert proc.returncode == EXIT_CONFIG
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("config error:")
     assert proc.stdout == ""
-
-
-@pytest.mark.parametrize("args", [
-    ["gate-check", "--theta-alpha2", "100", "--alpha-steps", "1"],  # Rz gate fails on every branch
-    ["weak-force", "--alpha", "1e-12"],  # readout probability is NaN
-])
-def test_numerical_limit_is_a_config_error(args, capsys):
-    code = main(args)
-    captured = capsys.readouterr()
-    assert code == EXIT_CONFIG and captured.out == ""
-    assert captured.err.startswith("config error:") and len(captured.err.splitlines()) == 1
 
 
 def test_seeded_rows_draw_from_independent_streams(capsys):
@@ -176,6 +171,9 @@ def test_budget_exit_code(capsys):
 @pytest.mark.parametrize("args, code", [
     (["ramsey", "--n-max", "1000"], EXIT_BUDGET),
     (["weak-force", "--alpha", "0"], EXIT_CONFIG),
+    # config errors the runners raise after their fields have passed
+    (["ramsey", "--theta", "0"], EXIT_CONFIG),
+    (["weak-force", "--alpha", "1e-12"], EXIT_CONFIG),
 ])
 def test_rejected_field_leaves_existing_output_untouched(tmp_path, args, code):
     target = tmp_path / "x.tsv"
@@ -263,6 +261,21 @@ def test_import_does_not_load_scipy_special():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, catsim; sys.exit('scipy.special' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_loads_no_scipy():
+    import catsim
+
+    src = Path(catsim.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, catsim.cli; "
+         "sys.exit(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy') or None)"],
         capture_output=True,
         text=True,
         env={"PYTHONPATH": str(src)},

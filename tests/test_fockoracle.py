@@ -15,7 +15,7 @@ from catsim.fockoracle import (
     fock_quadrature_pdf,
     to_fock,
 )
-from catsim.states import cat, coherent, vacuum
+from catsim.states import CoherentSuperposition, cat, coherent, vacuum
 
 
 def test_vacuum_is_unit_vector():
@@ -67,9 +67,8 @@ def test_number_statistics_poisson():
     v = to_fock(coherent(1.5), 40)
     stats = fock_measure_number(v, 0)
     n = np.arange(41)
-    from scipy.special import gammaln
-
-    poisson = np.exp(-1.5**2 + n * math.log(1.5**2) - gammaln(n + 1))
+    log_factorial = np.array([math.lgamma(k + 1) for k in n])
+    poisson = np.exp(-1.5**2 + n * math.log(1.5**2) - log_factorial)
     assert np.max(np.abs(stats - poisson)) < 1e-12
 
 
@@ -93,3 +92,94 @@ def test_vacuum_quadrature_gaussian():
 def test_inner_product_shape_mismatch():
     with pytest.raises(ValueError):
         fock_inner(to_fock(vacuum(), 5), to_fock(vacuum(), 6))
+
+
+# ---------------------------------------------------------------------------
+# dense references at small cutoffs, where truncation reaches every block
+
+
+def _annihilation(d):
+    return np.diag(np.sqrt(np.arange(1.0, d)), 1)
+
+
+def _random_vector(rng, d, modes):
+    return rng.normal(size=(d,) * modes) + 1j * rng.normal(size=(d,) * modes)
+
+
+def _dense_beamsplitter(data, mode_a, mode_b, theta):
+    """exp[i theta G] with G = kron(a, a^dag) + kron(a^dag, a) on the full
+    truncated two-mode space."""
+    d = data.shape[mode_a]
+    a = _annihilation(d)
+    evals, evecs = np.linalg.eigh(np.kron(a, a.T) + np.kron(a.T, a))
+    u = (evecs * np.exp(1j * theta * evals)) @ evecs.T
+    x = np.moveaxis(data, (mode_a, mode_b), (0, 1))
+    y = (u @ x.reshape(d * d, -1)).reshape(x.shape)
+    return np.moveaxis(y, (0, 1), (mode_a, mode_b))
+
+
+def test_beamsplitter_matches_dense_truncated_generator():
+    rng = np.random.default_rng(5)
+    # cutoffs interleaved, so a block cached under a wrong key is reused
+    for d in (4, 6, 2, 5, 4, 3, 6, 1, 5):
+        for modes, pair in ((2, (0, 1)), (2, (1, 0)), (3, (0, 2)), (3, (2, 0)), (3, (1, 2))):
+            data = _random_vector(rng, d, modes)
+            for theta in (0.37, -1.2, np.pi / 2, 2.9):
+                out = fock_beamsplitter(FockVector(data), *pair, theta).data
+                ref = _dense_beamsplitter(data, *pair, theta)
+                assert np.max(np.abs(out - ref)) < 1e-13, (d, pair, theta)
+
+
+def test_displacement_matches_dense_truncated_generator():
+    rng = np.random.default_rng(6)
+    for d in (5, 3, 6, 5, 1):
+        a = _annihilation(d)
+        for beta in (0.7 + 0.4j, -0.5 + 1.1j, -0.9 - 0.3j, 0.2 - 1.3j, 0.0):
+            h = -1j * (beta * a.T - np.conj(beta) * a)
+            evals, evecs = np.linalg.eigh(h)
+            u = (evecs * np.exp(1j * evals)) @ evecs.conj().T
+            for modes, mode in ((1, 0), (3, 0), (3, 1), (3, 2)):
+                data = _random_vector(rng, d, modes)
+                out = fock_displace(FockVector(data), mode, beta).data
+                ref = np.moveaxis(np.tensordot(u, data, axes=([1], [mode])), 0, mode)
+                assert np.max(np.abs(out - ref)) < 1e-13, (d, beta, mode)
+
+
+@pytest.mark.parametrize("modes", [1, 2, 3])
+@pytest.mark.parametrize("parity", [+1, -1])
+def test_cat_amplitudes_of_the_other_parity_are_exactly_zero(modes, parity):
+    a = 1.3 + 0.4j
+    s = CoherentSuperposition([1.0, parity], [[a] * modes, [-a] * modes]).normalize()
+    data = to_fock(s, 12).data
+    total = np.indices(data.shape).sum(axis=0)
+    wrong = total % 2 == (0 if parity < 0 else 1)
+    assert np.all(data[wrong] == 0.0)
+    assert np.all(data[~wrong] != 0.0)
+
+
+def _to_fock_per_term(s, n_max):
+    """Reference: each term's outer product of per-mode recurrences, added
+    one term at a time."""
+    data = np.zeros((n_max + 1,) * s.modes, dtype=complex)
+    for k in range(s.nterms):
+        term = np.array(s.coeffs[k], dtype=complex)
+        for m in range(s.modes):
+            col = np.empty(n_max + 1, dtype=complex)
+            col[0] = math.exp(-0.5 * abs(s.amps[k, m]) ** 2)
+            for n in range(1, n_max + 1):
+                col[n] = col[n - 1] * s.amps[k, m] / math.sqrt(n)
+            term = np.multiply.outer(term, col)
+        data = data + term
+    return data
+
+
+def test_to_fock_matches_per_term_reference():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        k, m = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+        amps = rng.uniform(0, 2.5, (k, m)) * np.exp(2j * np.pi * rng.uniform(size=(k, m)))
+        s = CoherentSuperposition(rng.normal(size=k) + 1j * rng.normal(size=k), amps).normalize()
+        n_max = int(rng.integers(0, 30))
+        out = to_fock(s, n_max).data
+        assert out.shape == (n_max + 1,) * m
+        assert np.max(np.abs(out - _to_fock_per_term(s, n_max))) < 1e-15

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
 
 from catsim import fockoracle as fo
 from catsim import gates, measure, optics, states
@@ -47,7 +46,8 @@ def test_fock_amplitude_closed_form():
 def test_photon_statistics_poisson():
     stats = photon_statistics(coherent(1.5), 0, 40)
     n = np.arange(41)
-    poisson = np.exp(-(1.5**2) + n * np.log(1.5**2) - gammaln(n + 1))
+    log_factorial = np.array([math.lgamma(k + 1) for k in n])
+    poisson = np.exp(-(1.5**2) + n * np.log(1.5**2) - log_factorial)
     assert np.max(np.abs(stats - poisson)) < 1e-12
     # statistics sum to ~1 at the default cutoff
     assert abs(np.sum(photon_statistics(cat(2.0, +1), 0)) - 1.0) < 1e-12
