@@ -168,28 +168,20 @@ def run_bell_stats(cfg: dict, seed: int) -> tuple[list[str], list[list], list[tu
             total = sum(r.probability for r in recs.values())
             worst_completeness = max(worst_completeness, abs(total - 1.0))
             row.append(recs[name].probability)
+        # the Bell table every teleport of `plus` draws from
         plus = gates.encode(1.0, 1.0, gates.QubitEncoding(alpha))
         joint = optics.tensor(plus, optics.bell_resource(alpha))
-        fail = measure.bell_outcomes(joint, 0, 1)["FAIL"].probability
-        row += [fail, worst_completeness]
+        table = measure.bell_outcomes(joint, 0, 1)
+        row += [table["FAIL"].probability, worst_completeness]
         if worst_completeness > 1e-10:
             failed.append((index, "completeness_error > 1e-10"))
         if cfg["trials"] > 0:
             rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
-            counts = {"identity": 0, "z": 0, "fail": 0}
-            for _ in range(cfg["trials"]):
-                out = gates.teleport(plus, gates.QubitEncoding(alpha), rng=rng)
-                if not out.success:
-                    counts["fail"] += 1
-                elif out.applied == "Z":
-                    counts["z"] += 1
-                else:
-                    counts["identity"] += 1
-            row += [
-                counts["identity"] / cfg["trials"],
-                counts["z"] / cfg["trials"],
-                counts["fail"] / cfg["trials"],
-            ]
+            n = measure.sample_counts(table, rng, cfg["trials"])
+            # I and III land the identity, II and IV land Z
+            row += [(n["I"] + n["III"]) / cfg["trials"],
+                    (n["II"] + n["IV"]) / cfg["trials"],
+                    n["FAIL"] / cfg["trials"]]
         rows.append(row)
     return columns, rows, failed
 
@@ -207,6 +199,7 @@ def run_gate_check(cfg: dict, seed: int) -> tuple[list[str], list[list], list[tu
         _require(abs(cfg["theta_alpha2"]) <= math.sqrt(gates.MAX_THETA2_ALPHA2) * alpha,
                  f"alpha = {alpha}: theta^2 alpha^2 = theta_alpha2^2 / alpha^2 exceeds "
                  f"{gates.MAX_THETA2_ALPHA2}, outside the gates' near-deterministic regime")
+        _require(alpha**2 > 0, f"alpha = {alpha}: alpha^2 underflows to 0")
         theta = cfg["theta_alpha2"] / alpha**2
         try:  # the teleported gates and the decoding fail at tiny alpha
             psi = gates.encode(mu, nu, enc)

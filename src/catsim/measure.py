@@ -2,7 +2,10 @@
 Bell-cat measurement, with exact outcome probabilities and conditioned
 pure states.  Every conditioning is an exact branch table {outcome:
 MeasurementRecord} scored from one Gram matrix; the parity and Bell-cat
-measurements return the whole table, and `sample` draws one outcome.
+measurements return the whole table, `sample` draws one outcome and
+`sample_counts` the outcome counts of many shots.  A branch's conditioned
+state is built on its first read, so a shot that keeps one branch builds
+only that branch's state.
 
 Quadrature convention: x = (a + a^dag)/sqrt(2), so a coherent state |a>
 has mean sqrt(2) Re a and variance 1/2.
@@ -10,6 +13,7 @@ has mean sqrt(2) Re a and variance 1/2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -34,6 +38,7 @@ __all__ = [
     "bell_outcomes",
     "bell_cat_outcomes",
     "sample",
+    "sample_counts",
 ]
 
 PROB_FLOOR = 1e-300
@@ -43,19 +48,49 @@ class UnsupportedStateError(ValueError):
     """Measurement precondition on the state's structure is violated."""
 
 
+class _Deferred(functools.partial):
+    """A record state not built yet: called once, on the first read."""
+
+
+class _BuiltOnFirstRead:
+    """Data descriptor behind `MeasurementRecord.state`.  A `_Deferred`
+    value is called on the first read and replaced by its result; any
+    other value is stored and read as is.  Reading it from the class
+    raises AttributeError, so the dataclass field keeps no default."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)
+        value = obj.__dict__[self.name]
+        if isinstance(value, _Deferred):
+            value = obj.__dict__[self.name] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class MeasurementRecord:
     """One measurement event: detector kind, outcome, probability (a
     density for homodyne records) and the conditioned remaining-mode
-    state (None for discarded branches)."""
+    state (None for discarded branches).  A table's records get their
+    state built on its first read and kept from then on."""
 
     kind: str
     outcome: object
     probability: float
-    state: Optional[CoherentSuperposition]
+    state: Optional[CoherentSuperposition] = _BuiltOnFirstRead()
 
     def to_row(self) -> str:
         return f"{self.kind}\t{self.outcome}\t{self.probability:.17g}"
+
+
+def _branch_state(coeffs, w, n2, rest) -> CoherentSuperposition:
+    return CoherentSuperposition(coeffs * w / np.sqrt(n2), rest).merge_terms()
 
 
 def _table(kind: str, s: CoherentSuperposition, modes: list[int], rows: list[tuple]) -> dict:
@@ -63,7 +98,8 @@ def _table(kind: str, s: CoherentSuperposition, modes: list[int], rows: list[tup
     Row (outcome, factor, weights, keep) has probability factor times the
     squared norm of the unmerged branch (per-term contraction `weights`),
     all rows from one `_branch_norms` call.  A kept branch above PROB_FLOOR
-    carries its normalized, merged state; the others carry None."""
+    carries its normalized, merged state, built on the record's first read;
+    the others carry None."""
     norms = _branch_norms(s, modes, np.array([w for _, _, w, _ in rows]))
     rest = np.delete(s.amps, modes, axis=1)
     table = {}
@@ -71,18 +107,34 @@ def _table(kind: str, s: CoherentSuperposition, modes: list[int], rows: list[tup
         p = float(factor * n2)
         state = None
         if keep and p > PROB_FLOOR:
-            state = CoherentSuperposition(s.coeffs * w / np.sqrt(n2), rest).merge_terms()
+            state = _Deferred(_branch_state, s.coeffs, w, n2, rest)
         table[outcome] = MeasurementRecord(kind, outcome, p, state)
     return table
+
+
+def _probabilities(table: dict) -> tuple[list, np.ndarray]:
+    """Outcomes of a table in dict order and their probabilities, clipped
+    at 0 (round-off) and renormalized."""
+    names = list(table)
+    probs = np.clip([table[n].probability for n in names], 0.0, None)
+    return names, probs / probs.sum()
 
 
 def sample(table: dict, rng: np.random.Generator) -> MeasurementRecord:
     """Draw one record of an exact branch table {outcome: record}: a single
     rng.choice over the table in dict order, with probabilities clipped at
     0 (round-off) and renormalized."""
-    names = list(table)
-    probs = np.clip([table[n].probability for n in names], 0.0, None)
-    return table[names[rng.choice(len(names), p=probs / probs.sum())]]
+    names, probs = _probabilities(table)
+    return table[names[rng.choice(len(names), p=probs)]]
+
+
+def sample_counts(table: dict, rng: np.random.Generator, shots: int) -> dict:
+    """Outcome counts {outcome: count} of `shots` independent draws from an
+    exact branch table: one rng.multinomial call over the table in dict
+    order, with probabilities clipped and renormalized as in `sample`.  No
+    record's state is read."""
+    names, probs = _probabilities(table)
+    return dict(zip(names, rng.multinomial(shots, probs).tolist()))
 
 
 _lgamma = np.frompyfunc(math.lgamma, 1, 1)

@@ -92,7 +92,7 @@ class CoherentSuperposition:
             raise ValueError(
                 f"{coeffs.shape[0]} coefficients but {amps.shape[0]} amplitude rows"
             )
-        if not (np.all(np.isfinite(coeffs)) and np.all(np.isfinite(amps))):
+        if not (np.isfinite(coeffs).all() and np.isfinite(amps).all()):
             raise ValueError("non-finite coefficient or amplitude")
         coeffs.flags.writeable = False
         amps.flags.writeable = False

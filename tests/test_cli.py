@@ -1,11 +1,12 @@
 import io
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from catsim import __version__, cli
+from catsim import __version__, cli, gates, measure, optics
 from catsim.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
@@ -123,6 +124,8 @@ def test_unwritable_output_is_config_error_before_any_work(tmp_path, capsys, mon
     ["weak-force", "--alpha", "1e-12"],  # the odd readout cat has zero norm
     ["gate-check", "--alpha-min", "3e-9", "--alpha-max", "3e-9", "--alpha-steps", "1",
      "--theta-alpha2=-1e-12"],  # the odd Bell cats of the teleport have zero norm
+    ["gate-check", "--alpha-min", "1e-200", "--alpha-max", "1e-200", "--alpha-steps", "1",
+     "--theta-alpha2", "0"],  # alpha^2 underflows to 0: theta would be 0/0
 ])
 def test_out_of_range_input_exits_2_with_one_line(args):
     proc = subprocess.run(
@@ -147,6 +150,39 @@ def test_seeded_rows_draw_from_independent_streams(capsys):
 
     # with one stream per seed ^ index, seed 0 row 1 replayed seed 1 row 0
     assert sampled(0)[1] != sampled(1)[0]
+
+
+def _bell_stats_rows(args, capsys):
+    code, out = run_cli(["bell-stats", *args], capsys)
+    assert code == EXIT_OK
+    lines = [l.split("\t") for l in out.splitlines() if not l.startswith("#")]
+    return [dict(zip(lines[0], map(float, row))) for row in lines[1:]]
+
+
+def _assert_within_4_sigma_of_exact_table(row, trials):
+    alpha = row["alpha"]
+    plus = gates.encode(1.0, 1.0, gates.QubitEncoding(alpha))
+    p = {name: rec.probability for name, rec in measure.bell_outcomes(
+        optics.tensor(plus, optics.bell_resource(alpha)), 0, 1).items()}
+    assert row["p_fail_teleport"] == p["FAIL"]
+    exact = {"freq_identity": p["I"] + p["III"], "freq_z": p["II"] + p["IV"],
+             "freq_fail": p["FAIL"]}
+    assert sum(row[col] for col in exact) == pytest.approx(1.0, abs=1e-12)
+    for col, q in exact.items():
+        sigma = math.sqrt(q * (1 - q) / trials)
+        assert abs(row[col] - q) <= 4 * sigma, (alpha, col)
+
+
+def test_bell_stats_trial_frequencies_match_exact_table(capsys):
+    rows = _bell_stats_rows(["--trials", "100000", "--alpha-min", "0.8"], capsys)
+    assert len(rows) == 5
+    for row in rows:
+        _assert_within_4_sigma_of_exact_table(row, 100_000)
+
+
+def test_bell_stats_ten_million_trials_complete_in_process(capsys):
+    (row,) = _bell_stats_rows(["--trials", "10000000", "--alpha-steps", "1"], capsys)
+    _assert_within_4_sigma_of_exact_table(row, 10_000_000)
 
 
 def test_budget_exit_code(capsys):

@@ -22,6 +22,7 @@ from catsim.measure import (
     photon_statistics,
     project_photon_number,
     sample,
+    sample_counts,
 )
 from catsim.states import (
     CoherentSuperposition,
@@ -30,6 +31,7 @@ from catsim.states import (
     cat,
     coherent,
     fidelity,
+    to_record,
     vacuum,
 )
 
@@ -434,3 +436,111 @@ def test_each_table_builds_one_gram_matrix(monkeypatch, measure_fn, make_args):
         )
     measure_fn(*args)
     assert len(calls) == 1
+
+
+def test_sample_counts_is_one_multinomial_in_dict_order():
+    def table(probs):
+        return {name: MeasurementRecord("t", name, p, None) for name, p in probs.items()}
+
+    probs = {"a": 0.1, "b": 0.25, "zero": 0.0, "c": 0.4, "rounded": -1e-17, "d": 0.25}
+    for seed in range(20):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        counts = sample_counts(table(probs), rng, 5000)
+        assert list(counts) == list(probs)
+        assert sum(counts.values()) == 5000
+        # a zero or round-off negative probability is never drawn
+        assert counts["zero"] == counts["rounded"] == 0
+        p = np.clip(list(probs.values()), 0.0, None)
+        assert list(counts.values()) == ref.multinomial(5000, p / p.sum()).tolist()
+        assert rng.random() == ref.random()
+    assert sample_counts(table(probs), np.random.default_rng(0), 0) == dict.fromkeys(probs, 0)
+
+
+# ---------------------------------------------------------------------------
+# branch states are built on first read, from the same expression as an
+# eager build of every kept branch
+
+
+def _eager_states(kind, s, modes, rows):
+    """{outcome: state} as a table built every kept branch's state before
+    branch states were deferred."""
+    norms = measure._branch_norms(s, modes, np.array([w for _, _, w, _ in rows]))
+    rest = np.delete(s.amps, modes, axis=1)
+    out = {}
+    for (outcome, factor, w, keep), n2 in zip(rows, norms):
+        keep = keep and float(factor * n2) > measure.PROB_FLOOR
+        out[outcome] = CoherentSuperposition(s.coeffs * w / np.sqrt(n2), rest).merge_terms() \
+            if keep else None
+    return out
+
+
+def _leaked_rx_input():
+    rng = np.random.default_rng(4)
+    amps = 1.6 * rng.choice([-1.0, 1.0], size=(5, 1)) + rng.normal(scale=0.1, size=(5, 1))
+    return CoherentSuperposition(rng.normal(size=5) + 1j * rng.normal(size=5), amps).normalize()
+
+
+@pytest.mark.parametrize("measure_fn, make_args", [
+    (parity_projection, lambda: (optics.tensor(cat(1.5, +1), coherent(0.5, 1.5)), 0)),
+    (cat_projection, lambda: (optics.tensor(coherent(0.3), cat(1.5, -1)), 1, 1.5, -1)),
+    (bell_outcomes, lambda: (optics.tensor(gates.encode(0.6, 0.8, gates.QubitEncoding(2.0)),
+                                           optics.bell_resource(2.0)), 0, 1)),
+    (bell_cat_outcomes, lambda: (optics.tensor(cat(1.5, -1), bell_cat(1.5, "i")), 0, 1, 1.5)),
+    (project_photon_number, lambda: (optics.tensor(cat(1.2, +1), coherent(0.4, 1.0)), 1, 2)),
+    (homodyne_condition, lambda: (optics.tensor(cat(1.5, -1), coherent(0.7)), 0, 0.4)),
+    (gates.gate_rx, lambda: (_leaked_rx_input(), gates.QubitEncoding(1.6))),
+], ids=["parity", "cat", "bell", "bell_cat", "photon_count", "homodyne", "gate_rx"])
+def test_branch_states_built_on_first_read_match_eager_build(monkeypatch, measure_fn, make_args):
+    built = []
+    table = measure._table
+
+    def recording(*args):
+        out = table(*args)
+        built.append((args, out))
+        return out
+
+    monkeypatch.setattr(measure, "_table", recording)
+    measure_fn(*make_args())
+    (args, recs), = built
+    if measure_fn is gates.gate_rx:
+        assert list(recs) == [("even", "even"), ("odd", "even"), ("even", "odd"), ("odd", "odd")]
+    eager = _eager_states(*args)
+    assert list(eager) == list(recs)
+    for outcome, rec in recs.items():
+        if eager[outcome] is None:
+            assert rec.state is None
+            continue
+        first = rec.state
+        assert to_record(first) == to_record(eager[outcome])
+        # built once, then kept
+        assert rec.state is first
+
+
+def test_fail_and_floored_branches_read_none(monkeypatch):
+    monkeypatch.setattr(measure, "_branch_state", lambda *a: pytest.fail("state built"))
+    recs = bell_outcomes(bell_cat(2.0, "ii"), 0, 1)
+    assert recs["II"].probability == pytest.approx(1.0)
+    for name in ("I", "III", "IV", "FAIL"):
+        assert recs[name].probability <= measure.PROB_FLOOR
+        assert recs[name].state is None
+    fail = bell_outcomes(bell_cat(2.0, "i"), 0, 1)["FAIL"]
+    assert fail.probability > 1e-4 and fail.state is None
+
+
+def test_sampled_teleport_builds_one_branch_state(monkeypatch):
+    branch_state = measure._branch_state
+    builds = []
+    monkeypatch.setattr(
+        measure, "_branch_state", lambda *a: builds.append(a) or branch_state(*a))
+    enc = gates.QubitEncoding(2.0)
+    register = gates.encode(0.6, 0.8, enc)
+    for _ in range(3):
+        register = optics.tensor(register, gates.encode(1.0, 1.0, enc))
+    rng = np.random.default_rng(5)
+    outcomes = set()
+    for mode in (0, 2, 3, 1, 0, 2):
+        builds.clear()
+        out = gates.teleport(register, gates.QubitEncoding(2.0, mode=mode), rng)
+        outcomes.add(out.applied)
+        assert len(builds) == (1 if out.success else 0)
+    assert {"identity", "Z"} <= outcomes
