@@ -72,6 +72,17 @@ def _traced(element: str, params: str, outcome: str, probability: float) -> tupl
     return (element, params, outcome, float(probability))
 
 
+def _fold(done: GateOutcome, step: GateOutcome) -> GateOutcome:
+    """`step` run after `done`: probabilities multiplied, repetitions added
+    and traces concatenated."""
+    return replace(
+        step,
+        probability=done.probability * step.probability,
+        repetitions=done.repetitions + step.repetitions,
+        trace=done.trace + step.trace,
+    )
+
+
 def encode(mu: complex, nu: complex, enc: QubitEncoding) -> CoherentSuperposition:
     """Normalized mu|-a> + nu|a> (Gram-normalized, not orthogonal)."""
     if mu == 0 and nu == 0:
@@ -176,9 +187,8 @@ def teleport(
     m = s.modes
     # strict {+a,-a} inputs get the exact photon-counting classifier;
     # leaked inputs get the idealized Bell-cat projection that cleans them
-    resid = np.min(
-        np.abs(s.amps[:, enc.mode, None] - np.array([[-enc.alpha, enc.alpha]])), axis=1
-    )
+    a = s.amps[:, enc.mode]
+    resid = np.abs(a - measure._nearest_signs(a, enc.alpha) * enc.alpha)
     leaked = bool(np.max(resid) > 1e-9 * (1 + enc.alpha))
     if leaked:
         branches = measure.bell_cat_outcomes(joint, enc.mode, m, enc.alpha)
@@ -193,7 +203,7 @@ def teleport(
     if flip:
         out = gate_x(out, enc)
         trace = trace + (_traced("phase_shift", "theta=pi (X correction)", "-", 1.0),)
-    return GateOutcome(out.merge_terms(), True, residual, rec.probability, trace=trace)
+    return GateOutcome(out, True, residual, rec.probability, trace=trace)
 
 
 def gate_z(
@@ -203,18 +213,11 @@ def gate_z(
 ) -> GateOutcome:
     """Sign flip by repeat-until-success teleportation (Z branch lands with
     probability ~1/2 per attempt)."""
-    state = s
-    trace: tuple = ()
-    prob = 1.0
-    for attempt in range(1, MAX_REPEATS + 1):
-        out = teleport(state, enc, rng, branch="II" if rng is None else None)
-        trace = trace + out.trace
-        prob *= out.probability
-        if not out.success:
-            return GateOutcome(state, False, "FAIL", prob, attempt, trace)
-        state = out.state
-        if out.applied == "Z":
-            return GateOutcome(state, True, "Z", prob, attempt, trace)
+    out = GateOutcome(s, True, "identity", 1.0, 0)
+    for _ in range(MAX_REPEATS):
+        out = _fold(out, teleport(out.state, enc, rng, branch="II" if rng is None else None))
+        if not out.success or out.applied == "Z":
+            return out
     raise GateFailure(f"Z branch did not land within {MAX_REPEATS} teleports")
 
 
@@ -225,19 +228,13 @@ def _undo_z(
     rng: Optional[np.random.Generator],
 ) -> GateOutcome:
     """Settle one step of a gate on input `s`.  `step` carries the gate's
-    running probability, repetitions and trace; a failed step fails the
-    gate, and a Z residual (step.applied == "Z") is undone with gate_z on
-    `enc`, whose probability, repetitions and trace are folded in."""
-    if not step.success:
-        return GateOutcome(s, False, "FAIL", step.probability, trace=step.trace)
-    if step.applied != "Z":
-        return step
-    fix = gate_z(step.state, enc, rng)
-    prob, trace = step.probability * fix.probability, step.trace + fix.trace
-    if not fix.success:
-        return GateOutcome(s, False, "FAIL", prob, trace=trace)
-    reps = step.repetitions + fix.repetitions
-    return GateOutcome(fix.state, True, "identity", prob, reps, trace)
+    running probability, repetitions and trace; a Z residual
+    (step.applied == "Z") is undone with gate_z on `enc`, folded in.  A
+    failed step fails the gate on `s`, counting every teleport it ran."""
+    if step.success and step.applied == "Z":
+        fix = _fold(step, gate_z(step.state, enc, rng))
+        step = replace(fix, applied="identity") if fix.success else fix
+    return step if step.success else replace(step, state=s)
 
 
 def gate_rz(
@@ -259,8 +256,8 @@ def gate_rz(
         )
     displaced = optics.displace(s, enc.mode, 1j * enc.alpha * theta)
     trace = (_traced("displace", f"beta={1j * enc.alpha * theta:.6g}", "-", 1.0),)
-    out = teleport(displaced, enc, rng)
-    out = _undo_z(s, replace(out, trace=trace + out.trace), enc, rng)
+    done = GateOutcome(displaced, True, "identity", 1.0, 0, trace)
+    out = _undo_z(s, _fold(done, teleport(displaced, enc, rng)), enc, rng)
     return replace(out, applied=f"Rz({4 * theta * enc.alpha ** 2:.6g})") if out.success else out
 
 
@@ -298,17 +295,17 @@ def gate_rx(
     resource = optics.bell_resource(enc.alpha)
     joint = optics.tensor(s, resource)
     m = s.modes
-    # the two cat projections each contribute e^{+/- i (theta/2) alpha^2}
-    mixed = optics.beamsplitter(joint, optics.BeamSplitterSpec(enc.mode, m, theta / 2.0))
+    # the two cat projections each contribute e^{+/- i (theta/2) alpha^2};
+    # the beam splitter touches only the two measured columns
+    a, b = optics._mix(joint.amps[:, enc.mode], joint.amps[:, m], theta / 2.0)
     trace = (_traced("beamsplitter", f"theta={theta / 2.0:.6g}", "-", 1.0),)
 
     # joint cat projection of the input mode and resource half m, keys (pa, pb)
     parity = {"even": +1, "odd": -1}
-    a, b = mixed.amps[:, enc.mode], mixed.amps[:, m]
     wa = {k: measure._cat_weights(enc.alpha, p, a) for k, p in parity.items()}
     wb = {k: measure._cat_weights(enc.alpha, p, b) for k, p in parity.items()}
     rows = [((ka, kb), 1.0, wa[ka] * wb[kb], True) for kb in parity for ka in parity]
-    table = measure._table("cat_projection", mixed, [enc.mode, m], rows)
+    table = measure._table("cat_projection", joint, [enc.mode, m], rows)
     rec = _pick(table, rng, ("even", "even"))
     trace = trace + (
         _traced("cat_projection", f"ref={enc.alpha}", str(rec.outcome), rec.probability),
@@ -319,12 +316,10 @@ def gate_rx(
     out = _undo_z(s, GateOutcome(conditioned, True, residual, rec.probability, 1, trace), enc, rng)
     if not out.success:
         return out
-    state, trace = out.state, out.trace
     if flip:
-        state = gate_x(state, enc)
-        trace = trace + (_traced("phase_shift", "theta=pi (X correction)", "-", 1.0),)
-    applied = f"Rx({2 * theta * enc.alpha ** 2:.6g})"
-    return GateOutcome(state.merge_terms(), True, applied, out.probability, out.repetitions, trace)
+        out = replace(out, state=gate_x(out.state, enc), trace=out.trace + (
+            _traced("phase_shift", "theta=pi (X correction)", "-", 1.0),))
+    return replace(out, applied=f"Rx({2 * theta * enc.alpha ** 2:.6g})")
 
 
 def entangling_gate(
@@ -350,14 +345,7 @@ def entangling_gate(
     trace = (_traced("beamsplitter", f"theta={theta / 2.0:.6g}", "-", 1.0),)
     out = GateOutcome(mixed, True, "identity", 1.0, 0, trace)
     for enc in (enc_a, enc_b):
-        tele = teleport(out.state, enc, rng)
-        step = replace(
-            tele,
-            probability=out.probability * tele.probability,
-            repetitions=out.repetitions + tele.repetitions,
-            trace=out.trace + tele.trace,
-        )
-        out = _undo_z(s, step, enc, rng)
+        out = _undo_z(s, _fold(out, teleport(out.state, enc, rng)), enc, rng)
         if not out.success:
             return out
     return replace(out, applied=f"ZZ({theta * enc_a.alpha ** 2:.6g})")

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .optics import BeamSplitterSpec, beamsplitter, phase_shift
+from .optics import _mix
 from .states import CoherentSuperposition, ZeroNormError, _overlap_matrix, coherent_overlap
 
 __all__ = [
@@ -194,12 +194,18 @@ def project_photon_number(s: CoherentSuperposition, mode: int, n: int) -> Measur
     return rec
 
 
+def _nearest_signs(amps: np.ndarray, ref: complex) -> np.ndarray:
+    """+1 where an amplitude is nearer +ref than -ref (ties count as +1),
+    else -1, elementwise."""
+    return np.where(np.abs(amps - ref) <= np.abs(amps + ref), 1.0, -1.0)
+
+
 def _signs_against_reference(amps: np.ndarray, tol: float = 1e-9) -> tuple[complex, np.ndarray]:
     """For amplitudes all in {+a, -a}, return (a, signs); a may be 0."""
     ref = amps[np.argmax(np.abs(amps))]
     if abs(ref) == 0.0:
         return 0.0, np.ones(len(amps))
-    signs = np.where(np.abs(amps - ref) <= np.abs(amps + ref), 1.0, -1.0)
+    signs = _nearest_signs(amps, ref)
     resid = np.max(np.abs(amps - signs * ref))
     if resid > tol * (1 + abs(ref)):
         raise UnsupportedStateError(
@@ -330,7 +336,8 @@ def bell_outcomes(
     The Bell-state creation is run in reverse (compensating +pi/2 phase on
     mode_b, then B(-pi/4)), after which photon counting on the two output
     modes is classified as I=(even>0, 0), II=(odd, 0), III=(0, even>0),
-    IV=(0, odd) and FAIL=(0, 0).  The FAIL record carries no state.
+    IV=(0, odd) and FAIL=(0, 0).  The FAIL record carries no state.  Only
+    the two measured columns are transformed; the rest of `s` is kept.
     """
     s.check_mode(mode_a)
     s.check_mode(mode_b)
@@ -339,14 +346,10 @@ def bell_outcomes(
     _signs_against_reference(s.amps[:, mode_a])
     _signs_against_reference(s.amps[:, mode_b])
 
-    mixed = beamsplitter(
-        phase_shift(s, mode_b, np.pi / 2), BeamSplitterSpec(mode_a, mode_b, -np.pi / 4)
-    )
-    u = mixed.amps[:, mode_a]
-    v = mixed.amps[:, mode_b]
+    u, v = _mix(s.amps[:, mode_a], s.amps[:, mode_b] * np.exp(1j * np.pi / 2), -np.pi / 4)
     scale = max(np.max(np.abs(u)), np.max(np.abs(v)))
     if scale == 0.0:
-        in_a = np.ones(mixed.nterms, dtype=bool)
+        in_a = np.ones(s.nterms, dtype=bool)
     else:
         in_a = np.abs(u) > np.abs(v)
         bad = np.minimum(np.abs(u), np.abs(v)) > 1e-9 * scale
@@ -358,12 +361,12 @@ def bell_outcomes(
     mag2 = abs(ref_u) ** 2 if abs(ref_u) > 0 else abs(ref_v) ** 2
     z0, even_nz, odd = _parity_class_weights(mag2)
 
-    return _table("bell", mixed, [mode_a, mode_b], [
+    return _table("bell", s, [mode_a, mode_b], [
         ("I", even_nz, in_a, True),
         ("II", odd, in_a * signs_u, True),
         ("III", even_nz, ~in_a, True),
         ("IV", odd, ~in_a * signs_v, True),
-        ("FAIL", z0, np.ones(mixed.nterms), False),
+        ("FAIL", z0, np.ones(s.nterms), False),
     ])
 
 
@@ -391,8 +394,8 @@ def bell_cat_outcomes(
         raise ValueError("ref_amp must be nonzero")
     a = s.amps[:, mode_a]
     b = s.amps[:, mode_b]
-    sgn_a = np.where(np.abs(a - ref) <= np.abs(a + ref), 1.0, -1.0)
-    sgn_b = np.where(np.abs(b - ref) <= np.abs(b + ref), 1.0, -1.0)
+    sgn_a = _nearest_signs(a, ref)
+    sgn_b = _nearest_signs(b, ref)
     wa = coherent_overlap(sgn_a * ref, a)
     wb = coherent_overlap(sgn_b * ref, b)
     same = (sgn_a == sgn_b).astype(complex)

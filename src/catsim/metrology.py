@@ -196,16 +196,19 @@ def weak_force_readout_probability(
     is taken on the exact recombined state, where the residual
     displacement contributes a second phase of the same size.
     """
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon = {epsilon} is not finite")
     probe = ghz_cat(alpha, n_modes)
     for m in range(n_modes):
         probe = optics.displace(probe, m, 1j * epsilon)
     merged = optics.nport_merge(probe, list(range(n_modes)))
     if neglect_residual:
-        snapped = np.where(np.real(merged.amps) >= 0, alpha, -alpha).astype(complex)
-        merged = CoherentSuperposition(merged.coeffs.copy(), snapped)
-    p_even = measure.cat_projection(merged, 0, alpha, +1).probability
-    p_odd = measure.cat_projection(merged, 0, alpha, -1).probability
-    return p_even / (p_even + p_odd)
+        snapped = measure._nearest_signs(merged.amps, alpha) * alpha
+        merged = CoherentSuperposition(merged.coeffs, snapped)
+    a = merged.amps[:, 0]
+    weights = np.array([measure._cat_weights(alpha, parity, a) for parity in (+1, -1)])
+    p_even, p_odd = measure._branch_norms(merged, [0], weights)
+    return float(p_even / (p_even + p_odd))
 
 
 def weak_force_experiment(
@@ -311,10 +314,8 @@ def ruler_probability(alpha: float, theta: float | np.ndarray) -> float | np.nda
     # the displacement acts on the bra: each term's weight is its
     # displacement phase times the cat weight at the shifted amplitude
     phases = optics._displacement_phases(beta, a)
-    p_even, p_odd = (
-        measure._branch_norms(probe, [0], phases * measure._cat_weights(alpha, parity, a + beta))
-        for parity in (+1, -1)
-    )
+    weights = [phases * measure._cat_weights(alpha, parity, a + beta) for parity in (+1, -1)]
+    p_even, p_odd = measure._branch_norms(probe, [0], np.stack(weights))
     return (p_even / (p_even + p_odd))[()]
 
 
@@ -348,6 +349,8 @@ def quantum_ruler(
         raise ValueError("points must be >= 16")
     if theta_max is None:
         theta_max = 3.4 * math.pi / alpha
+    if not math.isfinite(theta_max):
+        raise ValueError(f"scan range theta_max = {theta_max} is not finite at alpha = {alpha}")
     thetas = np.linspace(0.0, theta_max, points)
     with np.errstate(invalid="ignore"):
         probs = ruler_probability(alpha, thetas)

@@ -46,16 +46,18 @@ class BeamSplitterSpec:
                 raise IndexError(f"mode {m} out of range for {n_modes}-mode state")
 
 
+def _mix(g: np.ndarray, b: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The two output columns of B(theta) on input amplitude columns g, b."""
+    c, sn = np.cos(theta), np.sin(theta)
+    return g * c + 1j * b * sn, b * c + 1j * g * sn
+
+
 def beamsplitter(s: CoherentSuperposition, spec: BeamSplitterSpec) -> CoherentSuperposition:
     """Apply B(theta) between spec.mode_a and spec.mode_b."""
     spec.validate(s.modes)
-    c, sn = np.cos(spec.theta), np.sin(spec.theta)
-    amps = s.amps.copy()
-    g = amps[:, spec.mode_a].copy()
-    b = amps[:, spec.mode_b].copy()
-    amps[:, spec.mode_a] = g * c + 1j * b * sn
-    amps[:, spec.mode_b] = b * c + 1j * g * sn
-    return CoherentSuperposition(s.coeffs.copy(), amps)
+    a, b, amps = spec.mode_a, spec.mode_b, s.amps.copy()
+    amps[:, a], amps[:, b] = _mix(s.amps[:, a], s.amps[:, b], spec.theta)
+    return CoherentSuperposition(s.coeffs, amps)
 
 
 def phase_shift(s: CoherentSuperposition, mode: int, theta: float) -> CoherentSuperposition:
@@ -63,7 +65,7 @@ def phase_shift(s: CoherentSuperposition, mode: int, theta: float) -> CoherentSu
     s.check_mode(mode)
     amps = s.amps.copy()
     amps[:, mode] = amps[:, mode] * np.exp(1j * theta)
-    return CoherentSuperposition(s.coeffs.copy(), amps)
+    return CoherentSuperposition(s.coeffs, amps)
 
 
 def _displacement_phases(beta: complex | np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -133,7 +135,7 @@ def nport_split(s: CoherentSuperposition, mode: int, n: int) -> CoherentSuperpos
         [s.amps, np.repeat(src[:, None], n - 1, axis=1)], axis=1
     )
     amps[:, mode] = src
-    return CoherentSuperposition(s.coeffs.copy(), amps)
+    return CoherentSuperposition(s.coeffs, amps)
 
 
 def nport_merge(s: CoherentSuperposition, modes: list[int]) -> CoherentSuperposition:
@@ -152,7 +154,7 @@ def nport_merge(s: CoherentSuperposition, modes: list[int]) -> CoherentSuperposi
     amps = s.amps.copy()
     amps[:, modes[0]] = block[:, 0] * np.sqrt(n)
     amps = np.delete(amps, modes[1:], axis=1)
-    return CoherentSuperposition(s.coeffs.copy(), amps)
+    return CoherentSuperposition(s.coeffs, amps)
 
 
 def bell_resource(alpha: float) -> CoherentSuperposition:
@@ -168,7 +170,7 @@ def bell_resource(alpha: float) -> CoherentSuperposition:
 def append_modes(s: CoherentSuperposition, values: list[complex]) -> CoherentSuperposition:
     """Append product coherent modes |values[0]>|values[1]>... to the state."""
     extra = np.tile(np.asarray(values, dtype=complex), (s.nterms, 1))
-    return CoherentSuperposition(s.coeffs.copy(), np.concatenate([s.amps, extra], axis=1))
+    return CoherentSuperposition(s.coeffs, np.concatenate([s.amps, extra], axis=1))
 
 
 def tensor(x: CoherentSuperposition, y: CoherentSuperposition) -> CoherentSuperposition:
@@ -185,4 +187,4 @@ def permute_modes(s: CoherentSuperposition, order: list[int]) -> CoherentSuperpo
     """Reorder modes so new mode i is old mode order[i]."""
     if sorted(order) != list(range(s.modes)):
         raise ValueError("order must be a permutation of all modes")
-    return CoherentSuperposition(s.coeffs.copy(), s.amps[:, order])
+    return CoherentSuperposition(s.coeffs, s.amps[:, order])

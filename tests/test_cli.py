@@ -126,6 +126,9 @@ def test_unwritable_output_is_config_error_before_any_work(tmp_path, capsys, mon
      "--theta-alpha2=-1e-12"],  # the odd Bell cats of the teleport have zero norm
     ["gate-check", "--alpha-min", "1e-200", "--alpha-max", "1e-200", "--alpha-steps", "1",
      "--theta-alpha2", "0"],  # alpha^2 underflows to 0: theta would be 0/0
+    ["ruler", "--alpha", "1e-308"],  # the scan range 3.4 pi / alpha overflows to inf
+    ["ruler", "--alpha", "5e-324"],
+    ["weak-force", "--alpha", "5e-324"],  # the mid-fringe epsilon pi / (4 alpha) overflows
 ])
 def test_out_of_range_input_exits_2_with_one_line(args):
     proc = subprocess.run(

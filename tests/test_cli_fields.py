@@ -10,6 +10,7 @@ import contextlib
 import io
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -93,9 +94,13 @@ def test_every_drawn_argument_list_ends_in_a_documented_exit_code(experiment, da
         verdicts.append(_verdict(field, value))
 
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = cli.main(argv)
     out, err = out.getvalue(), err.getvalue().splitlines()
+    # a warning would print before the one-line reason in a subprocess
+    assert [str(w.message) for w in caught] == [], argv
 
     # range errors come before budget errors, and both before any work
     if cli.EXIT_CONFIG in verdicts:

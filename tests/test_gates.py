@@ -351,3 +351,58 @@ def test_gate_rx_on_input_far_from_the_cats_is_a_gate_failure():
     for rng in (None, np.random.default_rng(0)):
         with pytest.raises(GateFailure, match="all branches have zero probability"):
             gate_rx(far, QubitEncoding(1.0), rng=rng)
+
+
+@pytest.mark.parametrize("leaked", [False, True], ids=["strict", "leaked"])
+def test_every_returned_state_is_already_merged(leaked):
+    enc_a, enc_b = QubitEncoding(1.5, 0), QubitEncoding(1.5, 1)
+    s = optics.tensor(encode(0.6, 0.8, enc_a), encode(1.0, 1.0j, enc_b))
+    if leaked:
+        s = optics.displace(s, 0, 0.03 + 0.02j).normalize()
+    outs = [teleport(s, enc_a, branch=b) for b in ("I", "II", "III", "IV", "FAIL")]
+    for seed in (None, *range(12)):
+        def rng():
+            return None if seed is None else np.random.default_rng(seed)
+        outs += [
+            teleport(s, enc_a, rng()),
+            gate_z(s, enc_a, rng()),
+            gate_rz(s, enc_a, 0.05, rng()),
+            gate_rx(s, enc_a, rng=rng()),
+            entangling_gate(s, enc_a, enc_b, 0.05, rng()),
+        ]
+    assert {o.success for o in outs} == {True, False}
+    for out in outs:
+        assert out.state.merge_terms() is out.state
+
+
+class _ScriptedRng:
+    """Stands in for a Generator in `measure.sample`: each draw takes the
+    next scripted index into the branch table."""
+
+    def __init__(self, *picks):
+        self.picks = iter(picks)
+
+    def choice(self, n, p):
+        return next(self.picks)
+
+
+# indices into the Bell table (I, II, III, IV, FAIL) and the gate_rx table
+# ((even, even), (odd, even), (even, odd), (odd, odd))
+_II, _I, _FAIL, _EVEN_ODD = 1, 0, 4, 2
+
+
+@pytest.mark.parametrize("gate, picks, repetitions", [
+    (lambda s, rng: gate_rz(s, QubitEncoding(1.0), 0.05, rng), (_II, _FAIL), 2),
+    # the cat projection counts as one repetition, as on success
+    (lambda s, rng: gate_rx(s, QubitEncoding(1.0), rng=rng), (_EVEN_ODD, _I, _FAIL), 3),
+    (lambda s, rng: entangling_gate(s, QubitEncoding(1.0, 0), QubitEncoding(1.0, 1), 0.05, rng),
+     (_II, _FAIL), 2),
+], ids=["gate_rz", "gate_rx", "entangling_gate"])
+def test_a_fail_inside_gate_z_counts_every_teleport_the_gate_ran(gate, picks, repetitions):
+    s = optics.tensor(encode(0.6, 0.8, QubitEncoding(1.0)), encode(1.0, 1.0j, QubitEncoding(1.0, 1)))
+    out = gate(s, _ScriptedRng(*picks))
+    assert not out.success and out.applied == "FAIL" and out.state is s
+    steps = [t for t in out.trace if t[0] in ("bell_measurement", "cat_projection")]
+    assert steps[-1][2] == "FAIL"
+    assert out.repetitions == len(steps) == repetitions
+    assert out.probability == pytest.approx(math.prod(t[3] for t in steps), rel=1e-14)

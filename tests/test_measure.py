@@ -403,8 +403,11 @@ def test_gate_rx_table_matches_sequential_projections_and_fock_oracle(monkeypatc
         s = CoherentSuperposition(rng.normal(size=k) + 1j * rng.normal(size=k), amps).normalize()
         built.clear()
         gates.gate_rx(s, gates.QubitEncoding(alpha))
-        (mixed, modes, recs), = [b for b in built if len(b[1]) == 2]
+        (joint, modes, recs), = [b for b in built if len(b[1]) == 2]
         mode, m = modes
+        # gate_rx mixes only the measured columns: rebuild the whole mixed state
+        theta = np.pi / (4 * alpha**2)
+        mixed = optics.beamsplitter(joint, optics.BeamSplitterSpec(mode, m, theta / 2))
         assert list(recs) == [("even", "even"), ("odd", "even"), ("even", "odd"), ("odd", "odd")]
         reference = _sequential_rx_table(mixed, mode, m, alpha)
         assert list(reference) == list(recs)
@@ -525,6 +528,19 @@ def test_fail_and_floored_branches_read_none(monkeypatch):
         assert recs[name].state is None
     fail = bell_outcomes(bell_cat(2.0, "i"), 0, 1)["FAIL"]
     assert fail.probability > 1e-4 and fail.state is None
+
+
+def test_bell_outcomes_constructs_no_state_until_a_branch_is_read(monkeypatch):
+    s = optics.tensor(gates.encode(0.6, 0.8, gates.QubitEncoding(2.0)), optics.bell_resource(2.0))
+    built = []
+    post_init = CoherentSuperposition.__post_init__
+    monkeypatch.setattr(
+        CoherentSuperposition, "__post_init__", lambda self: built.append(self) or post_init(self))
+    recs = bell_outcomes(s, 0, 1)
+    # the beam splitter and phase shift act on the measured columns only
+    assert built == []
+    assert recs["I"].state is not None
+    assert len(built) >= 1
 
 
 def test_sampled_teleport_builds_one_branch_state(monkeypatch):
