@@ -49,7 +49,7 @@ from .gates import (
     GateFailure,
     GateOutcome,
     QubitEncoding,
-    cnot_dressing_search,
+    cnot_dressing,
     decode,
     decode_two,
     encode,

@@ -79,11 +79,6 @@ class FockVector:
     def norm_squared(self) -> float:
         return float(np.sum(np.abs(self.data) ** 2))
 
-    def tail_mass(self) -> float:
-        """1 - norm^2: population lost to truncation for a state converted
-        from a normalized CoherentSuperposition."""
-        return 1.0 - self.norm_squared()
-
 
 def _coherent_columns(amps: np.ndarray, n_max: int) -> np.ndarray:
     """<n|alpha> for n = 0..n_max along a new last axis, for every

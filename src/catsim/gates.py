@@ -35,7 +35,7 @@ __all__ = [
     "gate_rx",
     "entangling_gate",
     "process_fidelity",
-    "cnot_dressing_search",
+    "cnot_dressing",
 ]
 
 MAX_REPEATS = 64
@@ -364,38 +364,25 @@ def _spanning_inputs(d: int) -> list[np.ndarray]:
     return inputs
 
 
-def process_fidelity(
-    channel: Callable[[np.ndarray], np.ndarray],
-    target: np.ndarray,
-    inputs: Optional[list[np.ndarray]] = None,
-) -> float:
-    """Process fidelity |Tr(U^dag A)|^2 / (d Tr(A^dag A)) of the linear map
-    A reconstructed from channel outputs on a spanning input set against
-    the target unitary U.  Exactly 1.0 when the channel equals the target
-    up to a global phase and scale."""
-    target = np.asarray(target, dtype=complex)
-    d = target.shape[0]
-    if inputs is None:
-        inputs = _spanning_inputs(d)
-    vin = np.column_stack(inputs)
-    if np.linalg.matrix_rank(vin) < d:
-        raise ValueError("input set does not span the logical space")
-    vout = np.column_stack([np.asarray(channel(v), dtype=complex) for v in inputs])
-    a, *_ = np.linalg.lstsq(vin.T, vout.T, rcond=None)
-    a = a.T
-    denom = d * float(np.real(np.trace(a.conj().T @ a)))
+def _map_fidelity(a: np.ndarray, target: np.ndarray) -> float:
+    """|Tr(U^dag A)|^2 / (d Tr(A^dag A)) of the linear map A against the
+    target unitary U: 1.0 exactly when A is U up to a global phase and scale."""
+    denom = target.shape[0] * float(np.real(np.trace(a.conj().T @ a)))
     return abs(np.trace(target.conj().T @ a)) ** 2 / denom
 
 
-def _su2(params: np.ndarray) -> np.ndarray:
-    """Single-qubit unitary from three Euler angles (global phase dropped)."""
-    t, p, l = params
-    return np.array(
-        [
-            [np.cos(t / 2), -np.exp(1j * l) * np.sin(t / 2)],
-            [np.exp(1j * p) * np.sin(t / 2), np.exp(1j * (p + l)) * np.cos(t / 2)],
-        ]
-    )
+def process_fidelity(
+    channel: Callable[[np.ndarray], np.ndarray], target: np.ndarray
+) -> float:
+    """Process fidelity of the linear map A reconstructed from channel
+    outputs on a spanning input set against the target unitary U (see
+    `_map_fidelity`)."""
+    target = np.asarray(target, dtype=complex)
+    inputs = _spanning_inputs(target.shape[0])
+    vin = np.column_stack(inputs)
+    vout = np.column_stack([np.asarray(channel(v), dtype=complex) for v in inputs])
+    a, *_ = np.linalg.lstsq(vin.T, vout.T, rcond=None)
+    return _map_fidelity(a.T, target)
 
 
 CNOT = np.array(
@@ -403,31 +390,21 @@ CNOT = np.array(
 )
 
 
-def cnot_dressing_search(
-    gate: np.ndarray, restarts: int = 8, seed: int = 7
-) -> tuple[float, np.ndarray]:
-    """Find local rotations (V1 x V2) gate (U1 x U2) maximizing process
-    fidelity with CNOT.  Returns (best fidelity, best 12-parameter vector
-    [V1, V2, U1, U2 Euler angles])."""
-    from scipy.optimize import minimize
+def cnot_dressing(gate: np.ndarray) -> tuple[float, np.ndarray]:
+    """Closed-form local dressing of a two-qubit gate onto CNOT.
 
+    Precondition: `gate` is diagonal in the logical basis up to leakage,
+    as the accumulated `entangling_gate` is.  With phases phi_ij of its
+    diagonal, P = diag(1, e^{i(phi00-phi10)}) x diag(1, e^{i(phi00-phi01)})
+    leaves gate P = e^{i phi00} diag(1, 1, 1, e^{i chi}), chi = phi00 +
+    phi11 - phi01 - phi10, and dressed = (I x H) gate P (I x H) is CNOT
+    when chi = pi.  Away from chi = pi this is not the optimum over all
+    local dressings.  Returns (process fidelity against CNOT, dressed)."""
     gate = np.asarray(gate, dtype=complex)
-
-    def dressed(params: np.ndarray) -> np.ndarray:
-        v = np.kron(_su2(params[0:3]), _su2(params[3:6]))
-        u = np.kron(_su2(params[6:9]), _su2(params[9:12]))
-        return v @ gate @ u
-
-    def neg_fid(params: np.ndarray) -> float:
-        m = dressed(params)
-        denom = 4 * np.real(np.trace(m.conj().T @ m))
-        return -abs(np.trace(CNOT.conj().T @ m)) ** 2 / denom
-
-    rng = np.random.default_rng(seed)
-    best_val, best_x = np.inf, None
-    for _ in range(restarts):
-        x0 = rng.uniform(0, 2 * np.pi, size=12)
-        res = minimize(neg_fid, x0, method="L-BFGS-B")
-        if res.fun < best_val:
-            best_val, best_x = res.fun, res.x
-    return -best_val, best_x
+    if gate.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 two-qubit gate, got shape {gate.shape}")
+    phi = np.angle(np.diag(gate))
+    p = np.kron([1, np.exp(1j * (phi[0] - phi[2]))], [1, np.exp(1j * (phi[0] - phi[1]))])
+    i_h = np.kron(np.eye(2), [[1, 1], [1, -1]]) / np.sqrt(2)
+    dressed = i_h @ gate @ np.diag(p) @ i_h
+    return _map_fidelity(dressed, CNOT), dressed

@@ -85,9 +85,6 @@ class MeasurementRecord:
     probability: float
     state: Optional[CoherentSuperposition] = _BuiltOnFirstRead()
 
-    def to_row(self) -> str:
-        return f"{self.kind}\t{self.outcome}\t{self.probability:.17g}"
-
 
 def _branch_state(coeffs, w, n2, rest) -> CoherentSuperposition:
     return CoherentSuperposition(coeffs * w / np.sqrt(n2), rest).merge_terms()

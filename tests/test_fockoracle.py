@@ -26,7 +26,7 @@ def test_vacuum_is_unit_vector():
 
 def test_coherent_tail_mass():
     v = to_fock(coherent(2.0), 44)
-    assert v.tail_mass() < 1e-12
+    assert 1.0 - v.norm_squared() < 1e-12
 
 
 def test_even_cat_parity_structure():

@@ -8,7 +8,7 @@ from catsim.gates import (
     CNOT,
     GateFailure,
     QubitEncoding,
-    cnot_dressing_search,
+    cnot_dressing,
     decode,
     decode_two,
     encode,
@@ -199,7 +199,7 @@ def test_dressed_cnot_fidelity():
         return x
 
     gate = reconstruct_two_qubit(channel)
-    fid, _ = cnot_dressing_search(gate)
+    fid, _ = cnot_dressing(gate)
     assert fid >= 0.999
 
 
@@ -236,6 +236,31 @@ def test_process_fidelity_trivial_cases():
     assert process_fidelity(lambda v: 0.3j * (u @ v), u) == pytest.approx(1.0, abs=1e-12)
     assert process_fidelity(lambda v: v, u) == pytest.approx(0.0, abs=1e-12)
     assert CNOT.shape == (4, 4)
+
+
+def _locally_phased_diag(chi: float, rng: np.random.Generator) -> np.ndarray:
+    """diag(1, 1, 1, e^{i chi}) times random local Z phases and a global phase."""
+    a, b, g = rng.uniform(0, 2 * np.pi, size=3)
+    local = np.kron([1, np.exp(1j * a)], [1, np.exp(1j * b)])
+    return np.exp(1j * g) * np.diag(local * [1, 1, 1, np.exp(1j * chi)])
+
+
+def test_cnot_dressing_closed_form_on_diagonal_gates():
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        fid, dressed = cnot_dressing(_locally_phased_diag(np.pi, rng))
+        assert fid == pytest.approx(1.0, abs=1e-12)
+        phase = dressed[0, 0]
+        assert abs(phase) == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(dressed, phase * CNOT, atol=1e-12)
+        for chi in (0.5, 2.0):
+            fid, _ = cnot_dressing(_locally_phased_diag(chi, rng))
+            assert fid == pytest.approx((10 - 6 * np.cos(chi)) / 16, abs=1e-12)
+
+
+def test_cnot_dressing_rejects_non_two_qubit_shapes():
+    with pytest.raises(ValueError):
+        cnot_dressing(np.eye(3))
 
 
 def test_gate_outcome_trace_records():

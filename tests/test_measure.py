@@ -137,15 +137,6 @@ def test_homodyne_condition_and_sample():
     assert sampled.state.modes == 1
 
 
-def test_record_row_format():
-    rec = project_photon_number(coherent(1.0), 0, 0)
-    row = rec.to_row()
-    kind, outcome, prob = row.split("\t")
-    assert kind == "photon_count" and outcome == "0"
-    assert float(prob) == rec.probability
-    assert len(prob) >= 17
-
-
 def test_bell_outcomes_classify_bell_cats():
     for kind, name in zip(("i", "ii", "iii", "iv"), ("I", "II", "III", "IV")):
         recs = bell_outcomes(bell_cat(2.0, kind), 0, 1)
