@@ -293,6 +293,20 @@ def test_gate_check_properties_pass(capsys):
         assert float(fields[4]) < 1e-6  # entangling step phase error
 
 
+def test_import_does_not_load_scipy_special():
+    import catsim
+
+    src = Path(catsim.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, catsim; sys.exit('scipy.special' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_import_loads_no_scipy():
     import catsim
 
