@@ -263,7 +263,7 @@ def run_weak_force(cfg: dict, seed: int) -> tuple[list[str], list[list], list[tu
             raise ConfigError(f"alpha = {alpha}, epsilon = {eps}, n = {n}: {exc}") from exc
         rows.append([
             alpha, n, rep.n_tot, rep.qfi, rep.epsilon_min, eps,
-            metrology.classical_snr(alpha, eps), cfg["trials"],
+            metrology.classical_snr(eps), cfg["trials"],
             rep.estimate_mean, rep.estimate_var, rep.crb_var, rep.saturation,
         ])
     return columns, rows, []

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .optics import _mix
-from .states import CoherentSuperposition, ZeroNormError, _overlap_matrix, coherent_overlap
+from .states import CoherentSuperposition, ZeroNormError, _gram_forms, coherent_overlap
 
 __all__ = [
     "MeasurementRecord",
@@ -94,11 +94,12 @@ def _table(kind: str, s: CoherentSuperposition, modes: list[int], rows: list[tup
     """Branch table {outcome: MeasurementRecord} of measuring `modes` of `s`.
     Row (outcome, factor, weights, keep) has probability factor times the
     squared norm of the unmerged branch (per-term contraction `weights`),
-    all rows from one `_branch_norms` call.  A kept branch above PROB_FLOOR
-    carries its normalized, merged state, built on the record's first read;
-    the others carry None."""
-    norms = _branch_norms(s, modes, np.array([w for _, _, w, _ in rows]))
+    all rows from one `_gram_forms` call on the remaining modes.  A kept
+    branch above PROB_FLOOR carries its normalized, merged state, built on
+    the record's first read; the others carry None."""
     rest = np.delete(s.amps, modes, axis=1)
+    v = np.array([w for _, _, w, _ in rows]) * s.coeffs
+    norms = _gram_forms(rest, v, rest, v).real
     table = {}
     for (outcome, factor, w, keep), n2 in zip(rows, norms):
         p = float(factor * n2)
@@ -163,11 +164,11 @@ def default_nmax(amp_scale: float) -> int:
 
 def _branch_norms(s: CoherentSuperposition, modes: list[int], weights: np.ndarray) -> np.ndarray:
     """Squared norm of the branch sum_k w_k c_k |rest_k> on the modes not in
-    `modes`, for every row w of a (..., K) stack of weights: one Gram matrix
-    G of the remaining modes, then v* G v with v = w * coeffs for each row."""
+    `modes`, for every row w of a (..., K) stack of weights: v* G v with
+    v = w * coeffs on the one Gram matrix G of the remaining modes."""
     rest = np.delete(s.amps, modes, axis=1)
     v = weights * s.coeffs
-    return np.einsum("...j,...j->...", v.conj() @ _overlap_matrix(rest, rest), v).real
+    return _gram_forms(rest, v, rest, v).real
 
 
 def photon_statistics(s: CoherentSuperposition, mode: int, n_max: int | None = None) -> np.ndarray:

@@ -3,8 +3,9 @@ for coherent-superposition probes, with closed-form sensitivity bounds and
 Monte Carlo maximum-likelihood estimation.
 
 Conventions (mirroring the protocols implemented):
-- A weak force acting for a fixed time displaces the probe by D(i eps);
-  the Hermitian generator of that displacement is G = a + a^dag.
+- A weak force acting for a fixed time displaces every probe mode by
+  D(i eps); the Hermitian generator of that displacement is
+  G = sum_m (a_m + a_m^dag).
 - The classical (coherent-probe) threshold uses the standard bound
   (d eps)^2 >= 1/(4 Var G), giving eps_SQL = 1/2; the cat-probe reports
   use the generator-variance bound (d eps)^2 >= 1/Var(G), the convention
@@ -22,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import measure, optics
-from .states import CoherentSuperposition, _overlap_matrix, cat, ghz_cat
+from .states import CoherentSuperposition, _gram_forms, cat, ghz_cat
 
 __all__ = [
     "SensitivityReport",
@@ -32,7 +33,6 @@ __all__ = [
     "displaced_cat",
     "mean_photon_number",
     "qfi_displacement",
-    "displacement_information",
     "sensitivity_bound",
     "classical_report",
     "weak_force_readout_probability",
@@ -83,10 +83,10 @@ class FringeScan:
     spacing_length: float
 
 
-def classical_snr(alpha0: float, epsilon: float) -> float:
+def classical_snr(epsilon: float) -> float:
     """Homodyne signal-to-noise for displacement D(i eps) on a coherent
-    probe |alpha0>: mean quadrature shift sqrt(2) eps over sigma 1/sqrt(2),
-    independent of alpha0."""
+    probe: mean quadrature shift sqrt(2) eps over sigma 1/sqrt(2), the same
+    at every probe amplitude."""
     return 2.0 * float(epsilon)
 
 
@@ -100,52 +100,30 @@ def displaced_cat(alpha: float, epsilon: float) -> CoherentSuperposition:
     return optics.displace(cat(alpha, +1), 0, 1j * epsilon)
 
 
-def _pair_moments(s: CoherentSuperposition, w: complex) -> tuple[complex, complex]:
-    """(<G>, <G^2>) for the collective displacement generator
-    G = -i sum_m (w a_m^dag - w* a_m) on the normalized state."""
-    w = complex(w)
-    o = _overlap_matrix(s.amps, s.amps)
-    beta_c = np.conj(s.amps[:, None, :])  # bra amplitudes, (j, 1, m)
-    gamma = s.amps[None, :, :]  # ket amplitudes, (1, k, m)
-    g = -1j * (w * beta_c - np.conj(w) * gamma)  # per-mode <G_m>
-    h = (
-        -(w**2) * beta_c**2
-        + abs(w) ** 2 * (2 * beta_c * gamma + 1)
-        - np.conj(w) ** 2 * gamma**2
-    )  # per-mode <G_m^2>
-    g_sum = np.sum(g, axis=2)
-    g2 = np.sum(h, axis=2) + g_sum**2 - np.sum(g**2, axis=2)
-    c = s.coeffs
-    norm2 = np.real(np.conj(c) @ o @ c)
-    mean_g = (np.conj(c) @ (o * g_sum) @ c) / norm2
-    mean_g2 = (np.conj(c) @ (o * g2) @ c) / norm2
-    return complex(mean_g), complex(mean_g2)
-
-
-def qfi_displacement(s: CoherentSuperposition, direction: complex = 1j) -> float:
+def qfi_displacement(s: CoherentSuperposition) -> float:
     """Quantum Fisher information 4 Var(G) of the pure state for the
-    collective displacement D(eps * direction) applied to every mode,
-    |direction| = 1.  For direction = i the generator is G = a + a^dag."""
-    d = complex(direction)
-    if not math.isclose(abs(d), 1.0, rel_tol=1e-12):
-        raise ValueError("direction must have unit magnitude")
-    mean_g, mean_g2 = _pair_moments(s, d)
-    return float(4.0 * (mean_g2.real - mean_g.real**2))
+    collective displacement D(i eps) of every mode, G = sum_m (a_m + a_m^dag).
 
-
-def displacement_information(s: CoherentSuperposition, direction: complex = 1j) -> float:
-    """Generator-variance information Var(G) = qfi/4: the bound convention
-    used in cat-probe sensitivity reports."""
-    return qfi_displacement(s, direction) / 4.0
+    With S_j = sum_m a_jm, a term pair has <a_j|G|a_k> = O_jk (conj(S_j) + S_k)
+    and <a_j|G^2|a_k> = O_jk ((conj(S_j) + S_k)^2 + M), so both moments are
+    forms F(u, v) = u* O v: n = F(c, c), <G> = 2 Re F(Sc, c) / n and
+    <G^2> = (2 Re F(S^2 c, c) + 2 F(Sc, Sc)) / n + M."""
+    total = np.sum(s.amps, axis=1)  # S_j
+    c, sc = s.coeffs, total * s.coeffs
+    left, right = np.stack([c, sc, total * sc, sc]), np.stack([c, c, c, sc])
+    n, f1, f2, f11 = _gram_forms(s.amps, left, s.amps, right).real
+    mean_g = 2.0 * f1 / n
+    mean_g2 = 2.0 * (f2 + f11) / n + s.modes
+    return float(4.0 * (mean_g2 - mean_g**2))
 
 
 def mean_photon_number(s: CoherentSuperposition) -> float:
-    """Exact total <n> over all modes (no orthogonality approximation)."""
-    o = _overlap_matrix(s.amps, s.amps)
-    m = np.sum(np.conj(s.amps[:, None, :]) * s.amps[None, :, :], axis=2)
-    c = s.coeffs
-    norm2 = np.real(np.conj(c) @ o @ c)
-    return float(np.real(np.conj(c) @ (o * m) @ c) / norm2)
+    """Exact total <n> over all modes (no orthogonality approximation): one
+    form on the rows [c, a_1 c, ..., a_M c], whose first value is the norm
+    and whose others sum to norm * <n>."""
+    rows = np.vstack([s.coeffs, (s.amps * s.coeffs[:, None]).T])
+    forms = _gram_forms(s.amps, rows, s.amps, rows).real
+    return float(np.sum(forms[1:]) / forms[0])
 
 
 def sensitivity_bound(alpha: float, n_modes: int) -> SensitivityReport:
@@ -154,7 +132,7 @@ def sensitivity_bound(alpha: float, n_modes: int) -> SensitivityReport:
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
     probe = ghz_cat(alpha, n_modes)
-    info = displacement_information(probe)
+    info = qfi_displacement(probe) / 4.0
     regime = "single_cat" if n_modes == 1 else "multimode_cat"
     return SensitivityReport(
         regime=regime,
@@ -176,7 +154,7 @@ def classical_report(epsilon: float) -> SensitivityReport:
         n_tot=0.0,
         qfi=4.0,
         epsilon_min=sql_threshold(),
-        snr=classical_snr(0.0, epsilon),
+        snr=classical_snr(epsilon),
         epsilon=float(epsilon),
     )
 
@@ -244,7 +222,7 @@ def weak_force_experiment(
         n_tot=bound.n_tot,
         qfi=bound.qfi,
         epsilon_min=bound.epsilon_min,
-        snr=classical_snr(alpha, epsilon),
+        snr=classical_snr(epsilon),
         epsilon=float(epsilon),
         trials=trials,
         batches=batches,
@@ -268,31 +246,26 @@ def ramsey_probability(theta: float, n_systems: int, entangled: bool) -> float:
     return float(math.cos(mult * theta) ** 2)
 
 
-def binary_fisher_information(
-    pfun: Callable[[float], float], theta: float, step: float = 1e-4
-) -> float:
+def binary_fisher_information(pfun: Callable[[float], float], theta: float) -> float:
     """Fisher information p'(theta)^2 / [p (1-p)] of a binary outcome with
     probability pfun(theta), using a fourth-order centered finite
-    difference for the derivative."""
+    difference of step 1e-4 for the derivative."""
     p = pfun(theta)
     if not 0.0 < p < 1.0:
         raise ValueError("Fisher information undefined at a deterministic point")
+    h = 1e-4
     dp = (
-        8.0 * (pfun(theta + step) - pfun(theta - step))
-        - (pfun(theta + 2 * step) - pfun(theta - 2 * step))
-    ) / (12.0 * step)
+        8.0 * (pfun(theta + h) - pfun(theta - h))
+        - (pfun(theta + 2 * h) - pfun(theta - 2 * h))
+    ) / (12.0 * h)
     return dp * dp / (p * (1.0 - p))
 
 
-def ramsey_fisher(
-    theta: float, n_systems: int, entangled: bool, step: float = 1e-4
-) -> float:
+def ramsey_fisher(theta: float, n_systems: int, entangled: bool) -> float:
     """Total Fisher information of one N-system Ramsey run: the entangled
     strategy uses one collective shot (4 N^2 away from fringe extrema),
     the product strategy N independent shots (4 N)."""
-    fi = binary_fisher_information(
-        lambda t: ramsey_probability(t, n_systems, entangled), theta, step
-    )
+    fi = binary_fisher_information(lambda t: ramsey_probability(t, n_systems, entangled), theta)
     return fi if entangled else n_systems * fi
 
 

@@ -2,8 +2,10 @@
 
 A state is a sum of K terms, each a complex coefficient times a product
 of M coherent states |a_1,...,a_M>.  Coherent states are not orthogonal,
-so every norm and inner product goes through the full K x K Gram matrix
-of pairwise overlaps; no orthogonality approximation is made anywhere.
+so every norm, inner product, branch probability and metrology moment is
+one `_gram_forms` call: quadratic forms on the full Gram matrix of
+pairwise overlaps, built once per call.  No orthogonality approximation
+is made anywhere.
 """
 
 from __future__ import annotations
@@ -71,6 +73,15 @@ def _overlap_matrix(amps_x: np.ndarray, amps_y: np.ndarray) -> np.ndarray:
     return np.exp(out, out=out)
 
 
+def _gram_forms(
+    x_amps: np.ndarray, left: np.ndarray, y_amps: np.ndarray, right: np.ndarray
+) -> np.ndarray:
+    """sum_jk conj(left[..., j]) O[j, k] right[..., k] for every row of the
+    (..., K) stacks `left` and `right`, from the one overlap matrix
+    O = _overlap_matrix(x_amps, y_amps)."""
+    return np.einsum("...j,...j->...", left.conj() @ _overlap_matrix(x_amps, y_amps), right)
+
+
 @dataclass(frozen=True)
 class CoherentSuperposition:
     """Immutable K-term, M-mode superposition sum_k c_k |a_k1,...,a_kM>.
@@ -112,9 +123,7 @@ class CoherentSuperposition:
             raise IndexError(f"mode {mode} out of range for {self.modes}-mode state")
 
     def norm_squared(self) -> float:
-        g = gram_matrix(self)
-        val = np.conj(self.coeffs) @ g @ self.coeffs
-        return float(val.real)
+        return float(_gram_forms(self.amps, self.coeffs, self.amps, self.coeffs).real)
 
     def normalize(self) -> "CoherentSuperposition":
         n2 = self.norm_squared()
@@ -187,8 +196,7 @@ def inner_product(x: CoherentSuperposition, y: CoherentSuperposition) -> complex
     """<x|y> via the full cross-Gram sum (no orthogonality assumption)."""
     if x.modes != y.modes:
         raise ValueError(f"mode-count mismatch: {x.modes} vs {y.modes}")
-    ov = _overlap_matrix(x.amps, y.amps)
-    return complex(np.conj(x.coeffs) @ ov @ y.coeffs)
+    return complex(_gram_forms(x.amps, x.coeffs, y.amps, y.coeffs))
 
 
 def fidelity(x: CoherentSuperposition, y: CoherentSuperposition) -> float:

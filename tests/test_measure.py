@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from catsim import fockoracle as fo
-from catsim import gates, measure, optics, states
+from catsim import gates, measure, metrology, optics, states
 from catsim.audit import DIST_TOL, FIDELITY_TOL
 from catsim.measure import (
     MeasurementRecord,
@@ -418,16 +418,24 @@ def test_gate_rx_table_matches_sequential_projections_and_fock_oracle(monkeypatc
     (bell_cat_outcomes, lambda: (optics.tensor(cat(1.5, -1), bell_cat(1.5, "i")), 0, 1, 1.5)),
     (parity_projection, lambda: (optics.tensor(cat(1.5, +1), coherent(0.5, 1.5)), 0)),
     (cat_projection, lambda: (optics.tensor(coherent(0.3), cat(1.5, -1)), 1, 1.5, -1)),
-], ids=["bell_outcomes", "bell_cat_outcomes", "parity_projection", "cat_projection"])
+    (photon_statistics, lambda: (optics.tensor(cat(1.5, +1), coherent(0.5, 1.5)), 0)),
+    (homodyne_pdf, lambda: (bell_cat(1.5, "iii"), 1, np.linspace(-4.0, 4.0, 33))),
+    (CoherentSuperposition.norm_squared, lambda: (bell_cat(1.5, "iv"),)),
+    (states.inner_product, lambda: (bell_cat(1.5, "i"), optics.tensor(cat(1.5, +1), coherent(0.5)))),
+    (metrology.qfi_displacement, lambda: (states.ghz_cat(2.0, 3),)),
+    (metrology.mean_photon_number, lambda: (optics.tensor(cat(1.5, -1), coherent(0.5, 1j)),)),
+], ids=["bell_outcomes", "bell_cat_outcomes", "parity_projection", "cat_projection",
+        "photon_statistics", "homodyne_pdf", "norm_squared", "inner_product",
+        "qfi_displacement", "mean_photon_number"])
 def test_each_table_builds_one_gram_matrix(monkeypatch, measure_fn, make_args):
     args = make_args()
     calls = []
-    overlap = measure._overlap_matrix
-    # counted in both modules, so a per-branch norm_squared() would show too
-    for module in (measure, states):
-        monkeypatch.setattr(
-            module, "_overlap_matrix", lambda x, y: calls.append(x.shape) or overlap(x, y)
-        )
+    overlap = states._overlap_matrix
+    # only `states` binds the overlap kernel, so a second Gram matrix (say a
+    # per-branch norm_squared()) or a by-name import elsewhere shows here
+    monkeypatch.setattr(
+        states, "_overlap_matrix", lambda x, y: calls.append(x.shape) or overlap(x, y)
+    )
     measure_fn(*args)
     assert len(calls) == 1
 

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from catsim.fockoracle import to_fock
+from catsim.measure import default_nmax
 from catsim.metrology import (
     binary_fisher_information,
     classical_report,
     classical_snr,
     displaced_cat,
-    displacement_information,
     mean_photon_number,
     qfi_displacement,
     quantum_ruler,
@@ -21,11 +21,11 @@ from catsim.metrology import (
     weak_force_experiment,
     weak_force_readout_probability,
 )
-from catsim.states import cat, coherent, fidelity, ghz_cat
+from catsim.states import CoherentSuperposition, cat, coherent, fidelity, ghz_cat
 
 
 def test_classical_reference():
-    assert classical_snr(3.0, 0.01) == pytest.approx(0.02)
+    assert classical_snr(0.01) == pytest.approx(0.02)
     assert sql_threshold() == 0.5
     rep = classical_report(0.01)
     assert rep.qfi == 4.0 and rep.epsilon_min == 0.5
@@ -68,6 +68,34 @@ def test_qfi_matches_fock_oracle():
     assert got == pytest.approx(4 * (1 + 4 * alpha**2), rel=5e-3)
 
 
+def _on_mode(op: np.ndarray, v: np.ndarray, mode: int) -> np.ndarray:
+    """A d x d operator acting on axis `mode` of a number-basis tensor."""
+    return np.moveaxis(np.tensordot(op, v, axes=([1], [mode])), 0, mode)
+
+
+def test_multimode_moments_match_fock_oracle_on_random_states():
+    # oracle: 4 Var(sum_m (a_m + a_m^dag)) and <sum_m a_m^dag a_m> on the
+    # number-basis vector of seeded random states (K <= 6, M <= 2, |a| <= 1.5)
+    rng = np.random.default_rng(20261018)
+    nmax = default_nmax(1.5)
+    n = np.arange(nmax + 1)
+    a_mat = np.zeros((nmax + 1, nmax + 1))
+    a_mat[n[:-1], n[1:]] = np.sqrt(n[1:])
+    for _ in range(40):
+        k, m = rng.integers(1, 7), rng.integers(1, 3)
+        amps = 1.5 * np.sqrt(rng.random((k, m))) * np.exp(2j * np.pi * rng.random((k, m)))
+        coeffs = rng.normal(size=k) + 1j * rng.normal(size=k)
+        s = CoherentSuperposition(coeffs, amps)
+        v = to_fock(s, nmax).data
+        norm2 = np.vdot(v, v).real
+        gv = sum(_on_mode(a_mat + a_mat.T, v, j) for j in range(m))
+        mean_g = np.vdot(v, gv).real / norm2
+        mean_g2 = np.vdot(gv, gv).real / norm2
+        assert qfi_displacement(s) == pytest.approx(4 * (mean_g2 - mean_g**2), rel=1e-9)
+        mean_n = sum(np.linalg.norm(_on_mode(a_mat, v, j)) ** 2 for j in range(m)) / norm2
+        assert mean_photon_number(s) == pytest.approx(mean_n, rel=1e-9)
+
+
 def test_multimode_scaling_exact():
     alpha = 4.0
     base = sensitivity_bound(alpha, 1)
@@ -80,7 +108,7 @@ def test_multimode_scaling_exact():
         # closed-form bound 1/sqrt(N [1 + 4 n_tot])
         formula = 1.0 / math.sqrt(n * (1 + 4 * rep.n_tot))
         assert rep.epsilon_min == pytest.approx(formula, rel=1e-2)
-    assert displacement_information(ghz_cat(alpha, 4)) == pytest.approx(
+    assert qfi_displacement(ghz_cat(alpha, 4)) / 4 == pytest.approx(
         4 * sensitivity_bound(alpha, 4).qfi / 4, rel=1e-12
     )
     with pytest.raises(ValueError):
