@@ -187,9 +187,7 @@ def teleport(
     m = s.modes
     # strict {+a,-a} inputs get the exact photon-counting classifier;
     # leaked inputs get the idealized Bell-cat projection that cleans them
-    a = s.amps[:, enc.mode]
-    resid = np.abs(a - measure._nearest_signs(a, enc.alpha) * enc.alpha)
-    leaked = bool(np.max(resid) > 1e-9 * (1 + enc.alpha))
+    _, leaked = measure._support(s.amps[:, enc.mode], enc.alpha)
     if leaked:
         branches = measure.bell_cat_outcomes(joint, enc.mode, m, enc.alpha)
     else:
@@ -237,6 +235,18 @@ def _undo_z(
     return step if step.success else replace(step, state=s)
 
 
+def _warn_outside_regime(theta: float, alpha: float) -> None:
+    """Warn the caller of a teleported gate whose theta^2 alpha^2 exceeds
+    MAX_THETA2_ALPHA2."""
+    t2a2 = theta**2 * alpha**2
+    if t2a2 > MAX_THETA2_ALPHA2:
+        warnings.warn(
+            f"theta^2 alpha^2 = {t2a2:.3g} > {MAX_THETA2_ALPHA2}: gate is far from its "
+            "near-deterministic regime",
+            stacklevel=3,
+        )
+
+
 def gate_rz(
     s: CoherentSuperposition,
     enc: QubitEncoding,
@@ -247,13 +257,7 @@ def gate_rz(
     teleport back into the logical space.  A Z residual from the teleport
     is undone with the Z gate, so the net effect is always the rotation.
     """
-    t2a2 = theta**2 * enc.alpha**2
-    if t2a2 > MAX_THETA2_ALPHA2:
-        warnings.warn(
-            f"theta^2 alpha^2 = {t2a2:.3g} > {MAX_THETA2_ALPHA2}: gate is far from its "
-            "near-deterministic regime",
-            stacklevel=2,
-        )
+    _warn_outside_regime(theta, enc.alpha)
     displaced = optics.displace(s, enc.mode, 1j * enc.alpha * theta)
     trace = (_traced("displace", f"beta={1j * enc.alpha * theta:.6g}", "-", 1.0),)
     done = GateOutcome(displaced, True, "identity", 1.0, 0, trace)
@@ -337,9 +341,7 @@ def entangling_gate(
     """
     if enc_a.mode == enc_b.mode:
         raise ValueError("the two qubits must occupy distinct modes")
-    t2a2 = theta**2 * max(enc_a.alpha, enc_b.alpha) ** 2
-    if t2a2 > MAX_THETA2_ALPHA2:
-        warnings.warn(f"theta^2 alpha^2 = {t2a2:.3g} > {MAX_THETA2_ALPHA2} per step", stacklevel=2)
+    _warn_outside_regime(theta, max(enc_a.alpha, enc_b.alpha))
     # each of the two teleport projections contributes half the phase
     mixed = optics.beamsplitter(s, optics.BeamSplitterSpec(enc_a.mode, enc_b.mode, theta / 2.0))
     trace = (_traced("beamsplitter", f"theta={theta / 2.0:.6g}", "-", 1.0),)

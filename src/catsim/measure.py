@@ -20,7 +20,6 @@ from typing import Optional
 
 import numpy as np
 
-from .optics import _mix
 from .states import CoherentSuperposition, ZeroNormError, _gram_forms, coherent_overlap
 
 __all__ = [
@@ -198,14 +197,21 @@ def _nearest_signs(amps: np.ndarray, ref: complex) -> np.ndarray:
     return np.where(np.abs(amps - ref) <= np.abs(amps + ref), 1.0, -1.0)
 
 
-def _signs_against_reference(amps: np.ndarray, tol: float = 1e-9) -> tuple[complex, np.ndarray]:
+def _support(amps: np.ndarray, ref: complex) -> tuple[np.ndarray, bool]:
+    """(signs, off): the `_nearest_signs` of the amplitudes against `ref`,
+    and whether any amplitude lies farther than 1e-9 (1 + |ref|) from
+    signs * ref, i.e. off the support {+ref, -ref}."""
+    signs = _nearest_signs(amps, ref)
+    return signs, bool(np.max(np.abs(amps - signs * ref)) > 1e-9 * (1 + abs(ref)))
+
+
+def _signs_against_reference(amps: np.ndarray) -> tuple[complex, np.ndarray]:
     """For amplitudes all in {+a, -a}, return (a, signs); a may be 0."""
     ref = amps[np.argmax(np.abs(amps))]
     if abs(ref) == 0.0:
         return 0.0, np.ones(len(amps))
-    signs = _nearest_signs(amps, ref)
-    resid = np.max(np.abs(amps - signs * ref))
-    if resid > tol * (1 + abs(ref)):
+    signs, off = _support(amps, ref)
+    if off:
         raise UnsupportedStateError(
             "mode amplitudes are not supported on {+a, -a} for a common a"
         )
@@ -213,11 +219,15 @@ def _signs_against_reference(amps: np.ndarray, tol: float = 1e-9) -> tuple[compl
 
 
 def _parity_class_weights(amp_mag2: float) -> tuple[float, float, float]:
-    """(P_zero, P_even_nonzero, P_odd) photon-sum factors for |a|^2."""
-    z0 = math.exp(-amp_mag2)
-    even = z0 * math.cosh(amp_mag2)
-    odd = z0 * math.sinh(amp_mag2)
-    return z0, even - z0, odd
+    """(P_zero, P_even_nonzero, P_odd) photon-sum factors for x = |a|^2:
+    e^{-x}, e^{-x} cosh x - e^{-x} = (1 - e^{-x})^2 / 2 and e^{-x} sinh x =
+    (1 - e^{-2x}) / 2, written with expm1 so that no large x overflows and
+    no small x cancels."""
+    return (
+        math.exp(-amp_mag2),
+        0.5 * math.expm1(-amp_mag2) ** 2,
+        -0.5 * math.expm1(-2 * amp_mag2),
+    )
 
 
 def parity_projection(s: CoherentSuperposition, mode: int) -> dict[str, MeasurementRecord]:
@@ -314,17 +324,6 @@ def homodyne_sample(
 # ---------------------------------------------------------------------------
 # Bell-cat measurement
 
-def _group_signs(amps: np.ndarray, mask: np.ndarray) -> tuple[complex, np.ndarray]:
-    """Signs of the masked amplitudes against their common reference;
-    entries outside the mask get sign 1 and are not validated."""
-    signs = np.ones(len(amps))
-    if not np.any(mask):
-        return 0.0, signs
-    ref, group = _signs_against_reference(amps[mask])
-    signs[mask] = group
-    return ref, signs
-
-
 def bell_outcomes(
     s: CoherentSuperposition, mode_a: int, mode_b: int
 ) -> dict[str, MeasurementRecord]:
@@ -334,36 +333,35 @@ def bell_outcomes(
     The Bell-state creation is run in reverse (compensating +pi/2 phase on
     mode_b, then B(-pi/4)), after which photon counting on the two output
     modes is classified as I=(even>0, 0), II=(odd, 0), III=(0, even>0),
-    IV=(0, odd) and FAIL=(0, 0).  The FAIL record carries no state.  Only
-    the two measured columns are transformed; the rest of `s` is kept.
-    """
+    IV=(0, odd) and FAIL=(0, 0).  The FAIL record carries no state.
+
+    The phase and beam splitter send |x, y> to |(x + y)/sqrt(2),
+    i(y - x)/sqrt(2)>, so a term with x = s_a a and y = s_b a leaves as
+    |sqrt(2) s_a a, 0> when s_a = s_b and as |0, -i sqrt(2) s_a a>
+    otherwise: all its photons reach one output, at amplitude sqrt(2) a up
+    to a phase common to the branch.  The classes are therefore read off
+    the input signs, each column scanned once, with no mixed amplitude
+    formed.  Counting n photons contributes s_a^n, so an even class weights
+    a term by 1 and an odd class by s_a, times the class factor at
+    |sqrt(2) a|^2 = 2 |a|^2.  Amplitudes off {+a, -a} for the a of mode_a
+    are refused."""
     s.check_mode(mode_a)
     s.check_mode(mode_b)
     if mode_a == mode_b:
         raise ValueError("Bell measurement needs two distinct modes")
-    _signs_against_reference(s.amps[:, mode_a])
-    _signs_against_reference(s.amps[:, mode_b])
-
-    u, v = _mix(s.amps[:, mode_a], s.amps[:, mode_b] * np.exp(1j * np.pi / 2), -np.pi / 4)
-    scale = max(np.max(np.abs(u)), np.max(np.abs(v)))
-    if scale == 0.0:
-        in_a = np.ones(s.nterms, dtype=bool)
-    else:
-        in_a = np.abs(u) > np.abs(v)
-        bad = np.minimum(np.abs(u), np.abs(v)) > 1e-9 * scale
-        if np.any(bad):
-            raise UnsupportedStateError("interfered state has photons in both output modes")
-
-    ref_u, signs_u = _group_signs(u, in_a)
-    ref_v, signs_v = _group_signs(v, ~in_a)
-    mag2 = abs(ref_u) ** 2 if abs(ref_u) > 0 else abs(ref_v) ** 2
-    z0, even_nz, odd = _parity_class_weights(mag2)
-
+    ref, signs_a = _signs_against_reference(s.amps[:, mode_a])
+    signs_b, off = _support(s.amps[:, mode_b], ref)
+    if off:
+        raise UnsupportedStateError(
+            "the two measured modes are not supported on {+a, -a} for a common a"
+        )
+    same = signs_a == signs_b
+    z0, even_nz, odd = _parity_class_weights(2 * abs(ref) ** 2)
     return _table("bell", s, [mode_a, mode_b], [
-        ("I", even_nz, in_a, True),
-        ("II", odd, in_a * signs_u, True),
-        ("III", even_nz, ~in_a, True),
-        ("IV", odd, ~in_a * signs_v, True),
+        ("I", even_nz, same, True),
+        ("II", odd, same * signs_a, True),
+        ("III", even_nz, ~same, True),
+        ("IV", odd, ~same * signs_a, True),
         ("FAIL", z0, np.ones(s.nterms), False),
     ])
 

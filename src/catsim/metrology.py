@@ -17,8 +17,8 @@ Conventions (mirroring the protocols implemented):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -215,13 +215,8 @@ def weak_force_experiment(
     crb_var = 1.0 / (trials * bound.qfi)
     est_var = float(np.var(eps_hat, ddof=1)) if batches > 1 else float("nan")
     saturation = crb_var / est_var if est_var > 0 else float("inf")
-    return SensitivityReport(
-        regime=bound.regime,
-        alpha=bound.alpha,
-        n_modes=n_modes,
-        n_tot=bound.n_tot,
-        qfi=bound.qfi,
-        epsilon_min=bound.epsilon_min,
+    return replace(
+        bound,
         snr=classical_snr(epsilon),
         epsilon=float(epsilon),
         trials=trials,
@@ -306,22 +301,20 @@ def _peak_positions(xs: np.ndarray, ys: np.ndarray) -> list[float]:
 def quantum_ruler(
     alpha: float,
     wavelength: float,
-    theta_max: Optional[float] = None,
     points: int = 2001,
 ) -> FringeScan:
     """Fringe scan of the cat-probe length ruler.
 
-    Scans the arm phase theta, converts to length via L = theta
-    wavelength / (2 pi), and extracts the fringe spacing by peak finding.
-    The spacing is wavelength/(2 alpha): alpha times below the classical
-    wavelength/2 stepping scale.
+    Scans the arm phase theta over [0, 3.4 pi / alpha], converts to length
+    via L = theta wavelength / (2 pi), and extracts the fringe spacing by
+    peak finding.  The spacing is wavelength/(2 alpha): alpha times below
+    the classical wavelength/2 stepping scale.
     """
     if alpha <= 0 or wavelength <= 0:
         raise ValueError("alpha and wavelength must be > 0")
     if points < 16:
         raise ValueError("points must be >= 16")
-    if theta_max is None:
-        theta_max = 3.4 * math.pi / alpha
+    theta_max = 3.4 * math.pi / alpha
     if not math.isfinite(theta_max):
         raise ValueError(f"scan range theta_max = {theta_max} is not finite at alpha = {alpha}")
     thetas = np.linspace(0.0, theta_max, points)

@@ -142,6 +142,14 @@ def test_gate_rz_warns_outside_regime():
         gate_rz(encode(1.0, 1.0, ENC), ENC, 0.3)
 
 
+def test_entangling_gate_warns_outside_regime():
+    # theta^2 alpha^2 is 0.04 on the first qubit and 0.16 on the second
+    s = optics.tensor(encode(1.0, 1.0, QubitEncoding(1.0)), encode(1.0, 1.0, QubitEncoding(2.0)))
+    with pytest.warns(UserWarning, match="theta\\^2 alpha\\^2 = 0.16") as caught:
+        entangling_gate(s, QubitEncoding(1.0, 0), QubitEncoding(2.0, 1), 0.2)
+    assert caught[0].filename == __file__
+
+
 def test_gate_rx_squared_is_x():
     # two pi/2 rotations about X equal X up to a global phase
     enc = QubitEncoding(2.0)

@@ -158,10 +158,47 @@ def test_bell_fail_probability_decays():
     assert slope == pytest.approx(-2.0, abs=0.05)
 
 
-def test_bell_outcomes_requires_logical_support():
-    bad = coherent(1.0, 2.0)
+@pytest.mark.parametrize("make_state", [
+    lambda: coherent(1.0, 2.0),
+    lambda: optics.tensor(cat(1.5, +1), cat(1.5 * np.exp(0.3j), -1)),
+    lambda: optics.tensor(cat(1.5, +1), cat(3.0, +1)),
+    lambda: optics.tensor(vacuum(), cat(1.5, +1)),
+], ids=["coherent", "rotated", "doubled", "vacuum_a"])
+def test_bell_outcomes_requires_logical_support(make_state):
     with pytest.raises(UnsupportedStateError):
-        bell_outcomes(bad, 0, 1)
+        bell_outcomes(make_state(), 0, 1)
+
+
+def test_bell_outcomes_on_two_vacuum_modes_always_fail():
+    recs = bell_outcomes(vacuum(2), 0, 1)
+    assert recs["FAIL"].probability == 1.0
+    assert recs["FAIL"].state is None
+    for name in ("I", "II", "III", "IV"):
+        assert recs[name].probability == 0.0
+        assert recs[name].state is None
+
+
+def test_bell_outcomes_scans_each_measured_column_once(monkeypatch):
+    calls = []
+    nearest = measure._nearest_signs
+    monkeypatch.setattr(
+        measure, "_nearest_signs", lambda amps, ref: calls.append(len(amps)) or nearest(amps, ref))
+    s = optics.tensor(gates.encode(0.6, 0.8, gates.QubitEncoding(2.0)), optics.bell_resource(2.0))
+    bell_outcomes(s, 0, 1)
+    assert calls == [s.nterms, s.nterms]
+
+
+def test_parity_classes_stay_finite_at_large_amplitude():
+    # 2|a|^2 = 722 and |a|^2 = 729 are past where cosh and sinh overflow
+    assert bell_outcomes(bell_cat(19.0, "i"), 0, 1)["I"].probability == pytest.approx(
+        1.0, abs=1e-12)
+    assert parity_projection(cat(27.0, -1), 0)["odd"].probability == pytest.approx(
+        1.0, abs=1e-12)
+    enc = gates.QubitEncoding(19.0)
+    s = gates.encode(0.6, 0.8, enc)
+    total = sum(gates.teleport(s, enc, branch=b).probability
+                for b in ("I", "II", "III", "IV", "FAIL"))
+    assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bell_cat_outcomes_matches_counting_on_subspace():
@@ -313,11 +350,28 @@ def test_cat_projection_matches_fock_oracle():
             _assert_matches_oracle(rec, v, {mode: bra}, n_max)
 
 
+def _random_bell_input(rng):
+    """(s, mode_a, mode_b): K <= 8 terms on M = 2 or 3 modes, every amplitude
+    in {+a, -a} for a complex a = |a| e^{i phi}, |a| <= 2.  The first term,
+    which holds each column's largest entry (ties go to the first), carries
+    -a on mode_a and +a on mode_b."""
+    a = rng.uniform(0.8, 2.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    k, m = int(rng.integers(1, 9)), int(rng.integers(2, 4))
+    mode_a, mode_b = (int(x) for x in rng.choice(m, size=2, replace=False))
+    signs = rng.choice([-1.0, 1.0], size=(k, m))
+    signs[0, [mode_a, mode_b]] = -1.0, 1.0
+    coeffs = rng.normal(size=k) + 1j * rng.normal(size=k)
+    return CoherentSuperposition(coeffs, a * signs).normalize(), mode_a, mode_b
+
+
 def test_bell_outcomes_table_matches_fock_oracle():
     rng = np.random.default_rng(23)
-    for _ in range(8):
-        s = _random_qubit_like(rng, min_modes=2)
-        mode_a, mode_b = (int(m) for m in rng.choice(s.modes, size=2, replace=False))
+    for i in range(16):
+        if i < 8:
+            s = _random_qubit_like(rng, min_modes=2)
+            mode_a, mode_b = (int(m) for m in rng.choice(s.modes, size=2, replace=False))
+        else:
+            s, mode_a, mode_b = _random_bell_input(rng)
         n_max = default_nmax(math.sqrt(2) * np.max(np.abs(s.amps)))
         # the measurement itself: +pi/2 on mode_b, B(-pi/4), then photon counting
         v = fo.fock_beamsplitter(
