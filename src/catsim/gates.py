@@ -169,6 +169,37 @@ def _replace_mode(s: CoherentSuperposition, target_mode: int) -> CoherentSuperpo
     return optics.permute_modes(s, order)
 
 
+def _bell_table(s: CoherentSuperposition, enc: QubitEncoding) -> tuple[dict, bool]:
+    """(table, leaked): the Bell table of teleporting the qubit in enc.mode
+    through a fresh Bell-cat resource, and whether that mode had leaked off
+    {+alpha, -alpha}.  Strict inputs get the exact photon-counting
+    classifier; leaked inputs get the idealized Bell-cat projection that
+    cleans them."""
+    joint = optics.tensor(s, optics.bell_resource(enc.alpha))
+    m = s.modes
+    _, leaked = measure._support(s.amps[:, enc.mode], enc.alpha)
+    if leaked:
+        return measure.bell_cat_outcomes(joint, enc.mode, m, enc.alpha), True
+    return measure.bell_outcomes(joint, enc.mode, m), False
+
+
+def _land(
+    s: CoherentSuperposition, enc: QubitEncoding, rec: measure.MeasurementRecord
+) -> GateOutcome:
+    """The teleport of `s` that drew Bell record `rec`: FAIL keeps `s`,
+    every other outcome moves the output into enc.mode and applies the X
+    correction of its branch."""
+    trace = (_traced("bell_measurement", f"alpha={enc.alpha}", str(rec.outcome), rec.probability),)
+    if rec.outcome == "FAIL":
+        return GateOutcome(s, False, "FAIL", rec.probability, trace=trace)
+    out = _replace_mode(rec.state, enc.mode)
+    flip, residual = _TELEPORT_BRANCHES[rec.outcome]
+    if flip:
+        out = gate_x(out, enc)
+        trace = trace + (_traced("phase_shift", "theta=pi (X correction)", "-", 1.0),)
+    return GateOutcome(out, True, residual, rec.probability, trace=trace)
+
+
 def teleport(
     s: CoherentSuperposition,
     enc: QubitEncoding,
@@ -182,26 +213,8 @@ def teleport(
     III), II/IV land Z.  With rng=None (and no explicit branch) the 'I'
     branch is post-selected.
     """
-    resource = optics.bell_resource(enc.alpha)
-    joint = optics.tensor(s, resource)
-    m = s.modes
-    # strict {+a,-a} inputs get the exact photon-counting classifier;
-    # leaked inputs get the idealized Bell-cat projection that cleans them
-    _, leaked = measure._support(s.amps[:, enc.mode], enc.alpha)
-    if leaked:
-        branches = measure.bell_cat_outcomes(joint, enc.mode, m, enc.alpha)
-    else:
-        branches = measure.bell_outcomes(joint, enc.mode, m)
-    rec = _pick(branches, rng if branch is None else None, branch or "I")
-    trace = (_traced("bell_measurement", f"alpha={enc.alpha}", str(rec.outcome), rec.probability),)
-    if rec.outcome == "FAIL":
-        return GateOutcome(s, False, "FAIL", rec.probability, trace=trace)
-    out = _replace_mode(rec.state, enc.mode)
-    flip, residual = _TELEPORT_BRANCHES[rec.outcome]
-    if flip:
-        out = gate_x(out, enc)
-        trace = trace + (_traced("phase_shift", "theta=pi (X correction)", "-", 1.0),)
-    return GateOutcome(out, True, residual, rec.probability, trace=trace)
+    table, _ = _bell_table(s, enc)
+    return _land(s, enc, _pick(table, rng if branch is None else None, branch or "I"))
 
 
 def gate_z(
@@ -210,10 +223,20 @@ def gate_z(
     rng: Optional[np.random.Generator] = None,
 ) -> GateOutcome:
     """Sign flip by repeat-until-success teleportation (Z branch lands with
-    probability ~1/2 per attempt)."""
+    probability ~1/2 per attempt).
+
+    Each attempt is one draw from a Bell table.  An identity landing
+    (I, or III after its X correction) returns the logical state the table
+    was built from, so a strict {+alpha, -alpha} input builds one table and
+    draws every attempt from it.  A leaked input builds a second table from
+    its first landing, which the teleport has projected onto the logical
+    space."""
     out = GateOutcome(s, True, "identity", 1.0, 0)
+    leaked = True
     for _ in range(MAX_REPEATS):
-        out = _fold(out, teleport(out.state, enc, rng, branch="II" if rng is None else None))
+        if leaked:
+            table, leaked = _bell_table(out.state, enc)
+        out = _fold(out, _land(out.state, enc, _pick(table, rng, "II")))
         if not out.success or out.applied == "Z":
             return out
     raise GateFailure(f"Z branch did not land within {MAX_REPEATS} teleports")

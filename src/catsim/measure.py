@@ -202,12 +202,13 @@ def _support(amps: np.ndarray, ref: complex) -> tuple[np.ndarray, bool]:
     and whether any amplitude lies farther than 1e-9 (1 + |ref|) from
     signs * ref, i.e. off the support {+ref, -ref}."""
     signs = _nearest_signs(amps, ref)
-    return signs, bool(np.max(np.abs(amps - signs * ref)) > 1e-9 * (1 + abs(ref)))
+    return signs, bool(np.max(np.abs(amps - signs * ref), initial=0.0) > 1e-9 * (1 + abs(ref)))
 
 
 def _signs_against_reference(amps: np.ndarray) -> tuple[complex, np.ndarray]:
-    """For amplitudes all in {+a, -a}, return (a, signs); a may be 0."""
-    ref = amps[np.argmax(np.abs(amps))]
+    """For amplitudes all in {+a, -a}, return (a, signs); a may be 0, as it
+    is for an empty column."""
+    ref = amps[np.argmax(np.abs(amps))] if len(amps) else 0.0
     if abs(ref) == 0.0:
         return 0.0, np.ones(len(amps))
     signs, off = _support(amps, ref)

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from catsim import optics
+from catsim import gates, measure, optics
 from catsim.gates import (
     CNOT,
     GateFailure,
+    GateOutcome,
     QubitEncoding,
     cnot_dressing,
     decode,
@@ -439,3 +440,61 @@ def test_a_fail_inside_gate_z_counts_every_teleport_the_gate_ran(gate, picks, re
     assert steps[-1][2] == "FAIL"
     assert out.repetitions == len(steps) == repetitions
     assert out.probability == pytest.approx(math.prod(t[3] for t in steps), rel=1e-14)
+
+
+def _gate_z_one_teleport_each(s, enc, rng):
+    """The repeat-until-success loop with a fresh teleport (and Bell table)
+    per attempt: the reference gate_z must reproduce."""
+    out = GateOutcome(s, True, "identity", 1.0, 0)
+    while True:
+        out = gates._fold(out, teleport(out.state, enc, rng))
+        if not out.success or out.applied == "Z":
+            return out
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+@pytest.mark.parametrize("leaked", [False, True], ids=["strict", "leaked"])
+def test_gate_z_matches_one_teleport_per_attempt(alpha, leaked):
+    enc = QubitEncoding(alpha)
+    s = encode(0.6 + 0.2j, 0.7 - 0.3j, enc)
+    if leaked:
+        s = optics.displace(s, 0, 0.03 + 0.02j).normalize()
+    outcomes = set()
+    for seed in range(50):
+        ref = _gate_z_one_teleport_each(s, enc, np.random.default_rng(seed))
+        out = gate_z(s, enc, np.random.default_rng(seed))
+        assert (out.success, out.applied, out.repetitions) == (
+            ref.success, ref.applied, ref.repetitions)
+        assert [t[2] for t in out.trace] == [t[2] for t in ref.trace]
+        assert out.probability == pytest.approx(ref.probability, rel=1e-12)
+        assert fidelity(out.state, ref.state) >= 1 - 1e-12
+        outcomes.update(t[2] for t in out.trace)
+    # every Bell outcome was drawn, FAIL included, at alpha = 1
+    assert outcomes >= {"I", "II", "III", "IV"} | ({"FAIL"} if alpha == 1.0 else set())
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    fn = getattr(measure, name)
+    monkeypatch.setattr(measure, name, lambda *a: calls.append(a) or fn(*a))
+    return calls
+
+
+def test_gate_z_draws_every_attempt_from_one_table(monkeypatch):
+    tables = _count_calls(monkeypatch, "bell_outcomes")
+    out = gate_z(encode(0.6, 0.8, ENC), ENC, _ScriptedRng(_I, 2, _I, _II))
+    assert out.success and out.applied == "Z" and out.repetitions == 4
+    assert [t[2] for t in out.trace if t[0] == "bell_measurement"] == ["I", "III", "I", "II"]
+    assert sum(t[0] == "phase_shift" for t in out.trace) == 1
+    assert len(tables) == 1
+
+
+@pytest.mark.parametrize("picks, strict_tables", [((_II,), 0), ((_I, 2, _I, _II), 1)])
+def test_gate_z_on_a_leaked_input_builds_at_most_two_tables(monkeypatch, picks, strict_tables):
+    cat_tables = _count_calls(monkeypatch, "bell_cat_outcomes")
+    tables = _count_calls(monkeypatch, "bell_outcomes")
+    s = optics.displace(encode(0.6, 0.8, ENC), 0, 0.03 + 0.02j).normalize()
+    out = gate_z(s, ENC, _ScriptedRng(*picks))
+    assert out.success and out.applied == "Z" and out.repetitions == len(picks)
+    assert len(cat_tables) == 1
+    assert len(tables) == strict_tables

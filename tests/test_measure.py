@@ -178,6 +178,15 @@ def test_bell_outcomes_on_two_vacuum_modes_always_fail():
         assert recs[name].state is None
 
 
+def test_measurements_on_a_zero_term_state_read_all_zero():
+    empty = CoherentSuperposition(np.zeros(0, complex), np.zeros((0, 2), complex))
+    np.testing.assert_array_equal(photon_statistics(empty, 0, 5), np.zeros(6))
+    for recs in (parity_projection(empty, 0), bell_outcomes(empty, 0, 1)):
+        for rec in recs.values():
+            assert rec.probability == 0.0
+            assert rec.state is None
+
+
 def test_bell_outcomes_scans_each_measured_column_once(monkeypatch):
     calls = []
     nearest = measure._nearest_signs
