@@ -193,6 +193,7 @@ def run_gate_check(cfg: dict, seed: int) -> tuple[list[str], list[list], list[tu
     ]
     rows, failed = [], []
     mu, nu = 0.6 + 0.2j, 0.7 - 0.3j
+    x = 2 * (mu.conjugate() * nu).real / (abs(mu) ** 2 + abs(nu) ** 2)  # <X> of the input
     for index, alpha in enumerate(_alpha_grid(cfg)):
         enc = gates.QubitEncoding(alpha)
         # theta^2 alpha^2 = theta_alpha2^2 / alpha^2, compared without dividing
@@ -207,7 +208,7 @@ def run_gate_check(cfg: dict, seed: int) -> tuple[list[str], list[list], list[tu
             out = gates.gate_rz(psi, enc, theta)
             m2, n2, _ = gates.decode(out.state, enc)
             rz_phase = float(np.angle((n2 / m2) / (nu / mu)))
-            rz_err = abs(rz_phase - 4 * theta * alpha**2)
+            rz_err = abs(math.remainder(rz_phase - 4 * theta * alpha**2, 2 * math.pi))
             # entangling step phase on (|--> + |-+>)/norm
             enc_b = gates.QubitEncoding(alpha, mode=1)
             two = optics.tensor(gates.encode(1, 1, enc), gates.encode(1, 1, enc))
@@ -233,8 +234,31 @@ def run_gate_check(cfg: dict, seed: int) -> tuple[list[str], list[list], list[tu
             x_fid = states.fidelity(xx, psi)
         except (gates.GateFailure, ValueError) as exc:
             raise ConfigError(f"alpha = {alpha}, theta = {theta}: {exc}") from exc
-        checks = {"rz_phase_err > 1e-6": rz_err > 1e-6, "zz_step_phase_err > 1e-6": zz_err > 1e-6,
-                  "rx_fidelity < 1 - 10 exp(-2 alpha^2)": rx_fid < 1 - 10 * math.exp(-2 * alpha**2)}
+        # References: what the gates apply exactly once |+a> and |-a> are
+        # orthogonal.  A beam splitter B(phi) sends |s_a a, s_b a> to
+        # a (s_a cos phi + i s_b sin phi), a (s_b cos phi + i s_a sin phi), and
+        # projecting each mode back onto its nearest +/-a multiplies the term
+        # by e^{-a^2 (1 - cos phi)} e^{i s_a s_b a^2 sin phi}.
+        # - zz (phi = theta/2): the mixed components turn by -4 a^2 sin(theta/2),
+        #   not the linearized -2 theta a^2, so zz_err is 4 a^2 |theta/2 - sin(theta/2)|.
+        # - rx (phi = p = pi/(8 a^2)): the decoded map is e^{if} I + e^{-if} X with
+        #   f = 2 a^2 sin p against the target's pi/4 = 2 a^2 p, i.e. diag(cos f,
+        #   i sin f) on the X eigenbasis.  An input with <X> = x has 1 - F =
+        #   (1 - x^2) sin^2 d / (1 + x sin 2d), d = 2 a^2 (p - sin p); the
+        #   reference is its bound over the sign of x.
+        # - rz: 4 theta a^2 is exact, and the decoded phase lies in (-pi, pi], so
+        #   rz_err is taken modulo 2 pi.
+        # The fixed 1e-6 and 10 e^{-2 a^2} cover the non-orthogonality, not derived.
+        zz_ref = 4 * alpha**2 * abs(theta / 2 - math.sin(theta / 2))
+        p = math.pi / (8 * alpha**2)
+        d = 2 * alpha**2 * (p - math.sin(p))
+        rx_ref = (1 - x * x) * math.sin(d) ** 2 / (1 - abs(x) * math.sin(2 * d))
+        checks = {
+            "rz_phase_err > 1e-6": rz_err > 1e-6,
+            "zz_step_phase_err > 4 alpha^2 |theta/2 - sin(theta/2)| + 1e-6": zz_err > zz_ref + 1e-6,
+            "1 - rx_fidelity > (1 - x^2) sin^2 d / (1 - |x| sin 2d) + 10 exp(-2 alpha^2)":
+                1 - rx_fid > rx_ref + 10 * math.exp(-2 * alpha**2),
+        }
         failed += [(index, check) for check, bad in checks.items() if bad]
         rows.append([alpha, theta, rz_phase, rz_err, zz_err, rx_fid, x_fid])
     return columns, rows, failed

@@ -138,12 +138,17 @@ def gate_x(s: CoherentSuperposition, enc: QubitEncoding) -> CoherentSuperpositio
     return optics.phase_shift(s, enc.mode, np.pi)
 
 
-# map from Bell measurement outcome to (apply X correction?, residual op)
-_TELEPORT_BRANCHES = {
+# map from a landed record's outcome, a Bell outcome or gate_rx's (input,
+# resource) parity pair, to (apply X correction?, residual op)
+_CORRECTIONS = {
     "I": (False, "identity"),
     "II": (False, "Z"),
     "III": (True, "identity"),
     "IV": (True, "Z"),
+    ("even", "even"): (False, "identity"),
+    ("even", "odd"): (False, "Z"),
+    ("odd", "even"): (True, "Z"),
+    ("odd", "odd"): (True, "identity"),
 }
 
 
@@ -186,14 +191,15 @@ def _bell_table(s: CoherentSuperposition, enc: QubitEncoding) -> tuple[dict, boo
 def _land(
     s: CoherentSuperposition, enc: QubitEncoding, rec: measure.MeasurementRecord
 ) -> GateOutcome:
-    """The teleport of `s` that drew Bell record `rec`: FAIL keeps `s`,
-    every other outcome moves the output into enc.mode and applies the X
-    correction of its branch."""
-    trace = (_traced("bell_measurement", f"alpha={enc.alpha}", str(rec.outcome), rec.probability),)
+    """The step of a gate on `s` that drew record `rec` (a Bell record, or
+    gate_rx's cat projection), traced under rec.kind: FAIL keeps `s`, every
+    other outcome moves the output into enc.mode and applies the X
+    correction of its branch, leaving its residual op to the caller."""
+    trace = (_traced(rec.kind, f"alpha={enc.alpha}", str(rec.outcome), rec.probability),)
     if rec.outcome == "FAIL":
         return GateOutcome(s, False, "FAIL", rec.probability, trace=trace)
     out = _replace_mode(rec.state, enc.mode)
-    flip, residual = _TELEPORT_BRANCHES[rec.outcome]
+    flip, residual = _CORRECTIONS[rec.outcome]
     if flip:
         out = gate_x(out, enc)
         trace = trace + (_traced("phase_shift", "theta=pi (X correction)", "-", 1.0),)
@@ -288,18 +294,6 @@ def gate_rz(
     return replace(out, applied=f"Rz({4 * theta * enc.alpha ** 2:.6g})") if out.success else out
 
 
-# map from (parity on input mode, parity on measured resource mode) to
-# (apply X correction?, residual op), as in _TELEPORT_BRANCHES; the Z gate
-# runs before the X correction.  Verified against the Rx(pi/2) target on
-# every branch in the test suite
-_RX_CORRECTIONS = {
-    ("even", "even"): (False, "identity"),
-    ("even", "odd"): (False, "Z"),
-    ("odd", "even"): (True, "Z"),
-    ("odd", "odd"): (True, "identity"),
-}
-
-
 def gate_rx(
     s: CoherentSuperposition,
     enc: QubitEncoding,
@@ -314,13 +308,13 @@ def gate_rx(
                      e^{-i t a^2} mu + e^{i t a^2} nu) / norm
 
     with t = theta; theta defaults to pi/(4 alpha^2) so 2 theta alpha^2 =
-    pi/2, a pi/2 rotation about X.  With rng=None the even/even branch is
-    post-selected.
+    pi/2, a pi/2 rotation about X.  The drawn parity record lands through
+    `_land` like a teleport's Bell record: X correction first, then gate_z
+    for a Z residual.  With rng=None the even/even branch is post-selected.
     """
     if theta is None:
         theta = np.pi / (4 * enc.alpha**2)
-    resource = optics.bell_resource(enc.alpha)
-    joint = optics.tensor(s, resource)
+    joint = optics.tensor(s, optics.bell_resource(enc.alpha))
     m = s.modes
     # the two cat projections each contribute e^{+/- i (theta/2) alpha^2};
     # the beam splitter touches only the two measured columns
@@ -333,20 +327,9 @@ def gate_rx(
     wb = {k: measure._cat_weights(enc.alpha, p, b) for k, p in parity.items()}
     rows = [((ka, kb), 1.0, wa[ka] * wb[kb], True) for kb in parity for ka in parity]
     table = measure._table("cat_projection", joint, [enc.mode, m], rows)
-    rec = _pick(table, rng, ("even", "even"))
-    trace = trace + (
-        _traced("cat_projection", f"ref={enc.alpha}", str(rec.outcome), rec.probability),
-    )
-
-    flip, residual = _RX_CORRECTIONS[rec.outcome]
-    conditioned = _replace_mode(rec.state, enc.mode)
-    out = _undo_z(s, GateOutcome(conditioned, True, residual, rec.probability, 1, trace), enc, rng)
-    if not out.success:
-        return out
-    if flip:
-        out = replace(out, state=gate_x(out.state, enc), trace=out.trace + (
-            _traced("phase_shift", "theta=pi (X correction)", "-", 1.0),))
-    return replace(out, applied=f"Rx({2 * theta * enc.alpha ** 2:.6g})")
+    done = GateOutcome(s, True, "identity", 1.0, 0, trace)
+    out = _undo_z(s, _fold(done, _land(s, enc, _pick(table, rng, ("even", "even")))), enc, rng)
+    return replace(out, applied=f"Rx({2 * theta * enc.alpha ** 2:.6g})") if out.success else out
 
 
 def entangling_gate(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -47,42 +47,22 @@ class UnsupportedStateError(ValueError):
     """Measurement precondition on the state's structure is violated."""
 
 
-class _Deferred(functools.partial):
-    """A record state not built yet: called once, on the first read."""
-
-
-class _BuiltOnFirstRead:
-    """Data descriptor behind `MeasurementRecord.state`.  A `_Deferred`
-    value is called on the first read and replaced by its result; any
-    other value is stored and read as is.  Reading it from the class
-    raises AttributeError, so the dataclass field keeps no default."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            raise AttributeError(self.name)
-        value = obj.__dict__[self.name]
-        if isinstance(value, _Deferred):
-            value = obj.__dict__[self.name] = value()
-        return value
-
-    def __set__(self, obj, value):
-        obj.__dict__[self.name] = value
-
-
 @dataclass(frozen=True)
 class MeasurementRecord:
     """One measurement event: detector kind, outcome, probability (a
     density for homodyne records) and the conditioned remaining-mode
-    state (None for discarded branches).  A table's records get their
-    state built on its first read and kept from then on."""
+    state.  `state` is built from the `_branch_state` arguments in `build`
+    on its first read and kept from then on, or None for a discarded branch
+    (no `build`).  Neither `==` nor `repr` reads it."""
 
     kind: str
     outcome: object
     probability: float
-    state: Optional[CoherentSuperposition] = _BuiltOnFirstRead()
+    build: Optional[tuple] = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def state(self) -> Optional[CoherentSuperposition]:
+        return None if self.build is None else _branch_state(*self.build)
 
 
 def _branch_state(coeffs, w, n2, rest) -> CoherentSuperposition:
@@ -102,10 +82,10 @@ def _table(kind: str, s: CoherentSuperposition, modes: list[int], rows: list[tup
     table = {}
     for (outcome, factor, w, keep), n2 in zip(rows, norms):
         p = float(factor * n2)
-        state = None
+        build = None
         if keep and p > PROB_FLOOR:
-            state = _Deferred(_branch_state, s.coeffs, w, n2, rest)
-        table[outcome] = MeasurementRecord(kind, outcome, p, state)
+            build = (s.coeffs, w, n2, rest)
+        table[outcome] = MeasurementRecord(kind, outcome, p, build)
     return table
 
 
@@ -358,7 +338,7 @@ def bell_outcomes(
         )
     same = signs_a == signs_b
     z0, even_nz, odd = _parity_class_weights(2 * abs(ref) ** 2)
-    return _table("bell", s, [mode_a, mode_b], [
+    return _table("bell_measurement", s, [mode_a, mode_b], [
         ("I", even_nz, same, True),
         ("II", odd, same * signs_a, True),
         ("III", even_nz, ~same, True),
@@ -404,7 +384,7 @@ def bell_cat_outcomes(
     norm_minus = math.sqrt(2 - 2 * math.exp(-4 * abs(ref) ** 2))
     if norm_minus == 0.0:  # once e^{-4|a|^2} rounds to 1
         raise ZeroNormError(f"the odd Bell cats at amplitude {ref:.3g} have zero norm")
-    return _table("bell", s, [mode_a, mode_b], [
+    return _table("bell_measurement", s, [mode_a, mode_b], [
         ("I", 1.0, same * wa * wb / norm_plus, True),
         ("II", 1.0, same * flip * wa * wb / norm_minus, True),
         ("III", 1.0, anti * wa * wb / norm_plus, True),

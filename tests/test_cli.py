@@ -221,13 +221,17 @@ def test_rejected_field_leaves_existing_output_untouched(tmp_path, args, code):
     assert target.read_bytes() == b"# an earlier run\n"
 
 
-def test_property_failure_names_row_and_check(capsys):
-    # 1 - rx_fidelity falls slower than 10 exp(-2 alpha^2) at large alpha
+def test_property_failure_names_row_and_check(capsys, monkeypatch):
+    # an Rx 1% off its pi/2 angle
+    gate_rx = gates.gate_rx
+    monkeypatch.setattr(cli.gates, "gate_rx", lambda s, enc, theta=None, rng=None: gate_rx(
+        s, enc, 1.01 * math.pi / (4 * enc.alpha**2), rng))
     code = main(["gate-check", "--alpha-min", "4", "--alpha-steps", "1"])
     captured = capsys.readouterr()
     assert code == EXIT_PROPERTY
     assert captured.err.splitlines() == [
-        "property check failed: gate-check row 0: rx_fidelity < 1 - 10 exp(-2 alpha^2)"
+        "property check failed: gate-check row 0: "
+        "1 - rx_fidelity > (1 - x^2) sin^2 d / (1 - |x| sin 2d) + 10 exp(-2 alpha^2)"
     ]
     data = [l for l in captured.out.splitlines() if not l.startswith("#")]
     assert data[0].startswith("alpha\t") and len(data) == 2
@@ -291,6 +295,17 @@ def test_gate_check_properties_pass(capsys):
         fields = row.split("\t")
         assert float(fields[3]) < 1e-6  # rz phase error
         assert float(fields[4]) < 1e-6  # entangling step phase error
+
+
+@pytest.mark.parametrize("alpha", [3.2, 4.5, 6.0])
+@pytest.mark.parametrize("scale", [None, 0.999, -0.999])
+def test_gate_check_passes_across_its_input_range(alpha, scale, capsys):
+    # up to the theta^2 alpha^2 limit, where 4 theta alpha^2 passes pi and
+    # the entangling step and Rx leave their linearized phases
+    theta_alpha2 = 1e-4 if scale is None else scale * math.sqrt(gates.MAX_THETA2_ALPHA2) * alpha
+    code = main(["gate-check", "--alpha-min", repr(alpha), "--alpha-max", repr(alpha),
+                 "--alpha-steps", "1", "--theta-alpha2", repr(theta_alpha2)])
+    assert code == EXIT_OK, capsys.readouterr().err
 
 
 def test_import_does_not_load_scipy_special():

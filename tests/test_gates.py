@@ -442,6 +442,23 @@ def test_a_fail_inside_gate_z_counts_every_teleport_the_gate_ran(gate, picks, re
     assert out.probability == pytest.approx(math.prod(t[3] for t in steps), rel=1e-14)
 
 
+def test_a_gate_rx_flip_branch_lands_like_a_teleport():
+    enc = QubitEncoding(2.0)
+    mu, nu = 0.6 + 0.2j, 0.7 - 0.3j
+    # (odd, even): X correction, then a Z residual that gate_z lands on II
+    out = gate_rx(encode(mu, nu, enc), enc, rng=_ScriptedRng(1, _II))
+    assert out.success and out.applied == "Rx(1.5708)" and out.repetitions == 2
+    assert [t[0] for t in out.trace] == [
+        "beamsplitter", "cat_projection", "phase_shift", "bell_measurement"]
+    assert [t[2] for t in out.trace[1::2]] == [str(("odd", "even")), "II"]
+    phi = math.pi / 4
+    target = np.array(
+        [[np.exp(1j * phi), np.exp(-1j * phi)], [np.exp(-1j * phi), np.exp(1j * phi)]]
+    ) @ np.array([mu, nu])
+    m, n, _ = decode(out.state, enc)
+    assert _logical_fidelity([m, n], target) >= 1 - 10 * math.exp(-2 * enc.alpha**2)
+
+
 def _gate_z_one_teleport_each(s, enc, rng):
     """The repeat-until-success loop with a fresh teleport (and Bell table)
     per attempt: the reference gate_z must reproduce."""

@@ -622,3 +622,12 @@ def test_sampled_teleport_builds_one_branch_state(monkeypatch):
         outcomes.add(out.applied)
         assert len(builds) == (1 if out.success else 0)
     assert {"identity", "Z"} <= outcomes
+
+
+def test_records_compare_and_print_without_building_a_state(monkeypatch):
+    monkeypatch.setattr(measure, "_branch_state", lambda *a: pytest.fail("state built"))
+    first, again = (parity_projection(bell_cat(1.5, "i"), 0) for _ in range(2))
+    assert first == again
+    assert first["zero"] == again["zero"] and first["zero"] != again["odd"]
+    assert repr(first["zero"]) == (
+        f"MeasurementRecord(kind='parity', outcome='zero', probability={first['zero'].probability!r})")
