@@ -23,7 +23,6 @@ from .states import (
     vacuum,
 )
 from .optics import (
-    BeamSplitterSpec,
     beamsplitter,
     bell_resource,
     displace,
@@ -65,14 +64,12 @@ from .metrology import (
     FringeScan,
     SensitivityReport,
     classical_snr,
-    displaced_cat,
     mean_photon_number,
     qfi_displacement,
     quantum_ruler,
     ramsey_fisher,
     ramsey_probability,
     sensitivity_bound,
-    sql_threshold,
     weak_force_experiment,
 )
 

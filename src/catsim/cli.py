@@ -5,8 +5,9 @@ block echoing the full configuration, the seed and the package version,
 so an identical configuration and seed reproduce the output byte for
 byte.  Floats are printed with 17 significant digits.
 
-Exit codes: 0 success, 2 configuration error (a non-finite or out-of-range
-field, checked with the budgets before any work, or a cross-field check),
+Exit codes: 0 success, 2 configuration error (an unparsable argument, a
+non-finite or out-of-range field, checked with the budgets before any work,
+or a cross-field check),
 3 numerical-budget error (a field over its cap), 4 property-check failure
 (the first failing row and check are named on stderr).
 """
@@ -36,6 +37,13 @@ class ConfigError(ValueError):
 
 class BudgetError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose parse errors are one-line config errors."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 class Field(NamedTuple):
@@ -405,7 +413,7 @@ _FLAG_ALIASES = {"wavelength": ["--lambda"], "epsilon": ["--eps"]}
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it
     unchanged, so every `main` call can share it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="catsim",
         description="Seeded coherent-state quantum computing and metrology experiments.",
     )
@@ -437,10 +445,9 @@ def _open_output(path: Optional[str], mode: str):
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    run, schema = _EXPERIMENTS[args.experiment]
     try:
+        args = build_parser().parse_args(argv)
+        run, schema = _EXPERIMENTS[args.experiment]
         cfg = resolve_config(args, schema)
         seed = args.seed if args.seed is not None else 0
         _require(seed >= 0, "seed must be >= 0")

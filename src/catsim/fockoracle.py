@@ -37,15 +37,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .states import CoherentSuperposition
 
 __all__ = [
-    "FockVector",
     "to_fock",
+    "fock_norm_squared",
     "fock_inner",
     "fock_fidelity",
     "fock_phase",
@@ -62,24 +61,6 @@ _CUTOFFS_CACHED = 32
 _SLAB = 1 << 14
 
 
-@dataclass(frozen=True)
-class FockVector:
-    """Dense truncated number-basis vector, one axis per mode."""
-
-    data: np.ndarray
-
-    @property
-    def modes(self) -> int:
-        return self.data.ndim
-
-    @property
-    def cutoff(self) -> int:
-        return self.data.shape[0] - 1
-
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.data) ** 2))
-
-
 def _coherent_columns(amps: np.ndarray, n_max: int) -> np.ndarray:
     """<n|alpha> for n = 0..n_max along a new last axis, for every
     amplitude in `amps`: one cumulative product of the recurrence steps
@@ -90,11 +71,12 @@ def _coherent_columns(amps: np.ndarray, n_max: int) -> np.ndarray:
     return np.cumprod(steps, axis=-1)
 
 
-def to_fock(s: CoherentSuperposition, n_max: int) -> FockVector:
+def to_fock(s: CoherentSuperposition, n_max: int) -> np.ndarray:
+    """The (n_max + 1,) * M number-basis amplitudes of s, one axis per mode."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if s.modes == 0:
-        return FockVector(np.array(sum(s.coeffs.tolist(), 0j)))
+        return np.array(sum(s.coeffs.tolist(), 0j))
     d = n_max + 1
     cols = _coherent_columns(s.amps, n_max)  # (K, M, d)
     # c_k times the columns of modes 1..M-1, flattened, for every term at once
@@ -111,18 +93,22 @@ def to_fock(s: CoherentSuperposition, n_max: int) -> FockVector:
         slab = rows[i : i + step]
         for k in range(s.nterms):
             slab += np.multiply(cols[k, 0, i : i + step, None], tail[k], out=term[: len(slab)])
-    return FockVector(data)
+    return data
 
 
-def fock_inner(x: FockVector, y: FockVector) -> complex:
-    if x.data.shape != y.data.shape:
+def fock_norm_squared(v: np.ndarray) -> float:
+    return float(np.sum(np.abs(v) ** 2))
+
+
+def fock_inner(x: np.ndarray, y: np.ndarray) -> complex:
+    if x.shape != y.shape:
         raise ValueError("shape mismatch")
-    return complex(np.vdot(x.data, y.data))
+    return complex(np.vdot(x, y))
 
 
-def fock_fidelity(x: FockVector, y: FockVector) -> float:
+def fock_fidelity(x: np.ndarray, y: np.ndarray) -> float:
     """|<x|y>|^2 after normalizing both truncated vectors."""
-    n2 = x.norm_squared() * y.norm_squared()
+    n2 = fock_norm_squared(x) * fock_norm_squared(y)
     return abs(fock_inner(x, y)) ** 2 / n2
 
 
@@ -159,39 +145,38 @@ def _eig_apply(evecs: np.ndarray, phases: np.ndarray, x: np.ndarray) -> np.ndarr
     return (evecs @ y.view(np.float64)).view(np.complex128)
 
 
-def fock_phase(v: FockVector, mode: int, theta: float) -> FockVector:
-    n = np.arange(v.data.shape[mode])
+def fock_phase(v: np.ndarray, mode: int, theta: float) -> np.ndarray:
+    n = np.arange(v.shape[mode])
     phases = np.exp(1j * theta * n)
-    shape = [1] * v.modes
+    shape = [1] * v.ndim
     shape[mode] = len(n)
-    return FockVector(v.data * phases.reshape(shape))
+    return v * phases.reshape(shape)
 
 
-def fock_displace(v: FockVector, mode: int, beta: complex) -> FockVector:
+def fock_displace(v: np.ndarray, mode: int, beta: complex) -> np.ndarray:
     """exp(beta a^dag - beta^* a) = exp(i h(beta)), from the eigenbasis of
     the truncated h(beta) = |beta| S (a + a^dag) S^dag with
     S = diag(e^{i n (arg beta - pi/2)})."""
-    d = v.data.shape[mode]
+    d = v.shape[mode]
     evals, evecs = _quadrature_eigh(d)
     w = np.exp(1j * (np.angle(beta) - 0.5 * np.pi) * np.arange(d))[:, None] * evecs
     u = (w * np.exp(1j * abs(beta) * evals)) @ w.conj().T
-    shape = v.data.shape
-    if mode == v.modes - 1:  # one product over the trailing axis
-        out = v.data.reshape(-1, d) @ u.T
+    if mode == v.ndim - 1:  # one product over the trailing axis
+        out = v.reshape(-1, d) @ u.T
     else:  # a stack of products on the middle axis of (before, mode, after)
-        out = u @ v.data.reshape(math.prod(shape[:mode]), d, -1)
-    return FockVector(out.reshape(shape))
+        out = u @ v.reshape(math.prod(v.shape[:mode]), d, -1)
+    return out.reshape(v.shape)
 
 
 def fock_beamsplitter(
-    v: FockVector, mode_a: int, mode_b: int, theta: float
-) -> FockVector:
+    v: np.ndarray, mode_a: int, mode_b: int, theta: float
+) -> np.ndarray:
     """exp[i theta (a b^dag + a^dag b)], applied exactly within each
     total-photon-number block of the truncated two-mode space."""
     if mode_a == mode_b:
         raise ValueError("beam splitter needs two distinct modes")
-    d = v.data.shape[mode_a]
-    data = np.moveaxis(v.data, (mode_a, mode_b), (0, 1)).copy()
+    d = v.shape[mode_a]
+    data = np.moveaxis(v, (mode_a, mode_b), (0, 1)).copy()
     grid = data.reshape(d, d, -1)
     # N = 0 and N = 2d - 2 are 1 x 1 blocks on which the generator is 0
     for total in range(1, 2 * d - 2):
@@ -199,23 +184,21 @@ def fock_beamsplitter(
         na = np.arange(lo, hi + 1)
         evals, evecs = _block_eigh(total, lo, hi)
         grid[na, total - na] = _eig_apply(evecs, np.exp(1j * theta * evals), grid[na, total - na])
-    return FockVector(np.moveaxis(data, (0, 1), (mode_a, mode_b)))
+    return np.moveaxis(data, (0, 1), (mode_a, mode_b))
 
 
-def fock_measure_number(v: FockVector, mode: int) -> np.ndarray:
-    axes = tuple(m for m in range(v.modes) if m != mode)
-    return np.sum(np.abs(v.data) ** 2, axis=axes)
+def fock_measure_number(v: np.ndarray, mode: int) -> np.ndarray:
+    axes = tuple(m for m in range(v.ndim) if m != mode)
+    return np.sum(np.abs(v) ** 2, axis=axes)
 
 
-def fock_condition_number(v: FockVector, mode: int, n: int) -> tuple[float, FockVector]:
+def fock_condition_number(v: np.ndarray, mode: int, n: int) -> tuple[float, np.ndarray]:
     """(probability, conditioned truncated vector) for counting n photons."""
-    sl = [slice(None)] * v.modes
-    sl[mode] = n
-    rest = v.data[tuple(sl)]
-    p = float(np.sum(np.abs(rest) ** 2))
+    rest = np.take(v, n, axis=mode)
+    p = fock_norm_squared(rest)
     if p <= 0.0:
         raise ValueError(f"zero-probability branch n={n}")
-    return p, FockVector(np.asarray(rest / math.sqrt(p)))
+    return p, np.asarray(rest / math.sqrt(p))
 
 
 def _hermite_functions(xs: np.ndarray, n_max: int) -> np.ndarray:
@@ -232,9 +215,9 @@ def _hermite_functions(xs: np.ndarray, n_max: int) -> np.ndarray:
     return out
 
 
-def fock_quadrature_pdf(v: FockVector, mode: int, xs: np.ndarray) -> np.ndarray:
+def fock_quadrature_pdf(v: np.ndarray, mode: int, xs: np.ndarray) -> np.ndarray:
     """Marginal x-quadrature density of `mode` on the grid xs."""
     xs = np.asarray(xs, dtype=float)
-    psi = _hermite_functions(xs, v.cutoff)
-    amp = np.tensordot(psi, v.data, axes=([0], [mode]))  # (x, rest...)
+    psi = _hermite_functions(xs, v.shape[mode] - 1)
+    amp = np.tensordot(psi, v, axes=([0], [mode]))  # (x, rest...)
     return np.sum(np.abs(amp) ** 2, axis=tuple(range(1, amp.ndim)))

@@ -300,17 +300,21 @@ def gate_rx(
     theta: Optional[float] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> GateOutcome:
-    """Rotation about X: mix the qubit with half of a Bell-cat resource on
-    a weak beam splitter, project both measured modes onto even/odd cats,
-    and correct.  Decoded action on (mu, nu):
+    """Rx(pi/2) at the default theta: mix the qubit with half of a Bell-cat
+    resource on a weak beam splitter, project both measured modes onto
+    even/odd cats, and correct.  Decoded action on (mu, nu):
 
         (mu, nu) -> (e^{i t a^2} mu + e^{-i t a^2} nu,
                      e^{-i t a^2} mu + e^{i t a^2} nu) / norm
 
-    with t = theta; theta defaults to pi/(4 alpha^2) so 2 theta alpha^2 =
-    pi/2, a pi/2 rotation about X.  The drawn parity record lands through
-    `_land` like a teleport's Bell record: X correction first, then gate_z
-    for a Z residual.  With rng=None the even/even branch is post-selected.
+    with t = theta, i.e. the map e^{i t a^2} I + e^{-i t a^2} X, which is
+    diag(cos t a^2, i sin t a^2) on the X eigenbasis.  Only the default
+    theta = pi/(4 alpha^2), where 2 theta alpha^2 = pi/2, gives Rx(pi/2).
+    The map is a multiple of a unitary only where theta alpha^2 is an odd
+    multiple of pi/4; at any other theta it is not a rotation but an
+    input-dependent filter once normalized.  The drawn parity record lands
+    through `_land` like a teleport's Bell record: X correction first, then
+    gate_z for a Z residual.  With rng=None the even/even branch is post-selected.
     """
     if theta is None:
         theta = np.pi / (4 * enc.alpha**2)
@@ -349,7 +353,7 @@ def entangling_gate(
         raise ValueError("the two qubits must occupy distinct modes")
     _warn_outside_regime(theta, max(enc_a.alpha, enc_b.alpha))
     # each of the two teleport projections contributes half the phase
-    mixed = optics.beamsplitter(s, optics.BeamSplitterSpec(enc_a.mode, enc_b.mode, theta / 2.0))
+    mixed = optics.beamsplitter(s, enc_a.mode, enc_b.mode, theta / 2.0)
     trace = (_traced("beamsplitter", f"theta={theta / 2.0:.6g}", "-", 1.0),)
     out = GateOutcome(mixed, True, "identity", 1.0, 0, trace)
     for enc in (enc_a, enc_b):

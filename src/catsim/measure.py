@@ -243,7 +243,13 @@ def cat_projection(
     """Project `mode` onto the normalized even/odd cat at amplitude
     `ref_amp`.  On {+a, -a}-supported modes this coincides with the
     corresponding parity class; it stays an exact pure projection for
-    modes that have leaked slightly off +/-a."""
+    modes that have leaked slightly off +/-a.
+
+    A branch at or below PROB_FLOOR gives a record whose `state` is None,
+    where `project_photon_number` and `homodyne_condition` raise
+    ZeroNormError.  The gates rely on this: `gate_rx` builds the same
+    cat-projection table, and `gates._pick` turns a drawn stateless branch
+    into a GateFailure."""
     s.check_mode(mode)
     if parity not in (+1, -1):
         raise ValueError("parity must be +1 or -1")

@@ -2,16 +2,14 @@
 for coherent-superposition probes, with closed-form sensitivity bounds and
 Monte Carlo maximum-likelihood estimation.
 
-Conventions (mirroring the protocols implemented):
+Conventions:
 - A weak force acting for a fixed time displaces every probe mode by
   D(i eps); the Hermitian generator of that displacement is
   G = sum_m (a_m + a_m^dag).
-- The classical (coherent-probe) threshold uses the standard bound
-  (d eps)^2 >= 1/(4 Var G), giving eps_SQL = 1/2; the cat-probe reports
-  use the generator-variance bound (d eps)^2 >= 1/Var(G), the convention
-  under which a single cat gives eps_min ~ 1/(2 sqrt(nbar)) and the
-  N-mode entangled probe gives eps_min = 1/sqrt(N [1 + 4 n_tot]).  The
-  operation `qfi_displacement` always returns the standard 4 Var(G).
+- `qfi_displacement` returns the standard quantum Fisher information
+  4 Var(G).  The cat-probe reports hold Var(G) in their `qfi` field, and
+  eps_min = 1/sqrt(Var G): a single cat gives eps_min ~ 1/(2 sqrt(nbar))
+  and the N-mode entangled probe eps_min = 1/sqrt(N [1 + 4 n_tot]).
 """
 
 from __future__ import annotations
@@ -29,12 +27,9 @@ __all__ = [
     "SensitivityReport",
     "FringeScan",
     "classical_snr",
-    "sql_threshold",
-    "displaced_cat",
     "mean_photon_number",
     "qfi_displacement",
     "sensitivity_bound",
-    "classical_report",
     "weak_force_readout_probability",
     "weak_force_experiment",
     "ruler_probability",
@@ -47,23 +42,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SensitivityReport:
-    """Sensitivity of one force-sensing configuration.
+    """Sensitivity of one N-mode entangled cat probe.
 
-    `qfi` is the information quantity whose inverse square root is the
-    reported minimum detectable displacement (see module docstring for
-    the per-regime convention); `epsilon_min` = 1/sqrt(qfi) always.
+    `qfi` is the generator variance Var(G) of the probe, while
+    `qfi_displacement` returns the standard 4 Var(G); `epsilon_min` is
+    1/sqrt(qfi).
     """
 
-    regime: str  # classical | single_cat | multimode_cat
-    alpha: float
-    n_modes: int
     n_tot: float
     qfi: float
     epsilon_min: float
-    snr: float
-    epsilon: float = 0.0
-    trials: int = 0
-    batches: int = 0
     estimate_mean: float = float("nan")
     estimate_var: float = float("nan")
     crb_var: float = float("nan")
@@ -74,8 +62,6 @@ class SensitivityReport:
 class FringeScan:
     """Interference-fringe scan of the length-measurement probe."""
 
-    alpha: float
-    wavelength: float
     theta: np.ndarray
     length: np.ndarray
     probability: np.ndarray
@@ -88,16 +74,6 @@ def classical_snr(epsilon: float) -> float:
     probe: mean quadrature shift sqrt(2) eps over sigma 1/sqrt(2), the same
     at every probe amplitude."""
     return 2.0 * float(epsilon)
-
-
-def sql_threshold() -> float:
-    """Smallest displacement resolvable at unit SNR with a coherent probe."""
-    return 0.5
-
-
-def displaced_cat(alpha: float, epsilon: float) -> CoherentSuperposition:
-    """Even cat probe after the weak force: exact D(i eps) on cat(alpha)."""
-    return optics.displace(cat(alpha, +1), 0, 1j * epsilon)
 
 
 def qfi_displacement(s: CoherentSuperposition) -> float:
@@ -133,29 +109,10 @@ def sensitivity_bound(alpha: float, n_modes: int) -> SensitivityReport:
         raise ValueError("n_modes must be >= 1")
     probe = ghz_cat(alpha, n_modes)
     info = qfi_displacement(probe) / 4.0
-    regime = "single_cat" if n_modes == 1 else "multimode_cat"
     return SensitivityReport(
-        regime=regime,
-        alpha=float(alpha),
-        n_modes=n_modes,
         n_tot=float(alpha) ** 2,
         qfi=info,
         epsilon_min=1.0 / math.sqrt(info),
-        snr=0.0,
-    )
-
-
-def classical_report(epsilon: float) -> SensitivityReport:
-    """Coherent-probe reference point: qfi = 4, eps_min = 1/2 (unit SNR)."""
-    return SensitivityReport(
-        regime="classical",
-        alpha=0.0,
-        n_modes=1,
-        n_tot=0.0,
-        qfi=4.0,
-        epsilon_min=sql_threshold(),
-        snr=classical_snr(epsilon),
-        epsilon=float(epsilon),
     )
 
 
@@ -217,10 +174,6 @@ def weak_force_experiment(
     saturation = crb_var / est_var if est_var > 0 else float("inf")
     return replace(
         bound,
-        snr=classical_snr(epsilon),
-        epsilon=float(epsilon),
-        trials=trials,
-        batches=batches,
         estimate_mean=float(np.mean(eps_hat)),
         estimate_var=est_var,
         crb_var=crb_var,
@@ -328,8 +281,6 @@ def quantum_ruler(
         raise ValueError("fewer than 2 fringe peaks in the scan range")
     spacing_theta = float(np.mean(np.diff(peaks)))
     return FringeScan(
-        alpha=float(alpha),
-        wavelength=float(wavelength),
         theta=thetas,
         length=thetas * wavelength / (2 * math.pi),
         probability=probs,

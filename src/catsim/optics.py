@@ -11,14 +11,11 @@ encapsulates that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .states import CoherentSuperposition, cat, coherent_overlap
 
 __all__ = [
-    "BeamSplitterSpec",
     "beamsplitter",
     "phase_shift",
     "displace",
@@ -32,31 +29,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BeamSplitterSpec:
-    mode_a: int
-    mode_b: int
-    theta: float
-
-    def validate(self, n_modes: int) -> None:
-        if self.mode_a == self.mode_b:
-            raise ValueError("beam splitter needs two distinct modes")
-        for m in (self.mode_a, self.mode_b):
-            if not 0 <= m < n_modes:
-                raise IndexError(f"mode {m} out of range for {n_modes}-mode state")
-
-
 def _mix(g: np.ndarray, b: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
     """The two output columns of B(theta) on input amplitude columns g, b."""
     c, sn = np.cos(theta), np.sin(theta)
     return g * c + 1j * b * sn, b * c + 1j * g * sn
 
 
-def beamsplitter(s: CoherentSuperposition, spec: BeamSplitterSpec) -> CoherentSuperposition:
-    """Apply B(theta) between spec.mode_a and spec.mode_b."""
-    spec.validate(s.modes)
-    a, b, amps = spec.mode_a, spec.mode_b, s.amps.copy()
-    amps[:, a], amps[:, b] = _mix(s.amps[:, a], s.amps[:, b], spec.theta)
+def beamsplitter(
+    s: CoherentSuperposition, mode_a: int, mode_b: int, theta: float
+) -> CoherentSuperposition:
+    """Apply B(theta) between mode_a and mode_b."""
+    if mode_a == mode_b:
+        raise ValueError("beam splitter needs two distinct modes")
+    for m in (mode_a, mode_b):
+        if not 0 <= m < s.modes:
+            raise IndexError(f"mode {m} out of range for {s.modes}-mode state")
+    amps = s.amps.copy()
+    amps[:, mode_a], amps[:, mode_b] = _mix(s.amps[:, mode_a], s.amps[:, mode_b], theta)
     return CoherentSuperposition(s.coeffs, amps)
 
 
@@ -103,7 +92,7 @@ def displace_physical(
     # i * theta * anc must equal beta, so the ancilla carries the phase
     anc = strong_amp * np.exp(1j * (np.angle(beta) - np.pi / 2))
     with_anc = append_modes(s, [anc])
-    mixed = beamsplitter(with_anc, BeamSplitterSpec(mode, s.modes, theta))
+    mixed = beamsplitter(with_anc, mode, s.modes, theta)
     # nominal ancilla output ignores the weak leakage from the signal mode
     nominal = anc * np.cos(theta)
     return _project_coherent(mixed, s.modes, nominal).normalize()
@@ -163,7 +152,7 @@ def bell_resource(alpha: float) -> CoherentSuperposition:
     -pi/2 phase shift on the second mode."""
     big = cat(np.sqrt(2) * alpha, +1)
     two = append_modes(big, [0.0])
-    mixed = beamsplitter(two, BeamSplitterSpec(0, 1, np.pi / 4))
+    mixed = beamsplitter(two, 0, 1, np.pi / 4)
     return phase_shift(mixed, 1, -np.pi / 2).merge_terms()
 
 

@@ -160,8 +160,7 @@ def test_08_ruler_fringe_spacing():
 
 def test_09_oracle_equivalence():
     start = time.monotonic()
-    rows = audit.run_audit(20240817, cases_per_check=20, alpha_max=3.0,
-                           modes_max=3, terms_max=8)
+    rows = audit.run_audit(20240817, cases_per_check=20, alpha_max=3.0, modes_max=3)
     elapsed = time.monotonic() - start
     total_cases = sum(r.cases for r in rows)
     ok = total_cases >= 200 and all(r.passed for r in rows) and elapsed < 120

@@ -129,6 +129,12 @@ def test_unwritable_output_is_config_error_before_any_work(tmp_path, capsys, mon
     ["ruler", "--alpha", "1e-308"],  # the scan range 3.4 pi / alpha overflows to inf
     ["ruler", "--alpha", "5e-324"],
     ["weak-force", "--alpha", "5e-324"],  # the mid-fringe epsilon pi / (4 alpha) overflows
+    # argument parse errors: one reason, not argparse's usage block
+    ["ramsey", "--n-max", "abc"],
+    ["ramsey", "--bogus", "1"],
+    ["ramsey", "--seed", "x"],
+    ["nope"],
+    [],
 ])
 def test_out_of_range_input_exits_2_with_one_line(args):
     proc = subprocess.run(

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -15,3 +16,15 @@ def test_all_names_resolve_and_star_import(name):
     assert not missing, f"{name}.__all__ lists undefined names {missing}"
     namespace: dict = {}
     exec(f"from {name} import *", namespace)
+
+
+def test_every_package_name_is_exported_by_its_defining_module():
+    stale = []
+    for attr in dir(catsim):
+        obj = getattr(catsim, attr)
+        if attr.startswith("_") or inspect.ismodule(obj):
+            continue
+        home = importlib.import_module(obj.__module__)
+        if attr not in getattr(home, "__all__", ()):
+            stale.append(f"{attr} ({obj.__module__})")
+    assert not stale, f"catsim re-exports names missing from their module's __all__: {stale}"

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from catsim.fockoracle import (
-    FockVector,
     fock_beamsplitter,
     fock_condition_number,
     fock_displace,
     fock_fidelity,
     fock_inner,
     fock_measure_number,
+    fock_norm_squared,
     fock_phase,
     fock_quadrature_pdf,
     to_fock,
@@ -20,20 +20,20 @@ from catsim.states import CoherentSuperposition, cat, coherent, vacuum
 
 def test_vacuum_is_unit_vector():
     v = to_fock(vacuum(), 10)
-    assert v.data[0] == pytest.approx(1.0)
-    assert np.sum(np.abs(v.data[1:])) == 0.0
+    assert v[0] == pytest.approx(1.0)
+    assert np.sum(np.abs(v[1:])) == 0.0
 
 
 def test_coherent_tail_mass():
     v = to_fock(coherent(2.0), 44)
-    assert 1.0 - v.norm_squared() < 1e-12
+    assert 1.0 - fock_norm_squared(v) < 1e-12
 
 
 def test_even_cat_parity_structure():
     v = to_fock(cat(1.0, +1), 30)
-    assert np.max(np.abs(v.data[1::2])) < 1e-16
+    assert np.max(np.abs(v[1::2])) < 1e-16
     w = to_fock(cat(1.0, -1), 30)
-    assert np.max(np.abs(w.data[0::2])) < 1e-16
+    assert np.max(np.abs(w[0::2])) < 1e-16
 
 
 def test_phase_shifter_closed_form():
@@ -49,7 +49,7 @@ def test_displacement_closed_form():
     out = fock_displace(to_fock(coherent(a), 50), 0, beta)
     ref = to_fock(coherent(a + beta), 50)
     assert fock_fidelity(out, ref) >= 1 - 1e-10
-    assert out.norm_squared() == pytest.approx(1.0, abs=1e-10)
+    assert fock_norm_squared(out) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_beamsplitter_closed_form():
@@ -58,7 +58,7 @@ def test_beamsplitter_closed_form():
     c, s = math.cos(theta), math.sin(theta)
     ref = to_fock(coherent(g * c + 1j * b * s, b * c + 1j * g * s), 30)
     assert fock_fidelity(out, ref) >= 1 - 1e-10
-    assert out.norm_squared() == pytest.approx(1.0, abs=1e-10)
+    assert fock_norm_squared(out) == pytest.approx(1.0, abs=1e-10)
     with pytest.raises(ValueError):
         fock_beamsplitter(out, 0, 0, 0.1)
 
@@ -125,7 +125,7 @@ def test_beamsplitter_matches_dense_truncated_generator():
         for modes, pair in ((2, (0, 1)), (2, (1, 0)), (3, (0, 2)), (3, (2, 0)), (3, (1, 2))):
             data = _random_vector(rng, d, modes)
             for theta in (0.37, -1.2, np.pi / 2, 2.9):
-                out = fock_beamsplitter(FockVector(data), *pair, theta).data
+                out = fock_beamsplitter(data, *pair, theta)
                 ref = _dense_beamsplitter(data, *pair, theta)
                 assert np.max(np.abs(out - ref)) < 1e-13, (d, pair, theta)
 
@@ -140,7 +140,7 @@ def test_displacement_matches_dense_truncated_generator():
             u = (evecs * np.exp(1j * evals)) @ evecs.conj().T
             for modes, mode in ((1, 0), (3, 0), (3, 1), (3, 2)):
                 data = _random_vector(rng, d, modes)
-                out = fock_displace(FockVector(data), mode, beta).data
+                out = fock_displace(data, mode, beta)
                 ref = np.moveaxis(np.tensordot(u, data, axes=([1], [mode])), 0, mode)
                 assert np.max(np.abs(out - ref)) < 1e-13, (d, beta, mode)
 
@@ -150,7 +150,7 @@ def test_displacement_matches_dense_truncated_generator():
 def test_cat_amplitudes_of_the_other_parity_are_exactly_zero(modes, parity):
     a = 1.3 + 0.4j
     s = CoherentSuperposition([1.0, parity], [[a] * modes, [-a] * modes]).normalize()
-    data = to_fock(s, 12).data
+    data = to_fock(s, 12)
     total = np.indices(data.shape).sum(axis=0)
     wrong = total % 2 == (0 if parity < 0 else 1)
     assert np.all(data[wrong] == 0.0)
@@ -180,6 +180,6 @@ def test_to_fock_matches_per_term_reference():
         amps = rng.uniform(0, 2.5, (k, m)) * np.exp(2j * np.pi * rng.uniform(size=(k, m)))
         s = CoherentSuperposition(rng.normal(size=k) + 1j * rng.normal(size=k), amps).normalize()
         n_max = int(rng.integers(0, 30))
-        out = to_fock(s, n_max).data
+        out = to_fock(s, n_max)
         assert out.shape == (n_max + 1,) * m
         assert np.max(np.abs(out - _to_fock_per_term(s, n_max))) < 1e-15

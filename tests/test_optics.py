@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from catsim.optics import (
-    BeamSplitterSpec,
     append_modes,
     beamsplitter,
     bell_resource,
@@ -22,7 +21,7 @@ from catsim.states import CoherentSuperposition, bell_cat, cat, coherent, fideli
 def test_beamsplitter_amplitude_transform():
     g, b = 1.3 + 0.2j, -0.7 + 0.5j
     theta = 0.37
-    out = beamsplitter(coherent(g, b), BeamSplitterSpec(0, 1, theta))
+    out = beamsplitter(coherent(g, b), 0, 1, theta)
     c, s = math.cos(theta), math.sin(theta)
     assert out.amps[0, 0] == pytest.approx(g * c + 1j * b * s)
     assert out.amps[0, 1] == pytest.approx(b * c + 1j * g * s)
@@ -32,9 +31,9 @@ def test_beamsplitter_amplitude_transform():
 def test_beamsplitter_validation():
     s = coherent(1.0, 2.0)
     with pytest.raises(ValueError):
-        beamsplitter(s, BeamSplitterSpec(0, 0, 0.1))
+        beamsplitter(s, 0, 0, 0.1)
     with pytest.raises(IndexError):
-        beamsplitter(s, BeamSplitterSpec(0, 5, 0.1))
+        beamsplitter(s, 0, 5, 0.1)
 
 
 def test_phase_shift():
