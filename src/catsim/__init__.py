@@ -57,7 +57,6 @@ from .gates import (
     gate_rz,
     gate_x,
     gate_z,
-    process_fidelity,
     teleport,
 )
 from .metrology import (

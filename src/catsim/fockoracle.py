@@ -103,7 +103,9 @@ def fock_norm_squared(v: np.ndarray) -> float:
 def fock_inner(x: np.ndarray, y: np.ndarray) -> complex:
     if x.shape != y.shape:
         raise ValueError("shape mismatch")
-    return complex(np.vdot(x, y))
+    # a fixed-order sum, unlike np.vdot, whose BLAS dot rounds differently
+    # with the thread count
+    return complex(np.sum(x.conj() * y))
 
 
 def fock_fidelity(x: np.ndarray, y: np.ndarray) -> float:

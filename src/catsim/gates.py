@@ -1,6 +1,6 @@
 """Coherent-state qubit encoding and the universal gate set: X, teleported
 Z, teleported Rz, cat-projected Rx(pi/2), and the beam-splitter entangling
-gate, plus decoded-qubit process-fidelity evaluation.
+gate, plus the closed-form local dressing of the entangling gate onto CNOT.
 
 Logical basis: |0>_L = |-alpha>, |1>_L = |alpha> with real alpha > 0.
 Probabilistic gates take an RNG; passing rng=None post-selects the
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "gate_rz",
     "gate_rx",
     "entangling_gate",
-    "process_fidelity",
     "cnot_dressing",
 ]
 
@@ -210,17 +209,15 @@ def teleport(
     s: CoherentSuperposition,
     enc: QubitEncoding,
     rng: Optional[np.random.Generator] = None,
-    branch: Optional[str] = None,
 ) -> GateOutcome:
     """Teleport the qubit in enc.mode through a fresh Bell-cat resource.
 
     Projects any leakage back into the logical space.  The Bell outcome
     decides the residual: I/III land the identity (after X correction for
-    III), II/IV land Z.  With rng=None (and no explicit branch) the 'I'
-    branch is post-selected.
+    III), II/IV land Z.  With rng=None the 'I' branch is post-selected.
     """
     table, _ = _bell_table(s, enc)
-    return _land(s, enc, _pick(table, rng if branch is None else None, branch or "I"))
+    return _land(s, enc, _pick(table, rng, "I"))
 
 
 def gate_z(
@@ -364,37 +361,13 @@ def entangling_gate(
 
 
 # ---------------------------------------------------------------------------
-# process-level evaluation
-
-def _spanning_inputs(d: int) -> list[np.ndarray]:
-    eye = np.eye(d, dtype=complex)
-    inputs = [eye[i] for i in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            inputs.append((eye[i] + eye[j]) / np.sqrt(2))
-            inputs.append((eye[i] + 1j * eye[j]) / np.sqrt(2))
-    return inputs
-
+# CNOT dressing
 
 def _map_fidelity(a: np.ndarray, target: np.ndarray) -> float:
     """|Tr(U^dag A)|^2 / (d Tr(A^dag A)) of the linear map A against the
     target unitary U: 1.0 exactly when A is U up to a global phase and scale."""
     denom = target.shape[0] * float(np.real(np.trace(a.conj().T @ a)))
     return abs(np.trace(target.conj().T @ a)) ** 2 / denom
-
-
-def process_fidelity(
-    channel: Callable[[np.ndarray], np.ndarray], target: np.ndarray
-) -> float:
-    """Process fidelity of the linear map A reconstructed from channel
-    outputs on a spanning input set against the target unitary U (see
-    `_map_fidelity`)."""
-    target = np.asarray(target, dtype=complex)
-    inputs = _spanning_inputs(target.shape[0])
-    vin = np.column_stack(inputs)
-    vout = np.column_stack([np.asarray(channel(v), dtype=complex) for v in inputs])
-    a, *_ = np.linalg.lstsq(vin.T, vout.T, rcond=None)
-    return _map_fidelity(a.T, target)
 
 
 CNOT = np.array(

@@ -10,6 +10,9 @@ Conventions:
   4 Var(G).  The cat-probe reports hold Var(G) in their `qfi` field, and
   eps_min = 1/sqrt(Var G): a single cat gives eps_min ~ 1/(2 sqrt(nbar))
   and the N-mode entangled probe eps_min = 1/sqrt(N [1 + 4 n_tot]).
+- The weak-force readout snaps the recombined amplitudes back to
+  +/- alpha.  The exact chain's readout is the ruler's:
+  ruler_probability(alpha, 2 sqrt(N) eps).
 """
 
 from __future__ import annotations
@@ -116,20 +119,19 @@ def sensitivity_bound(alpha: float, n_modes: int) -> SensitivityReport:
     )
 
 
-def weak_force_readout_probability(
-    alpha: float, n_modes: int, epsilon: float, neglect_residual: bool = True
-) -> float:
+def weak_force_readout_probability(alpha: float, n_modes: int, epsilon: float) -> float:
     """Probability of the even-cat readout after the sensing chain: N-mode
     entangled probe, D(i eps) on every mode, recombination into a single
     mode, then even/odd cat discrimination (normalized binary).
 
-    With `neglect_residual` (default) the small residual displacement
-    i eps sqrt(N) of the recombined amplitudes is dropped while the exact
-    accumulated phases e^{+/- i sqrt(N) alpha eps} are kept, so the
-    readout is cos^2(sqrt(N) alpha eps) up to exponentially small
-    nonorthogonality terms.  With neglect_residual=False the projection
-    is taken on the exact recombined state, where the residual
-    displacement contributes a second phase of the same size.
+    The small residual displacement i eps sqrt(N) of the recombined
+    amplitudes is dropped while the exact accumulated phases
+    e^{+/- i sqrt(N) alpha eps} are kept, so the readout is
+    cos^2(sqrt(N) alpha eps) up to exponentially small nonorthogonality
+    terms.  On the exact recombined state the residual displacement
+    contributes a second phase of the same size: that chain is a cat of
+    amplitude alpha displaced by i sqrt(N) eps, whose readout is
+    `ruler_probability(alpha, 2 sqrt(N) eps)`.
     """
     if not math.isfinite(epsilon):
         raise ValueError(f"epsilon = {epsilon} is not finite")
@@ -137,9 +139,8 @@ def weak_force_readout_probability(
     for m in range(n_modes):
         probe = optics.displace(probe, m, 1j * epsilon)
     merged = optics.nport_merge(probe, list(range(n_modes)))
-    if neglect_residual:
-        snapped = measure._nearest_signs(merged.amps, alpha) * alpha
-        merged = CoherentSuperposition(merged.coeffs, snapped)
+    snapped = measure._nearest_signs(merged.amps, alpha) * alpha
+    merged = CoherentSuperposition(merged.coeffs, snapped)
     a = merged.amps[:, 0]
     weights = np.array([measure._cat_weights(alpha, parity, a) for parity in (+1, -1)])
     p_even, p_odd = measure._branch_norms(merged, [0], weights)
@@ -170,8 +171,9 @@ def weak_force_experiment(
     phat = np.clip(k / trials, 0.0, 1.0)
     eps_hat = np.arccos(np.sqrt(phat)) / (math.sqrt(n_modes) * alpha)
     crb_var = 1.0 / (trials * bound.qfi)
+    # one batch leaves the variance, and so the saturation, undefined
     est_var = float(np.var(eps_hat, ddof=1)) if batches > 1 else float("nan")
-    saturation = crb_var / est_var if est_var > 0 else float("inf")
+    saturation = crb_var / est_var if est_var != 0 else float("inf")
     return replace(
         bound,
         estimate_mean=float(np.mean(eps_hat)),
@@ -240,15 +242,14 @@ def ruler_probability(alpha: float, theta: float | np.ndarray) -> float | np.nda
     return (p_even / (p_even + p_odd))[()]
 
 
-def _peak_positions(xs: np.ndarray, ys: np.ndarray) -> list[float]:
+def _peak_positions(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Local maxima refined by quadratic interpolation of three points."""
-    peaks = []
-    for i in range(1, len(xs) - 1):
-        if ys[i] >= ys[i - 1] and ys[i] > ys[i + 1]:
-            denom = ys[i - 1] - 2 * ys[i] + ys[i + 1]
-            shift = 0.0 if denom == 0 else 0.5 * (ys[i - 1] - ys[i + 1]) / denom
-            peaks.append(float(xs[i] + shift * (xs[i + 1] - xs[i])))
-    return peaks
+    left, mid, right = ys[:-2], ys[1:-1], ys[2:]
+    i = np.flatnonzero((mid >= left) & (mid > right))
+    # left <= mid > right makes the second difference negative, never 0
+    denom = left[i] - 2 * mid[i] + right[i]
+    shift = 0.5 * (left[i] - right[i]) / denom
+    return xs[i + 1] + shift * (xs[i + 2] - xs[i + 1])
 
 
 def quantum_ruler(

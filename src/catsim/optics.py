@@ -41,9 +41,8 @@ def beamsplitter(
     """Apply B(theta) between mode_a and mode_b."""
     if mode_a == mode_b:
         raise ValueError("beam splitter needs two distinct modes")
-    for m in (mode_a, mode_b):
-        if not 0 <= m < s.modes:
-            raise IndexError(f"mode {m} out of range for {s.modes}-mode state")
+    s.check_mode(mode_a)
+    s.check_mode(mode_b)
     amps = s.amps.copy()
     amps[:, mode_a], amps[:, mode_b] = _mix(s.amps[:, mode_a], s.amps[:, mode_b], theta)
     return CoherentSuperposition(s.coeffs, amps)

@@ -131,8 +131,8 @@ class CoherentSuperposition:
             raise ZeroNormError("cannot normalize a zero-norm state")
         return CoherentSuperposition(self.coeffs / np.sqrt(n2), self.amps)
 
-    def merge_terms(self, tol: float = MERGE_TOL) -> "CoherentSuperposition":
-        """Combine terms whose amplitude vectors agree to within `tol`
+    def merge_terms(self) -> "CoherentSuperposition":
+        """Combine terms whose amplitude vectors agree to within MERGE_TOL
         (max-norm) and drop negligibly small coefficients.
 
         Terms are grouped greedily in term order: each term joins the first
@@ -140,8 +140,6 @@ class CoherentSuperposition:
         representative keeps its first term's amplitudes, and its
         coefficient is the sum of its terms' coefficients in term order.
         """
-        if tol < 0:
-            raise ValueError("tol must be >= 0")
         k = self.nterms
         if k <= 1:
             return self
@@ -156,7 +154,7 @@ class CoherentSuperposition:
             dist = np.abs(cols[0][rows, None] - cols[0])
             for col in cols[1:]:
                 np.maximum(dist, np.abs(col[rows, None] - col), out=dist)
-            close[rows] = dist <= tol
+            close[rows] = dist <= MERGE_TOL
         # label[j]: first term close to term j.  If every label is its own
         # label, the terms with label[j] == j are the greedy representatives.
         label = close.argmax(axis=1)

@@ -364,3 +364,28 @@ def test_repeated_main_calls_match_fresh_processes(capsys):
     third = run_cli(sweep, capsys)
     assert first == third == (EXIT_OK, fresh(sweep))
     assert second == (EXIT_OK, fresh(plain))
+
+
+def test_every_experiment_prints_the_same_bytes_under_one_and_two_blas_threads():
+    import catsim
+
+    src = Path(catsim.__file__).resolve().parent.parent
+    script = (
+        "import catsim.cli as c\n"
+        "for name in c._EXPERIMENTS:\n"
+        "    assert c.main([name]) == c.EXIT_OK, name\n"
+    )
+
+    def run(threads):
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    one = run("1")
+    assert one.count("# experiment ") == len(cli._EXPERIMENTS) == 6
+    assert run("2") == one

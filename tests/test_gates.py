@@ -19,7 +19,6 @@ from catsim.gates import (
     gate_x,
     gate_z,
     logical_coefficients,
-    process_fidelity,
     teleport,
 )
 from catsim.states import CoherentSuperposition, cat, coherent_overlap, fidelity
@@ -49,16 +48,14 @@ def test_gate_x_swaps_logical_amplitudes():
 
 def test_teleport_branches_realize_identity_or_z():
     s = encode(0.6, 0.8j, ENC)
-    for branch, residual in (("I", "identity"), ("II", "Z"), ("III", "identity"), ("IV", "Z")):
-        out = teleport(s, ENC, branch=branch)
+    for branch, residual in ((_I, "identity"), (_II, "Z"), (_III, "identity"), (_IV, "Z")):
+        out = teleport(s, ENC, _ScriptedRng(branch))
         assert out.success and out.applied == residual
         m, n, _ = decode(out.state, ENC)
         expected = (0.8j / 0.6) * (-1 if residual == "Z" else 1)
         assert n / m == pytest.approx(expected, rel=1e-9)
     # branch probabilities over all five outcomes sum to one
-    total = sum(
-        teleport(s, ENC, branch=b).probability for b in ("I", "II", "III", "IV", "FAIL")
-    )
+    total = sum(teleport(s, ENC, _ScriptedRng(b)).probability for b in range(5))
     assert total == pytest.approx(1.0, abs=1e-10)
 
 
@@ -82,7 +79,7 @@ def test_teleport_sampling_frequencies():
         out = teleport(s, ENC, rng=rng)
         counts[out.applied if out.success else "FAIL"] += 1
     # identity and Z each land with probability ~(1 - p_fail)/2
-    p_fail = teleport(s, ENC, branch="FAIL").probability
+    p_fail = teleport(s, ENC, _ScriptedRng(_FAIL)).probability
     expect = (1 - p_fail) / 2
     sigma = math.sqrt(expect * (1 - expect) * trials)
     assert abs(counts["identity"] - expect * trials) < 4 * sigma
@@ -238,15 +235,6 @@ def reconstruct_two_qubit(channel):
     return a.T
 
 
-def test_process_fidelity_trivial_cases():
-    u = np.array([[0, 1], [1, 0]], dtype=complex)
-    assert process_fidelity(lambda v: u @ v, u) == pytest.approx(1.0, abs=1e-12)
-    # global phase and scale invariance
-    assert process_fidelity(lambda v: 0.3j * (u @ v), u) == pytest.approx(1.0, abs=1e-12)
-    assert process_fidelity(lambda v: v, u) == pytest.approx(0.0, abs=1e-12)
-    assert CNOT.shape == (4, 4)
-
-
 def _locally_phased_diag(chi: float, rng: np.random.Generator) -> np.ndarray:
     """diag(1, 1, 1, e^{i chi}) times random local Z phases and a global phase."""
     a, b, g = rng.uniform(0, 2 * np.pi, size=3)
@@ -281,7 +269,7 @@ def test_gate_outcome_trace_records():
 
 def test_teleport_fail_branch():
     s = encode(1.0, 1.0, ENC)
-    out = teleport(s, ENC, branch="FAIL")
+    out = teleport(s, ENC, _ScriptedRng(_FAIL))
     assert not out.success and out.applied == "FAIL"
     # FAIL probability lives on the double-vacuum weight scale e^{-2 alpha^2}
     assert 0 < out.probability < 10 * math.exp(-2 * ENC.alpha**2)
@@ -393,7 +381,7 @@ def test_every_returned_state_is_already_merged(leaked):
     s = optics.tensor(encode(0.6, 0.8, enc_a), encode(1.0, 1.0j, enc_b))
     if leaked:
         s = optics.displace(s, 0, 0.03 + 0.02j).normalize()
-    outs = [teleport(s, enc_a, branch=b) for b in ("I", "II", "III", "IV", "FAIL")]
+    outs = [teleport(s, enc_a, _ScriptedRng(b)) for b in range(5)]
     for seed in (None, *range(12)):
         def rng():
             return None if seed is None else np.random.default_rng(seed)
@@ -422,7 +410,7 @@ class _ScriptedRng:
 
 # indices into the Bell table (I, II, III, IV, FAIL) and the gate_rx table
 # ((even, even), (odd, even), (even, odd), (odd, odd))
-_II, _I, _FAIL, _EVEN_ODD = 1, 0, 4, 2
+_I, _II, _III, _IV, _FAIL, _EVEN_ODD = 0, 1, 2, 3, 4, 2
 
 
 @pytest.mark.parametrize("gate, picks, repetitions", [

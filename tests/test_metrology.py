@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from catsim.fockoracle import to_fock
-from catsim.measure import default_nmax
-from catsim.optics import displace
+from catsim.measure import cat_projection, default_nmax
+from catsim.optics import displace, nport_merge
 from catsim.metrology import (
+    _peak_positions,
     binary_fisher_information,
     classical_snr,
     mean_photon_number,
@@ -127,9 +128,26 @@ def test_weak_force_readout_fringe():
         assert p == pytest.approx(
             math.cos(math.sqrt(n) * alpha * eps) ** 2, abs=1e-4
         )
-    # the exact chain keeps the residual displacement, doubling the phase
-    p_exact = weak_force_readout_probability(alpha, n, 0.02, neglect_residual=False)
-    assert p_exact == pytest.approx(math.cos(2 * math.sqrt(n) * alpha * 0.02) ** 2, abs=1e-3)
+
+
+def test_ruler_probability_is_the_exact_weak_force_chain():
+    # the unsnapped chain: probe, D(i eps) on every mode, merge, cat projection
+    for alpha in (1.0, 1.5, 2.0, 3.0):
+        for n in (1, 2, 4, 9):
+            for eps in (0.0, 0.013, 0.05, -0.11, 0.3):
+                probe = ghz_cat(alpha, n)
+                for m in range(n):
+                    probe = displace(probe, m, 1j * eps)
+                merged = nport_merge(probe, list(range(n)))
+                p_even, p_odd = (
+                    cat_projection(merged, 0, alpha, parity).probability for parity in (+1, -1)
+                )
+                assert ruler_probability(alpha, 2 * math.sqrt(n) * eps) == pytest.approx(
+                    p_even / (p_even + p_odd), abs=1e-14
+                ), (alpha, n, eps)
+    # the residual displacement doubles the phase of the snapped readout
+    p_exact = ruler_probability(2.0, 2 * math.sqrt(4) * 0.02)
+    assert p_exact == pytest.approx(math.cos(2 * math.sqrt(4) * 2.0 * 0.02) ** 2, abs=1e-3)
 
 
 def test_weak_force_experiment_unbiased_and_saturating():
@@ -142,6 +160,12 @@ def test_weak_force_experiment_unbiased_and_saturating():
     assert rep.saturation <= 1.05  # cannot beat the Cramer-Rao bound
     with pytest.raises(ValueError):
         weak_force_experiment(alpha, n, eps, trials=0, rng=rng)
+
+
+def test_weak_force_experiment_one_batch_has_no_variance_or_saturation():
+    rep = weak_force_experiment(2.0, 1, 0.3, trials=100, rng=np.random.default_rng(0), batches=1)
+    assert math.isfinite(rep.estimate_mean) and math.isfinite(rep.crb_var)
+    assert math.isnan(rep.estimate_var) and math.isnan(rep.saturation)
 
 
 def test_ramsey_probabilities():
@@ -180,6 +204,29 @@ def test_ruler_probability_fringes():
         assert ruler_probability(alpha, theta) == pytest.approx(
             math.cos(alpha * theta) ** 2, abs=1e-8
         )
+
+
+def _peak_positions_reference(xs, ys):
+    """Per-point loop: local maxima refined by three-point quadratic interpolation."""
+    peaks = []
+    for i in range(1, len(xs) - 1):
+        if ys[i] >= ys[i - 1] and ys[i] > ys[i + 1]:
+            denom = ys[i - 1] - 2 * ys[i] + ys[i + 1]
+            shift = 0.0 if denom == 0 else 0.5 * (ys[i - 1] - ys[i + 1]) / denom
+            peaks.append(float(xs[i] + shift * (xs[i + 1] - xs[i])))
+    return peaks
+
+
+def test_peak_positions_bit_identical_to_loop_reference():
+    cases = [(alpha, points) for alpha in (1.0, 2.0, 6.0) for points in (16, 101, 2001)]
+    for alpha, points in cases:
+        xs = np.linspace(0.0, 3.4 * math.pi / alpha, points)
+        ys = ruler_probability(alpha, xs)
+        assert _peak_positions(xs, ys).tolist() == _peak_positions_reference(xs, ys)
+    # a tie on the left counts as a peak, a tie on the right does not
+    xs = np.arange(7.0)
+    ys = np.array([0.0, 1.0, 1.0, 0.5, 2.0, 2.0, 1.0])
+    assert _peak_positions(xs, ys).tolist() == _peak_positions_reference(xs, ys) == [1.5, 4.5]
 
 
 def test_quantum_ruler_spacing():

@@ -106,13 +106,13 @@ def test_merge_preserves_inner_products():
     assert abs(before - after) < 1e-12
 
 
-def _merge_reference(s, tol):
-    """Greedy first-representative merge, one term at a time."""
+def _merge_reference(s):
+    """Greedy first-representative merge at MERGE_TOL, one term at a time."""
     rep_amps, rep_coeffs = [], []
     for k in range(s.nterms):
         a = s.amps[k]
         for j, r in enumerate(rep_amps):
-            if (np.max(np.abs(a - r)) <= tol) if a.size else True:
+            if (np.max(np.abs(a - r)) <= MERGE_TOL) if a.size else True:
                 rep_coeffs[j] += s.coeffs[k]
                 break
         else:
@@ -145,19 +145,22 @@ def _random_state_with_duplicates(rng, k, m):
 
 def test_merge_terms_bit_identical_to_greedy_reference():
     rng = np.random.default_rng(2024)
-    tols = (0.0, MERGE_TOL, 0.5, 1.0, 2.0)
+    # amplitudes scaled by 2^-e merge at distance MERGE_TOL 2^e: an exact
+    # scaling that reaches from exact duplicates only to ~0.5, 1 and 2
+    scales = (2.0**40, 1.0, 2.0**-39, 2.0**-40, 2.0**-41)
     nontransitive = 0
     for k in range(41):
         for m in range(5):
-            s = _random_state_with_duplicates(rng, k, m)
-            for tol in tols:
-                expected = _merge_reference(s, tol)
-                assert to_record(s.merge_terms(tol)) == to_record(expected), (k, m, tol)
+            base = _random_state_with_duplicates(rng, k, m)
+            for scale in scales:
+                s = CoherentSuperposition(base.coeffs, base.amps * scale)
+                expected = _merge_reference(s)
+                assert to_record(s.merge_terms()) == to_record(expected), (k, m, scale)
                 if k and m:
-                    close = np.max(np.abs(s.amps[:, None] - s.amps[None]), axis=2) <= tol
-                    first = close.argmax(axis=1)
+                    dist = np.max(np.abs(s.amps[:, None] - s.amps[None]), axis=2)
+                    first = (dist <= MERGE_TOL).argmax(axis=1)
                     nontransitive += not np.all(first[first] == first)
-    # the large tolerances must exercise the non-transitive grouping path
+    # the large effective tolerances must exercise the non-transitive grouping path
     assert nontransitive > 50
 
 
@@ -165,7 +168,7 @@ def test_merge_terms_keeps_negative_zero():
     coeffs = np.array([complex(-0.0, 1.0), complex(-0.0, -0.0), 2.0])
     s = CoherentSuperposition(coeffs, np.array([[1.0], [1.0], [3.0]]))
     m = s.merge_terms()
-    assert to_record(m) == to_record(_merge_reference(s, MERGE_TOL))
+    assert to_record(m) == to_record(_merge_reference(s))
     assert math.copysign(1.0, m.coeffs[0].real) == -1.0
 
 
