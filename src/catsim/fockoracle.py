@@ -46,7 +46,6 @@ __all__ = [
     "to_fock",
     "fock_norm_squared",
     "fock_inner",
-    "fock_fidelity",
     "fock_phase",
     "fock_displace",
     "fock_beamsplitter",
@@ -106,12 +105,6 @@ def fock_inner(x: np.ndarray, y: np.ndarray) -> complex:
     # a fixed-order sum, unlike np.vdot, whose BLAS dot rounds differently
     # with the thread count
     return complex(np.sum(x.conj() * y))
-
-
-def fock_fidelity(x: np.ndarray, y: np.ndarray) -> float:
-    """|<x|y>|^2 after normalizing both truncated vectors."""
-    n2 = fock_norm_squared(x) * fock_norm_squared(y)
-    return abs(fock_inner(x, y)) ** 2 / n2
 
 
 def _frozen_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -363,13 +363,6 @@ def entangling_gate(
 # ---------------------------------------------------------------------------
 # CNOT dressing
 
-def _map_fidelity(a: np.ndarray, target: np.ndarray) -> float:
-    """|Tr(U^dag A)|^2 / (d Tr(A^dag A)) of the linear map A against the
-    target unitary U: 1.0 exactly when A is U up to a global phase and scale."""
-    denom = target.shape[0] * float(np.real(np.trace(a.conj().T @ a)))
-    return abs(np.trace(target.conj().T @ a)) ** 2 / denom
-
-
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
@@ -384,7 +377,9 @@ def cnot_dressing(gate: np.ndarray) -> tuple[float, np.ndarray]:
     leaves gate P = e^{i phi00} diag(1, 1, 1, e^{i chi}), chi = phi00 +
     phi11 - phi01 - phi10, and dressed = (I x H) gate P (I x H) is CNOT
     when chi = pi.  Away from chi = pi this is not the optimum over all
-    local dressings.  Returns (process fidelity against CNOT, dressed)."""
+    local dressings.  Returns (fidelity, dressed) with the process fidelity
+    |Tr(CNOT^dag dressed)|^2 / (4 Tr(dressed^dag dressed)), 1.0 exactly when
+    dressed is CNOT up to a global phase and scale."""
     gate = np.asarray(gate, dtype=complex)
     if gate.shape != (4, 4):
         raise ValueError(f"expected a 4x4 two-qubit gate, got shape {gate.shape}")
@@ -392,4 +387,5 @@ def cnot_dressing(gate: np.ndarray) -> tuple[float, np.ndarray]:
     p = np.kron([1, np.exp(1j * (phi[0] - phi[2]))], [1, np.exp(1j * (phi[0] - phi[1]))])
     i_h = np.kron(np.eye(2), [[1, 1], [1, -1]]) / np.sqrt(2)
     dressed = i_h @ gate @ np.diag(p) @ i_h
-    return _map_fidelity(dressed, CNOT), dressed
+    norm = 4 * float(np.real(np.trace(dressed.conj().T @ dressed)))
+    return abs(np.trace(CNOT.conj().T @ dressed)) ** 2 / norm, dressed

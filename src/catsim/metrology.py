@@ -108,8 +108,6 @@ def mean_photon_number(s: CoherentSuperposition) -> float:
 def sensitivity_bound(alpha: float, n_modes: int) -> SensitivityReport:
     """Closed-form bound for the N-mode entangled cat probe at fixed total
     mean photon number n_tot = alpha^2 (per-mode amplitude alpha/sqrt(N))."""
-    if n_modes < 1:
-        raise ValueError("n_modes must be >= 1")
     probe = ghz_cat(alpha, n_modes)
     info = qfi_displacement(probe) / 4.0
     return SensitivityReport(
@@ -161,7 +159,9 @@ def weak_force_experiment(
     shots each; each batch yields the ML estimate
     eps_hat = arccos(sqrt(k/trials)) / (sqrt(N) alpha).  Reports the
     estimator mean and variance against the Cramer-Rao bound
-    1/(trials * qfi) and their ratio (`saturation` <= 1).
+    1/(trials * qfi) and their ratio `saturation`, at most 1 for an
+    unbiased estimator.  Near a fringe extremum every batch can give the
+    same, biased, estimate: the variance is then 0 and `saturation` inf.
     """
     if trials < 1 or batches < 1:
         raise ValueError("trials and batches must be >= 1")

@@ -243,6 +243,21 @@ def test_property_failure_names_row_and_check(capsys, monkeypatch):
     assert data[0].startswith("alpha\t") and len(data) == 2
 
 
+def test_weak_force_flags_a_row_whose_batches_all_agree(capsys):
+    # near the fringe extremum every batch reads eps_hat = 0
+    code = main(["weak-force", "--epsilon", "1e-9"])
+    captured = capsys.readouterr()
+    assert code == EXIT_PROPERTY
+    assert captured.err.splitlines() == ["property check failed: weak-force row 0: estimate_var == 0"]
+    header, row = [l.split("\t") for l in captured.out.splitlines() if not l.startswith("#")]
+    cells = dict(zip(header, row))
+    assert (cells["estimate_mean"], cells["estimate_var"], cells["saturation"]) == ("0", "0", "inf")
+    # a spread of estimates, or one batch (variance nan), is not flagged
+    for args in ([], ["--sweep-n"], ["--batches", "1"]):
+        assert main(["weak-force"] + args) == EXIT_OK, args
+    assert capsys.readouterr().err == ""
+
+
 def test_float_formatting_17_digits(capsys):
     code, out = run_cli(["ramsey", "--theta", "0.1", "--n-max", "1"], capsys)
     assert code == EXIT_OK
