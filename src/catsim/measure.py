@@ -93,7 +93,7 @@ def _probabilities(table: dict) -> tuple[list, np.ndarray]:
     """Outcomes of a table in dict order and their probabilities, clipped
     at 0 (round-off) and renormalized."""
     names = list(table)
-    probs = np.clip([table[n].probability for n in names], 0.0, None)
+    probs = np.maximum([table[n].probability for n in names], 0.0)
     return names, probs / probs.sum()
 
 

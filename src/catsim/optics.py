@@ -11,6 +11,8 @@ encapsulates that.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .states import CoherentSuperposition, cat, coherent_overlap
@@ -145,14 +147,23 @@ def nport_merge(s: CoherentSuperposition, modes: list[int]) -> CoherentSuperposi
     return CoherentSuperposition(s.coeffs, amps)
 
 
+@functools.lru_cache(maxsize=1)
 def bell_resource(alpha: float) -> CoherentSuperposition:
     """Two-mode entangled resource (|a,a> + |-a,-a>)/norm built from a
     sqrt(2)a cat and vacuum on a 50/50 beam splitter, with the compensating
-    -pi/2 phase shift on the second mode."""
-    big = cat(np.sqrt(2) * alpha, +1)
-    two = append_modes(big, [0.0])
-    mixed = beamsplitter(two, 0, 1, np.pi / 4)
-    return phase_shift(mixed, 1, -np.pi / 2).merge_terms()
+    -pi/2 phase shift on the second mode.
+
+    The same arithmetic as `beamsplitter` then `phase_shift` on the
+    appended vacuum mode, applied to the amplitude columns directly.  The
+    resource for the last alpha is cached and returned shared; it is
+    immutable, like every state.  One entry is enough because every gate
+    of a circuit runs at one alpha.
+    """
+    big = cat(np.sqrt(2) * alpha, +1)  # validates alpha before any arithmetic
+    col = big.amps[:, 0]
+    out_a, out_b = _mix(col, np.zeros_like(col), np.pi / 4)
+    amps = np.stack([out_a, out_b * np.exp(1j * (-np.pi / 2))], axis=1)
+    return CoherentSuperposition(big.coeffs, amps).merge_terms()
 
 
 def append_modes(s: CoherentSuperposition, values: list[complex]) -> CoherentSuperposition:

@@ -381,6 +381,15 @@ def test_repeated_main_calls_match_fresh_processes(capsys):
     assert second == (EXIT_OK, fresh(plain))
 
 
+@pytest.mark.parametrize("experiment", ["gate-check", "bell-stats"])
+def test_cold_and_warm_bell_resource_cache_print_the_same_bytes(experiment, capsys):
+    optics.bell_resource.cache_clear()
+    cold = run_cli([experiment], capsys)
+    warm = run_cli([experiment], capsys)
+    assert cold == warm
+    assert cold[0] == EXIT_OK
+
+
 def test_every_experiment_prints_the_same_bytes_under_one_and_two_blas_threads():
     import catsim
 

@@ -76,10 +76,23 @@ def test_displace_physical_converges():
         displace_physical(s, 0, beta, strong_amp=0.0)
 
 
-def test_bell_resource_matches_target():
-    res = bell_resource(2.0)
+@pytest.mark.parametrize("alpha", [2.0, 1.5, 3.0, -2.5, 2 + 0.5j, 0.0, 1e-13, 100.0])
+def test_bell_resource_matches_target(alpha):
+    bell_resource.cache_clear()
+    res = bell_resource(alpha)
     assert res.modes == 2
-    assert fidelity(res, bell_cat(2.0, "i")) >= 1 - 1e-10
+    assert fidelity(res, bell_cat(alpha, "i")) >= 1 - 1e-10
+    # the direct build is the beam-splitter chain, bit for bit
+    chain = phase_shift(
+        beamsplitter(append_modes(cat(np.sqrt(2) * alpha), [0.0]), 0, 1, np.pi / 4), 1, -np.pi / 2
+    ).merge_terms()
+    assert res.coeffs.tobytes() == chain.coeffs.tobytes()
+    assert res.amps.tobytes() == chain.amps.tobytes()
+    with pytest.raises(ValueError):
+        bell_resource(float("nan"))
+    # cached for the last alpha and shared, so it must be read-only
+    assert bell_resource(alpha) is res
+    assert not res.coeffs.flags.writeable and not res.amps.flags.writeable
 
 
 def test_nport_split_merge_round_trip():
