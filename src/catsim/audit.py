@@ -81,8 +81,8 @@ def _check_phase_shift(rng, s):
     theta = rng.uniform(-np.pi, np.pi)
     mode = int(rng.integers(s.modes))
     n = _nmax(_amp_scale(s))
-    out = fo.to_fock(optics.phase_shift(s, mode, theta), n)
     ref = fo.fock_phase(fo.to_fock(s, n), mode, theta)
+    out = fo.to_fock(optics.phase_shift(s, mode, theta), n)
     return _distance(out, ref)
 
 
@@ -90,8 +90,8 @@ def _check_displace(rng, s):
     beta = rng.uniform(0, 1.5) * np.exp(1j * rng.uniform(0, 2 * np.pi))
     mode = int(rng.integers(s.modes))
     n = _nmax(_amp_scale(s), beta)
-    out = fo.to_fock(optics.displace(s, mode, beta), n)
     ref = fo.fock_displace(fo.to_fock(s, n), mode, beta)
+    out = fo.to_fock(optics.displace(s, mode, beta), n)
     return _distance(out, ref)
 
 
@@ -101,8 +101,8 @@ def _check_beamsplitter(rng, s):
     theta = rng.uniform(-np.pi, np.pi)
     a, b = (int(m) for m in rng.choice(s.modes, size=2, replace=False))
     n = _nmax(np.sqrt(2) * _amp_scale(s))
-    out = fo.to_fock(optics.beamsplitter(s, a, b, theta), n)
     ref = fo.fock_beamsplitter(fo.to_fock(s, n), a, b, theta)
+    out = fo.to_fock(optics.beamsplitter(s, a, b, theta), n)
     return _distance(out, ref)
 
 

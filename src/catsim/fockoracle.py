@@ -19,24 +19,36 @@ or amplitude, so it is computed once and cached:
   h(i) = a + a^dag, so `_quadrature_eigh` caches one eigendecomposition per
   cutoff, and a call only applies phases to it to form the unitary.
 
-Both caches are bounded `functools.lru_cache`s.  At the command line's
-largest `alpha_max`, 4, the audit's cutoffs reach d = 110 levels per mode.
-`_block_eigh` keeps `_BLOCKS_CACHED` = 512 blocks: the 512 largest distinct
-blocks of cutoffs up to 110 hold 34 MB, and all blocks of the cutoff 110
-hold 7 MB.  `_quadrature_eigh` keeps `_CUTOFFS_CACHED` = 32 bases of at
-most 110 x 110 doubles, 3 MB.
+`fock_beamsplitter` copies the two modes to the front of one array, the
+(d, d) grid of (n_a, n_b) leading.  In that row-major grid the entry
+(n_a, n_b) sits at row n_a d + n_b = N + n_a (d - 1), so the block of N is
+one strided view with step d - 1, and each block is transformed in place,
+with no gather or scatter.  All the blocks' eigenvalue phases come from one
+`exp` call.  The only array the size of the input that the call makes is
+its output.
 
-`to_fock` adds the K terms into the d^M tensor one at a time, each term a
-rounded product, rather than contracting over the terms with a matrix
-product: BLAS fuses the multiply and the add, which leaves a residue of
-about 1e-17 where a cat's amplitudes of the opposite parity must cancel
-to exactly 0.
+`_block_eigh` is a least-recently-used cache bounded by the bytes it holds,
+`_BLOCK_BYTES` = 12 MiB, since a block's size ranges from 1 to d^2 entries.
+At the command line's largest `alpha_max`, 4, the audit's cutoffs reach
+d = 110 levels per mode; all 217 blocks of that cutoff hold 6.9 MiB, so the
+budget holds them with room for the shared lower blocks.  A benchmark round
+at alpha <= 2 (d <= 58) asks for about 7 MB of distinct blocks, which the
+budget holds whole, so no block is decomposed twice in a round.
+`_quadrature_eigh` keeps `_CUTOFFS_CACHED` = 32 bases of at most
+110 x 110 doubles, 3 MB.  Both caches have a `cache_clear`.
+
+`to_fock` writes the first of the K terms straight into the d^M tensor and
+adds the others one at a time, each term a rounded product, rather than
+contracting over the terms with a matrix product: BLAS fuses the multiply
+and the add, which leaves a residue of about 1e-17 where a cat's amplitudes
+of the opposite parity must cancel to exactly 0.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import OrderedDict
 
 import numpy as np
 
@@ -54,7 +66,7 @@ __all__ = [
     "fock_quadrature_pdf",
 ]
 
-_BLOCKS_CACHED = 512
+_BLOCK_BYTES = 12 << 20
 _CUTOFFS_CACHED = 32
 # complex entries of `to_fock`'s output summed at a time (256 KiB)
 _SLAB = 1 << 14
@@ -82,21 +94,32 @@ def to_fock(s: CoherentSuperposition, n_max: int) -> np.ndarray:
     tail = s.coeffs[:, None]
     for m in range(1, s.modes):
         tail = (tail[:, :, None] * cols[:, m, None, :]).reshape(s.nterms, -1)
-    # add the terms into the rows of mode 0 a slab of rows at a time, so the
-    # slab and the term being added stay in cache
-    data = np.zeros((d,) * s.modes, dtype=complex)
+    # write the first term and add the others into the rows of mode 0 a slab
+    # of rows at a time, so the slab and the term being added stay in cache
+    data = np.empty((d,) * s.modes, dtype=complex)
     rows = data.reshape(d, -1)
     step = max(1, _SLAB // rows.shape[1])
     term = np.empty((min(step, d), rows.shape[1]), dtype=complex)
     for i in range(0, d, step):
         slab = rows[i : i + step]
-        for k in range(s.nterms):
+        np.multiply(cols[0, 0, i : i + step, None], tail[0], out=slab)
+        for k in range(1, s.nterms):
             slab += np.multiply(cols[k, 0, i : i + step, None], tail[k], out=term[: len(slab)])
     return data
 
 
+def _sum_squares(v: np.ndarray, keep: tuple[int, ...] = ()) -> np.ndarray:
+    """sum |v|^2 over every axis not in `keep`, read as the squares of the
+    float64 view's entries: a fixed-order sum with no temporary the size of
+    v, unlike np.abs(v) ** 2, and no BLAS dot, whose rounding follows the
+    thread count."""
+    x = np.ascontiguousarray(v, dtype=complex).view(np.float64).reshape(np.shape(v) + (2,))
+    axes = list(range(x.ndim))
+    return np.einsum(x, axes, x, axes, list(keep))
+
+
 def fock_norm_squared(v: np.ndarray) -> float:
-    return float(np.sum(np.abs(v) ** 2))
+    return float(_sum_squares(v))
 
 
 def fock_inner(x: np.ndarray, y: np.ndarray) -> complex:
@@ -114,7 +137,39 @@ def _frozen_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return evals, evecs
 
 
-@functools.lru_cache(maxsize=_BLOCKS_CACHED)
+def _lru_bytes(max_bytes: int):
+    """functools.lru_cache for functions returning a tuple of arrays, bounded
+    by the bytes those arrays hold rather than by an entry count."""
+
+    def decorate(fn):
+        entries: OrderedDict = OrderedDict()
+        held = 0
+
+        @functools.wraps(fn)
+        def cached(*key):
+            nonlocal held
+            if key in entries:
+                entries.move_to_end(key)
+                return entries[key]
+            value = entries[key] = fn(*key)
+            held += sum(a.nbytes for a in value)
+            while held > max_bytes:
+                held -= sum(a.nbytes for a in entries.popitem(last=False)[1])
+            return value
+
+        def cache_clear() -> None:
+            nonlocal held
+            entries.clear()
+            held = 0
+
+        cached.cache_clear = cache_clear
+        cached.cache_bytes = lambda: held
+        return cached
+
+    return decorate
+
+
+@_lru_bytes(_BLOCK_BYTES)
 def _block_eigh(total: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a b^dag + a^dag b on the states
     |n_a, total - n_a> with n_a = lo..hi."""
@@ -131,13 +186,15 @@ def _quadrature_eigh(d: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen_eigh(np.diag(off, 1) + np.diag(off, -1))
 
 
-def _eig_apply(evecs: np.ndarray, phases: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """E diag(phases) E^T x for a real orthogonal E and a C-contiguous complex
-    (n, r) x, without forming the product: each real factor multiplies the
-    interleaved real and imaginary parts of x as one real matrix."""
-    y = (evecs.T @ x.view(np.float64)).view(np.complex128)
-    y *= phases[:, None]
-    return (evecs @ y.view(np.float64)).view(np.complex128)
+def _eig_apply(evecs: np.ndarray, phases: np.ndarray, x: np.ndarray) -> None:
+    """x <- E diag(phases) E^T x in place, for a real orthogonal E and the
+    (n, 2r) float64 view x of a complex (n, r) array, whose rows may be
+    strided: each real factor multiplies the interleaved real and imaginary
+    parts as one real matrix."""
+    y = evecs.T @ x
+    yc = y.view(np.complex128)
+    yc *= phases[:, None]
+    np.matmul(evecs, y, out=x)
 
 
 def fock_phase(v: np.ndarray, mode: int, theta: float) -> np.ndarray:
@@ -171,20 +228,26 @@ def fock_beamsplitter(
     if mode_a == mode_b:
         raise ValueError("beam splitter needs two distinct modes")
     d = v.shape[mode_a]
+    if d == 1:  # the generator is 0 on one level per mode
+        return v.copy()
     data = np.moveaxis(v, (mode_a, mode_b), (0, 1)).copy()
-    grid = data.reshape(d, d, -1)
-    # N = 0 and N = 2d - 2 are 1 x 1 blocks on which the generator is 0
-    for total in range(1, 2 * d - 2):
-        lo, hi = max(0, total - (d - 1)), min(total, d - 1)
-        na = np.arange(lo, hi + 1)
-        evals, evecs = _block_eigh(total, lo, hi)
-        grid[na, total - na] = _eig_apply(evecs, np.exp(1j * theta * evals), grid[na, total - na])
+    # (n_a, n_b) is row n_a d + n_b = N + n_a (d - 1) of the flattened grid,
+    # so the block of N over n_a = lo..hi is a view with step d - 1.  N = 0
+    # and N = 2d - 2 are 1 x 1 blocks on which the generator is 0
+    rows = data.reshape(d * d, -1).view(np.float64)
+    blocks = [(n, max(0, n - d + 1), min(n, d - 1)) for n in range(1, 2 * d - 2)]
+    eigs = [_block_eigh(*block) for block in blocks]
+    phases = np.exp(1j * theta * np.concatenate([evals for evals, _ in eigs]))
+    start = 0
+    for (n, lo, hi), (_, evecs) in zip(blocks, eigs):
+        stop = start + hi - lo + 1
+        _eig_apply(evecs, phases[start:stop], rows[n + lo * (d - 1) : n + hi * (d - 1) + 1 : d - 1])
+        start = stop
     return np.moveaxis(data, (0, 1), (mode_a, mode_b))
 
 
 def fock_measure_number(v: np.ndarray, mode: int) -> np.ndarray:
-    axes = tuple(m for m in range(v.ndim) if m != mode)
-    return np.sum(np.abs(v) ** 2, axis=axes)
+    return _sum_squares(v, (mode,))
 
 
 def fock_condition_number(v: np.ndarray, mode: int, n: int) -> tuple[float, np.ndarray]:
@@ -215,4 +278,4 @@ def fock_quadrature_pdf(v: np.ndarray, mode: int, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     psi = _hermite_functions(xs, v.shape[mode] - 1)
     amp = np.tensordot(psi, v, axes=([0], [mode]))  # (x, rest...)
-    return np.sum(np.abs(amp) ** 2, axis=tuple(range(1, amp.ndim)))
+    return _sum_squares(amp, (0,))

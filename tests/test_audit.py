@@ -1,4 +1,4 @@
-from catsim import audit, optics
+from catsim import audit, fockoracle, optics
 from catsim.cli import EXIT_OK, main
 
 
@@ -24,3 +24,11 @@ def test_oracle_audit_passes_at_the_alpha_cap(capsys):
     # one row per (name, check) pair, each judged against DIST_TOL
     assert [row[0] for row in table] == [name for name, _ in audit.AUDIT_CHECKS]
     assert all(tol == "1e-10" and passed == "true" for _, _, _, tol, passed in table)
+
+
+def test_block_cache_stays_within_its_byte_budget_at_the_alpha_cap():
+    fockoracle._block_eigh.cache_clear()
+    audit.run_audit(0, 5, 4.0)
+    # the run asks for about 15 MB of distinct blocks, more than the budget
+    held = fockoracle._block_eigh.cache_bytes()
+    assert fockoracle._BLOCK_BYTES / 2 < held <= fockoracle._BLOCK_BYTES

@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from catsim import fockoracle
 from catsim.fockoracle import (
     fock_beamsplitter,
     fock_condition_number,
@@ -133,6 +135,70 @@ def test_beamsplitter_matches_dense_truncated_generator():
                 out = fock_beamsplitter(data, *pair, theta)
                 ref = _dense_beamsplitter(data, *pair, theta)
                 assert np.max(np.abs(out - ref)) < 1e-13, (d, pair, theta)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+@pytest.mark.parametrize("modes", [2, 3])
+def test_beamsplitter_matches_dense_generator_on_every_mode_pair(d, modes):
+    # a unit vector, so the distance is relative to the state's norm
+    data = _random_vector(np.random.default_rng(10 * d + modes), d, modes)
+    data /= math.sqrt(fock_norm_squared(data))
+    for pair in itertools.permutations(range(modes), 2):
+        for theta in (0.3, np.pi, -np.pi):
+            out = fock_beamsplitter(data, *pair, theta)
+            assert _distance(out, _dense_beamsplitter(data, *pair, theta)) <= 1e-13, (pair, theta)
+
+
+def _fockoracle_caches():
+    return {name: obj for name, obj in vars(fockoracle).items() if hasattr(obj, "__wrapped__")}
+
+
+def test_every_fockoracle_cache_can_be_cleared():
+    caches = _fockoracle_caches()
+    assert set(caches) == {"_block_eigh", "_quadrature_eigh"}
+    assert all(callable(cache.cache_clear) for cache in caches.values())
+
+
+def test_cold_and_warm_beamsplitter_give_the_same_bytes():
+    rng = np.random.default_rng(8)
+    data = _random_vector(rng, 9, 3)
+    for cache in _fockoracle_caches().values():
+        cache.cache_clear()
+    cold = fock_beamsplitter(data, 2, 0, 0.8)
+    # other cutoffs share the lower blocks and add their own upper ones
+    for d in (5, 12):
+        fock_beamsplitter(_random_vector(rng, d, 2), 0, 1, -0.4)
+    warm = fock_beamsplitter(data, 2, 0, 0.8)
+    assert cold.tobytes() == warm.tobytes()
+
+
+def test_byte_bounded_cache_evicts_the_least_recently_used():
+    calls = []
+
+    @fockoracle._lru_bytes(4 * 8)
+    def zeros(n):
+        calls.append(n)
+        return (np.zeros(n),)
+
+    zeros(1), zeros(2), zeros(1)
+    zeros(3)  # 6 doubles: evicts 2, the least recently used
+    zeros(1), zeros(2)  # 6 doubles again: evicts 3
+    assert calls == [1, 2, 3, 2]
+    assert zeros.cache_bytes() == 3 * 8
+    zeros.cache_clear()
+    assert zeros.cache_bytes() == 0
+    zeros(1)
+    assert calls == [1, 2, 3, 2, 1]
+
+
+def test_sums_of_squares_match_abs_squared_on_every_axis():
+    data = _random_vector(np.random.default_rng(9), 7, 3)
+    ref = np.abs(data) ** 2
+    assert fock_norm_squared(data) == pytest.approx(ref.sum(), rel=1e-14)
+    assert fock_norm_squared(data[1, 2, 3]) == pytest.approx(ref[1, 2, 3], rel=1e-15)
+    for mode in range(3):
+        others = tuple(m for m in range(3) if m != mode)
+        np.testing.assert_allclose(fock_measure_number(data, mode), ref.sum(axis=others), rtol=1e-14)
 
 
 def test_displacement_matches_dense_truncated_generator():
