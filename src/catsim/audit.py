@@ -61,12 +61,12 @@ def _distance(x: np.ndarray, y: np.ndarray) -> float:
     return math.sqrt(fo.fock_norm_squared(x))
 
 
-def _check_conversion_norm(rng, s):
+def _check_conversion_norm(rng, s, alpha_max):
     v = fo.to_fock(s, _nmax(_amp_scale(s)))
     return abs(fo.fock_norm_squared(v) - 1.0)
 
 
-def _check_inner_product(rng, s):
+def _check_inner_product(rng, s, alpha_max):
     t = _random_state(rng, _amp_scale(s) or 1.0, modes_max=1, terms_max=4)
     if t.modes != s.modes:
         extra = np.tile(t.amps[:, :1], (1, s.modes - t.modes))
@@ -77,7 +77,7 @@ def _check_inner_product(rng, s):
     return abs(exact - oracle)
 
 
-def _check_phase_shift(rng, s):
+def _check_phase_shift(rng, s, alpha_max):
     theta = rng.uniform(-np.pi, np.pi)
     mode = int(rng.integers(s.modes))
     n = _nmax(_amp_scale(s))
@@ -86,7 +86,7 @@ def _check_phase_shift(rng, s):
     return _distance(out, ref)
 
 
-def _check_displace(rng, s):
+def _check_displace(rng, s, alpha_max):
     beta = rng.uniform(0, 1.5) * np.exp(1j * rng.uniform(0, 2 * np.pi))
     mode = int(rng.integers(s.modes))
     n = _nmax(_amp_scale(s), beta)
@@ -95,7 +95,7 @@ def _check_displace(rng, s):
     return _distance(out, ref)
 
 
-def _check_beamsplitter(rng, s):
+def _check_beamsplitter(rng, s, alpha_max):
     if s.modes < 2:
         s = optics.append_modes(s, [rng.uniform(0, 1.5)])
     theta = rng.uniform(-np.pi, np.pi)
@@ -106,7 +106,7 @@ def _check_beamsplitter(rng, s):
     return _distance(out, ref)
 
 
-def _check_photon_statistics(rng, s):
+def _check_photon_statistics(rng, s, alpha_max):
     mode = int(rng.integers(s.modes))
     n = _nmax(_amp_scale(s))
     exact = measure.photon_statistics(s, mode, n)
@@ -114,7 +114,7 @@ def _check_photon_statistics(rng, s):
     return float(np.max(np.abs(exact - oracle)))
 
 
-def _check_photon_conditioning(rng, s):
+def _check_photon_conditioning(rng, s, alpha_max):
     mode = int(rng.integers(s.modes))
     n = _nmax(_amp_scale(s))
     stats = measure.photon_statistics(s, mode, n)
@@ -127,7 +127,7 @@ def _check_photon_conditioning(rng, s):
     return err
 
 
-def _check_homodyne_pdf(rng, s):
+def _check_homodyne_pdf(rng, s, alpha_max):
     mode = int(rng.integers(s.modes))
     n = _nmax(_amp_scale(s))
     xs = np.linspace(-(_amp_scale(s) * np.sqrt(2) + 5), _amp_scale(s) * np.sqrt(2) + 5, 41)
@@ -146,8 +146,8 @@ def _random_qubit_like(rng, alpha_max):
     return CoherentSuperposition(coeffs, signs * a).merge_terms().normalize()
 
 
-def _check_parity_projection(rng, s):
-    s = _random_qubit_like(rng, 3.0)
+def _check_parity_projection(rng, s, alpha_max):
+    s = _random_qubit_like(rng, alpha_max)
     mode = int(rng.integers(s.modes))
     n = _nmax(_amp_scale(s))
     recs = measure.parity_projection(s, mode)
@@ -161,8 +161,8 @@ def _check_parity_projection(rng, s):
     return float(err)
 
 
-def _check_bell_completeness(rng, s):
-    s = _random_qubit_like(rng, 3.0)
+def _check_bell_completeness(rng, s, alpha_max):
+    s = _random_qubit_like(rng, alpha_max)
     if s.modes < 2:
         amp = abs(s.amps[0, 0])
         extra = amp * rng.choice([-1.0, 1.0])
@@ -195,12 +195,14 @@ def run_audit(
     """Run every registered equivalence check `cases_per_check` times."""
     if cases_per_check < 1:
         raise ValueError("cases_per_check must be >= 1")
+    if alpha_max < QUBIT_ALPHA_MIN:
+        raise ValueError(f"alpha_max must be >= {QUBIT_ALPHA_MIN}")
     rows = []
     for index, (name, fn) in enumerate(AUDIT_CHECKS):
         rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
         worst = 0.0
         for _ in range(cases_per_check):
             s = _random_state(rng, alpha_max, modes_max)
-            worst = max(worst, float(fn(rng, s)))
+            worst = max(worst, float(fn(rng, s, alpha_max)))
         rows.append(AuditRow(name, cases_per_check, worst, DIST_TOL, worst <= DIST_TOL))
     return rows

@@ -325,6 +325,8 @@ def run_ramsey(cfg: dict, seed: int) -> tuple[list[str], list[list], list[tuple[
     ]
     rows, failed = [], []
     theta = cfg["theta"]
+    _require(math.isfinite(cfg["n_max"] * theta),
+             f"theta = {theta}: the entangled phase n_max * theta overflows")
     for n in range(1, cfg["n_max"] + 1):
         pp = metrology.ramsey_probability(theta, n, False)
         pe = metrology.ramsey_probability(theta, n, True)
@@ -332,8 +334,6 @@ def run_ramsey(cfg: dict, seed: int) -> tuple[list[str], list[list], list[tuple[
                  f"theta = {theta} is a fringe extremum at n = {n}: Fisher information undefined")
         fp = metrology.ramsey_fisher(theta, n, entangled=False)
         fe = metrology.ramsey_fisher(theta, n, entangled=True)
-        # theta +- step rounds to theta itself once theta is large
-        _require(fp > 0 and fe > 0, f"theta = {theta}: Fisher information is 0 at n = {n}")
         ratio = fe / fp
         if abs(ratio - n) > 1e-6 * n:
             failed.append((n - 1, "|fisher_ratio - n| > 1e-6 n"))

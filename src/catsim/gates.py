@@ -5,8 +5,8 @@ gate, plus the closed-form local dressing of the entangling gate onto CNOT.
 Logical basis: |0>_L = |-alpha>, |1>_L = |alpha> with real alpha > 0.
 Probabilistic gates take an RNG; passing rng=None post-selects the
 canonical branch (the outcome whose conditioned state realizes the gate
-with no residual correction), which keeps the induced map on the logical
-space exactly linear for process tomography.
+with no residual correction), which serves `gate-check` and deterministic
+circuits.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -37,7 +36,6 @@ __all__ = [
     "weak_force_experiment",
     "ruler_probability",
     "ramsey_probability",
-    "binary_fisher_information",
     "ramsey_fisher",
     "quantum_ruler",
 ]
@@ -168,8 +166,7 @@ def weak_force_experiment(
     bound = sensitivity_bound(alpha, n_modes)
     p = weak_force_readout_probability(alpha, n_modes, epsilon)
     k = rng.binomial(trials, p, size=batches)
-    phat = np.clip(k / trials, 0.0, 1.0)
-    eps_hat = np.arccos(np.sqrt(phat)) / (math.sqrt(n_modes) * alpha)
+    eps_hat = np.arccos(np.sqrt(k / trials)) / (math.sqrt(n_modes) * alpha)
     crb_var = 1.0 / (trials * bound.qfi)
     # one batch leaves the variance, and so the saturation, undefined
     est_var = float(np.var(eps_hat, ddof=1)) if batches > 1 else float("nan")
@@ -196,27 +193,16 @@ def ramsey_probability(theta: float, n_systems: int, entangled: bool) -> float:
     return float(math.cos(mult * theta) ** 2)
 
 
-def binary_fisher_information(pfun: Callable[[float], float], theta: float) -> float:
-    """Fisher information p'(theta)^2 / [p (1-p)] of a binary outcome with
-    probability pfun(theta), using a fourth-order centered finite
-    difference of step 1e-4 for the derivative."""
-    p = pfun(theta)
-    if not 0.0 < p < 1.0:
-        raise ValueError("Fisher information undefined at a deterministic point")
-    h = 1e-4
-    dp = (
-        8.0 * (pfun(theta + h) - pfun(theta - h))
-        - (pfun(theta + 2 * h) - pfun(theta - 2 * h))
-    ) / (12.0 * h)
-    return dp * dp / (p * (1.0 - p))
-
-
 def ramsey_fisher(theta: float, n_systems: int, entangled: bool) -> float:
-    """Total Fisher information of one N-system Ramsey run: the entangled
-    strategy uses one collective shot (4 N^2 away from fringe extrema),
-    the product strategy N independent shots (4 N)."""
-    fi = binary_fisher_information(lambda t: ramsey_probability(t, n_systems, entangled), theta)
-    return fi if entangled else n_systems * fi
+    """Total Fisher information p'^2 / [p (1-p)] of one N-system Ramsey run
+    (Braunstein & Caves 1994).  Each shot of p = cos^2(k theta) carries
+    exactly 4 k^2 off a fringe extremum: the entangled strategy is one shot
+    with k = N (4 N^2), the product strategy N shots with k = 1 (4 N)."""
+    p = ramsey_probability(theta, n_systems, entangled)
+    if not 0.0 < p < 1.0:
+        raise ValueError("Fisher information undefined at a fringe extremum")
+    # 4 k^2 itself: near an extremum, 1 - p formed from p loses its digits
+    return 4.0 * n_systems**2 if entangled else 4.0 * n_systems
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import numpy as np
+import pytest
+
 from catsim import audit, fockoracle, optics
 from catsim.cli import EXIT_OK, main
 
@@ -32,3 +35,19 @@ def test_block_cache_stays_within_its_byte_budget_at_the_alpha_cap():
     # the run asks for about 15 MB of distinct blocks, more than the budget
     held = fockoracle._block_eigh.cache_bytes()
     assert fockoracle._BLOCK_BYTES / 2 < held <= fockoracle._BLOCK_BYTES
+
+
+def test_qubit_rows_draw_amplitudes_within_alpha_max(monkeypatch):
+    drawn = []
+    qubit_like = audit._random_qubit_like
+
+    def recorded(rng, alpha_max):
+        drawn.append(qubit_like(rng, alpha_max))
+        return drawn[-1]
+
+    monkeypatch.setattr(audit, "_random_qubit_like", recorded)
+    audit.run_audit(0, 5, alpha_max=1.0)
+    assert len(drawn) == 10
+    assert max(float(np.max(np.abs(s.amps))) for s in drawn) <= 1.0
+    with pytest.raises(ValueError):
+        audit.run_audit(0, 5, alpha_max=0.5)

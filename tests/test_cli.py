@@ -38,6 +38,16 @@ def test_ramsey_runs_and_has_header(capsys):
     assert len(data) == 1 + 4
 
 
+@pytest.mark.parametrize("theta", ["0.3", "1e6", "1e15", "1e300"])
+def test_ramsey_fisher_ratio_is_n_at_every_finite_phase(theta, capsys):
+    # exact wherever n_max * theta is finite, even where theta + 1e-4 == theta
+    code, out = run_cli(["ramsey", "--theta", theta, "--n-max", "12"], capsys)
+    assert code == EXIT_OK
+    table = [l.split("\t") for l in out.splitlines() if not l.startswith("#")]
+    col = table[0].index("fisher_ratio")
+    assert [float(row[col]) for row in table[1:]] == list(range(1, 13))
+
+
 def test_byte_identical_reproducibility(tmp_path):
     out_a = tmp_path / "a.tsv"
     out_b = tmp_path / "b.tsv"

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from catsim import metrology
 from catsim.fockoracle import to_fock
 from catsim.measure import cat_projection, default_nmax
 from catsim.optics import displace, nport_merge
 from catsim.metrology import (
     _peak_positions,
-    binary_fisher_information,
     classical_snr,
     mean_photon_number,
     qfi_displacement,
@@ -179,13 +179,23 @@ def test_ramsey_probabilities():
         ramsey_probability(0.3, 0, True)
 
 
-def test_binary_fisher_information_matches_analytic():
-    # for p = cos^2(k theta): FI = 4 k^2 at every theta
-    for k in (1, 3, 7):
-        fi = binary_fisher_information(lambda t, k=k: math.cos(k * t) ** 2, 0.4)
-        assert fi == pytest.approx(4 * k**2, rel=1e-8)
+def test_ramsey_fisher_is_exact_across_theta(monkeypatch):
+    # p = cos^2(k theta) carries p'^2 / [p (1-p)] = 4 k^2 at every theta off
+    # an extremum; 1e-6 from an extremum, 1 - p formed from p = 1 - 1e-12
+    # would be off by about 1e-4 relative
+    for theta in (0.37, 1e-6, math.pi / 2 - 1e-6, 1e6):
+        for n in range(1, 11):
+            ent = ramsey_fisher(theta, n, entangled=True)
+            prod = ramsey_fisher(theta, n, entangled=False)
+            assert ent == pytest.approx(4 * n**2, rel=1e-12, abs=0)
+            assert prod == pytest.approx(4 * n, rel=1e-12, abs=0)
+    for theta in (0.0, math.pi):  # p = 1
+        with pytest.raises(ValueError):
+            ramsey_fisher(theta, 3, entangled=True)
+    # no float theta makes cos^2 exactly 0, so p = 0 is reached by a stand-in
+    monkeypatch.setattr(metrology, "ramsey_probability", lambda *args: 0.0)
     with pytest.raises(ValueError):
-        binary_fisher_information(lambda t: math.cos(t) ** 2, 0.0)
+        ramsey_fisher(0.37, 3, entangled=False)
 
 
 def test_ramsey_fisher_ratio():
