@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import functools
 import math
+import re
 import sys
 from typing import NamedTuple, Optional
 
@@ -29,6 +30,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 EXIT_PROPERTY = 4
+AUTO = "auto"  # a field default the experiment derives from the other fields
 
 
 class ConfigError(ValueError):
@@ -40,7 +42,13 @@ class BudgetError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose parse errors are one-line config errors."""
+    """An argument parser whose parse errors are one-line config errors, and
+    which reads a negative number in any float spelling (-1e6, -.5, -2.)
+    after a flag as that flag's value, not as an unknown flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
     def error(self, message):
         raise ConfigError(message)
@@ -48,7 +56,8 @@ class _Parser(argparse.ArgumentParser):
 
 class Field(NamedTuple):
     """One config field.  A non-finite float, a value not `> gt` or not
-    `>= ge` is a configuration error; a value above `cap` a budget error."""
+    `>= ge` is a configuration error; a value above `cap` a budget error.
+    A field whose default is AUTO also takes the value AUTO, unchecked."""
     kind: type
     default: object
     gt: Optional[float] = None
@@ -93,18 +102,21 @@ def _require(ok: bool, reason: str) -> None:
         raise ConfigError(reason)
 
 
-def _coerce(key: str, raw: str, kind: type):
+def _coerce(key: str, raw: str, field: Field):
+    if raw == AUTO == field.default:
+        return AUTO
     try:
-        if kind is bool:
+        if field.kind is bool:
             low = raw.lower()
             if low in ("1", "true", "yes"):
                 return True
             if low in ("0", "false", "no"):
                 return False
             raise ValueError(raw)
-        return kind(raw)
+        return field.kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"config field {key!r}: cannot parse {raw!r} as {kind.__name__}") from exc
+        raise ConfigError(
+            f"config field {key!r}: cannot parse {raw!r} as {field.kind.__name__}") from exc
 
 
 def resolve_config(args: argparse.Namespace, schema: dict[str, Field]) -> dict:
@@ -115,19 +127,21 @@ def resolve_config(args: argparse.Namespace, schema: dict[str, Field]) -> dict:
         for key, raw in parse_config_file(args.config).items():
             if key not in schema:
                 raise ConfigError(f"unknown config field {key!r}")
-            cfg[key] = _coerce(key, raw, schema[key].kind)
-    for key in schema:
+            cfg[key] = _coerce(key, raw, schema[key])
+    for key, field in schema.items():
         flag_value = getattr(args, key, None)
+        if isinstance(flag_value, str):
+            flag_value = _coerce(key, flag_value, field)
         if flag_value is not None:
             cfg[key] = flag_value
-    for key, field in schema.items():
-        value = cfg[key]
+    checked = [(key, field, cfg[key]) for key, field in schema.items() if cfg[key] != AUTO]
+    for key, field, value in checked:
         _require(field.kind is not float or math.isfinite(value), f"{key} = {value} must be finite")
         _require(field.gt is None or value > field.gt, f"{key} = {value} must be > {field.gt}")
         _require(field.ge is None or value >= field.ge, f"{key} = {value} must be >= {field.ge}")
-    for key, field in schema.items():
-        if field.cap is not None and cfg[key] > field.cap:
-            raise BudgetError(f"{args.experiment} budget: {key} = {cfg[key]} exceeds {field.cap}")
+    for key, field, value in checked:
+        if field.cap is not None and value > field.cap:
+            raise BudgetError(f"{args.experiment} budget: {key} = {value} exceeds {field.cap}")
     return cfg
 
 
@@ -282,7 +296,7 @@ def run_weak_force(cfg: dict, seed: int) -> tuple[list[str], list[list], list[tu
     for index, n in enumerate(n_values):
         alpha = cfg["alpha"]
         eps = cfg["epsilon"]
-        if eps < 0:  # mid-fringe operating point
+        if eps == AUTO:  # mid-fringe operating point
             eps = math.pi / (4 * math.sqrt(n) * alpha)
         try:
             if cfg["trials"] > 0:
@@ -381,7 +395,7 @@ _EXPERIMENTS = {
             "n": Field(int, 1, ge=1, cap=64),
             "n_max": Field(int, 4, ge=1, cap=64),
             "sweep_n": Field(bool, False),
-            "epsilon": Field(float, -1.0),
+            "epsilon": Field(float, AUTO, ge=0),
             "trials": Field(int, 10_000, ge=0, cap=10_000_000),
             "batches": Field(int, 2000, ge=1, cap=100_000),
         },
@@ -433,9 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
             if field.kind is bool:
                 p.add_argument(*flags, dest=key, default=None,
                                action=argparse.BooleanOptionalAction)
-            else:
-                p.add_argument(*flags, dest=key, type=field.kind, default=None,
-                               help=f"default {field.default}")
+            else:  # a string, coerced with the config file's values
+                p.add_argument(*flags, dest=key, default=None, help=f"default {field.default}")
     return parser
 
 

@@ -76,7 +76,7 @@ def _table(kind: str, s: CoherentSuperposition, modes: list[int], rows: list[tup
     all rows from one `_gram_forms` call on the remaining modes.  A kept
     branch above PROB_FLOOR carries its normalized, merged state, built on
     the record's first read; the others carry None."""
-    rest = np.delete(s.amps, modes, axis=1)
+    rest = s.amps[:, [m for m in range(s.modes) if m not in modes]]
     v = np.array([w for _, _, w, _ in rows]) * s.coeffs
     norms = _gram_forms(rest, v, rest, v).real
     table = {}
@@ -91,18 +91,24 @@ def _table(kind: str, s: CoherentSuperposition, modes: list[int], rows: list[tup
 
 def _probabilities(table: dict) -> tuple[list, np.ndarray]:
     """Outcomes of a table in dict order and their probabilities, clipped
-    at 0 (round-off) and renormalized."""
+    at 0 (round-off) and renormalized; ValueError for a total of 0, NaN or inf."""
     names = list(table)
     probs = np.maximum([table[n].probability for n in names], 0.0)
-    return names, probs / probs.sum()
+    total = probs.sum()
+    if not 0.0 < total < math.inf:
+        raise ValueError(f"branch probabilities sum to {total}")
+    return names, probs / total
 
 
 def sample(table: dict, rng: np.random.Generator) -> MeasurementRecord:
-    """Draw one record of an exact branch table {outcome: record}: a single
-    rng.choice over the table in dict order, with probabilities clipped at
-    0 (round-off) and renormalized."""
+    """Draw one record of an exact branch table {outcome: record}: one
+    uniform rng.random() against the CDF of the table in dict order, with
+    probabilities clipped at 0 (round-off) and renormalized.  That is the
+    index and generator state rng.choice(len(table), p=probs) gives."""
     names, probs = _probabilities(table)
-    return table[names[rng.choice(len(names), p=probs)]]
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return table[names[cdf.searchsorted(rng.random(), side="right")]]
 
 
 def sample_counts(table: dict, rng: np.random.Generator, shots: int) -> dict:
@@ -182,7 +188,7 @@ def _support(amps: np.ndarray, ref: complex) -> tuple[np.ndarray, bool]:
     and whether any amplitude lies farther than 1e-9 (1 + |ref|) from
     signs * ref, i.e. off the support {+ref, -ref}."""
     signs = _nearest_signs(amps, ref)
-    return signs, bool(np.max(np.abs(amps - signs * ref), initial=0.0) > 1e-9 * (1 + abs(ref)))
+    return signs, bool(np.count_nonzero(np.abs(amps - signs * ref) > 1e-9 * (1 + abs(ref))))
 
 
 def _signs_against_reference(amps: np.ndarray) -> tuple[complex, np.ndarray]:

@@ -174,16 +174,20 @@ def append_modes(s: CoherentSuperposition, values: list[complex]) -> CoherentSup
 
 def tensor(x: CoherentSuperposition, y: CoherentSuperposition) -> CoherentSuperposition:
     """Tensor product of two superpositions (modes of y appended after x)."""
-    kx, ky = x.nterms, y.nterms
-    coeffs = np.repeat(x.coeffs, ky) * np.tile(y.coeffs, kx)
-    amps = np.concatenate(
-        [np.repeat(x.amps, ky, axis=0), np.tile(y.amps, (kx, 1))], axis=1
-    )
-    return CoherentSuperposition(coeffs, amps)
+    kx, ky, m = x.nterms, y.nterms, x.modes + y.modes
+    # term j * ky + k is x's term j times y's term k; the broadcast product
+    # rounds as the elementwise one does (np.multiply.outer differs at 1 x 1)
+    amps = np.empty((kx, ky, m), dtype=complex)
+    amps[:, :, : x.modes] = x.amps[:, None]
+    amps[:, :, x.modes :] = y.amps
+    coeffs = (x.coeffs[:, None] * y.coeffs[None, :]).reshape(kx * ky)
+    return CoherentSuperposition(coeffs, amps.reshape(kx * ky, m))
 
 
 def permute_modes(s: CoherentSuperposition, order: list[int]) -> CoherentSuperposition:
     """Reorder modes so new mode i is old mode order[i]."""
+    if list(order) == list(range(s.modes)):
+        return s  # states are immutable
     if sorted(order) != list(range(s.modes)):
         raise ValueError("order must be a permutation of all modes")
     return CoherentSuperposition(s.coeffs, s.amps[:, order])

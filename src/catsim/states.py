@@ -64,8 +64,9 @@ def coherent_overlap(a: complex | np.ndarray, b: complex | np.ndarray) -> comple
 def _overlap_matrix(amps_x: np.ndarray, amps_y: np.ndarray) -> np.ndarray:
     """Matrix of multimode overlaps O[j,k] = prod_m <x_jm|y_km>."""
     # exponent: -|x_j|^2/2 - |y_k|^2/2 + conj(x_j).y_k summed over modes
-    nx = 0.5 * np.sum(np.abs(amps_x) ** 2, axis=1)
-    ny = 0.5 * np.sum(np.abs(amps_y) ** 2, axis=1)
+    nx = 0.5 * (np.abs(amps_x) ** 2).sum(axis=1)
+    # a norm or a branch table passes one array twice: its half-norms once
+    ny = nx if amps_y is amps_x else 0.5 * (np.abs(amps_y) ** 2).sum(axis=1)
     # in place, so a large K x K exponent costs one allocation, not four
     out = np.conj(amps_x) @ amps_y.T
     out -= nx[:, None]
@@ -103,7 +104,8 @@ class CoherentSuperposition:
             raise ValueError(
                 f"{coeffs.shape[0]} coefficients but {amps.shape[0]} amplitude rows"
             )
-        if not (np.isfinite(coeffs).all() and np.isfinite(amps).all()):
+        finite = np.count_nonzero(np.isfinite(coeffs)) + np.count_nonzero(np.isfinite(amps))
+        if finite != coeffs.size + amps.size:
             raise ValueError("non-finite coefficient or amplitude")
         coeffs.flags.writeable = False
         amps.flags.writeable = False

@@ -48,6 +48,38 @@ def test_ramsey_fisher_ratio_is_n_at_every_finite_phase(theta, capsys):
     assert [float(row[col]) for row in table[1:]] == list(range(1, 13))
 
 
+@pytest.mark.parametrize("args, code", [
+    (["ramsey", "--theta", "-1e6"], EXIT_OK),
+    (["ramsey", "--theta", "-2.5E-1", "--n-max", "3"], EXIT_OK),
+    (["weak-force", "--epsilon", "-1e-3"], EXIT_CONFIG),
+    (["weak-force", "--eps", "-.5"], EXIT_CONFIG),
+])
+def test_a_negative_value_reads_the_same_after_a_space_or_an_equals_sign(args, code, capsys):
+    spaced = main(args), capsys.readouterr()
+    joined = main(args[:1] + [f"{args[1]}={args[2]}"] + args[3:]), capsys.readouterr()
+    assert spaced == joined
+    assert spaced[0] == code
+    if code == EXIT_CONFIG:
+        assert spaced[1].err.startswith("config error:") and len(spaced[1].err.splitlines()) == 1
+
+
+def test_weak_force_epsilon_defaults_to_auto_the_mid_fringe_point(tmp_path, capsys):
+    def table(args):
+        code, out = run_cli(["weak-force", "--trials", "0"] + args, capsys)
+        assert code == EXIT_OK
+        return [l for l in out.splitlines() if l.startswith("# epsilon")], \
+            [l for l in out.splitlines() if not l.startswith("#")]
+
+    cfg = tmp_path / "auto.cfg"
+    cfg.write_text("epsilon = auto\n")
+    header, rows = table([])
+    assert header == ["# epsilon = auto"]
+    assert table(["--epsilon", "auto"]) == table(["--config", str(cfg)]) == (header, rows)
+    # alpha = 2, n = 1: pi / (4 sqrt(n) alpha)
+    mid = repr(math.pi / 8)
+    assert table(["--epsilon", mid]) == ([f"# epsilon = {mid}"], rows)
+
+
 def test_byte_identical_reproducibility(tmp_path):
     out_a = tmp_path / "a.tsv"
     out_b = tmp_path / "b.tsv"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from catsim import gates, measure, optics
+from catsim import gates, measure, optics, states
 from catsim.gates import (
     CNOT,
     GateFailure,
@@ -398,14 +398,25 @@ def test_every_returned_state_is_already_merged(leaked):
 
 
 class _ScriptedRng:
-    """Stands in for a Generator in `measure.sample`: each draw takes the
-    next scripted index into the branch table."""
+    """Stands in for a Generator: each `measure.sample` draw from it takes
+    the next scripted index into the branch table."""
 
     def __init__(self, *picks):
         self.picks = iter(picks)
 
-    def choice(self, n, p):
-        return next(self.picks)
+
+@pytest.fixture(autouse=True)
+def _scripted_draws(monkeypatch):
+    """`measure.sample` (which `gates._pick` calls through the module) takes
+    a `_ScriptedRng`'s next index; a Generator draws as usual."""
+    draw = measure.sample
+
+    def sample(table, rng):
+        if isinstance(rng, _ScriptedRng):
+            return table[list(table)[next(rng.picks)]]
+        return draw(table, rng)
+
+    monkeypatch.setattr(measure, "sample", sample)
 
 
 # indices into the Bell table (I, II, III, IV, FAIL) and the gate_rx table
@@ -503,3 +514,39 @@ def test_gate_z_on_a_leaked_input_builds_at_most_two_tables(monkeypatch, picks, 
     assert out.success and out.applied == "Z" and out.repetitions == len(picks)
     assert len(cat_tables) == 1
     assert len(tables) == strict_tables
+
+
+# (CoherentSuperposition constructions, overlap matrices) of one seeded call
+# of each gate on a warm resource.  An upper bound: a throw-away state copy
+# (an identity permutation, say) raises the first count.
+_ENC_A, _ENC_B = QubitEncoding(2.0, 0), QubitEncoding(2.0, 1)
+
+
+@pytest.mark.parametrize("gate, constructions, grams", [
+    (lambda one, two, rng: teleport(one, ENC, rng), 4, 1),
+    (lambda one, two, rng: gate_z(one, ENC, rng), 7, 1),
+    (lambda one, two, rng: gate_rz(one, ENC, 0.01, rng), 5, 1),
+    (lambda one, two, rng: gate_rx(one, ENC, rng=rng), 7, 2),
+    (lambda one, two, rng: entangling_gate(two, _ENC_A, _ENC_B, 0.005, rng), 16, 3),
+], ids=["teleport", "gate_z", "gate_rz", "gate_rx", "entangling_gate"])
+def test_per_gate_state_constructions_and_gram_forms(monkeypatch, gate, constructions, grams):
+    one = encode(0.6, 0.8, ENC)
+    two = optics.tensor(encode(0.6, 0.8, _ENC_A), encode(0.8, 0.6j, _ENC_B))
+    optics.bell_resource(ENC.alpha)
+    counts = {"constructions": 0, "grams": 0}
+    post_init, overlap = states.CoherentSuperposition.__post_init__, states._overlap_matrix
+
+    def counted_post_init(self):
+        counts["constructions"] += 1
+        post_init(self)
+
+    def counted_overlap(*args):
+        counts["grams"] += 1
+        return overlap(*args)
+
+    monkeypatch.setattr(states.CoherentSuperposition, "__post_init__", counted_post_init)
+    for module in (states, gates):
+        monkeypatch.setattr(module, "_overlap_matrix", counted_overlap)
+    assert gate(one, two, np.random.default_rng(1)).success
+    assert counts["constructions"] <= constructions
+    assert counts["grams"] <= grams

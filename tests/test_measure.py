@@ -198,7 +198,7 @@ def test_bell_outcomes_scans_each_measured_column_once(monkeypatch):
     assert calls == [s.nterms, s.nterms]
 
 
-def test_parity_classes_stay_finite_at_large_amplitude():
+def test_parity_classes_stay_finite_at_large_amplitude(monkeypatch):
     # 2|a|^2 = 722 and |a|^2 = 729 are past where cosh and sinh overflow
     assert bell_outcomes(bell_cat(19.0, "i"), 0, 1)["I"].probability == pytest.approx(
         1.0, abs=1e-12)
@@ -206,9 +206,9 @@ def test_parity_classes_stay_finite_at_large_amplitude():
         1.0, abs=1e-12)
     enc = gates.QubitEncoding(19.0)
     s = gates.encode(0.6, 0.8, enc)
-    # a stand-in rng whose draw picks branch i of the Bell table
-    total = sum(gates.teleport(s, enc, SimpleNamespace(choice=lambda n, p, i=i: i)).probability
-                for i in range(5))
+    # in place of an rng, the index of the Bell branch that `sample` picks
+    monkeypatch.setattr(measure, "sample", lambda table, i: table[list(table)[i]])
+    total = sum(gates.teleport(s, enc, i).probability for i in range(5))
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -252,6 +252,10 @@ def test_bell_measurement_sampling_reproducible():
     assert r1.outcome == r2.outcome == "III"
 
 
+def _probability_table(probs):
+    return {i: MeasurementRecord("t", i, float(p), None) for i, p in enumerate(probs)}
+
+
 def test_sample_is_one_rng_choice_in_dict_order():
     def table(probs):
         return {name: MeasurementRecord("t", name, p, None) for name, p in probs.items()}
@@ -266,10 +270,54 @@ def test_sample_is_one_rng_choice_in_dict_order():
             assert sample(table(order), rng).outcome == expected
             # the draw consumes exactly what one rng.choice does
             assert rng.random() == ref.random()
+    # random tables with zero rows, across 300 orders of magnitude
+    tables = np.random.default_rng(21)
+    for _ in range(1200):
+        k = int(tables.integers(1, 10))
+        p = tables.random(k) * 10.0 ** tables.integers(-300, 1, size=k)
+        p[tables.random(k) < 0.3] = 0.0
+        p[tables.integers(k)] = tables.random() + 1e-3
+        seed = int(tables.integers(2**32))
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            assert sample(_probability_table(p), rng).outcome == ref.choice(k, p=p / p.sum())
+        assert rng.random() == ref.random()
     # a -1e-17 round-off probability is clipped to 0, never drawn, never an error
     rounded = table({"x": 0.5, "y": -1e-17, "z": 0.5})
     rng = np.random.default_rng(3)
     assert {sample(rounded, rng).outcome for _ in range(200)} == {"x", "z"}
+
+
+def test_sample_at_the_ends_of_the_unit_interval():
+    # u = 0 skips leading zero rows (catches side="left"); the largest
+    # uniform below 1 lands on the last nonzero row, also where the cumsum
+    # of the renormalized probabilities ends below it (catches a CDF not
+    # divided by its last entry)
+    table = _probability_table([0.0, 0.0] + [0.1] * 10 + [0.0])
+    assert sample(table, SimpleNamespace(random=lambda: 0.0)).outcome == 2
+    assert sample(table, SimpleNamespace(random=lambda: 1.0 - 2.0**-53)).outcome == 11
+
+
+@pytest.mark.parametrize("probs", [[0.5, math.nan], [0.0, 0.0], [math.inf, 1.0], []],
+                         ids=["nan", "all-zero", "inf", "empty"])
+def test_sample_refuses_a_table_without_a_distribution(probs):
+    for draw in (sample, lambda table, rng: sample_counts(table, rng, 10)):
+        with pytest.raises(ValueError):
+            draw(_probability_table(probs), np.random.default_rng(0))
+
+
+def test_table_keeps_the_columns_np_delete_keeps():
+    # catches a kept column taken or dropped in error, in order or count
+    rng = np.random.default_rng(13)
+    for m in range(1, 7):
+        for _ in range(4):
+            s = _random_state(rng)
+            s = CoherentSuperposition(s.coeffs, rng.normal(size=(s.nterms, m)) + 0j)
+            modes = [int(x) for x in rng.permutation(m)[: int(rng.integers(1, m + 1))]]
+            (rec,) = measure._table("t", s, modes, [("x", 1.0, np.ones(s.nterms), True)]).values()
+            rest = rec.build[3]
+            expected = np.delete(s.amps, modes, axis=1)
+            assert rest.shape == expected.shape and rest.tobytes() == expected.tobytes()
 
 
 def test_default_nmax_rule():

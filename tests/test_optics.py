@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -119,6 +120,34 @@ def test_tensor_and_permute():
     assert np.allclose(swapped.amps[:, 1], t.amps[:, 0])
     with pytest.raises(ValueError):
         permute_modes(t, [0, 0])
+
+
+def test_tensor_matches_the_repeat_tile_products_bit_for_bit():
+    # catches a term order other than x-major, or a product formed otherwise
+    rng = np.random.default_rng(5)
+
+    def state(k, m):
+        return CoherentSuperposition(
+            rng.normal(size=k) + 1j * rng.normal(size=k),
+            rng.normal(size=(k, m)) + 1j * rng.normal(size=(k, m)))
+
+    for kx, mx, ky, my in itertools.product((1, 2, 5), (0, 1, 3), (1, 4), (0, 2)):
+        x, y = state(kx, mx), state(ky, my)
+        coeffs = np.repeat(x.coeffs, ky) * np.tile(y.coeffs, kx)
+        amps = np.concatenate([np.repeat(x.amps, ky, axis=0), np.tile(y.amps, (kx, 1))], axis=1)
+        t = tensor(x, y)
+        assert t.coeffs.tobytes() == coeffs.tobytes()
+        assert t.amps.shape == amps.shape and t.amps.tobytes() == amps.tobytes()
+
+
+def test_permute_modes_returns_the_state_itself_for_the_identity():
+    s = tensor(cat(1.0, +1), coherent(0.5, -0.5j))
+    assert permute_modes(s, [0, 1, 2]) is s
+    assert permute_modes(s, np.arange(3)) is s
+    assert np.array_equal(permute_modes(s, [2, 0, 1]).amps, s.amps[:, [2, 0, 1]])
+    for bad in ([0, 0, 1], [0, 1], [0, 1, 3], [0, 1, 2, 3]):
+        with pytest.raises(ValueError):
+            permute_modes(s, bad)
 
 
 def test_append_modes():

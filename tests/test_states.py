@@ -8,6 +8,7 @@ from catsim.states import (
     MERGE_TOL,
     CoherentSuperposition,
     ZeroNormError,
+    _overlap_matrix,
     bell_cat,
     cat,
     coherent,
@@ -39,12 +40,30 @@ def test_overlap_general_complex():
 def test_constructor_validation():
     with pytest.raises(ValueError):
         CoherentSuperposition(np.ones(2), np.zeros((3, 1)))
-    with pytest.raises(ValueError):
-        CoherentSuperposition(np.array([np.nan]), np.zeros((1, 1)))
+    # any one non-finite entry, real or imaginary, in either array
+    for bad in (complex(np.nan, 0), complex(0, np.inf), -np.inf):
+        for i in range(3):
+            coeffs, amps = np.ones(3, dtype=complex), np.zeros((3, 2), dtype=complex)
+            coeffs[i] = bad
+            with pytest.raises(ValueError):
+                CoherentSuperposition(coeffs, amps)
+            amps[i, 1], coeffs[i] = bad, 1.0
+            with pytest.raises(ValueError):
+                CoherentSuperposition(coeffs, amps)
     s = coherent(1.0, 2.0)
     assert s.modes == 2 and s.nterms == 1
     with pytest.raises(ValueError):
         s.amps[0, 0] = 0.0  # frozen arrays
+
+
+def test_overlap_matrix_shares_half_norms_only_within_one_array():
+    # catches half-norms shared between two distinct arrays
+    rng = np.random.default_rng(8)
+    for k, m in ((1, 1), (4, 2), (16, 3), (33, 9)):
+        x, y = (rng.normal(size=(k, m)) + 1j * rng.normal(size=(k, m)) for _ in range(2))
+        assert _overlap_matrix(x, x).tobytes() == _overlap_matrix(x, x.copy()).tobytes()
+        expected = np.prod(coherent_overlap(x[:, None, :], y[None, :, :]), axis=2)
+        assert np.allclose(_overlap_matrix(x, y), expected, rtol=1e-12, atol=0)
 
 
 def test_norm_uses_gram():
