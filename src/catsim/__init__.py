@@ -15,20 +15,15 @@ from .states import (
     coherent,
     coherent_overlap,
     fidelity,
-    from_record,
     ghz_cat,
-    gram_matrix,
     inner_product,
-    to_record,
     vacuum,
 )
 from .optics import (
     beamsplitter,
     bell_resource,
     displace,
-    displace_physical,
     nport_merge,
-    nport_split,
     phase_shift,
     tensor,
 )

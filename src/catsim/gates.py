@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import measure, optics
+from .optics import _beamsplitter_u, _passive
 # coherent_overlap stays bound here for bench/tracer.py, which wraps it per module
 from .states import CoherentSuperposition, _overlap_matrix, coherent_overlap  # noqa: F401
 
@@ -319,7 +320,7 @@ def gate_rx(
     m = s.modes
     # the two cat projections each contribute e^{+/- i (theta/2) alpha^2};
     # the beam splitter touches only the two measured columns
-    a, b = optics._mix(joint.amps[:, enc.mode], joint.amps[:, m], theta / 2.0)
+    a, b = _passive(joint.amps[:, [enc.mode, m]], _beamsplitter_u(theta / 2.0)).T
     trace = (_traced("beamsplitter", f"theta={theta / 2.0:.6g}", "-", 1.0),)
 
     # joint cat projection of the input mode and resource half m, keys (pa, pb)

@@ -69,6 +69,11 @@ def _branch_state(coeffs, w, n2, rest) -> CoherentSuperposition:
     return CoherentSuperposition(coeffs * w / np.sqrt(n2), rest).merge_terms()
 
 
+def _rest(s: CoherentSuperposition, modes: list[int]) -> np.ndarray:
+    """Amplitude columns of the modes of `s` not in `modes`, gathered by index."""
+    return s.amps[:, [m for m in range(s.modes) if m not in modes]]
+
+
 def _table(kind: str, s: CoherentSuperposition, modes: list[int], rows: list[tuple]) -> dict:
     """Branch table {outcome: MeasurementRecord} of measuring `modes` of `s`.
     Row (outcome, factor, weights, keep) has probability factor times the
@@ -76,7 +81,7 @@ def _table(kind: str, s: CoherentSuperposition, modes: list[int], rows: list[tup
     all rows from one `_gram_forms` call on the remaining modes.  A kept
     branch above PROB_FLOOR carries its normalized, merged state, built on
     the record's first read; the others carry None."""
-    rest = s.amps[:, [m for m in range(s.modes) if m not in modes]]
+    rest = _rest(s, modes)
     v = np.array([w for _, _, w, _ in rows]) * s.coeffs
     norms = _gram_forms(rest, v, rest, v).real
     table = {}
@@ -151,7 +156,7 @@ def _branch_norms(s: CoherentSuperposition, modes: list[int], weights: np.ndarra
     """Squared norm of the branch sum_k w_k c_k |rest_k> on the modes not in
     `modes`, for every row w of a (..., K) stack of weights: v* G v with
     v = w * coeffs on the one Gram matrix G of the remaining modes."""
-    rest = np.delete(s.amps, modes, axis=1)
+    rest = _rest(s, modes)
     v = weights * s.coeffs
     return _gram_forms(rest, v, rest, v).real
 

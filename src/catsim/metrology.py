@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import measure, optics
+from .optics import _displacement_phases
 from .states import CoherentSuperposition, _gram_forms, cat, ghz_cat
 
 __all__ = [
@@ -222,7 +223,7 @@ def ruler_probability(alpha: float, theta: float | np.ndarray) -> float | np.nda
     beta = 0.5j * np.asarray(theta, dtype=float)[..., None]
     # the displacement acts on the bra: each term's weight is its
     # displacement phase times the cat weight at the shifted amplitude
-    phases = optics._displacement_phases(beta, a)
+    phases = _displacement_phases(beta, a)
     weights = [phases * measure._cat_weights(alpha, parity, a + beta) for parity in (+1, -1)]
     p_even, p_odd = measure._branch_norms(probe, [0], np.stack(weights))
     return (p_even / (p_even + p_odd))[()]

@@ -1,5 +1,12 @@
 """Passive and Gaussian optical elements acting on coherent superpositions.
 
+Passive linear optics maps a multimode coherent state |a> to |U a> exactly,
+for the unitary U of the network.  Every passive element here (beam
+splitter, phase shifter, N-port merge, the Bell-cat resource) is that one
+map, `_passive`, applied to the amplitude columns of the modes it touches;
+the coefficients are left alone.  Displacement is the one Gaussian element:
+it shifts a column and multiplies each coefficient by its phase.
+
 Beam splitter convention (the i factors are kept verbatim):
 
     B(theta)|g>_a |b>_b = |g cos(t) + i b sin(t)>_a |b cos(t) + i g sin(t)>_b
@@ -15,14 +22,13 @@ import functools
 
 import numpy as np
 
-from .states import CoherentSuperposition, cat, coherent_overlap
+# coherent_overlap stays bound here for bench/tracer.py, which wraps it per module
+from .states import CoherentSuperposition, cat, coherent_overlap  # noqa: F401
 
 __all__ = [
     "beamsplitter",
     "phase_shift",
     "displace",
-    "displace_physical",
-    "nport_split",
     "nport_merge",
     "bell_resource",
     "append_modes",
@@ -31,31 +37,51 @@ __all__ = [
 ]
 
 
-def _mix(g: np.ndarray, b: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """The two output columns of B(theta) on input amplitude columns g, b."""
+def _passive(cols: np.ndarray, u) -> np.ndarray:
+    """The n x n passive unitary u (an array or nested lists) on the (K, n)
+    amplitude columns `cols`: out[:, i] = sum_j cols[:, j] * u[i, j],
+    summed in j order from the j = 0 product, with the column operand
+    first (NumPy's complex product is not bitwise commutative) and no
+    matmul, whose rounding follows BLAS.  The columns of the (K, n) result
+    are contiguous."""
+    out = np.empty((len(u), len(cols)), dtype=complex)
+    for acc, row in zip(out, u):
+        np.multiply(cols[:, 0], row[0], out=acc)
+        for j in range(1, len(row)):
+            acc += cols[:, j] * row[j]
+    return out.T
+
+
+def _beamsplitter_u(theta: float) -> list[list[complex]]:
+    """U of B(theta) on the mode pair (a, b)."""
     c, sn = np.cos(theta), np.sin(theta)
-    return g * c + 1j * b * sn, b * c + 1j * g * sn
+    return [[c, 1j * sn], [1j * sn, c]]
+
+
+def _apply(s: CoherentSuperposition, modes: list[int], u) -> np.ndarray:
+    """Amplitudes of s after the passive unitary u on `modes` (distinct)."""
+    modes = list(modes)
+    if not modes or len(set(modes)) != len(modes):
+        raise ValueError(f"a passive element needs distinct modes, got {modes}")
+    for m in modes:
+        s.check_mode(m)
+    amps = s.amps.copy()
+    # column by column: cheaper than a fancy-index assignment at n <= 2
+    for m, col in zip(modes, _passive(s.amps.take(modes, axis=1), u).T):
+        amps[:, m] = col
+    return amps
 
 
 def beamsplitter(
     s: CoherentSuperposition, mode_a: int, mode_b: int, theta: float
 ) -> CoherentSuperposition:
     """Apply B(theta) between mode_a and mode_b."""
-    if mode_a == mode_b:
-        raise ValueError("beam splitter needs two distinct modes")
-    s.check_mode(mode_a)
-    s.check_mode(mode_b)
-    amps = s.amps.copy()
-    amps[:, mode_a], amps[:, mode_b] = _mix(s.amps[:, mode_a], s.amps[:, mode_b], theta)
-    return CoherentSuperposition(s.coeffs, amps)
+    return CoherentSuperposition(s.coeffs, _apply(s, [mode_a, mode_b], _beamsplitter_u(theta)))
 
 
 def phase_shift(s: CoherentSuperposition, mode: int, theta: float) -> CoherentSuperposition:
     """P(theta): amplitude in `mode` multiplied by e^{i theta}."""
-    s.check_mode(mode)
-    amps = s.amps.copy()
-    amps[:, mode] = amps[:, mode] * np.exp(1j * theta)
-    return CoherentSuperposition(s.coeffs, amps)
+    return CoherentSuperposition(s.coeffs, _apply(s, [mode], [[np.exp(1j * theta)]]))
 
 
 def _displacement_phases(beta: complex | np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -75,76 +101,20 @@ def displace(s: CoherentSuperposition, mode: int, beta: complex) -> CoherentSupe
     return CoherentSuperposition(s.coeffs * phases, amps)
 
 
-def displace_physical(
-    s: CoherentSuperposition, mode: int, beta: complex, strong_amp: float
-) -> CoherentSuperposition:
-    """Displacement realized by mixing with a strong coherent ancilla on a
-    weak beam splitter, then projecting the ancilla onto its nominal
-    post-beam-splitter coherent value.
-
-    Converges to `displace` as strong_amp -> infinity.
-    """
-    if strong_amp <= 0:
-        raise ValueError("strong_amp must be > 0")
-    beta = complex(beta)
-    if beta == 0:
-        return s
-    theta = abs(beta) / strong_amp
-    # i * theta * anc must equal beta, so the ancilla carries the phase
-    anc = strong_amp * np.exp(1j * (np.angle(beta) - np.pi / 2))
-    with_anc = append_modes(s, [anc])
-    mixed = beamsplitter(with_anc, mode, s.modes, theta)
-    # nominal ancilla output ignores the weak leakage from the signal mode
-    nominal = anc * np.cos(theta)
-    return _project_coherent(mixed, s.modes, nominal).normalize()
-
-
-def _project_coherent(
-    s: CoherentSuperposition, mode: int, value: complex
-) -> CoherentSuperposition:
-    """Contract `mode` with the coherent bra <value| (unnormalized)."""
-    ov = coherent_overlap(value, s.amps[:, mode])
-    amps = np.delete(s.amps, mode, axis=1)
-    return CoherentSuperposition(s.coeffs * ov, amps)
-
-
-def nport_split(s: CoherentSuperposition, mode: int, n: int) -> CoherentSuperposition:
-    """Symmetric N-port splitter: amplitude a in `mode` becomes a/sqrt(N) in
-    each of N output modes (N-1 fresh modes appended at the end).
-
-    Implemented directly on amplitudes; internal phases of a physical
-    splitter tree are taken as compensated.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    s.check_mode(mode)
-    if n == 1:
-        return s
-    src = s.amps[:, mode] / np.sqrt(n)
-    amps = np.concatenate(
-        [s.amps, np.repeat(src[:, None], n - 1, axis=1)], axis=1
-    )
-    amps[:, mode] = src
-    return CoherentSuperposition(s.coeffs, amps)
-
-
 def nport_merge(s: CoherentSuperposition, modes: list[int]) -> CoherentSuperposition:
-    """Inverse of nport_split over `modes`: assumes each term carries the
-    same amplitude in every listed mode; the common amplitude times sqrt(N)
-    lands in modes[0] and the remaining listed modes are dropped (they exit
-    in vacuum).
+    """Symmetric N-port merge over `modes`: U = DFT^dagger, whose first
+    output, the sum of the N amplitudes over sqrt(N), lands in modes[0].
+    Every other output must leave in vacuum, as it does when each term
+    carries the same amplitude in every listed mode; those modes are
+    dropped.
     """
     modes = list(modes)
-    for m in modes:
-        s.check_mode(m)
-    n = len(modes)
-    block = s.amps[:, modes]
-    if block.size and np.max(np.abs(block - block[:, :1])) > 1e-9 * (1 + np.max(np.abs(block))):
+    k = np.arange(len(modes))
+    amps = _apply(s, modes, np.exp(-2j * np.pi * np.outer(k, k) / len(k)) / np.sqrt(len(k)))
+    tol = 1e-9 * (1 + np.max(np.abs(s.amps[:, modes]), initial=0.0))
+    if np.max(np.abs(amps[:, modes[1:]]), initial=0.0) > tol:
         raise ValueError("nport_merge requires equal amplitudes across the merged modes")
-    amps = s.amps.copy()
-    amps[:, modes[0]] = block[:, 0] * np.sqrt(n)
-    amps = np.delete(amps, modes[1:], axis=1)
-    return CoherentSuperposition(s.coeffs, amps)
+    return CoherentSuperposition(s.coeffs, np.delete(amps, modes[1:], axis=1))
 
 
 @functools.lru_cache(maxsize=1)
@@ -153,16 +123,16 @@ def bell_resource(alpha: float) -> CoherentSuperposition:
     sqrt(2)a cat and vacuum on a 50/50 beam splitter, with the compensating
     -pi/2 phase shift on the second mode.
 
-    The same arithmetic as `beamsplitter` then `phase_shift` on the
-    appended vacuum mode, applied to the amplitude columns directly.  The
+    The same two `_passive` steps as `beamsplitter` then `phase_shift` on
+    the appended vacuum mode, applied to the amplitude columns directly.  The
     resource for the last alpha is cached and returned shared; it is
     immutable, like every state.  One entry is enough because every gate
     of a circuit runs at one alpha.
     """
     big = cat(np.sqrt(2) * alpha, +1)  # validates alpha before any arithmetic
-    col = big.amps[:, 0]
-    out_a, out_b = _mix(col, np.zeros_like(col), np.pi / 4)
-    amps = np.stack([out_a, out_b * np.exp(1j * (-np.pi / 2))], axis=1)
+    cols = np.concatenate([big.amps, np.zeros_like(big.amps)], axis=1)
+    amps = _passive(cols, _beamsplitter_u(np.pi / 4))
+    amps[:, 1:] = _passive(amps[:, 1:], [[np.exp(1j * (-np.pi / 2))]])
     return CoherentSuperposition(big.coeffs, amps).merge_terms()
 
 

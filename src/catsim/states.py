@@ -19,15 +19,12 @@ __all__ = [
     "ZeroNormError",
     "coherent_overlap",
     "inner_product",
-    "gram_matrix",
     "fidelity",
     "coherent",
     "vacuum",
     "cat",
     "bell_cat",
     "ghz_cat",
-    "to_record",
-    "from_record",
 ]
 
 # Terms whose amplitude vectors agree to within this max-norm distance are
@@ -64,9 +61,12 @@ def coherent_overlap(a: complex | np.ndarray, b: complex | np.ndarray) -> comple
 def _overlap_matrix(amps_x: np.ndarray, amps_y: np.ndarray) -> np.ndarray:
     """Matrix of multimode overlaps O[j,k] = prod_m <x_jm|y_km>."""
     # exponent: -|x_j|^2/2 - |y_k|^2/2 + conj(x_j).y_k summed over modes
-    nx = 0.5 * (np.abs(amps_x) ** 2).sum(axis=1)
+    # |a|^2 laid out C-contiguous whatever the layout of the amplitudes, so
+    # every row sums in the same (pairwise) order and equal amplitudes give
+    # equal bits however they were gathered
+    nx = 0.5 * (np.abs(amps_x, order="C") ** 2).sum(axis=1)
     # a norm or a branch table passes one array twice: its half-norms once
-    ny = nx if amps_y is amps_x else 0.5 * (np.abs(amps_y) ** 2).sum(axis=1)
+    ny = nx if amps_y is amps_x else 0.5 * (np.abs(amps_y, order="C") ** 2).sum(axis=1)
     # in place, so a large K x K exponent costs one allocation, not four
     out = np.conj(amps_x) @ amps_y.T
     out -= nx[:, None]
@@ -187,11 +187,6 @@ class CoherentSuperposition:
         return CoherentSuperposition(self.coeffs * factor, self.amps)
 
 
-def gram_matrix(s: CoherentSuperposition) -> np.ndarray:
-    """K x K Hermitian PSD matrix of pairwise term overlaps."""
-    return _overlap_matrix(s.amps, s.amps)
-
-
 def inner_product(x: CoherentSuperposition, y: CoherentSuperposition) -> complex:
     """<x|y> via the full cross-Gram sum (no orthogonality assumption)."""
     if x.modes != y.modes:
@@ -253,38 +248,3 @@ def ghz_cat(alpha: complex, n_modes: int) -> CoherentSuperposition:
     a = complex(alpha) / np.sqrt(n_modes)
     amps = np.array([[a] * n_modes, [-a] * n_modes], dtype=complex)
     return CoherentSuperposition(np.array([1.0, 1.0], dtype=complex), amps).normalize()
-
-
-# ---------------------------------------------------------------------------
-# serialization: structured text record, bit-faithful for finite doubles
-
-def to_record(s: CoherentSuperposition) -> str:
-    """One-line-per-term text record; round-trips exactly via from_record."""
-    lines = [f"modes {s.modes}"]
-    for k in range(s.nterms):
-        parts = [s.coeffs[k].real.hex(), s.coeffs[k].imag.hex()]
-        for m in range(s.modes):
-            parts.append(s.amps[k, m].real.hex())
-            parts.append(s.amps[k, m].imag.hex())
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
-
-
-def from_record(text: str) -> CoherentSuperposition:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "modes":
-        raise ValueError("malformed record header")
-    modes = int(head[1])
-    coeffs = []
-    amps = []
-    for ln in lines[1:]:
-        vals = [float.fromhex(tok) for tok in ln.split()]
-        if len(vals) != 2 + 2 * modes:
-            raise ValueError(f"expected {2 + 2 * modes} fields, got {len(vals)}")
-        coeffs.append(complex(vals[0], vals[1]))
-        amps.append([complex(vals[2 + 2 * m], vals[3 + 2 * m]) for m in range(modes)])
-    return CoherentSuperposition(
-        np.array(coeffs, dtype=complex),
-        np.array(amps, dtype=complex).reshape(len(coeffs), modes),
-    )

@@ -32,7 +32,6 @@ from catsim.states import (
     cat,
     coherent,
     fidelity,
-    to_record,
     vacuum,
 )
 
@@ -627,7 +626,9 @@ def test_branch_states_built_on_first_read_match_eager_build(monkeypatch, measur
             assert rec.state is None
             continue
         first = rec.state
-        assert to_record(first) == to_record(eager[outcome])
+        assert first.amps.shape == eager[outcome].amps.shape
+        assert first.coeffs.tobytes() == eager[outcome].coeffs.tobytes()
+        assert first.amps.tobytes() == eager[outcome].amps.tobytes()
         # built once, then kept
         assert rec.state is first
 

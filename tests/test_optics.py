@@ -4,19 +4,19 @@ import math
 import numpy as np
 import pytest
 
+from catsim import audit, optics
+from catsim import fockoracle as fo
 from catsim.optics import (
     append_modes,
     beamsplitter,
     bell_resource,
     displace,
-    displace_physical,
     nport_merge,
-    nport_split,
     permute_modes,
     phase_shift,
     tensor,
 )
-from catsim.states import CoherentSuperposition, bell_cat, cat, coherent, fidelity, vacuum
+from catsim.states import CoherentSuperposition, bell_cat, cat, coherent, fidelity, ghz_cat
 
 
 def test_beamsplitter_amplitude_transform():
@@ -65,18 +65,6 @@ def test_displace_composition():
     assert fidelity(once.normalize(), direct.normalize()) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_displace_physical_converges():
-    s = coherent(1.0)
-    beta = 0.1j
-    approx = displace_physical(s, 0, beta, strong_amp=100.0)
-    exact = displace(s, 0, beta)
-    assert fidelity(approx, exact.normalize()) >= 1 - 1e-4
-    better = displace_physical(s, 0, beta, strong_amp=3000.0)
-    assert fidelity(better, exact.normalize()) >= 1 - 1e-7
-    with pytest.raises(ValueError):
-        displace_physical(s, 0, beta, strong_amp=0.0)
-
-
 @pytest.mark.parametrize("alpha", [2.0, 1.5, 3.0, -2.5, 2 + 0.5j, 0.0, 1e-13, 100.0])
 def test_bell_resource_matches_target(alpha):
     bell_resource.cache_clear()
@@ -96,19 +84,86 @@ def test_bell_resource_matches_target(alpha):
     assert not res.coeffs.flags.writeable and not res.amps.flags.writeable
 
 
-def test_nport_split_merge_round_trip():
-    s = cat(2.0, +1)
-    split = nport_split(s, 0, 4)
-    assert split.modes == 4
-    assert np.allclose(np.abs(split.amps), 1.0)
-    back = nport_merge(split, [0, 1, 2, 3])
-    assert fidelity(back, s) == pytest.approx(1.0, abs=1e-14)
+def test_passive_kernel_sums_column_products_in_order():
+    # catches the u[i, j] * cols[:, j] operand order, another summation
+    # order, and a sum started from zero (which loses a -0.0)
+    rng = np.random.default_rng(30)
+    for k, n in itertools.product((1, 2, 7, 16), (1, 2, 3, 5)):
+        cols = rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n))
+        cols[0] = 0.0
+        u = np.exp(1j * rng.uniform(-np.pi, np.pi, size=(n, n))) * rng.uniform(0.1, 1.0, (n, n))
+        out = optics._passive(cols, u)
+        for i in range(n):
+            expected = cols[:, 0] * u[i, 0]
+            for j in range(1, n):
+                expected = expected + cols[:, j] * u[i, j]
+            assert out[:, i].tobytes() == expected.tobytes(), (k, n, i)
+
+
+def test_passive_elements_round_like_their_closed_forms():
+    rng = np.random.default_rng(31)
+    for k in (1, 2, 5, 16, 33):
+        amps = rng.normal(size=(k, 3)) + 1j * rng.normal(size=(k, 3))
+        amps[0, 1] = 0.0  # a vacuum amplitude keeps the signs of its zeros
+        s = CoherentSuperposition(np.ones(k), amps)
+        for theta in rng.uniform(-np.pi, np.pi, size=20):
+            c, sn = np.cos(theta), np.sin(theta)
+            g, b = amps[:, 2], amps[:, 0]
+            out = beamsplitter(s, 2, 0, theta).amps
+            assert out[:, 2].tobytes() == (g * c + 1j * b * sn).tobytes()
+            assert out[:, 0].tobytes() == (b * c + 1j * g * sn).tobytes()
+            assert out[:, 1].tobytes() == amps[:, 1].tobytes()
+            out = phase_shift(s, 1, theta).amps
+            assert out[:, 1].tobytes() == (amps[:, 1] * np.exp(1j * theta)).tobytes()
+
+
+def _element(m, theta, pair):
+    """The M x M unitary of one beam splitter (pair) or phase (one mode)."""
+    u = np.eye(m, dtype=complex)
+    if len(pair) == 2:
+        u[np.ix_(pair, pair)] = optics._beamsplitter_u(theta)
+    else:
+        u[pair[0], pair[0]] = np.exp(1j * theta)
+    return u
+
+
+def test_passive_product_matches_the_fock_oracle_element_by_element():
+    rng = np.random.default_rng(14)
+    for case in range(8):
+        s = audit._random_state(rng, 1.2, modes_max=1, terms_max=4)
+        s = CoherentSuperposition(s.coeffs, np.tile(s.amps, (1, 3)) * rng.uniform(0.5, 1.0, 3))
+        n = audit._nmax(np.sqrt(3) * audit._amp_scale(s))
+        ref = fo.to_fock(s, n)
+        u = np.eye(3, dtype=complex)
+        for _ in range(int(rng.integers(2, 6))):
+            theta = rng.uniform(-np.pi, np.pi)
+            pair = [int(p) for p in rng.choice(3, size=int(rng.integers(1, 3)), replace=False)]
+            u = _element(3, theta, pair) @ u
+            if len(pair) == 2:
+                ref = fo.fock_beamsplitter(ref, *pair, theta)
+            else:
+                ref = fo.fock_phase(ref, pair[0], theta)
+        out = fo.to_fock(CoherentSuperposition(s.coeffs, optics._passive(s.amps, u)), n)
+        assert audit._distance(out, ref) <= audit.DIST_TOL, case
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0, 1.5 - 0.5j])
+def test_nport_merge_recombines_a_ghz_cat(alpha):
+    for n in range(1, 7):
+        back = nport_merge(ghz_cat(alpha, n), range(n))
+        assert back.modes == 1
+        assert fidelity(back, cat(alpha)) == pytest.approx(1.0, abs=1e-14), n
 
 
 def test_nport_merge_rejects_unequal():
     s = coherent(1.0, 2.0)
+    for modes in ([0, 1], [0, 0], []):
+        with pytest.raises(ValueError):
+            nport_merge(s, modes)
     with pytest.raises(ValueError):
-        nport_merge(s, [0, 1])
+        nport_merge(cat(2.0), [0, 0])
+    with pytest.raises(IndexError):
+        nport_merge(s, [0, 2])
 
 
 def test_tensor_and_permute():
