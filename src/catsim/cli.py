@@ -15,6 +15,7 @@ or a cross-field check),
 from __future__ import annotations
 
 import argparse
+import cmath
 import contextlib
 import functools
 import math
@@ -239,18 +240,14 @@ def run_gate_check(cfg: dict, seed: int) -> tuple[list[str], list[list], list[tu
             phases = np.angle(x4 / x4[0])
             expected = np.array([0.0, -2 * theta * alpha**2, -2 * theta * alpha**2, 0.0])
             zz_err = float(np.max(np.abs(phases - expected)))
-            # Rx(pi/2) fidelity against its 2x2 target
-            phi = math.pi / 4
-            target = np.array(
-                [[np.exp(1j * phi), np.exp(-1j * phi)], [np.exp(-1j * phi), np.exp(1j * phi)]]
-            ) / math.sqrt(2)
+            # Rx(pi/2) fidelity |<t|v>|^2 / (|t|^2 |v|^2) against its target
+            # t = (w mu + conj(w) nu, conj(w) mu + w nu) / sqrt(2), w = e^{i pi/4}
             rx = gates.gate_rx(psi, enc)
             mr, nr, _ = gates.decode(rx.state, enc)
-            v = np.array([mr, nr])
-            v = v / np.linalg.norm(v)
-            t = target @ np.array([mu, nu])
-            t = t / np.linalg.norm(t)
-            rx_fid = float(abs(np.vdot(t, v)) ** 2)
+            w = cmath.exp(1j * math.pi / 4)
+            t0, t1 = w * mu + w.conjugate() * nu, w.conjugate() * mu + w * nu
+            rx_fid = abs(t0.conjugate() * mr + t1.conjugate() * nr) ** 2 / (
+                (abs(t0) ** 2 + abs(t1) ** 2) * (abs(mr) ** 2 + abs(nr) ** 2))
             # X gate round trip
             xx = gates.gate_x(gates.gate_x(psi, enc), enc)
             x_fid = states.fidelity(xx, psi)

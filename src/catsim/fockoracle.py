@@ -27,15 +27,16 @@ with no gather or scatter.  All the blocks' eigenvalue phases come from one
 `exp` call.  The only array the size of the input that the call makes is
 its output.
 
-`_block_eigh` is a least-recently-used cache bounded by the bytes it holds,
-`_BLOCK_BYTES` = 12 MiB, since a block's size ranges from 1 to d^2 entries.
-At the command line's largest `alpha_max`, 4, the audit's cutoffs reach
-d = 110 levels per mode; all 217 blocks of that cutoff hold 6.9 MiB, so the
-budget holds them with room for the shared lower blocks.  A benchmark round
-at alpha <= 2 (d <= 58) asks for about 7 MB of distinct blocks, which the
-budget holds whole, so no block is decomposed twice in a round.
-`_quadrature_eigh` keeps `_CUTOFFS_CACHED` = 32 bases of at most
-110 x 110 doubles, 3 MB.  Both caches have a `cache_clear`.
+`_block_eigh` and `_quadrature_eigh` are least-recently-used caches, each
+bounded by the bytes it holds, `_BLOCK_BYTES` = 12 MiB, since an entry's
+size ranges from 1 to d^2 numbers.  At the command line's largest
+`alpha_max`, 4, the audit's cutoffs reach d = 110 levels per mode; all 217
+blocks of that cutoff hold 6.9 MiB, so the budget holds them with room for
+the shared lower blocks.  A benchmark round at alpha <= 2 (d <= 58) asks
+for about 7 MB of distinct blocks, which the budget holds whole, so no
+block is decomposed twice in a round.  The quadrature bases of every
+cutoff up to d = 110 hold about 3.6 MB, so none is ever evicted.  Both
+caches have a `cache_clear`.
 
 `to_fock` writes the first of the K terms straight into the d^M tensor and
 adds the others one at a time, each term a rounded product, rather than
@@ -67,7 +68,6 @@ __all__ = [
 ]
 
 _BLOCK_BYTES = 12 << 20
-_CUTOFFS_CACHED = 32
 # complex entries of `to_fock`'s output summed at a time (256 KiB)
 _SLAB = 1 << 14
 
@@ -179,7 +179,7 @@ def _block_eigh(total: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen_eigh(np.diag(off, 1) + np.diag(off, -1))
 
 
-@functools.lru_cache(maxsize=_CUTOFFS_CACHED)
+@_lru_bytes(_BLOCK_BYTES)
 def _quadrature_eigh(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of the truncated a + a^dag on d levels."""
     off = np.sqrt(np.arange(1.0, d))

@@ -19,8 +19,7 @@ import numpy as np
 
 from . import measure, optics
 from .optics import _beamsplitter_u, _passive
-# coherent_overlap stays bound here for bench/tracer.py, which wraps it per module
-from .states import CoherentSuperposition, _overlap_matrix, coherent_overlap  # noqa: F401
+from .states import CoherentSuperposition, coherent_overlap
 
 __all__ = [
     "QubitEncoding",
@@ -98,25 +97,47 @@ def logical_coefficients(
     s: CoherentSuperposition, encs: list[QubitEncoding]
 ) -> tuple[np.ndarray, float]:
     """Least-squares coefficients of `s` in the nonorthogonal logical
-    product basis over the encoded modes, plus the leakage outside the
-    logical span.  Non-encoded modes must not exist (decode expects the
-    state to live entirely on the encoded modes)."""
+    product basis over the encoded modes (mode 0 the most significant bit,
+    logical 0 = -alpha), plus the leakage outside the logical span.
+    Non-encoded modes must not exist (decode expects the state to live
+    entirely on the encoded modes).
+
+    The logical Gram matrix is the Kronecker product of [[1, o], [o, 1]],
+    o = e^{-2a^2}, over the modes, so the fit goes mode by mode: amplitude
+    x in a mode with references r = -a, +a has the dual pair
+    d_r(x) = <r|x> expm1(-2r(r + x)) / expm1(-4r^2), exactly 1 at x = r and
+    0 at x = -r; expm1 keeps the two cancelling differences exact at small
+    alpha.  Past -r, where expm1 would overflow, the equal form
+    -e^{-2r^2} <-r|x> expm1(2r(r + x)) / expm1(-4r^2) is used.  The
+    coefficients are y = sum_k c_k (Kronecker over m) d(x_km); with b the
+    same product of the overlaps <r|x_km>, the leakage is 1 - Re y^dag b.  Only
+    alpha^2 underflowing to 0 leaves the fit undefined (ValueError)."""
     if s.modes != len(encs):
         raise ValueError("state must have exactly one mode per encoding")
-    n = len(encs)
-    # product basis: bit 0 of row i addresses the last encoding; logical 0 = -alpha
-    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    alphas = np.array([e.alpha for e in encs], dtype=complex)
-    basis = np.where(bits == 1, alphas, -alphas)
-    b = _overlap_matrix(basis, s.amps[:, [e.mode for e in encs]]) @ s.coeffs
-    g = _overlap_matrix(basis, basis)
-    try:
-        x = np.linalg.solve(g, b)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("logical Gram system is singular (alpha too small)") from exc
-    proj2 = float(np.real(np.conj(x) @ g @ x))
-    leakage = max(1.0 - proj2, 0.0)
-    return x, leakage
+    alphas = np.array([e.alpha for e in encs], dtype=float)
+    scale = np.expm1(-4.0 * alphas**2)
+    if not scale.all():
+        raise ValueError("logical Gram system is singular (alpha too small)")
+    refs = np.stack([-alphas, alphas], axis=1)[..., None]
+    x = s.amps.T[[e.mode for e in encs], None]
+    ov = coherent_overlap(refs, x)  # (n, 2, K): <r|x_km>
+    expo = -2.0 * refs * (refs + x)
+    far = expo.real > 0
+    dual = (np.where(far, -np.exp(-2.0 * refs**2) * ov[:, ::-1], ov)
+            * np.expm1(np.where(far, -expo, expo)) / scale[:, None, None])
+    # per term, the duals (then the overlaps) multiplied mode by mode into
+    # 2^n-vectors, mode 0 outermost and terms last, then summed over terms.
+    # One table at a time: both at once (256 KiB at 2^6 x 128 terms) were
+    # mapped and page-faulted afresh on every call.
+    sums = []
+    for table in (dual, ov):
+        acc = s.coeffs[None]
+        for m in range(len(encs)):
+            acc = (acc[:, None] * table[m, None]).reshape(-1, s.nterms)
+        sums.append(acc.sum(axis=1))
+    coeffs, proj = sums
+    leakage = max(1.0 - float(np.sum(coeffs.conj() * proj).real), 0.0)
+    return coeffs, leakage
 
 
 def decode(s: CoherentSuperposition, enc: QubitEncoding) -> tuple[complex, complex, float]:

@@ -106,6 +106,13 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert "# n_max = 2" in out
     data = [l for l in out.splitlines() if not l.startswith("#")]
     assert len(data) == 1 + 2
+    # a boolean field reads every config-file spelling as its flag does
+    flagged = {on: run_cli(["weak-force", "--trials", "0"] + (["--sweep-n"] if on else []), capsys)
+               for on in (True, False)}
+    for raw, on in (("yes", True), ("1", True), ("true", True),
+                    ("no", False), ("0", False), ("false", False)):
+        cfg.write_text(f"sweep_n = {raw}\n")
+        assert run_cli(["weak-force", "--trials", "0", "--config", str(cfg)], capsys) == flagged[on]
 
 
 def test_config_error_exit_codes(tmp_path, capsys):
@@ -127,6 +134,12 @@ def test_config_error_exit_codes(tmp_path, capsys):
     infinite.write_text("alpha = inf\n")
     code, out = run_cli(["weak-force", "--config", str(infinite)], capsys)
     assert code == EXIT_CONFIG and out == ""
+    maybe = tmp_path / "maybe.cfg"
+    maybe.write_text("sweep_n = maybe\n")
+    code = main(["weak-force", "--config", str(maybe)])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("config error:")
 
 
 def test_unwritable_output_is_config_error_before_any_work(tmp_path, capsys, monkeypatch):
@@ -369,6 +382,15 @@ def test_gate_check_passes_across_its_input_range(alpha, scale, capsys):
     code = main(["gate-check", "--alpha-min", repr(alpha), "--alpha-max", repr(alpha),
                  "--alpha-steps", "1", "--theta-alpha2", repr(theta_alpha2)])
     assert code == EXIT_OK, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["1e-3", "1e-5"])
+def test_gate_check_rz_phase_is_exact_at_tiny_alpha(alpha, capsys):
+    code, out = run_cli(["gate-check", "--alpha-min", alpha, "--alpha-max", alpha,
+                         "--alpha-steps", "1", "--theta-alpha2", "0"], capsys)
+    assert code == EXIT_OK
+    row = out.splitlines()[-1].split("\t")
+    assert float(row[3]) <= 1e-15  # rz phase error
 
 
 def test_import_does_not_load_scipy_special():

@@ -317,6 +317,65 @@ def test_logical_coefficients_on_permuted_modes():
     assert leak_logical < 1e-12
 
 
+def _logical_solve_50_digits(s, encs):
+    """The normal equations G x = b of the logical fit (mode 0 the most
+    significant bit, logical 0 = -alpha), solved in 50-digit arithmetic."""
+    mp = pytest.importorskip("mpmath")
+    n = len(encs)
+    basis = [[e.alpha if (i >> (n - 1 - q)) & 1 else -e.alpha for q, e in enumerate(encs)]
+             for i in range(2**n)]
+    terms = [[complex(a[e.mode]) for e in encs] for a in s.amps]
+    with mp.workdps(50):
+        def overlap(xs, ys):
+            return mp.fprod(mp.exp(-abs(mp.mpc(x)) ** 2 / 2 - abs(mp.mpc(y)) ** 2 / 2
+                                   + mp.conj(mp.mpc(x)) * mp.mpc(y)) for x, y in zip(xs, ys))
+        g = mp.matrix([[overlap(bi, bj) for bj in basis] for bi in basis])
+        b = mp.matrix([mp.fsum(complex(c) * overlap(bi, t) for c, t in zip(s.coeffs, terms))
+                       for bi in basis])
+        return np.array([complex(v) for v in mp.lu_solve(g, b)])
+
+
+def test_logical_coefficients_match_a_50_digit_solve():
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        n, k = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+        alpha = 10 ** rng.uniform(-4, 0.5)
+        encs = [QubitEncoding(alpha, q) for q in range(n)]
+        amps = alpha * (rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n)))
+        s = CoherentSuperposition(rng.normal(size=k) + 1j * rng.normal(size=k), amps).normalize()
+        x, _ = logical_coefficients(s, encs)
+        ref = _logical_solve_50_digits(s, encs)
+        assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref), (n, k, alpha)
+
+
+@pytest.mark.parametrize("alpha", [1e-1, 1e-3, 1e-5, 1e-7])
+def test_logical_product_states_decode_exactly_at_small_alpha(alpha):
+    enc_a, enc_b = QubitEncoding(alpha, 0), QubitEncoding(alpha, 1)
+    one = CoherentSuperposition([0.6 + 0.2j, 0.7 - 0.3j], [[-alpha], [alpha]])
+    mu, nu, _ = decode(one, enc_a)
+    assert max(abs(mu - one.coeffs[0]), abs(nu - one.coeffs[1])) <= 1e-15
+    a = alpha
+    two = CoherentSuperposition(np.kron(one.coeffs, [0.3, -0.8j]),
+                                [[-a, -a], [-a, a], [a, -a], [a, a]])
+    x4, _ = decode_two(two, enc_a, enc_b)
+    assert np.max(np.abs(x4 - two.coeffs)) <= 1e-15
+
+
+@pytest.mark.parametrize("alpha, far", [(6.0, -100.0), (2.0, -200.0), (6.0, 100.0)])
+def test_a_term_far_past_either_reference_decodes_to_finite_coefficients(alpha, far):
+    # expm1(-2r(r + x)) overflows for x far past -r; no RuntimeWarning may escape
+    s = CoherentSuperposition([0.6, 0.8], [[alpha], [far]])
+    mu, nu, leakage = decode(s, QubitEncoding(alpha))
+    assert (mu, nu) == (0, 0.6)
+    assert leakage == pytest.approx(0.64, rel=1e-15)
+
+
+def test_decoding_where_alpha_squared_underflows_is_a_value_error():
+    enc = QubitEncoding(1e-200)
+    with pytest.raises(ValueError, match="singular"):
+        decode(CoherentSuperposition([1.0], [[1e-200]]), enc)
+
+
 def _logical_fidelity(x, y) -> float:
     """|<x|y>|^2 / (<x|x><y|y>): equality up to a global phase and scale."""
     x, y = np.asarray(x), np.asarray(y)
@@ -373,6 +432,11 @@ def test_gate_rx_on_input_far_from_the_cats_is_a_gate_failure():
     for rng in (None, np.random.default_rng(0)):
         with pytest.raises(GateFailure, match="all branches have zero probability"):
             gate_rx(far, QubitEncoding(1.0), rng=rng)
+    # a drawn branch other than FAIL that carries no state fails the gate too
+    table = {"I": measure.MeasurementRecord("bell_measurement", "I", 0.0),
+             "FAIL": measure.MeasurementRecord("bell_measurement", "FAIL", 1.0)}
+    with pytest.raises(GateFailure, match="branch I has zero probability"):
+        gates._pick(table, None, "I")
 
 
 @pytest.mark.parametrize("leaked", [False, True], ids=["strict", "leaked"])
@@ -503,6 +567,10 @@ def test_gate_z_draws_every_attempt_from_one_table(monkeypatch):
     assert [t[2] for t in out.trace if t[0] == "bell_measurement"] == ["I", "III", "I", "II"]
     assert sum(t[0] == "phase_shift" for t in out.trace) == 1
     assert len(tables) == 1
+    # identity landings all the way to the cap: still one table, then a GateFailure
+    with pytest.raises(GateFailure, match=f"within {gates.MAX_REPEATS} teleports"):
+        gate_z(encode(0.6, 0.8, ENC), ENC, _ScriptedRng(*[_I] * gates.MAX_REPEATS))
+    assert len(tables) == 2
 
 
 @pytest.mark.parametrize("picks, strict_tables", [((_II,), 0), ((_I, 2, _I, _II), 1)])
@@ -545,8 +613,7 @@ def test_per_gate_state_constructions_and_gram_forms(monkeypatch, gate, construc
         return overlap(*args)
 
     monkeypatch.setattr(states.CoherentSuperposition, "__post_init__", counted_post_init)
-    for module in (states, gates):
-        monkeypatch.setattr(module, "_overlap_matrix", counted_overlap)
+    monkeypatch.setattr(states, "_overlap_matrix", counted_overlap)
     assert gate(one, two, np.random.default_rng(1)).success
     assert counts["constructions"] <= constructions
     assert counts["grams"] <= grams
