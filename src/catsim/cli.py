@@ -293,8 +293,8 @@ def run_weak_force(cfg: dict, seed: int) -> tuple[list[str], list[list], list[tu
     for index, n in enumerate(n_values):
         alpha = cfg["alpha"]
         eps = cfg["epsilon"]
-        if eps == AUTO:  # mid-fringe operating point
-            eps = math.pi / (4 * math.sqrt(n) * alpha)
+        if eps == AUTO:  # mid-fringe operating point, p = 1/2 once e^{-2 alpha^2} is negligible
+            eps = math.pi / (8 * math.sqrt(n) * alpha)
         try:
             if cfg["trials"] > 0:
                 rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
@@ -309,8 +309,8 @@ def run_weak_force(cfg: dict, seed: int) -> tuple[list[str], list[list], list[tu
             metrology.classical_snr(eps), cfg["trials"],
             rep.estimate_mean, rep.estimate_var, rep.crb_var, rep.saturation,
         ])
-        # every batch gave the same estimate, as near a fringe extremum: the
-        # estimator is biased there, and its Cramer-Rao ratio is inf
+        # every batch drew the same count, as near a fringe extremum: the
+        # estimator is pinned and biased there, and its Cramer-Rao ratio is inf
         if rep.estimate_var == 0:
             failed.append((index, "estimate_var == 0"))
     return columns, rows, failed

@@ -1,18 +1,16 @@
 """Weak-force sensing, Ramsey phase estimation and quantum-ruler fringes
-for coherent-superposition probes, with closed-form sensitivity bounds and
-Monte Carlo maximum-likelihood estimation.
+for coherent-superposition probes, with exact sensitivity bounds and Monte
+Carlo maximum-likelihood estimation.
 
 Conventions:
 - A weak force acting for a fixed time displaces every probe mode by
   D(i eps); the Hermitian generator of that displacement is
   G = sum_m (a_m + a_m^dag).
-- `qfi_displacement` returns the standard quantum Fisher information
-  4 Var(G).  The cat-probe reports hold Var(G) in their `qfi` field, and
-  eps_min = 1/sqrt(Var G): a single cat gives eps_min ~ 1/(2 sqrt(nbar))
-  and the N-mode entangled probe eps_min = 1/sqrt(N [1 + 4 n_tot]).
-- The weak-force readout snaps the recombined amplitudes back to
-  +/- alpha.  The exact chain's readout is the ruler's:
-  ruler_probability(alpha, 2 sqrt(N) eps).
+- `qfi_displacement` and every report hold the standard quantum Fisher
+  information 4 Var(G), and eps_min = 1/sqrt(qfi).
+- The weak-force chain (probe, D(i eps) on every mode, N-port merge, cat
+  readout) is a cat of amplitude alpha displaced by i sqrt(N) eps: its
+  readout is ruler_probability(alpha, 2 sqrt(N) eps).
 """
 
 from __future__ import annotations
@@ -22,9 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import measure, optics
-from .optics import _displacement_phases
-from .states import CoherentSuperposition, _gram_forms, cat, ghz_cat
+from .states import CoherentSuperposition, ZeroNormError, _gram_forms, ghz_cat
 
 __all__ = [
     "SensitivityReport",
@@ -33,7 +29,6 @@ __all__ = [
     "mean_photon_number",
     "qfi_displacement",
     "sensitivity_bound",
-    "weak_force_readout_probability",
     "weak_force_experiment",
     "ruler_probability",
     "ramsey_probability",
@@ -44,12 +39,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SensitivityReport:
-    """Sensitivity of one N-mode entangled cat probe.
-
-    `qfi` is the generator variance Var(G) of the probe, while
-    `qfi_displacement` returns the standard 4 Var(G); `epsilon_min` is
-    1/sqrt(qfi).
-    """
+    """Sensitivity of one N-mode entangled cat probe: its exact total mean
+    photon number `n_tot`, its quantum Fisher information `qfi` = 4 Var(G)
+    and `epsilon_min` = 1/sqrt(qfi)."""
 
     n_tot: float
     qfi: float
@@ -105,43 +97,15 @@ def mean_photon_number(s: CoherentSuperposition) -> float:
 
 
 def sensitivity_bound(alpha: float, n_modes: int) -> SensitivityReport:
-    """Closed-form bound for the N-mode entangled cat probe at fixed total
-    mean photon number n_tot = alpha^2 (per-mode amplitude alpha/sqrt(N))."""
+    """Exact bound for the N-mode entangled cat probe of total amplitude
+    alpha (per-mode amplitude alpha/sqrt(N))."""
     probe = ghz_cat(alpha, n_modes)
-    info = qfi_displacement(probe) / 4.0
+    info = qfi_displacement(probe)
     return SensitivityReport(
-        n_tot=float(alpha) ** 2,
+        n_tot=mean_photon_number(probe),
         qfi=info,
         epsilon_min=1.0 / math.sqrt(info),
     )
-
-
-def weak_force_readout_probability(alpha: float, n_modes: int, epsilon: float) -> float:
-    """Probability of the even-cat readout after the sensing chain: N-mode
-    entangled probe, D(i eps) on every mode, recombination into a single
-    mode, then even/odd cat discrimination (normalized binary).
-
-    The small residual displacement i eps sqrt(N) of the recombined
-    amplitudes is dropped while the exact accumulated phases
-    e^{+/- i sqrt(N) alpha eps} are kept, so the readout is
-    cos^2(sqrt(N) alpha eps) up to exponentially small nonorthogonality
-    terms.  On the exact recombined state the residual displacement
-    contributes a second phase of the same size: that chain is a cat of
-    amplitude alpha displaced by i sqrt(N) eps, whose readout is
-    `ruler_probability(alpha, 2 sqrt(N) eps)`.
-    """
-    if not math.isfinite(epsilon):
-        raise ValueError(f"epsilon = {epsilon} is not finite")
-    probe = ghz_cat(alpha, n_modes)
-    for m in range(n_modes):
-        probe = optics.displace(probe, m, 1j * epsilon)
-    merged = optics.nport_merge(probe, list(range(n_modes)))
-    snapped = measure._nearest_signs(merged.amps, alpha) * alpha
-    merged = CoherentSuperposition(merged.coeffs, snapped)
-    a = merged.amps[:, 0]
-    weights = np.array([measure._cat_weights(alpha, parity, a) for parity in (+1, -1)])
-    p_even, p_odd = measure._branch_norms(merged, [0], weights)
-    return float(p_even / (p_even + p_odd))
 
 
 def weak_force_experiment(
@@ -154,30 +118,35 @@ def weak_force_experiment(
 ) -> SensitivityReport:
     """Monte Carlo maximum-likelihood estimation of a weak displacement.
 
-    Runs `batches` independent experiments of `trials` binary readout
-    shots each; each batch yields the ML estimate
-    eps_hat = arccos(sqrt(k/trials)) / (sqrt(N) alpha).  Reports the
-    estimator mean and variance against the Cramer-Rao bound
+    Runs `batches` independent experiments of `trials` shots of the exact
+    readout p = ruler_probability(alpha, 2 sqrt(N) eps); a batch's k even
+    readouts give eps_hat, p inverted at k/trials on its first fringe.
+    Reports the estimator mean and variance against the Cramer-Rao bound
     1/(trials * qfi) and their ratio `saturation`, at most 1 for an
-    unbiased estimator.  Near a fringe extremum every batch can give the
-    same, biased, estimate: the variance is then 0 and `saturation` inf.
+    unbiased estimator.  When every batch drew the same k, as near a fringe
+    extremum, the estimate is pinned and biased: the variance is 0 and
+    `saturation` inf.
     """
     if trials < 1 or batches < 1:
         raise ValueError("trials and batches must be >= 1")
     bound = sensitivity_bound(alpha, n_modes)
-    p = weak_force_readout_probability(alpha, n_modes, epsilon)
+    theta_per_eps = 2.0 * math.sqrt(n_modes)
+    if not math.isfinite(alpha * theta_per_eps * epsilon):
+        raise ValueError("the fringe phase 2 sqrt(N) alpha epsilon overflows")
+    p = ruler_probability(alpha, theta_per_eps * epsilon)
     k = rng.binomial(trials, p, size=batches)
-    eps_hat = np.arccos(np.sqrt(k / trials)) / (math.sqrt(n_modes) * alpha)
+    eps_hat = _ruler_theta(alpha, k / trials) / theta_per_eps
     crb_var = 1.0 / (trials * bound.qfi)
-    # one batch leaves the variance, and so the saturation, undefined
-    est_var = float(np.var(eps_hat, ddof=1)) if batches > 1 else float("nan")
-    saturation = crb_var / est_var if est_var != 0 else float("inf")
+    # one batch leaves the variance, and so the saturation, undefined; the
+    # shift by one estimate makes batches that all drew the same k read
+    # exactly 0, where np.var of equal values leaves round-off
+    est_var = float(np.var(eps_hat - eps_hat[0], ddof=1)) if batches > 1 else float("nan")
     return replace(
         bound,
         estimate_mean=float(np.mean(eps_hat)),
         estimate_var=est_var,
         crb_var=crb_var,
-        saturation=float(saturation),
+        saturation=crb_var / est_var if est_var != 0 else float("inf"),
     )
 
 
@@ -209,24 +178,58 @@ def ramsey_fisher(theta: float, n_systems: int, entangled: bool) -> float:
 # ---------------------------------------------------------------------------
 # quantum ruler
 
+def _halves(v: float | np.ndarray) -> tuple:
+    """Veltkamp split v = hi + lo, exactly, into halves of at most 26
+    significant bits, made on the mantissa so that no finite v overflows."""
+    m, e = np.frexp(v)
+    big = 134217729.0 * m  # 2^27 + 1
+    hi = np.ldexp(big - (big - m), e)
+    return hi, v - hi
+
+
 def ruler_probability(alpha: float, theta: float | np.ndarray) -> float | np.ndarray:
     """Even-cat readout probability of the ruler probe at arm phase theta,
     elementwise over an array of theta (a scalar theta gives a scalar).
 
-    The phase enters the balanced interferometer as a displacement i theta/2
-    of the cat probe; the normalized even/odd discrimination then reads
-    cos^2(alpha theta), fringes alpha times narrower than the classical
-    cos^2(theta) pattern.
+    The phase displaces the even cat of amplitude alpha by i theta/2
+    before the normalized even/odd cat discrimination.  The two branch
+    norms share a factor that cancels in their ratio; with c, s = cos, sin
+    of alpha theta and o = e^{-2 alpha^2} it leaves
+        p = (c + o)^2 (1 - o) / [(c + o)^2 (1 - o) + s^2 (1 + o)],
+    cos^2(alpha theta) once o is negligible: fringes alpha times narrower
+    than the classical cos^2(theta).  Refused only once 1 - o is 0, where
+    the odd cat has zero norm.
     """
-    probe = cat(alpha, +1)
-    a = probe.amps[:, 0]
-    beta = 0.5j * np.asarray(theta, dtype=float)[..., None]
-    # the displacement acts on the bra: each term's weight is its
-    # displacement phase times the cat weight at the shifted amplitude
-    phases = _displacement_phases(beta, a)
-    weights = [phases * measure._cat_weights(alpha, parity, a + beta) for parity in (+1, -1)]
-    p_even, p_odd = measure._branch_norms(probe, [0], np.stack(weights))
-    return (p_even / (p_even + p_odd))[()]
+    one_minus_o = -math.expm1(-2.0 * alpha * alpha)
+    if one_minus_o == 0.0:
+        raise ZeroNormError(f"the odd cat at amplitude {alpha:.3g} has zero norm")
+    theta = np.asarray(theta, dtype=float)
+    # x = fl(alpha theta) is off by up to half an ulp, which alone moves p by
+    # 7e-14 at alpha = 1e-3, where the fringe is steep: Dekker's product of
+    # the halves gives the rounding error dx, which turns x/2 by dx/2
+    x = alpha * theta
+    (ah, al), (th, tl) = _halves(alpha), _halves(theta)
+    dx = ((ah * th - x) + ah * tl + al * th) + al * tl
+    half = np.exp(0.5j * x) * np.exp(0.5j * dx)  # e^{i alpha theta / 2}
+    ch, sh = half.real, half.imag
+    # c + o = 2 ch^2 - (1 - o) keeps its digits where c is near -1 and o near 1;
+    # 1 + o = 2 - (1 - o)
+    even = (2.0 * ch**2 - one_minus_o) ** 2 * one_minus_o
+    return (even / (even + (2.0 * sh * ch) ** 2 * (2.0 - one_minus_o)))[()]
+
+
+def _ruler_theta(alpha: float, p: float | np.ndarray) -> float | np.ndarray:
+    """Arm phase theta in [0, arccos(-o)/alpha] at which the ruler reads p,
+    the inverse of `ruler_probability` on its first, monotone fringe.  With
+    u = sqrt(p (1 + o)), v = sqrt((1 - p)(1 - o)) and tan(psi) = v/u,
+    c + o = s u/v is sin(x - psi) = o sin(psi) for x = alpha theta; its
+    arcsin is an arctan2, exact at p = 1 and with no loss of digits where
+    o sin(psi) nears 1 (small alpha, p near 0)."""
+    o, one_minus_o = math.exp(-2.0 * alpha * alpha), -math.expm1(-2.0 * alpha * alpha)
+    p = np.asarray(p, dtype=float)
+    u, v = np.sqrt(p * (1.0 + o)), np.sqrt((1.0 - p) * one_minus_o)
+    x = np.arctan2(v, u) + np.arctan2(o * v, np.sqrt(u**2 + one_minus_o * (1.0 + o) * v**2))
+    return (x / alpha)[()]
 
 
 def _peak_positions(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -259,11 +262,7 @@ def quantum_ruler(
     if not math.isfinite(theta_max):
         raise ValueError(f"scan range theta_max = {theta_max} is not finite at alpha = {alpha}")
     thetas = np.linspace(0.0, theta_max, points)
-    with np.errstate(invalid="ignore"):
-        probs = ruler_probability(alpha, thetas)
-    if not np.all(np.isfinite(probs)):
-        # both branch norms underflow to 0 far out on the scan at small alpha
-        raise ValueError(f"ruler probability is not finite in the scan at alpha = {alpha}")
+    probs = ruler_probability(alpha, thetas)
     peaks = _peak_positions(thetas, probs)
     if len(peaks) < 2:
         raise ValueError("fewer than 2 fringe peaks in the scan range")

@@ -84,18 +84,12 @@ def phase_shift(s: CoherentSuperposition, mode: int, theta: float) -> CoherentSu
     return CoherentSuperposition(s.coeffs, _apply(s, [mode], [[np.exp(1j * theta)]]))
 
 
-def _displacement_phases(beta: complex | np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Phases exp[(beta a* - beta* a)/2] of D(beta)|a> = phase |a + beta>,
-    elementwise over broadcast arrays of beta and a."""
-    return np.exp(0.5 * (beta * np.conj(a) - np.conj(beta) * a))
-
-
 def displace(s: CoherentSuperposition, mode: int, beta: complex) -> CoherentSuperposition:
     """D(beta)|a> = exp[(beta a* - beta* a)/2] |a + beta>, per term."""
     s.check_mode(mode)
     beta = complex(beta)
     a = s.amps[:, mode]
-    phases = _displacement_phases(beta, a)
+    phases = np.exp(0.5 * (beta * np.conj(a) - np.conj(beta) * a))
     amps = s.amps.copy()
     amps[:, mode] = a + beta
     return CoherentSuperposition(s.coeffs * phases, amps)

@@ -10,6 +10,7 @@ is made anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,22 +224,22 @@ def cat(alpha: complex, parity: int = +1) -> CoherentSuperposition:
 
 
 def bell_cat(alpha: complex, kind: str = "i") -> CoherentSuperposition:
-    """The four two-mode Bell-cat states.
+    """The four two-mode Bell-cat states, normalized by the closed-form
+    norm^2 2 +/- 2 e^{-4|a|^2} (the minus from expm1, with no cancellation).
 
     i:   |-a,-a> + |a,a>      ii:  |-a,-a> - |a,a>
     iii: |-a,a>  + |a,-a>     iv:  |-a,a>  - |a,-a>
     """
-    a = complex(alpha)
-    table = {
-        "i": ([1, 1], [[-a, -a], [a, a]]),
-        "ii": ([1, -1], [[-a, -a], [a, a]]),
-        "iii": ([1, 1], [[-a, a], [a, -a]]),
-        "iv": ([1, -1], [[-a, a], [a, -a]]),
-    }
-    if kind not in table:
+    if kind not in ("i", "ii", "iii", "iv"):
         raise ValueError(f"unknown Bell-cat kind {kind!r}")
-    coeffs, amps = table[kind]
-    return CoherentSuperposition(np.array(coeffs, dtype=complex), np.array(amps)).normalize()
+    a = complex(alpha)
+    b = a if kind in ("i", "ii") else -a  # the second mode of the |a, .> term
+    odd = kind in ("ii", "iv")
+    n2 = -2 * math.expm1(-4 * abs(a) ** 2) if odd else 2 + 2 * math.exp(-4 * abs(a) ** 2)
+    if n2 <= 1e-300:  # as in normalize: past this, 1/n2 overflows a branch norm
+        raise ZeroNormError(f"the Bell cat {kind} at amplitude {a:.3g} has zero norm")
+    coeffs = np.array([1, -1 if odd else 1], dtype=complex) / math.sqrt(n2)
+    return CoherentSuperposition(coeffs, np.array([[-a, -b], [a, b]]))
 
 
 def ghz_cat(alpha: complex, n_modes: int) -> CoherentSuperposition:

@@ -115,12 +115,15 @@ def test_05_entangling_phase_and_dressed_cnot():
 
 def test_06_weak_force_sensitivity():
     ok = True
-    # closed-form bound at fixed total photon number n_tot = 16
+    # exact bound at total amplitude alpha: <n> = alpha^2 tanh alpha^2 and
+    # qfi = 4 Var(G) = 4 N (1 + 2 alpha^2 + 2 <n>)
     alpha = 4.0
+    n_tot = alpha**2 * math.tanh(alpha**2)
     for n in (1, 2, 4, 8, 16):
         rep = metrology.sensitivity_bound(alpha, n)
-        formula = 1.0 / math.sqrt(n * (1 + 4 * alpha**2))
-        ok &= abs(rep.epsilon_min - formula) <= 0.01 * formula
+        qfi = 4 * n * (1 + 2 * alpha**2 + 2 * n_tot)
+        ok &= abs(rep.n_tot - n_tot) <= 1e-12 * n_tot
+        ok &= abs(rep.qfi - qfi) <= 1e-12 * qfi
     # exact sqrt(N) improvement
     base = metrology.sensitivity_bound(alpha, 1).epsilon_min
     for n in range(1, 17):
@@ -128,7 +131,7 @@ def test_06_weak_force_sensitivity():
         ok &= abs(rep.epsilon_min * math.sqrt(n) / base - 1.0) < 1e-12
     # Monte Carlo saturation of the Cramer-Rao bound
     rng = np.random.default_rng(20240817)
-    eps = math.pi / (4 * 2.0)  # mid-fringe for alpha=2, N=1
+    eps = math.pi / (8 * 2.0)  # mid-fringe for alpha=2, N=1
     rep = metrology.weak_force_experiment(2.0, 1, eps, trials=10_000, rng=rng)
     ok &= rep.saturation >= 0.9
     assert _report(6, "weak-force sensitivity scaling", ok)

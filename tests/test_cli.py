@@ -75,8 +75,8 @@ def test_weak_force_epsilon_defaults_to_auto_the_mid_fringe_point(tmp_path, caps
     header, rows = table([])
     assert header == ["# epsilon = auto"]
     assert table(["--epsilon", "auto"]) == table(["--config", str(cfg)]) == (header, rows)
-    # alpha = 2, n = 1: pi / (4 sqrt(n) alpha)
-    mid = repr(math.pi / 8)
+    # alpha = 2, n = 1: pi / (8 sqrt(n) alpha)
+    mid = repr(math.pi / 16)
     assert table(["--epsilon", mid]) == ([f"# epsilon = {mid}"], rows)
 
 
@@ -165,9 +165,8 @@ def test_unwritable_output_is_config_error_before_any_work(tmp_path, capsys, mon
     ["oracle-audit", "--alpha-max", "-1"],
     ["bell-stats", "--alpha-min", "0"],
     ["gate-check", "--alpha-min", "0"],
-    ["ruler", "--alpha", "0.1"],
-    ["ruler", "--alpha", "0.01"],
-    ["bell-stats", "--alpha-min", "1e-9"],
+    ["ruler", "--alpha", "1e-200"],  # alpha^2 underflows: the odd readout cat has zero norm
+    ["bell-stats", "--alpha-min", "1e-200"],  # the odd Bell cats have zero norm
     ["weak-force", "--epsilon", "nan"],
     ["weak-force", "--eps", "inf"],
     ["weak-force", "--alpha", "inf"],
@@ -176,14 +175,15 @@ def test_unwritable_output_is_config_error_before_any_work(tmp_path, capsys, mon
     ["ramsey", "--theta", "1e308"],
     # numerical limits found by the runners: no library warning may precede the reason
     ["gate-check", "--theta-alpha2", "100", "--alpha-steps", "1"],  # theta^2 alpha^2 > 0.05
-    ["weak-force", "--alpha", "1e-12"],  # the odd readout cat has zero norm
+    ["weak-force", "--alpha", "1e-200"],  # alpha^2 underflows: the odd readout cat has zero norm
+    ["weak-force", "--epsilon", "1e308"],  # the fringe phase 2 sqrt(n) alpha epsilon overflows
     ["gate-check", "--alpha-min", "3e-9", "--alpha-max", "3e-9", "--alpha-steps", "1",
      "--theta-alpha2=-1e-12"],  # the odd Bell cats of the teleport have zero norm
     ["gate-check", "--alpha-min", "1e-200", "--alpha-max", "1e-200", "--alpha-steps", "1",
      "--theta-alpha2", "0"],  # alpha^2 underflows to 0: theta would be 0/0
     ["ruler", "--alpha", "1e-308"],  # the scan range 3.4 pi / alpha overflows to inf
     ["ruler", "--alpha", "5e-324"],
-    ["weak-force", "--alpha", "5e-324"],  # the mid-fringe epsilon pi / (4 alpha) overflows
+    ["weak-force", "--alpha", "5e-324"],  # the mid-fringe epsilon pi / (8 alpha) overflows
     # argument parse errors: one reason, not argparse's usage block
     ["ramsey", "--n-max", "abc"],
     ["ramsey", "--bogus", "1"],
@@ -200,6 +200,23 @@ def test_out_of_range_input_exits_2_with_one_line(args):
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stderr.startswith("config error:")
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.01])
+def test_small_alpha_ruler_keeps_its_spacing(alpha, capsys):
+    # computable wherever alpha^2 > 0: the spacing is pi / alpha to a grid step
+    code, out = run_cli(["ruler", "--alpha", repr(alpha)], capsys)
+    assert code == EXIT_OK
+    spacing = float(out.splitlines()[-1].split("\t")[3])
+    assert abs(spacing * alpha / math.pi - 1) <= 3.4 / 2000
+
+
+def test_tiny_alpha_bell_stats_identifies_the_odd_bell_cats(capsys):
+    (row,) = _bell_stats_rows(["--alpha-min", "1e-9", "--alpha-max", "1e-9",
+                                "--alpha-steps", "1"], capsys)
+    for col in ("p_correct_ii", "p_correct_iv"):
+        assert row[col] == pytest.approx(1.0, rel=0, abs=1e-15)
+    assert row["completeness_error"] <= 1e-15
 
 
 def test_seeded_rows_draw_from_independent_streams(capsys):
@@ -273,7 +290,7 @@ def test_budget_exit_code(capsys):
     (["weak-force", "--alpha", "0"], EXIT_CONFIG),
     # config errors the runners raise after their fields have passed
     (["ramsey", "--theta", "0"], EXIT_CONFIG),
-    (["weak-force", "--alpha", "1e-12"], EXIT_CONFIG),
+    (["weak-force", "--alpha", "1e-200"], EXIT_CONFIG),
 ])
 def test_rejected_field_leaves_existing_output_untouched(tmp_path, args, code):
     target = tmp_path / "x.tsv"
@@ -298,19 +315,40 @@ def test_property_failure_names_row_and_check(capsys, monkeypatch):
     assert data[0].startswith("alpha\t") and len(data) == 2
 
 
-def test_weak_force_flags_a_row_whose_batches_all_agree(capsys):
-    # near the fringe extremum every batch reads eps_hat = 0
-    code = main(["weak-force", "--epsilon", "1e-9"])
+def _pinned_weak_force_cells(args, capsys):
+    """Run weak-force on a row whose batches all draw the same count: it is
+    flagged, prints estimate_var 0 and saturation inf, and its cells return."""
+    code = main(["weak-force"] + args)
     captured = capsys.readouterr()
     assert code == EXIT_PROPERTY
     assert captured.err.splitlines() == ["property check failed: weak-force row 0: estimate_var == 0"]
     header, row = [l.split("\t") for l in captured.out.splitlines() if not l.startswith("#")]
     cells = dict(zip(header, row))
-    assert (cells["estimate_mean"], cells["estimate_var"], cells["saturation"]) == ("0", "0", "inf")
+    assert (cells["estimate_var"], cells["saturation"]) == ("0", "inf")
+    return cells
+
+
+def test_weak_force_flags_a_row_whose_batches_all_agree(capsys):
+    # at the fringe maximum every batch reads k = trials, so eps_hat = 0
+    assert _pinned_weak_force_cells(["--epsilon", "1e-9"], capsys)["estimate_mean"] == "0"
     # a spread of estimates, or one batch (variance nan), is not flagged
     for args in ([], ["--sweep-n"], ["--batches", "1"]):
         assert main(["weak-force"] + args) == EXIT_OK, args
     assert capsys.readouterr().err == ""
+
+
+def test_weak_force_flags_the_dark_fringe_of_the_exact_chain(capsys):
+    # p = 0 at epsilon = arccos(-e^{-2 alpha^2}) / (2 sqrt(n) alpha), alpha = 2, n = 1:
+    # every batch reads k = 0 and eps_hat is that epsilon
+    epsilon = math.acos(-math.exp(-8.0)) / 4
+    cells = _pinned_weak_force_cells(["--epsilon", repr(epsilon)], capsys)
+    assert float(cells["estimate_mean"]) == pytest.approx(epsilon, rel=1e-15)
+
+
+def test_weak_force_at_tiny_alpha_is_computable_and_flagged(capsys):
+    # alpha^2 = 1e-24 > 0: the readout is far below mid-fringe, every batch draws k = 0
+    cells = _pinned_weak_force_cells(["--alpha", "1e-12"], capsys)
+    assert cells["qfi"] == "4"  # 4 N (1 + 2 alpha^2 + 2 n_tot) to round-off
 
 
 def test_float_formatting_17_digits(capsys):

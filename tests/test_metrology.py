@@ -9,6 +9,7 @@ from catsim.measure import cat_projection, default_nmax
 from catsim.optics import displace, nport_merge
 from catsim.metrology import (
     _peak_positions,
+    _ruler_theta,
     classical_snr,
     mean_photon_number,
     qfi_displacement,
@@ -18,7 +19,6 @@ from catsim.metrology import (
     ruler_probability,
     sensitivity_bound,
     weak_force_experiment,
-    weak_force_readout_probability,
 )
 from catsim.states import CoherentSuperposition, cat, coherent, fidelity, ghz_cat
 
@@ -95,18 +95,18 @@ def test_multimode_moments_match_fock_oracle_on_random_states():
 def test_multimode_scaling_exact():
     alpha = 4.0
     base = sensitivity_bound(alpha, 1)
-    for n in (2, 4, 9, 16):
+    for n in (1, 2, 4, 9, 16):
         rep = sensitivity_bound(alpha, n)
-        # exact sqrt(N) improvement at fixed n_tot = alpha^2
+        # exact sqrt(N) improvement at fixed total amplitude alpha
         assert rep.epsilon_min * math.sqrt(n) == pytest.approx(
             base.epsilon_min, rel=1e-12
         )
-        # closed-form bound 1/sqrt(N [1 + 4 n_tot])
-        formula = 1.0 / math.sqrt(n * (1 + 4 * rep.n_tot))
-        assert rep.epsilon_min == pytest.approx(formula, rel=1e-2)
-    assert qfi_displacement(ghz_cat(alpha, 4)) / 4 == pytest.approx(
-        4 * sensitivity_bound(alpha, 4).qfi / 4, rel=1e-12
-    )
+        # the probe's exact <n> and 4 Var(G) = 4 N (1 + 2 alpha^2 + 2 n_tot)
+        n_tot = alpha**2 * math.tanh(alpha**2)
+        assert rep.n_tot == pytest.approx(n_tot, rel=1e-12)
+        assert rep.qfi == pytest.approx(4 * n * (1 + 2 * alpha**2 + 2 * n_tot), rel=1e-12)
+        assert rep.epsilon_min == 1 / math.sqrt(rep.qfi)
+    assert qfi_displacement(ghz_cat(alpha, 4)) == sensitivity_bound(alpha, 4).qfi
     with pytest.raises(ValueError):
         sensitivity_bound(2.0, 0)
 
@@ -118,16 +118,6 @@ def test_mean_photon_number_even_cat():
             a**2 * math.tanh(a**2), rel=1e-12
         )
     assert mean_photon_number(coherent(1.7)) == pytest.approx(1.7**2, rel=1e-12)
-
-
-def test_weak_force_readout_fringe():
-    alpha, n = 2.0, 4
-    for eps in (0.0, 0.02, 0.05):
-        p = weak_force_readout_probability(alpha, n, eps)
-        # agreement up to exponentially small nonorthogonality (~e^{-2 a^2})
-        assert p == pytest.approx(
-            math.cos(math.sqrt(n) * alpha * eps) ** 2, abs=1e-4
-        )
 
 
 def test_ruler_probability_is_the_exact_weak_force_chain():
@@ -145,19 +135,19 @@ def test_ruler_probability_is_the_exact_weak_force_chain():
                 assert ruler_probability(alpha, 2 * math.sqrt(n) * eps) == pytest.approx(
                     p_even / (p_even + p_odd), abs=1e-14
                 ), (alpha, n, eps)
-    # the residual displacement doubles the phase of the snapped readout
+    # the readout phase is 2 sqrt(N) alpha eps: merge phase and residual displacement
     p_exact = ruler_probability(2.0, 2 * math.sqrt(4) * 0.02)
     assert p_exact == pytest.approx(math.cos(2 * math.sqrt(4) * 2.0 * 0.02) ** 2, abs=1e-3)
 
 
 def test_weak_force_experiment_unbiased_and_saturating():
     alpha, n = 2.0, 1
-    eps = math.pi / (4 * math.sqrt(n) * alpha)  # mid-fringe operating point
+    eps = math.pi / (8 * math.sqrt(n) * alpha)  # mid-fringe operating point
     rng = np.random.default_rng(20240817)
     rep = weak_force_experiment(alpha, n, eps, trials=10_000, rng=rng, batches=2000)
     assert rep.estimate_mean == pytest.approx(eps, rel=1e-2)
     assert rep.saturation >= 0.9
-    assert rep.saturation <= 1.05  # cannot beat the Cramer-Rao bound
+    assert rep.saturation <= 1.05  # cannot beat the Cramer-Rao bound of 4 Var(G)
     with pytest.raises(ValueError):
         weak_force_experiment(alpha, n, eps, trials=0, rng=rng)
 
@@ -214,6 +204,45 @@ def test_ruler_probability_fringes():
         assert ruler_probability(alpha, theta) == pytest.approx(
             math.cos(alpha * theta) ** 2, abs=1e-8
         )
+
+
+def test_ruler_probability_and_its_inverse_match_mpmath():
+    # the ruler chain's Gram form, even cat |a> + |-a> displaced by i theta/2
+    # and read out against the normalized even and odd cats, at 50 digits and
+    # the exact product alpha theta, over whole scans down to alpha = 1e-4,
+    # where the branch norms underflow and the odd norm cancels in floats
+    mpmath = pytest.importorskip("mpmath")
+    ctx = mpmath.mp.clone()
+    ctx.dps = 50
+
+    def overlap(x, y):
+        return ctx.exp(-abs(x) ** 2 / 2 - abs(y) ** 2 / 2 + ctx.conj(x) * y)
+
+    def readout(alpha, theta):
+        a, beta = ctx.mpf(alpha), ctx.mpc(0, ctx.mpf(theta) / 2)
+        # per term t: its displacement phase times <+a|t + beta> and <-a|t + beta>
+        terms = [(ctx.exp((beta * t - ctx.conj(beta) * t) / 2), overlap(a, t + beta),
+                  overlap(-a, t + beta)) for t in (a, -a)]
+        even, odd = (abs(sum(ph * (plus + parity * minus) for ph, plus, minus in terms)) ** 2
+                     / (2 + 2 * parity * ctx.exp(-2 * a * a)) for parity in (1, -1))
+        return even / (even + odd)
+
+    def phase(alpha, p):  # alpha theta on the first fringe: c + o = t s, in arccos form
+        a, p = ctx.mpf(alpha), ctx.mpf(p)
+        o = ctx.exp(-2 * a * a)
+        if p == 1:
+            return ctx.mpf(0)
+        t = ctx.sqrt(p * (1 + o) / ((1 - p) * (1 - o)))
+        return ctx.acos(-o / ctx.sqrt(1 + t * t)) - ctx.atan(t)
+
+    for alpha in (1e-4, 1e-3, 0.0123, 0.083, 0.37, 2.0, 16.0):
+        thetas = np.linspace(0.0, 3.4 * math.pi / alpha, 201)
+        want = [float(readout(alpha, t)) for t in thetas]
+        assert np.max(np.abs(ruler_probability(alpha, thetas) - want)) <= 1e-15, alpha
+        ps = np.linspace(0.0, 1.0, 41)
+        x = [float(phase(alpha, p)) for p in ps]
+        assert np.max(np.abs(alpha * _ruler_theta(alpha, ps) - x)) <= 2e-15, alpha
+        assert _ruler_theta(alpha, 1.0) == 0.0
 
 
 def _peak_positions_reference(xs, ys):
