@@ -19,7 +19,7 @@ import numpy as np
 
 from . import measure, optics
 from .optics import _beamsplitter_u, _passive
-from .states import CoherentSuperposition, coherent_overlap
+from .states import CoherentSuperposition, _pair, coherent_overlap
 
 __all__ = [
     "QubitEncoding",
@@ -83,14 +83,9 @@ def _fold(done: GateOutcome, step: GateOutcome) -> GateOutcome:
 
 
 def encode(mu: complex, nu: complex, enc: QubitEncoding) -> CoherentSuperposition:
-    """Normalized mu|-a> + nu|a> (Gram-normalized, not orthogonal)."""
-    if mu == 0 and nu == 0:
-        raise ValueError("(mu, nu) must be nonzero")
-    s = CoherentSuperposition(
-        np.array([mu, nu], dtype=complex),
-        np.array([[-enc.alpha], [enc.alpha]], dtype=complex),
-    )
-    return s.normalize()
+    """Normalized mu|-a> + nu|a> (by the exact norm of the nonorthogonal
+    pair; a zero (mu, nu) raises ZeroNormError, a ValueError)."""
+    return _pair((-enc.alpha,), mu, nu)
 
 
 def logical_coefficients(

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .states import CoherentSuperposition, ZeroNormError, _gram_forms, coherent_overlap
+from .states import CoherentSuperposition, ZeroNormError, _gram_forms, _pair_norm, coherent_overlap
 
 __all__ = [
     "MeasurementRecord",
@@ -240,12 +240,22 @@ def parity_projection(s: CoherentSuperposition, mode: int) -> dict[str, Measurem
 
 def _cat_weights(ref_amp: complex, parity: int, amps: np.ndarray) -> np.ndarray:
     """<cat|a> for each amplitude a, against the normalized even (+1) or
-    odd (-1) cat at amplitude `ref_amp`."""
+    odd (-1) cat at amplitude `ref_amp` = r.
+
+    With h = conj(r) a, <+/-r|a> = e^{e +/- h}, e = -|r|^2/2 - |a|^2/2, so
+    the unnormalized weight <r|a> + p <-r|a> is <r|a> ((1 + p) + p expm1(-2h)).
+    Where -r is the nearer reference (Re h < 0) the same algebra runs from
+    p <-r|a> with -h: Re h >= 0 always, so the odd weight is an expm1 with
+    no cancellation, and no term overflows."""
     ref = complex(ref_amp)
-    norm_cat = math.sqrt(2 + parity * 2 * math.exp(-2 * abs(ref) ** 2))
-    if norm_cat == 0.0:  # the odd cat once e^{-2|a|^2} rounds to 1
-        raise ZeroNormError(f"the odd cat at amplitude {ref:.3g} has zero norm")
-    return (coherent_overlap(ref, amps) + parity * coherent_overlap(-ref, amps)) / norm_cat
+    sq = abs(ref) * abs(ref)
+    norm = _pair_norm(sq, 1, parity)
+    h = ref.conjugate() * amps
+    far = h.real < 0
+    h = np.where(far, -h, h)
+    near = np.exp(-0.5 * sq - 0.5 * np.abs(amps) ** 2 + h)  # <nearer|a>
+    lead = np.where(far, parity / norm, 1 / norm) * near
+    return lead * ((1 + parity) + parity * np.expm1(-2 * h))
 
 
 def cat_projection(
@@ -397,10 +407,9 @@ def bell_cat_outcomes(
     # bra-side coefficient of the matched component: +1 on the all-minus
     # term, -sgn on the all-plus term of the odd-symmetry Bell cats
     flip = -sgn_a
-    norm_plus = math.sqrt(2 + 2 * math.exp(-4 * abs(ref) ** 2))
-    norm_minus = math.sqrt(2 - 2 * math.exp(-4 * abs(ref) ** 2))
-    if norm_minus == 0.0:  # once e^{-4|a|^2} rounds to 1
-        raise ZeroNormError(f"the odd Bell cats at amplitude {ref:.3g} have zero norm")
+    # the Bell cats' norms: pairs with ||x||^2 = 2 |a|^2
+    sq = 2 * abs(ref) * abs(ref)
+    norm_plus, norm_minus = _pair_norm(sq, 1, 1), _pair_norm(sq, 1, -1)
     return _table("bell_measurement", s, [mode_a, mode_b], [
         ("I", 1.0, same * wa * wb / norm_plus, True),
         ("II", 1.0, same * flip * wa * wb / norm_minus, True),

@@ -3,9 +3,11 @@
 A state is a sum of K terms, each a complex coefficient times a product
 of M coherent states |a_1,...,a_M>.  Coherent states are not orthogonal,
 so every norm, inner product, branch probability and metrology moment is
-one `_gram_forms` call: quadratic forms on the full Gram matrix of
-pairwise overlaps, built once per call.  No orthogonality approximation
-is made anywhere.
+a quadratic form on the full Gram matrix of pairwise overlaps.  A
+two-term state c0|x> + c1|-x> (the cats, the Bell cats, the GHZ probe,
+an encoded qubit) is normalized by the exact closed form of its 2 x 2
+Gram matrix, `_pair_norm`; every other form is one `_gram_forms` call,
+built once per call.  No orthogonality approximation is made anywhere.
 """
 
 from __future__ import annotations
@@ -212,20 +214,39 @@ def vacuum(modes: int = 1) -> CoherentSuperposition:
     return coherent(*([0.0] * modes))
 
 
+def _pair_norm(sq: float, c0: complex, c1: complex) -> float:
+    """Norm of c0|x> + c1|-x> for a product amplitude x with ||x||^2 = sq.
+
+    Its 2 x 2 Gram matrix has off-diagonal <x|-x> = o = e^{-2 sq}, so the
+    norm^2 is (|c0|^2 + |c1|^2)(1 - o) + |c0 + c1|^2 o with 1 - o from
+    expm1: both terms are >= 0, so nothing cancels.  ZeroNormError at or
+    below 1e-300 (as in `normalize`) or NaN."""
+    o = math.exp(-2 * sq)
+    a0, a1, a01 = abs(c0), abs(c1), abs(c0 + c1)
+    n2 = -(a0 * a0 + a1 * a1) * math.expm1(-2 * sq) + a01 * a01 * o
+    if not n2 > 1e-300:
+        raise ZeroNormError(f"c0|x> + c1|-x> has norm^2 {n2:.3g} at ||x||^2 = {sq:.3g}")
+    return math.sqrt(n2)
+
+
+def _pair(x: tuple, c0: complex, c1: complex) -> CoherentSuperposition:
+    """Normalized c0|x> + c1|-x> for a tuple x of per-mode amplitudes, by
+    the closed form `_pair_norm`; no Gram matrix is built."""
+    n = _pair_norm(sum(abs(v) * abs(v) for v in x), c0, c1)
+    return CoherentSuperposition(
+        np.array([c0 / n, c1 / n], dtype=complex), np.array([x, [-v for v in x]], dtype=complex)
+    )
+
+
 def cat(alpha: complex, parity: int = +1) -> CoherentSuperposition:
     """Normalized even (parity=+1) or odd (parity=-1) cat |a> +/- |-a>."""
     if parity not in (+1, -1):
         raise ValueError("parity must be +1 or -1")
-    s = CoherentSuperposition(
-        np.array([1.0, parity], dtype=complex),
-        np.array([[alpha], [-alpha]], dtype=complex),
-    )
-    return s.normalize()
+    return _pair((alpha,), 1, parity)
 
 
 def bell_cat(alpha: complex, kind: str = "i") -> CoherentSuperposition:
-    """The four two-mode Bell-cat states, normalized by the closed-form
-    norm^2 2 +/- 2 e^{-4|a|^2} (the minus from expm1, with no cancellation).
+    """The four normalized two-mode Bell-cat states.
 
     i:   |-a,-a> + |a,a>      ii:  |-a,-a> - |a,a>
     iii: |-a,a>  + |a,-a>     iv:  |-a,a>  - |a,-a>
@@ -234,18 +255,11 @@ def bell_cat(alpha: complex, kind: str = "i") -> CoherentSuperposition:
         raise ValueError(f"unknown Bell-cat kind {kind!r}")
     a = complex(alpha)
     b = a if kind in ("i", "ii") else -a  # the second mode of the |a, .> term
-    odd = kind in ("ii", "iv")
-    n2 = -2 * math.expm1(-4 * abs(a) ** 2) if odd else 2 + 2 * math.exp(-4 * abs(a) ** 2)
-    if n2 <= 1e-300:  # as in normalize: past this, 1/n2 overflows a branch norm
-        raise ZeroNormError(f"the Bell cat {kind} at amplitude {a:.3g} has zero norm")
-    coeffs = np.array([1, -1 if odd else 1], dtype=complex) / math.sqrt(n2)
-    return CoherentSuperposition(coeffs, np.array([[-a, -b], [a, b]]))
+    return _pair((-a, -b), 1, -1 if kind in ("ii", "iv") else 1)
 
 
 def ghz_cat(alpha: complex, n_modes: int) -> CoherentSuperposition:
     """N-mode GHZ cat (|a/sqrt(N),...> + |-a/sqrt(N),...>)/norm."""
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
-    a = complex(alpha) / np.sqrt(n_modes)
-    amps = np.array([[a] * n_modes, [-a] * n_modes], dtype=complex)
-    return CoherentSuperposition(np.array([1.0, 1.0], dtype=complex), amps).normalize()
+    return _pair((complex(alpha) / math.sqrt(n_modes),) * n_modes, 1, 1)

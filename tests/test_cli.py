@@ -177,8 +177,6 @@ def test_unwritable_output_is_config_error_before_any_work(tmp_path, capsys, mon
     ["gate-check", "--theta-alpha2", "100", "--alpha-steps", "1"],  # theta^2 alpha^2 > 0.05
     ["weak-force", "--alpha", "1e-200"],  # alpha^2 underflows: the odd readout cat has zero norm
     ["weak-force", "--epsilon", "1e308"],  # the fringe phase 2 sqrt(n) alpha epsilon overflows
-    ["gate-check", "--alpha-min", "3e-9", "--alpha-max", "3e-9", "--alpha-steps", "1",
-     "--theta-alpha2=-1e-12"],  # the odd Bell cats of the teleport have zero norm
     ["gate-check", "--alpha-min", "1e-200", "--alpha-max", "1e-200", "--alpha-steps", "1",
      "--theta-alpha2", "0"],  # alpha^2 underflows to 0: theta would be 0/0
     ["ruler", "--alpha", "1e-308"],  # the scan range 3.4 pi / alpha overflows to inf
@@ -422,10 +420,13 @@ def test_gate_check_passes_across_its_input_range(alpha, scale, capsys):
     assert code == EXIT_OK, capsys.readouterr().err
 
 
-@pytest.mark.parametrize("alpha", ["1e-3", "1e-5"])
-def test_gate_check_rz_phase_is_exact_at_tiny_alpha(alpha, capsys):
+@pytest.mark.parametrize("alpha, theta_alpha2", [("1e-3", "0"), ("1e-5", "0"), ("3e-9", "-1e-12")],
+                         ids=["1e-3", "1e-5", "3e-9"])
+def test_gate_check_rz_phase_is_exact_at_tiny_alpha(alpha, theta_alpha2, capsys):
+    # at 3e-9 the odd Bell cats the teleport measures have norm^2 about
+    # 8 alpha^2 = 7e-17, which 2 - 2 e^{-4 alpha^2} rounds to 0
     code, out = run_cli(["gate-check", "--alpha-min", alpha, "--alpha-max", alpha,
-                         "--alpha-steps", "1", "--theta-alpha2", "0"], capsys)
+                         "--alpha-steps", "1", f"--theta-alpha2={theta_alpha2}"], capsys)
     assert code == EXIT_OK
     row = out.splitlines()[-1].split("\t")
     assert float(row[3]) <= 1e-15  # rz phase error

@@ -1,4 +1,5 @@
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -526,21 +527,29 @@ def test_gate_rx_table_matches_sequential_projections_and_fock_oracle(monkeypatc
             _assert_matches_oracle(rec, v, {mode: bra[pa], m: bra[pb]}, n_max)
 
 
-@pytest.mark.parametrize("measure_fn, make_args", [
-    (bell_outcomes, lambda: (bell_cat(1.5, "ii"), 0, 1)),
-    (bell_cat_outcomes, lambda: (optics.tensor(cat(1.5, -1), bell_cat(1.5, "i")), 0, 1, 1.5)),
-    (parity_projection, lambda: (optics.tensor(cat(1.5, +1), coherent(0.5, 1.5)), 0)),
-    (cat_projection, lambda: (optics.tensor(coherent(0.3), cat(1.5, -1)), 1, 1.5, -1)),
-    (photon_statistics, lambda: (optics.tensor(cat(1.5, +1), coherent(0.5, 1.5)), 0)),
-    (homodyne_pdf, lambda: (bell_cat(1.5, "iii"), 1, np.linspace(-4.0, 4.0, 33))),
-    (CoherentSuperposition.norm_squared, lambda: (bell_cat(1.5, "iv"),)),
-    (states.inner_product, lambda: (bell_cat(1.5, "i"), optics.tensor(cat(1.5, +1), coherent(0.5)))),
-    (metrology.qfi_displacement, lambda: (states.ghz_cat(2.0, 3),)),
-    (metrology.mean_photon_number, lambda: (optics.tensor(cat(1.5, -1), coherent(0.5, 1j)),)),
+@pytest.mark.parametrize("measure_fn, make_args, count", [
+    (bell_outcomes, lambda: (bell_cat(1.5, "ii"), 0, 1), 1),
+    (bell_cat_outcomes, lambda: (optics.tensor(cat(1.5, -1), bell_cat(1.5, "i")), 0, 1, 1.5), 1),
+    (parity_projection, lambda: (optics.tensor(cat(1.5, +1), coherent(0.5, 1.5)), 0), 1),
+    (cat_projection, lambda: (optics.tensor(coherent(0.3), cat(1.5, -1)), 1, 1.5, -1), 1),
+    (photon_statistics, lambda: (optics.tensor(cat(1.5, +1), coherent(0.5, 1.5)), 0), 1),
+    (homodyne_pdf, lambda: (bell_cat(1.5, "iii"), 1, np.linspace(-4.0, 4.0, 33)), 1),
+    (CoherentSuperposition.norm_squared, lambda: (bell_cat(1.5, "iv"),), 1),
+    (states.inner_product,
+     lambda: (bell_cat(1.5, "i"), optics.tensor(cat(1.5, +1), coherent(0.5))), 1),
+    (metrology.qfi_displacement, lambda: (states.ghz_cat(2.0, 3),), 1),
+    (metrology.mean_photon_number, lambda: (optics.tensor(cat(1.5, -1), coherent(0.5, 1j)),), 1),
+    # two-term states are normalized in closed form, with no Gram matrix
+    (cat, lambda: (1.5, -1), 0),
+    (bell_cat, lambda: (1.5, "iv"), 0),
+    (states.ghz_cat, lambda: (2.0, 3), 0),
+    (gates.encode, lambda: (0.6, -0.8j, gates.QubitEncoding(1.5)), 0),
+    (optics.bell_resource, lambda: optics.bell_resource.cache_clear() or (1.5,), 0),
 ], ids=["bell_outcomes", "bell_cat_outcomes", "parity_projection", "cat_projection",
         "photon_statistics", "homodyne_pdf", "norm_squared", "inner_product",
-        "qfi_displacement", "mean_photon_number"])
-def test_each_table_builds_one_gram_matrix(monkeypatch, measure_fn, make_args):
+        "qfi_displacement", "mean_photon_number", "cat", "bell_cat", "ghz_cat", "encode",
+        "bell_resource"])
+def test_each_table_builds_one_gram_matrix(monkeypatch, measure_fn, make_args, count):
     args = make_args()
     calls = []
     overlap = states._overlap_matrix
@@ -550,7 +559,41 @@ def test_each_table_builds_one_gram_matrix(monkeypatch, measure_fn, make_args):
         states, "_overlap_matrix", lambda x, y: calls.append(x.shape) or overlap(x, y)
     )
     measure_fn(*args)
-    assert len(calls) == 1
+    assert len(calls) == count
+
+
+@pytest.mark.parametrize("alpha", [1e-7, 1e-5, 1e-3])
+def test_cat_projection_of_a_cat_onto_its_own_parity_reads_1(alpha):
+    # (1 - e^{-2 alpha^2}) cancels in the odd cat's norm and in its
+    # weights <r|a> - <-r|a>; both are expm1 forms
+    for parity in (+1, -1):
+        rec = cat_projection(cat(alpha, parity), 0, alpha, parity)
+        assert abs(rec.probability - 1.0) <= 1e-15, parity
+
+
+def test_cat_weights_match_50_digits_and_never_overflow():
+    mp = pytest.importorskip("mpmath")
+    xs = np.array([-100.0, -16.5, -1.0, -3e-7, 0.0, 2e-7, 1e-3j, 0.7 + 0.4j, 16.0, 100.0])
+    for alpha in (1e-7, 1e-3, 1.0, 16.0 * np.exp(0.2j)):
+        for parity in (+1, -1):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # an exponential overflowing, or 0 * inf
+                w = measure._cat_weights(alpha, parity, xs)
+            with mp.workdps(50):
+                r = mp.mpc(complex(alpha))
+
+                def overlap(x, y):
+                    return mp.exp(-abs(x) ** 2 / 2 - abs(y) ** 2 / 2 + mp.conj(x) * y)
+
+                norm = mp.sqrt(2 + 2 * parity * mp.exp(-2 * abs(r) ** 2))
+                exact = np.array([complex((overlap(r, mp.mpc(complex(x)))
+                                           + parity * overlap(-r, mp.mpc(complex(x)))) / norm)
+                                  for x in xs])
+            # relative, plus the rounding of the overlap's exponent, whose
+            # terms are of size (|r| + |x|)^2: an error of that exponent
+            # moves a weight by the same relative amount
+            tol = 1e-15 + np.finfo(float).eps * (abs(alpha) + np.abs(xs)) ** 2
+            assert np.all(np.abs(w - exact) <= tol * np.abs(exact)), (alpha, parity)
 
 
 def test_sample_counts_is_one_multinomial_in_dict_order():

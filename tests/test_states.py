@@ -1,8 +1,10 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
+from catsim.gates import QubitEncoding, encode
 from catsim.states import (
     DROP_THRESHOLD,
     MERGE_TOL,
@@ -113,6 +115,40 @@ def test_ghz_cat():
     assert np.allclose(np.abs(g.amps), 1.0)  # 2/sqrt(4)
     assert g.norm_squared() == pytest.approx(1.0, abs=1e-14)
     assert ghz_cat(2.0, 1).modes == 1
+
+
+def _norm_squared_minus_1_at_50_digits(s):
+    """||s||^2 - 1 of the stored coefficients and amplitudes, summed over
+    the full Gram matrix in 50-digit arithmetic."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        cs = [mp.mpc(complex(c)) for c in s.coeffs]
+        rows = [[mp.mpc(complex(a)) for a in row] for row in s.amps]
+        n2 = mp.fsum(
+            mp.conj(cj) * ck * mp.exp(mp.fsum(-abs(x) ** 2 / 2 - abs(y) ** 2 / 2 + mp.conj(x) * y
+                                             for x, y in zip(rj, rk)))
+            for cj, rj in zip(cs, rows) for ck, rk in zip(cs, rows)
+        )
+        return float(mp.re(n2) - 1)
+
+
+@pytest.mark.parametrize("alpha", [1e-9, 1e-7, 1e-5, 1e-3, 0.1, 1.0, 4.0, 16.0])
+def test_two_term_states_are_normalized_to_round_off(alpha):
+    # the odd ones' Gram norm^2 2 - 2 e^{-2 ||x||^2} cancels at small alpha:
+    # 8e-4 off at alpha = 1e-7, and 0 at 1e-9; the closed form keeps the digits
+    rng = np.random.default_rng(25)
+    mus = rng.normal(size=(4, 2)) @ [1, 1j]
+    pairs = [(mus[0], mus[1]), (mus[2], mus[3]), (mus[0], -mus[0]), (1, 1j)]
+    enc = QubitEncoding(alpha)
+    made = (
+        [cat(alpha, p) for p in (+1, -1)]
+        + [cat(alpha * cmath.exp(0.3j), p) for p in (+1, -1)]
+        + [bell_cat(alpha, kind) for kind in ("i", "ii", "iii", "iv")]
+        + [ghz_cat(alpha, n) for n in (1, 2, 3, 4)]
+        + [encode(mu, nu, enc) for mu, nu in pairs]
+    )
+    for i, s in enumerate(made):
+        assert abs(_norm_squared_minus_1_at_50_digits(s)) <= 1e-15, i
 
 
 def test_merge_terms_combines_and_drops():
