@@ -9,7 +9,9 @@ Exit codes: 0 success, 2 configuration error (an unparsable argument, a
 non-finite or out-of-range field, checked with the budgets before any work,
 or a cross-field check),
 3 numerical-budget error (a field over its cap), 4 property-check failure
-(the first failing row and check are named on stderr).
+(the first failing row and check are named on stderr), 5 output error (the
+table could not be written: a closed pipe, as in `catsim ruler | head -1`,
+or a full device), on one `output error:` line.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import cmath
 import contextlib
 import functools
 import math
+import os
 import re
 import sys
 from typing import NamedTuple, Optional
@@ -31,6 +34,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 EXIT_PROPERTY = 4
+EXIT_OUTPUT = 5
 AUTO = "auto"  # a field default the experiment derives from the other fields
 
 
@@ -470,8 +474,19 @@ def main(argv: Optional[list[str]] = None) -> int:
         with _open_output(args.output, "a"):
             pass
         columns, rows, failed = run(cfg, seed)
-        with _open_output(args.output, "w") as out:
-            emit(out, args.experiment, seed, cfg, columns, rows)
+        try:
+            with _open_output(args.output, "w") as out:
+                emit(out, args.experiment, seed, cfg, columns, rows)
+                out.flush()
+        except OSError as exc:
+            if not args.output:
+                # Python's SIGPIPE recipe: the interpreter's own flush of
+                # stdout at exit then writes to devnull and cannot fail again
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+            print(f"output error: {exc}", file=sys.stderr)
+            return EXIT_OUTPUT
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -5,7 +5,9 @@ MeasurementRecord} scored from one Gram matrix; the parity and Bell-cat
 measurements return the whole table, `sample` draws one outcome and
 `sample_counts` the outcome counts of many shots.  A branch's conditioned
 state is built on its first read, so a shot that keeps one branch builds
-only that branch's state.
+only that branch's state, and it is built from the terms its row supports:
+the terms a branch's weights zero (a Bell outcome's unmatched signs) never
+reach `merge_terms`.
 
 Quadrature convention: x = (a + a^dag)/sqrt(2), so a coherent state |a>
 has mean sqrt(2) Re a and variance 1/2.
@@ -66,7 +68,11 @@ class MeasurementRecord:
 
 
 def _branch_state(coeffs, w, n2, rest) -> CoherentSuperposition:
-    return CoherentSuperposition(coeffs * w / np.sqrt(n2), rest).merge_terms()
+    """The normalized, merged branch sum_k w_k c_k |rest_k> / sqrt(n2), built
+    from the terms its row supports (w_k != 0, in term order): a term of
+    weight 0 adds nothing to the state, so `merge_terms` never sees it."""
+    live = np.flatnonzero(w)
+    return CoherentSuperposition(coeffs[live] * w[live] / np.sqrt(n2), rest[live]).merge_terms()
 
 
 def _rest(s: CoherentSuperposition, modes: list[int]) -> np.ndarray:
@@ -80,7 +86,8 @@ def _table(kind: str, s: CoherentSuperposition, modes: list[int], rows: list[tup
     squared norm of the unmerged branch (per-term contraction `weights`),
     all rows from one `_gram_forms` call on the remaining modes.  A kept
     branch above PROB_FLOOR carries its normalized, merged state, built on
-    the record's first read; the others carry None."""
+    the record's first read by `_branch_state` from the row's nonzero-weight
+    terms; the others carry None."""
     rest = _rest(s, modes)
     v = np.array([w for _, _, w, _ in rows]) * s.coeffs
     norms = _gram_forms(rest, v, rest, v).real

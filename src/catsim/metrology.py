@@ -98,11 +98,18 @@ def mean_photon_number(s: CoherentSuperposition) -> float:
 
 def sensitivity_bound(alpha: float, n_modes: int) -> SensitivityReport:
     """Exact bound for the N-mode entangled cat probe of total amplitude
-    alpha (per-mode amplitude alpha/sqrt(N))."""
+    alpha (per-mode amplitude alpha/sqrt(N)).
+
+    The probe is the pair |x> + |-x> with ||x||^2 = alpha^2 = sq, and a_m
+    sends it to x_m (|x> - |-x>), so its <n> is sq times the ratio of the
+    odd and even pair norms^2, (1 - e^{-2 sq}) / (1 + e^{-2 sq}) = tanh sq:
+    exact at any alpha, where the K-term `mean_photon_number` cancels at
+    small alpha."""
     probe = ghz_cat(alpha, n_modes)
     info = qfi_displacement(probe)
+    sq = float(alpha) * float(alpha)
     return SensitivityReport(
-        n_tot=mean_photon_number(probe),
+        n_tot=sq * math.tanh(sq),
         qfi=info,
         epsilon_min=1.0 / math.sqrt(info),
     )

@@ -1,5 +1,6 @@
 import io
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from catsim.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_OUTPUT,
     EXIT_PROPERTY,
     ConfigError,
     main,
@@ -198,6 +200,35 @@ def test_out_of_range_input_exits_2_with_one_line(args):
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stderr.startswith("config error:")
     assert proc.stdout == ""
+
+
+def _run_unwritable(experiment, stdout):
+    """Run `experiment` in a subprocess whose stdout is `stdout`, buffered as
+    a user's would be: ramsey's table fits in the buffer and fails on the
+    final flush, ruler's fails mid-write."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-m", "catsim.cli", experiment],
+                            stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
+    if proc.stdout is not None:
+        proc.stdout.close()  # the reader is gone before the table is written
+    _, err = proc.communicate()
+    assert proc.returncode == EXIT_OUTPUT
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("output error:")
+    return err
+
+
+@pytest.mark.parametrize("experiment", ["ramsey", "ruler"])
+def test_closed_pipe_exits_5_with_one_line(experiment):
+    assert "Broken pipe" in _run_unwritable(experiment, subprocess.PIPE)
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full device")
+@pytest.mark.parametrize("experiment", ["ramsey", "ruler"])
+def test_full_device_exits_5_with_one_line(experiment):
+    with open("/dev/full", "w") as full:
+        assert "No space left" in _run_unwritable(experiment, full)
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.01])

@@ -620,15 +620,16 @@ def test_sample_counts_is_one_multinomial_in_dict_order():
 
 
 def _eager_states(kind, s, modes, rows):
-    """{outcome: state} as a table built every kept branch's state before
-    branch states were deferred."""
+    """{outcome: state} as a table that built every kept branch's state at
+    once would give: the row's nonzero-weight terms, normalized, then merged."""
     norms = measure._branch_norms(s, modes, np.array([w for _, _, w, _ in rows]))
     rest = np.delete(s.amps, modes, axis=1)
     out = {}
     for (outcome, factor, w, keep), n2 in zip(rows, norms):
         keep = keep and float(factor * n2) > measure.PROB_FLOOR
-        out[outcome] = CoherentSuperposition(s.coeffs * w / np.sqrt(n2), rest).merge_terms() \
-            if keep else None
+        live = np.flatnonzero(w)
+        out[outcome] = CoherentSuperposition(
+            s.coeffs[live] * w[live] / np.sqrt(n2), rest[live]).merge_terms() if keep else None
     return out
 
 
@@ -674,6 +675,93 @@ def test_branch_states_built_on_first_read_match_eager_build(monkeypatch, measur
         assert first.amps.tobytes() == eager[outcome].amps.tobytes()
         # built once, then kept
         assert rec.state is first
+
+
+def _five_qubit_register(leaked):
+    """A 32-term register of five qubits at alpha = 1.5 on modes 0..4.  A
+    leaked register moves each amplitude of modes 1..4 off {+a, -a} by its
+    own small shift; mode 0 stays on the support."""
+    enc = gates.QubitEncoding(1.5)
+    rng = np.random.default_rng(7)
+    s = gates.encode(0.6, 0.8, enc)
+    for _ in range(4):
+        qubit = gates.encode(*rng.normal(size=2), enc)
+        if leaked:
+            qubit = CoherentSuperposition(
+                qubit.coeffs, qubit.amps + rng.normal(scale=0.05, size=(2, 2)) @ [[1], [1j]])
+        s = optics.tensor(s, qubit)
+    return s
+
+
+def _with_resource(s):
+    return optics.tensor(s, optics.bell_resource(1.5))
+
+
+def _sorted_term_bytes(s):
+    """(coefficient bytes, amplitude bytes) with the terms sorted by their
+    amplitude rows, compared as floats.  Adding 0.0 writes a zero part of a
+    coefficient as +0: a merge that adds a dead term's +0 to a live -0
+    gives +0, a value equal to the -0 of the live term alone."""
+    amps = np.ascontiguousarray(s.amps)
+    order = np.lexsort(amps.view(float).T[::-1])
+    return (s.coeffs[order] + 0.0).tobytes(), amps[order].tobytes()
+
+
+@pytest.mark.parametrize("leaked", [False, True], ids=["strict", "leaked"])
+@pytest.mark.parametrize("measure_fn, args", [
+    (parity_projection, lambda s: (s, 0)),
+    (cat_projection, lambda s: (s, 3, 1.5, -1)),
+    (bell_outcomes, lambda s: (_with_resource(s), 0, 5)),
+    (bell_cat_outcomes, lambda s: (_with_resource(s), 2, 5, 1.5)),
+    (project_photon_number, lambda s: (s, 1, 2)),
+    (homodyne_condition, lambda s: (s, 4, 0.4)),
+    (gates.gate_rx, lambda s: (s, gates.QubitEncoding(1.5, mode=2))),
+], ids=["parity", "cat", "bell", "bell_cat", "photon_count", "homodyne", "gate_rx"])
+def test_branch_state_from_supported_terms_is_the_full_branch(monkeypatch, measure_fn, args, leaked):
+    tables = []
+    table = measure._table
+    monkeypatch.setattr(measure, "_table", lambda *a: tables.append(table(*a)) or tables[-1])
+    measure_fn(*args(_five_qubit_register(leaked)))
+    kept = [rec for recs in tables for rec in recs.values() if rec.build is not None]
+    assert kept
+    for rec in kept:
+        coeffs, w, n2, rest = rec.build
+        # every term of the joint state, the zero-weight ones too, as
+        # branch states were built before
+        full = CoherentSuperposition(coeffs * w / np.sqrt(n2), rest).merge_terms()
+        assert rec.state.nterms == full.nterms
+        assert _sorted_term_bytes(rec.state) == _sorted_term_bytes(full)
+
+
+@pytest.mark.parametrize("seed", [None, 11], ids=["canonical", "sampled"])
+def test_no_dead_term_reaches_merge_terms(monkeypatch, seed):
+    merged, building = [], []
+    merge, branch_state = CoherentSuperposition.merge_terms, measure._branch_state
+
+    def recording_merge(self):
+        if building:
+            merged.append(self)
+        return merge(self)
+
+    def recording_branch_state(*args):
+        building.append(True)
+        try:
+            return branch_state(*args)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(CoherentSuperposition, "merge_terms", recording_merge)
+    monkeypatch.setattr(measure, "_branch_state", recording_branch_state)
+    s = _five_qubit_register(False)
+    rng = None if seed is None else np.random.default_rng(seed)
+    enc_a, enc_b = gates.QubitEncoding(1.5, mode=1), gates.QubitEncoding(1.5, mode=3)
+    assert gates.teleport(s, enc_a, rng).success
+    assert gates.gate_z(s, enc_b, rng).success
+    assert gates.entangling_gate(s, enc_a, enc_b, 0.1, rng).success
+    assert len(merged) >= 4
+    for branch in merged:
+        assert branch.nterms <= s.nterms == 32
+        assert np.count_nonzero(branch.coeffs == 0) == 0
 
 
 def test_fail_and_floored_branches_read_none(monkeypatch):

@@ -111,6 +111,17 @@ def test_multimode_scaling_exact():
         sensitivity_bound(2.0, 0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_probe_photon_number_matches_mpmath(n):
+    mp = pytest.importorskip("mpmath")
+    ctx = mp.mp.clone()
+    ctx.dps = 50
+    for alpha in (1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 2.0, 4.0, 16.0):
+        sq = ctx.mpf(alpha) ** 2
+        exact = sq * ctx.tanh(sq)
+        assert abs(sensitivity_bound(alpha, n).n_tot / exact - 1) <= 1e-15
+
+
 def test_mean_photon_number_even_cat():
     # <n> = alpha^2 tanh(alpha^2) for the even cat
     for a in (0.8, 1.5, 2.5):
