@@ -318,17 +318,14 @@ def homodyne_condition(s: CoherentSuperposition, mode: int, x: float) -> Measure
     return rec
 
 
-def homodyne_grid(s: CoherentSuperposition, mode: int, points: int = 4096) -> np.ndarray:
-    a = float(np.max(np.abs(s.amps[:, mode]))) if s.nterms else 0.0
-    half = a * math.sqrt(2) + 8.0
-    return np.linspace(-half, half, points)
-
-
 def homodyne_sample(
     s: CoherentSuperposition, mode: int, rng: np.random.Generator, points: int = 4096
 ) -> MeasurementRecord:
-    """Draw a homodyne result by inverse CDF on a fixed grid, then condition."""
-    xs = homodyne_grid(s, mode, points)
+    """Draw a homodyne result by inverse CDF on a fixed grid over
+    +/-(sqrt(2) max|a| + 8), then condition."""
+    a = float(np.max(np.abs(s.amps[:, mode]))) if s.nterms else 0.0
+    half = a * math.sqrt(2) + 8.0
+    xs = np.linspace(-half, half, points)
     pdf = homodyne_pdf(s, mode, xs)
     cdf = np.cumsum(pdf)
     cdf /= cdf[-1]

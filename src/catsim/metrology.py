@@ -1,6 +1,6 @@
 """Weak-force sensing, Ramsey phase estimation and quantum-ruler fringes
-for coherent-superposition probes, with exact sensitivity bounds and Monte
-Carlo maximum-likelihood estimation.
+for coherent-superposition probes, with exact sensitivity bounds and the
+exact mean and variance of the maximum-likelihood estimate.
 
 Conventions:
 - A weak force acting for a fixed time displaces every probe mode by
@@ -21,6 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .states import CoherentSuperposition, ZeroNormError, _gram_forms, ghz_cat
+
+TAIL = 1e-18  # binomial mass that the weak-force moments may leave out
 
 __all__ = [
     "SensitivityReport",
@@ -50,6 +52,7 @@ class SensitivityReport:
     estimate_var: float = float("nan")
     crb_var: float = float("nan")
     saturation: float = float("nan")
+    pinned: bool = False
 
 
 @dataclass(frozen=True)
@@ -120,41 +123,48 @@ def weak_force_experiment(
     n_modes: int,
     epsilon: float,
     trials: int,
-    rng: np.random.Generator,
-    batches: int = 2000,
 ) -> SensitivityReport:
-    """Monte Carlo maximum-likelihood estimation of a weak displacement.
+    """Exact statistics of the maximum-likelihood estimate of a weak
+    displacement from `trials` shots of the exact readout
+    p = ruler_probability(alpha, 2 sqrt(N) eps).
 
-    Runs `batches` independent experiments of `trials` shots of the exact
-    readout p = ruler_probability(alpha, 2 sqrt(N) eps); a batch's k even
-    readouts give eps_hat, p inverted at k/trials on its first fringe.
-    Reports the estimator mean and variance against the Cramer-Rao bound
+    The even count k is Binomial(trials, p), and its estimate eps_hat(k)
+    inverts p at k/trials on the first fringe, so the estimator's mean and
+    variance are sums over k.  They run over the counts with
+    |k - trials p| <= sqrt(trials ln(2/TAIL) / 2), outside which lies at
+    most TAIL of the mass (Hoeffding), with the pmf built by its ratio
+    recurrence out of the mode, where every ratio is at most 1, and
+    normalized over that window.  Reports them against the Cramer-Rao bound
     1/(trials * qfi) and their ratio `saturation`, at most 1 for an
-    unbiased estimator.  When every batch drew the same k, as near a fringe
-    extremum, the estimate is pinned and biased: the variance is 0 and
-    `saturation` inf.
+    unbiased estimator (Braunstein & Caves 1994).  Where one count holds all
+    of the window's mass to double precision, as near a fringe extremum,
+    the estimate is `pinned` and biased.
     """
-    if trials < 1 or batches < 1:
-        raise ValueError("trials and batches must be >= 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     bound = sensitivity_bound(alpha, n_modes)
     theta_per_eps = 2.0 * math.sqrt(n_modes)
     if not math.isfinite(alpha * theta_per_eps * epsilon):
         raise ValueError("the fringe phase 2 sqrt(N) alpha epsilon overflows")
     p = ruler_probability(alpha, theta_per_eps * epsilon)
-    k = rng.binomial(trials, p, size=batches)
+    half = math.sqrt(trials * math.log(2.0 / TAIL) / 2.0)
+    mode = min(math.floor((trials + 1) * p), trials)
+    # pmf(k - 1) / pmf(k) below the mode and pmf(k + 1) / pmf(k) above it;
+    # at p = 0 or 1 the side that would divide by 0 is empty
+    down = np.arange(mode, max(0, math.ceil(trials * p - half)), -1)
+    up = np.arange(mode, min(trials, math.floor(trials * p + half)))
+    pmf = np.concatenate([np.cumprod(down * (1 - p) / ((trials + 1 - down) * p))[::-1], [1.0],
+                          np.cumprod((trials - up) * p / ((up + 1) * (1 - p)))])
+    pmf /= pmf.sum()
+    k = np.arange(mode - len(down), mode + len(up) + 1)
     eps_hat = _ruler_theta(alpha, k / trials) / theta_per_eps
+    # NumPy's own sums, not a BLAS dot, so the bytes do not depend on the BLAS kernel
+    mean = float(np.sum(pmf * eps_hat))
+    var = float(np.sum(pmf * (eps_hat - mean) ** 2))
     crb_var = 1.0 / (trials * bound.qfi)
-    # one batch leaves the variance, and so the saturation, undefined; the
-    # shift by one estimate makes batches that all drew the same k read
-    # exactly 0, where np.var of equal values leaves round-off
-    est_var = float(np.var(eps_hat - eps_hat[0], ddof=1)) if batches > 1 else float("nan")
-    return replace(
-        bound,
-        estimate_mean=float(np.mean(eps_hat)),
-        estimate_var=est_var,
-        crb_var=crb_var,
-        saturation=crb_var / est_var if est_var != 0 else float("inf"),
-    )
+    return replace(bound, estimate_mean=mean, estimate_var=var, crb_var=crb_var,
+                   saturation=crb_var / var if var != 0 else math.inf,
+                   pinned=bool(pmf.max() == 1.0))
 
 
 # ---------------------------------------------------------------------------

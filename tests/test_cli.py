@@ -85,7 +85,7 @@ def test_weak_force_epsilon_defaults_to_auto_the_mid_fringe_point(tmp_path, caps
 def test_byte_identical_reproducibility(tmp_path):
     out_a = tmp_path / "a.tsv"
     out_b = tmp_path / "b.tsv"
-    args = ["weak-force", "--seed", "42", "--trials", "200", "--batches", "50"]
+    args = ["bell-stats", "--seed", "42", "--trials", "200", "--alpha-steps", "2"]
     assert main(args + ["--output", str(out_a)]) == EXIT_OK
     assert main(args + ["--output", str(out_b)]) == EXIT_OK
     assert out_a.read_bytes() == out_b.read_bytes()
@@ -93,6 +93,27 @@ def test_byte_identical_reproducibility(tmp_path):
     out_c = tmp_path / "c.tsv"
     assert main(args[:2] + ["43"] + args[3:] + ["--output", str(out_c)]) == EXIT_OK
     assert out_a.read_bytes() != out_c.read_bytes()
+
+
+def test_weak_force_reads_no_seed(capsys):
+    # its moments are exact: only the echoed seed differs between seeds
+    code_0, out_0 = run_cli(["weak-force", "--sweep-n", "--seed", "0"], capsys)
+    code_7, out_7 = run_cli(["weak-force", "--sweep-n", "--seed", "7"], capsys)
+    assert code_0 == code_7 == EXIT_OK
+    diff = [(a, b) for a, b in zip(out_0.splitlines(), out_7.splitlines()) if a != b]
+    assert diff == [("# seed 0", "# seed 7")]
+    assert len(out_0.splitlines()) == len(out_7.splitlines())
+
+
+def test_weak_force_batches_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "batches.cfg"
+    cfg.write_text("batches = 10\n")
+    for args in (["--batches", "10"], ["--config", str(cfg)]):
+        code = main(["weak-force"] + args)
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG, args
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("config error:")
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
@@ -345,39 +366,42 @@ def test_property_failure_names_row_and_check(capsys, monkeypatch):
 
 
 def _pinned_weak_force_cells(args, capsys):
-    """Run weak-force on a row whose batches all draw the same count: it is
-    flagged, prints estimate_var 0 and saturation inf, and its cells return."""
+    """Run weak-force on a row where one count holds the window's mass: it
+    is flagged, and its cells return."""
     code = main(["weak-force"] + args)
     captured = capsys.readouterr()
     assert code == EXIT_PROPERTY
-    assert captured.err.splitlines() == ["property check failed: weak-force row 0: estimate_var == 0"]
+    assert captured.err.splitlines() == ["property check failed: weak-force row 0: "
+                                         "estimator pinned: one count holds the window's mass"]
     header, row = [l.split("\t") for l in captured.out.splitlines() if not l.startswith("#")]
-    cells = dict(zip(header, row))
-    assert (cells["estimate_var"], cells["saturation"]) == ("0", "inf")
-    return cells
+    return dict(zip(header, row))
 
 
-def test_weak_force_flags_a_row_whose_batches_all_agree(capsys):
-    # at the fringe maximum every batch reads k = trials, so eps_hat = 0
-    assert _pinned_weak_force_cells(["--epsilon", "1e-9"], capsys)["estimate_mean"] == "0"
-    # a spread of estimates, or one batch (variance nan), is not flagged
-    for args in ([], ["--sweep-n"], ["--batches", "1"]):
+def test_weak_force_flags_a_pinned_estimator_at_the_fringe_maximum(capsys):
+    # at the fringe maximum p rounds to 1: every shot reads even, so eps_hat = 0
+    cells = _pinned_weak_force_cells(["--epsilon", "1e-9"], capsys)
+    assert (cells["estimate_mean"], cells["estimate_var"], cells["saturation"]) == ("0", "0", "inf")
+    # a spread of estimates is not flagged
+    for args in ([], ["--sweep-n"]):
         assert main(["weak-force"] + args) == EXIT_OK, args
     assert capsys.readouterr().err == ""
 
 
 def test_weak_force_flags_the_dark_fringe_of_the_exact_chain(capsys):
     # p = 0 at epsilon = arccos(-e^{-2 alpha^2}) / (2 sqrt(n) alpha), alpha = 2, n = 1:
-    # every batch reads k = 0 and eps_hat is that epsilon
+    # every shot reads odd and eps_hat is that epsilon
     epsilon = math.acos(-math.exp(-8.0)) / 4
     cells = _pinned_weak_force_cells(["--epsilon", repr(epsilon)], capsys)
     assert float(cells["estimate_mean"]) == pytest.approx(epsilon, rel=1e-15)
+    assert (cells["estimate_var"], cells["saturation"]) == ("0", "inf")
 
 
 def test_weak_force_at_tiny_alpha_is_computable_and_flagged(capsys):
-    # alpha^2 = 1e-24 > 0: the readout is far below mid-fringe, every batch draws k = 0
+    # alpha^2 = 1e-24 > 0: the readout is far below mid-fringe, p is about 6e-24, so
+    # k = 0 holds the window's mass to double precision; the rest still gives a variance
     cells = _pinned_weak_force_cells(["--alpha", "1e-12"], capsys)
     assert cells["qfi"] == "4"  # 4 N (1 + 2 alpha^2 + 2 n_tot) to round-off
+    assert 0 < float(cells["estimate_var"]) < math.inf
 
 
 def test_float_formatting_17_digits(capsys):

@@ -26,7 +26,7 @@ from catsim import __version__, cli  # noqa: E402
 configuration.set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "catsim-hypothesis")
 
 # upper end of the in-range box for fields whose cost grows with the value
-CHEAP = {"alpha_steps": 3, "trials": 20, "batches": 20, "n": 8, "n_max": 8, "points": 400,
+CHEAP = {"alpha_steps": 3, "trials": 20, "n": 8, "n_max": 8, "points": 400,
          "cases": 1}
 BOX = 8.0  # floats without a bound on a side draw from [-BOX, BOX] on that side
 
@@ -78,6 +78,12 @@ def _flag(key, field, value) -> str:
     if field.kind is bool:
         return f"--{name}" if value else f"--no-{name}"
     return f"--{name}={value!r}"
+
+
+def test_every_cheap_key_names_a_field():
+    # a deleted field must not leave its cost cap behind
+    fields = {key for _, schema in cli._EXPERIMENTS.values() for key in schema}
+    assert sorted(set(CHEAP) - fields) == []
 
 
 @pytest.mark.parametrize("experiment", sorted(cli._EXPERIMENTS))

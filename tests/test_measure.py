@@ -17,7 +17,6 @@ from catsim.measure import (
     default_nmax,
     fock_amplitude,
     homodyne_condition,
-    homodyne_grid,
     homodyne_pdf,
     homodyne_sample,
     parity_projection,
@@ -121,7 +120,7 @@ def test_homodyne_pdf_coherent_gaussian():
 
 def test_homodyne_pdf_normalizes():
     s = cat(2.0, +1)
-    xs = homodyne_grid(s, 0, 4001)
+    xs = np.linspace(-2.0 * math.sqrt(2) - 8.0, 2.0 * math.sqrt(2) + 8.0, 4001)
     pdf = np.array([homodyne_pdf(s, 0, x) for x in xs])
     integral = np.trapezoid(pdf, xs)
     assert integral == pytest.approx(1.0, abs=1e-10)

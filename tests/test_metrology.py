@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -154,19 +155,66 @@ def test_ruler_probability_is_the_exact_weak_force_chain():
 def test_weak_force_experiment_unbiased_and_saturating():
     alpha, n = 2.0, 1
     eps = math.pi / (8 * math.sqrt(n) * alpha)  # mid-fringe operating point
-    rng = np.random.default_rng(20240817)
-    rep = weak_force_experiment(alpha, n, eps, trials=10_000, rng=rng, batches=2000)
-    assert rep.estimate_mean == pytest.approx(eps, rel=1e-2)
-    assert rep.saturation >= 0.9
-    assert rep.saturation <= 1.05  # cannot beat the Cramer-Rao bound of 4 Var(G)
+    rep = weak_force_experiment(alpha, n, eps, trials=10_000)
+    assert rep.estimate_mean == pytest.approx(eps, rel=1e-6)
+    assert rep.crb_var == 1 / (10_000 * rep.qfi)
+    assert 0.9 <= rep.saturation <= 1  # cannot beat the Cramer-Rao bound of 4 Var(G)
+    assert not rep.pinned
     with pytest.raises(ValueError):
-        weak_force_experiment(alpha, n, eps, trials=0, rng=rng)
+        weak_force_experiment(alpha, n, eps, trials=0)
 
 
-def test_weak_force_experiment_one_batch_has_no_variance_or_saturation():
-    rep = weak_force_experiment(2.0, 1, 0.3, trials=100, rng=np.random.default_rng(0), batches=1)
-    assert math.isfinite(rep.estimate_mean) and math.isfinite(rep.crb_var)
-    assert math.isnan(rep.estimate_var) and math.isnan(rep.saturation)
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 3.0])
+def test_weak_force_moments_match_the_full_support_sum_in_mpmath(alpha):
+    # the estimator's moments summed over every count 0..trials at 50 digits,
+    # on the same p and the same estimates eps_hat(k); a log-pmf built from
+    # math.lgamma is off by about 1.1e-11 of the mass at 10^4 trials and fails
+    mp = pytest.importorskip("mpmath")
+    ctx = mp.mp.clone()
+    ctx.dps = 50
+    for n in (1, 3):
+        eps = math.pi / (8 * math.sqrt(n) * alpha)
+        p = ctx.mpf(float(ruler_probability(alpha, 2 * math.sqrt(n) * eps)))
+        for trials in (1, 2, 100, 10_000):
+            rep = weak_force_experiment(alpha, n, eps, trials)
+            k = np.arange(trials + 1)
+            eps_hat = [ctx.mpf(e) for e in _ruler_theta(alpha, k / trials) / (2 * math.sqrt(n))]
+            pmf = [(1 - p) ** trials]
+            for j in range(trials):  # pmf(j + 1) / pmf(j) = (trials - j) p / ((j + 1)(1 - p))
+                pmf.append(pmf[-1] * (trials - j) * p / ((j + 1) * (1 - p)))
+            mean = ctx.fdot(pmf, eps_hat)
+            var = ctx.fdot(pmf, [(e - mean) ** 2 for e in eps_hat])
+            assert abs(rep.estimate_mean / mean - 1) <= 1e-14, (n, trials)
+            assert abs(rep.estimate_var / var - 1) <= 1e-14, (n, trials)
+
+
+@pytest.mark.parametrize("alpha, n", [(2.0, 1), (3.0, 2), (1.0, 3)])
+def test_weak_force_moments_match_sampled_batches(alpha, n):
+    # B batches of the estimator, drawn as weak-force once drew them: sample
+    # mean and variance within 5 standard errors of the exact moments
+    trials, batches = 10_000, 100_000
+    eps = math.pi / (8 * math.sqrt(n) * alpha)
+    rep = weak_force_experiment(alpha, n, eps, trials)
+    k = np.random.default_rng(20240817).binomial(
+        trials, ruler_probability(alpha, 2 * math.sqrt(n) * eps), size=batches)
+    eps_hat = _ruler_theta(alpha, k / trials) / (2 * math.sqrt(n))
+    assert abs(np.mean(eps_hat) - rep.estimate_mean) <= 5 * math.sqrt(rep.estimate_var / batches)
+    assert abs(np.var(eps_hat, ddof=1) - rep.estimate_var) <= \
+        5 * rep.estimate_var * math.sqrt(2 / (batches - 1))
+
+
+def test_weak_force_pinned_at_the_fringe_extrema_without_warnings():
+    # p = 1 at eps = 0 and p = 0 on the dark fringe arccos(-e^{-2 alpha^2}) / (2 alpha):
+    # every shot gives one count, and the recurrence divides by no 0
+    dark = math.acos(-math.exp(-8.0)) / 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eps, p in ((0.0, 1.0), (dark, 0.0)):
+            assert ruler_probability(2.0, 2 * eps) == p
+            for trials in (1, 2, 10_000, 10_000_000):
+                rep = weak_force_experiment(2.0, 1, eps, trials)
+                assert rep.pinned and rep.estimate_var == 0 and rep.saturation == math.inf
+                assert rep.estimate_mean == pytest.approx(eps, rel=1e-15)
 
 
 def test_ramsey_probabilities():
