@@ -38,11 +38,16 @@ block is decomposed twice in a round.  The quadrature bases of every
 cutoff up to d = 110 hold about 3.6 MB, so none is ever evicted.  Both
 caches have a `cache_clear`.
 
-`to_fock` writes the first of the K terms straight into the d^M tensor and
-adds the others one at a time, each term a rounded product, rather than
-contracting over the terms with a matrix product: BLAS fuses the multiply
-and the add, which leaves a residue of about 1e-17 where a cat's amplitudes
-of the opposite parity must cancel to exactly 0.
+Every d^M tensor is made by one assembly, `_assemble`: a sum over groups,
+each a block on the modes an element touches times the Fock columns of the
+modes it leaves alone.  `to_fock` is the case with no touched mode, a
+group per term and its coefficient for the block.  An audit state row
+passes the difference of catsim's and the oracle's like-term groups, so it
+builds one tensor, the difference.  The assembly writes the first group straight into the
+tensor and adds the others one at a time, each a rounded product, rather
+than contracting over the groups with a matrix product: BLAS fuses the
+multiply and the add, which leaves a residue of about 1e-17 where a cat's
+amplitudes of the opposite parity must cancel to exactly 0.
 """
 
 from __future__ import annotations
@@ -63,12 +68,12 @@ __all__ = [
     "fock_displace",
     "fock_beamsplitter",
     "fock_measure_number",
-    "fock_condition_number",
     "fock_quadrature_pdf",
 ]
 
 _BLOCK_BYTES = 12 << 20
-# complex entries of `to_fock`'s output summed at a time (256 KiB)
+# complex entries of `_assemble`'s output summed at a time (256 KiB): the
+# slab and the product being added hold 512 KiB, well inside a 2 MiB L2
 _SLAB = 1 << 14
 
 
@@ -82,30 +87,49 @@ def _coherent_columns(amps: np.ndarray, n_max: int) -> np.ndarray:
     return np.cumprod(steps, axis=-1)
 
 
-def to_fock(s: CoherentSuperposition, n_max: int) -> np.ndarray:
-    """The (n_max + 1,) * M number-basis amplitudes of s, one axis per mode."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    if s.modes == 0:
-        return np.array(sum(s.coeffs.tolist(), 0j))
-    d = n_max + 1
-    cols = _coherent_columns(s.amps, n_max)  # (K, M, d)
-    # c_k times the columns of modes 1..M-1, flattened, for every term at once
-    tail = s.coeffs[:, None]
-    for m in range(1, s.modes):
-        tail = (tail[:, :, None] * cols[:, m, None, :]).reshape(s.nterms, -1)
-    # write the first term and add the others into the rows of mode 0 a slab
-    # of rows at a time, so the slab and the term being added stay in cache
-    data = np.empty((d,) * s.modes, dtype=complex)
+def _products(head: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Each row's outer product head[k] (x) cols[k, 0] (x) cols[k, 1] ...,
+    flattened: the (K, B) head and the (K, U, d) columns give (K, B d^U),
+    every entry rounded in the product order head * col_0 * col_1 ..."""
+    for m in range(cols.shape[1]):
+        head = (head[:, :, None] * cols[:, m, None, :]).reshape(len(head), -1)
+    return head
+
+
+def _assemble(blocks: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """sum_g col_g0 (x) block_g (x) col_g1 (x) ... (x) col_g(U-1): the G
+    blocks (G, *shape), each a tensor on the modes an element touches, times
+    the (G, U, d) Fock columns of the U modes it leaves alone.  The axes are
+    the first untouched mode, the block's, then the other untouched modes;
+    with U = 0 the result is the sum of the blocks."""
+    if cols.shape[1] == 0:
+        return blocks.sum(axis=0)
+    d = cols.shape[2]
+    # the block times the columns of untouched modes 1..U-1, flattened
+    tail = _products(blocks.reshape(len(blocks), -1), cols[:, 1:])
+    # write the first group and add the others into the rows of the first
+    # untouched mode a slab of rows at a time, so the slab and the group
+    # being added stay in cache
+    data = np.empty((d,) + blocks.shape[1:] + (d,) * (cols.shape[1] - 1), dtype=complex)
     rows = data.reshape(d, -1)
     step = max(1, _SLAB // rows.shape[1])
     term = np.empty((min(step, d), rows.shape[1]), dtype=complex)
     for i in range(0, d, step):
         slab = rows[i : i + step]
         np.multiply(cols[0, 0, i : i + step, None], tail[0], out=slab)
-        for k in range(1, s.nterms):
+        for k in range(1, len(tail)):
             slab += np.multiply(cols[k, 0, i : i + step, None], tail[k], out=term[: len(slab)])
     return data
+
+
+def to_fock(s: CoherentSuperposition, n_max: int) -> np.ndarray:
+    """The (n_max + 1,) * M number-basis amplitudes of s, one axis per mode:
+    every term's coefficient is a block on no mode."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    if s.modes == 0:
+        return np.array(sum(s.coeffs.tolist(), 0j))
+    return _assemble(s.coeffs, _coherent_columns(s.amps, n_max))
 
 
 def _sum_squares(v: np.ndarray, keep: tuple[int, ...] = ()) -> np.ndarray:
@@ -248,15 +272,6 @@ def fock_beamsplitter(
 
 def fock_measure_number(v: np.ndarray, mode: int) -> np.ndarray:
     return _sum_squares(v, (mode,))
-
-
-def fock_condition_number(v: np.ndarray, mode: int, n: int) -> tuple[float, np.ndarray]:
-    """(probability, conditioned truncated vector) for counting n photons."""
-    rest = np.take(v, n, axis=mode)
-    p = fock_norm_squared(rest)
-    if p <= 0.0:
-        raise ValueError(f"zero-probability branch n={n}")
-    return p, np.asarray(rest / math.sqrt(p))
 
 
 def _hermite_functions(xs: np.ndarray, n_max: int) -> np.ndarray:

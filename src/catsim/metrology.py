@@ -107,15 +107,17 @@ def sensitivity_bound(alpha: float, n_modes: int) -> SensitivityReport:
     sends it to x_m (|x> - |-x>), so its <n> is sq times the ratio of the
     odd and even pair norms^2, (1 - e^{-2 sq}) / (1 + e^{-2 sq}) = tanh sq:
     exact at any alpha, where the K-term `mean_photon_number` cancels at
-    small alpha."""
+    small alpha.  Refused where either is not finite: alpha^2 overflows, or
+    the Gram exponent's round-off, of order alpha^2 * 1e-16, overflows
+    exp."""
     probe = ghz_cat(alpha, n_modes)
-    info = qfi_displacement(probe)
+    with np.errstate(over="ignore", invalid="ignore"):
+        info = qfi_displacement(probe)
     sq = float(alpha) * float(alpha)
-    return SensitivityReport(
-        n_tot=sq * math.tanh(sq),
-        qfi=info,
-        epsilon_min=1.0 / math.sqrt(info),
-    )
+    n_tot = sq * math.tanh(sq)
+    if not (math.isfinite(info) and math.isfinite(n_tot)):
+        raise ValueError(f"the probe's n_tot = {n_tot} or qfi = {info} is not finite")
+    return SensitivityReport(n_tot=n_tot, qfi=info, epsilon_min=1.0 / math.sqrt(info))
 
 
 def weak_force_experiment(

@@ -205,6 +205,8 @@ def test_unwritable_output_is_config_error_before_any_work(tmp_path, capsys, mon
     ["ruler", "--alpha", "1e-308"],  # the scan range 3.4 pi / alpha overflows to inf
     ["ruler", "--alpha", "5e-324"],
     ["weak-force", "--alpha", "5e-324"],  # the mid-fringe epsilon pi / (8 alpha) overflows
+    ["weak-force", "--alpha", "1e11", "--n", "64", "--trials", "0"],  # the Gram exponent overflows: qfi nan
+    ["weak-force", "--alpha", "1e155", "--trials", "0"],  # alpha^2 overflows: n_tot inf
     # argument parse errors: one reason, not argparse's usage block
     ["ramsey", "--n-max", "abc"],
     ["ramsey", "--bogus", "1"],

@@ -7,7 +7,6 @@ import pytest
 from catsim import fockoracle
 from catsim.fockoracle import (
     fock_beamsplitter,
-    fock_condition_number,
     fock_displace,
     fock_inner,
     fock_measure_number,
@@ -77,16 +76,6 @@ def test_number_statistics_poisson():
     log_factorial = np.array([math.lgamma(k + 1) for k in n])
     poisson = np.exp(-1.5**2 + n * math.log(1.5**2) - log_factorial)
     assert np.max(np.abs(stats - poisson)) < 1e-12
-
-
-def test_condition_number():
-    v = to_fock(coherent(1.0, 0.5), 25)
-    p, rest = fock_condition_number(v, 0, 1)
-    assert p == pytest.approx(math.exp(-1.0) * 1.0, rel=1e-10)
-    ref = to_fock(coherent(0.5), 25)
-    assert abs(abs(fock_inner(rest, ref)) - 1.0) < 1e-10
-    with pytest.raises(ValueError):
-        fock_condition_number(to_fock(cat(1.0, +1), 25), 0, 1)
 
 
 def test_vacuum_quadrature_gaussian():
