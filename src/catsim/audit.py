@@ -87,6 +87,15 @@ def _collect(rows: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return rows[firsts], out
 
 
+def _difference_norm(rows: np.ndarray, blocks: np.ndarray, shape: tuple, n: int) -> float:
+    """||sum_k cols(rows_k) (x) blocks_k||_2 from one assembled tensor of
+    the like terms `_collect` finds: `rows` holds the (K, U) amplitudes of
+    the untouched modes, `blocks` each row's flattened tensor of `shape` on
+    the touched modes (() when no mode is touched)."""
+    keys, diff = _collect(rows, blocks)
+    return _norm(fo._assemble(diff.reshape((-1,) + shape), fo._coherent_columns(keys, n)))
+
+
 def _element_error(s, out, touched, n, apply) -> float:
     """||to_fock(out, n) - apply(to_fock(s, n))||_2 for catsim's output
     `out` of an element on the modes `touched`, from one assembled tensor;
@@ -98,10 +107,8 @@ def _element_error(s, out, touched, n, apply) -> float:
     keys, blocks = _collect(s.amps[:, rest], blocks)
     ref = apply(blocks.reshape((-1,) + shape)).reshape(len(blocks), -1)
     mine = fo._products(out.coeffs[:, None], fo._coherent_columns(out.amps[:, touched], n))
-    keys, diff = _collect(
-        np.concatenate([out.amps[:, rest], keys]), np.concatenate([mine, np.negative(ref, out=ref)])
-    )
-    return _norm(fo._assemble(diff.reshape((-1,) + shape), fo._coherent_columns(keys, n)))
+    rows = np.concatenate([out.amps[:, rest], keys])
+    return _difference_norm(rows, np.concatenate([mine, np.negative(ref, out=ref)]), shape, n)
 
 
 def _check_conversion_norm(rng, s, alpha_max):
@@ -168,11 +175,9 @@ def _check_photon_conditioning(rng, s, alpha_max):
         raise ValueError(f"zero-probability branch n={pick}")
     err = abs(rec.probability - p_or)
     if rec.state is not None and rec.state.modes > 0:
-        keys, diff = _collect(
-            np.concatenate([rec.state.amps, rest]),
-            np.concatenate([rec.state.coeffs, -coeffs / math.sqrt(p_or)]),
-        )
-        err = max(err, _norm(fo._assemble(diff, fo._coherent_columns(keys, n))))
+        rows = np.concatenate([rec.state.amps, rest])
+        blocks = np.concatenate([rec.state.coeffs, -coeffs / math.sqrt(p_or)])
+        err = max(err, _difference_norm(rows, blocks, (), n))
     return err
 
 

@@ -84,13 +84,12 @@ def _table(kind: str, s: CoherentSuperposition, modes: list[int], rows: list[tup
     """Branch table {outcome: MeasurementRecord} of measuring `modes` of `s`.
     Row (outcome, factor, weights, keep) has probability factor times the
     squared norm of the unmerged branch (per-term contraction `weights`),
-    all rows from one `_gram_forms` call on the remaining modes.  A kept
+    all rows from one `_branch_norms` call on the remaining modes.  A kept
     branch above PROB_FLOOR carries its normalized, merged state, built on
     the record's first read by `_branch_state` from the row's nonzero-weight
     terms; the others carry None."""
     rest = _rest(s, modes)
-    v = np.array([w for _, _, w, _ in rows]) * s.coeffs
-    norms = _gram_forms(rest, v, rest, v).real
+    norms = _branch_norms(s, rest, np.array([w for _, _, w, _ in rows]))
     table = {}
     for (outcome, factor, w, keep), n2 in zip(rows, norms):
         p = float(factor * n2)
@@ -159,11 +158,11 @@ def default_nmax(amp_scale: float) -> int:
     return math.ceil(a * a + 10 * a + 20)
 
 
-def _branch_norms(s: CoherentSuperposition, modes: list[int], weights: np.ndarray) -> np.ndarray:
-    """Squared norm of the branch sum_k w_k c_k |rest_k> on the modes not in
-    `modes`, for every row w of a (..., K) stack of weights: v* G v with
-    v = w * coeffs on the one Gram matrix G of the remaining modes."""
-    rest = _rest(s, modes)
+def _branch_norms(s: CoherentSuperposition, rest: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Squared norm of the branch sum_k w_k c_k |rest_k> on the remaining
+    modes' amplitude columns `rest` (`_rest`), for every row w of a (..., K)
+    stack of weights: v* G v with v = w * coeffs on the one Gram matrix G
+    of those modes."""
     v = weights * s.coeffs
     return _gram_forms(rest, v, rest, v).real
 
@@ -176,7 +175,7 @@ def photon_statistics(s: CoherentSuperposition, mode: int, n_max: int | None = N
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     w = fock_amplitude(np.arange(n_max + 1)[:, None], s.amps[:, mode])
-    return _branch_norms(s, [mode], w)
+    return _branch_norms(s, _rest(s, [mode]), w)
 
 
 def project_photon_number(s: CoherentSuperposition, mode: int, n: int) -> MeasurementRecord:
@@ -304,7 +303,7 @@ def homodyne_pdf(s: CoherentSuperposition, mode: int, x: float | np.ndarray) -> 
     over an array of x (a scalar x gives a scalar)."""
     s.check_mode(mode)
     w = _quadrature_overlap(np.asarray(x, dtype=float)[..., None], s.amps[:, mode])
-    return np.maximum(_branch_norms(s, [mode], w), 0.0)[()]
+    return np.maximum(_branch_norms(s, _rest(s, [mode]), w), 0.0)[()]
 
 
 def homodyne_condition(s: CoherentSuperposition, mode: int, x: float) -> MeasurementRecord:

@@ -7,7 +7,8 @@ Conventions:
   D(i eps); the Hermitian generator of that displacement is
   G = sum_m (a_m + a_m^dag).
 - `qfi_displacement` and every report hold the standard quantum Fisher
-  information 4 Var(G), and eps_min = 1/sqrt(qfi).
+  information 4 Var(G), and eps_min = 1/sqrt(qfi).  The N-mode cat probe's
+  report is its closed form (Munro, Nemoto, Milburn & Braunstein 2002).
 - The weak-force chain (probe, D(i eps) on every mode, N-port merge, cat
   readout) is a cat of amplitude alpha displaced by i sqrt(N) eps: its
   readout is ruler_probability(alpha, 2 sqrt(N) eps).
@@ -20,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .states import CoherentSuperposition, ZeroNormError, _gram_forms, ghz_cat
+from .states import CoherentSuperposition, ZeroNormError, _gram_forms
 
 TAIL = 1e-18  # binomial mass that the weak-force moments may leave out
 
@@ -101,20 +102,21 @@ def mean_photon_number(s: CoherentSuperposition) -> float:
 
 def sensitivity_bound(alpha: float, n_modes: int) -> SensitivityReport:
     """Exact bound for the N-mode entangled cat probe of total amplitude
-    alpha (per-mode amplitude alpha/sqrt(N)).
+    alpha (per-mode amplitude alpha/sqrt(N)), in closed form: no state is
+    built.
 
-    The probe is the pair |x> + |-x> with ||x||^2 = alpha^2 = sq, and a_m
-    sends it to x_m (|x> - |-x>), so its <n> is sq times the ratio of the
-    odd and even pair norms^2, (1 - e^{-2 sq}) / (1 + e^{-2 sq}) = tanh sq:
-    exact at any alpha, where the K-term `mean_photon_number` cancels at
-    small alpha.  Refused where either is not finite: alpha^2 overflows, or
-    the Gram exponent's round-off, of order alpha^2 * 1e-16, overflows
-    exp."""
-    probe = ghz_cat(alpha, n_modes)
-    with np.errstate(over="ignore", invalid="ignore"):
-        info = qfi_displacement(probe)
+    The probe is the pair |x> + |-x> with x_m = alpha/sqrt(N) and
+    ||x||^2 = alpha^2 = sq, and a_m sends it to x_m (|x> - |-x>).  So its
+    <n> is sq times the ratio of the odd and even pair norms^2,
+    (1 - e^{-2 sq}) / (1 + e^{-2 sq}) = tanh sq.  With x real,
+    <a_m a_k> = x_m x_k, <a_m^dag a_k> = x_m x_k tanh sq, <G> = 0 and
+    (sum_m x_m)^2 = N sq, so 4 Var(G) = 4 <G^2> = 4 N (1 + 2 sq + 2 n_tot).
+    Refused where either is not finite (alpha^2 or the qfi overflows)."""
+    if n_modes < 1:
+        raise ValueError("n_modes must be >= 1")
     sq = float(alpha) * float(alpha)
     n_tot = sq * math.tanh(sq)
+    info = 4.0 * n_modes * (1.0 + 2.0 * sq + 2.0 * n_tot)
     if not (math.isfinite(info) and math.isfinite(n_tot)):
         raise ValueError(f"the probe's n_tot = {n_tot} or qfi = {info} is not finite")
     return SensitivityReport(n_tot=n_tot, qfi=info, epsilon_min=1.0 / math.sqrt(info))

@@ -2,28 +2,26 @@
 
 Passive linear optics maps a multimode coherent state |a> to |U a> exactly,
 for the unitary U of the network.  Every passive element here (beam
-splitter, phase shifter, N-port merge, the Bell-cat resource) is that one
-map, `_passive`, applied to the amplitude columns of the modes it touches;
-the coefficients are left alone.  Displacement is the one Gaussian element:
+splitter, phase shifter, N-port merge) is that one map, `_passive`,
+applied to the amplitude columns of the modes it touches; the
+coefficients are left alone.  Displacement is the one Gaussian element:
 it shifts a column and multiplies each coefficient by its phase.
 
 Beam splitter convention (the i factors are kept verbatim):
 
     B(theta)|g>_a |b>_b = |g cos(t) + i b sin(t)>_a |b cos(t) + i g sin(t)>_b
 
-Target states such as the two-mode Bell-cat resource are reached from this
-convention with explicit compensating phase shifts; `bell_resource` below
-encapsulates that.
+The two-mode Bell-cat resource is the state that a cat and vacuum on
+B(pi/4) prepare in this convention, after a compensating phase shift;
+`bell_resource` builds it from its closed form, with no optical step.
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 # coherent_overlap stays bound here for bench/tracer.py, which wraps it per module
-from .states import CoherentSuperposition, cat, coherent_overlap  # noqa: F401
+from .states import CoherentSuperposition, _pair, coherent_overlap  # noqa: F401
 
 __all__ = [
     "beamsplitter",
@@ -111,23 +109,15 @@ def nport_merge(s: CoherentSuperposition, modes: list[int]) -> CoherentSuperposi
     return CoherentSuperposition(s.coeffs, np.delete(amps, modes[1:], axis=1))
 
 
-@functools.lru_cache(maxsize=1)
 def bell_resource(alpha: float) -> CoherentSuperposition:
-    """Two-mode entangled resource (|a,a> + |-a,-a>)/norm built from a
-    sqrt(2)a cat and vacuum on a 50/50 beam splitter, with the compensating
-    -pi/2 phase shift on the second mode.
+    """Two-mode entangled resource (|a,a> + |-a,-a>)/norm, in that term
+    order, normalized in closed form by `states._pair`.
 
-    The same two `_passive` steps as `beamsplitter` then `phase_shift` on
-    the appended vacuum mode, applied to the amplitude columns directly.  The
-    resource for the last alpha is cached and returned shared; it is
-    immutable, like every state.  One entry is enough because every gate
-    of a circuit runs at one alpha.
+    It is the state that a sqrt(2)a even cat and vacuum on B(pi/4), then
+    P(-pi/2) on the second mode, prepare (Jeong & Kim, PRA 65, 042305
+    (2002)); the tests check it against that chain.
     """
-    big = cat(np.sqrt(2) * alpha, +1)  # validates alpha before any arithmetic
-    cols = np.concatenate([big.amps, np.zeros_like(big.amps)], axis=1)
-    amps = _passive(cols, _beamsplitter_u(np.pi / 4))
-    amps[:, 1:] = _passive(amps[:, 1:], [[np.exp(1j * (-np.pi / 2))]])
-    return CoherentSuperposition(big.coeffs, amps).merge_terms()
+    return _pair((alpha, alpha), 1, 1)
 
 
 def append_modes(s: CoherentSuperposition, values: list[complex]) -> CoherentSuperposition:

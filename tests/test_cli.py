@@ -205,7 +205,7 @@ def test_unwritable_output_is_config_error_before_any_work(tmp_path, capsys, mon
     ["ruler", "--alpha", "1e-308"],  # the scan range 3.4 pi / alpha overflows to inf
     ["ruler", "--alpha", "5e-324"],
     ["weak-force", "--alpha", "5e-324"],  # the mid-fringe epsilon pi / (8 alpha) overflows
-    ["weak-force", "--alpha", "1e11", "--n", "64", "--trials", "0"],  # the Gram exponent overflows: qfi nan
+    ["weak-force", "--alpha", "1e154", "--trials", "0"],  # n_tot = 1e308, but the qfi overflows
     ["weak-force", "--alpha", "1e155", "--trials", "0"],  # alpha^2 overflows: n_tot inf
     # argument parse errors: one reason, not argparse's usage block
     ["ramsey", "--n-max", "abc"],
@@ -406,6 +406,19 @@ def test_weak_force_at_tiny_alpha_is_computable_and_flagged(capsys):
     assert 0 < float(cells["estimate_var"]) < math.inf
 
 
+def test_weak_force_at_huge_alpha_is_computable_without_a_warning():
+    # 4 N (1 + 2 alpha^2 + 2 n_tot) = 4 * 64 * 4e22: once refused, when the qfi
+    # came from a Gram form whose exponent round-off overflowed exp
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "catsim.cli", "weak-force", "--alpha", "1e11",
+         "--n", "64", "--trials", "0"], capture_output=True, text=True
+    )
+    assert proc.returncode == EXIT_OK and proc.stderr == ""
+    header, row = [l.split("\t") for l in proc.stdout.splitlines() if not l.startswith("#")]
+    cells = dict(zip(header, row))
+    assert (cells["n_tot"], cells["qfi"]) == ("1e+22", "1.024e+25")
+
+
 def test_float_formatting_17_digits(capsys):
     code, out = run_cli(["ramsey", "--theta", "0.1", "--n-max", "1"], capsys)
     assert code == EXIT_OK
@@ -539,15 +552,6 @@ def test_repeated_main_calls_match_fresh_processes(capsys):
     third = run_cli(sweep, capsys)
     assert first == third == (EXIT_OK, fresh(sweep))
     assert second == (EXIT_OK, fresh(plain))
-
-
-@pytest.mark.parametrize("experiment", ["gate-check", "bell-stats"])
-def test_cold_and_warm_bell_resource_cache_print_the_same_bytes(experiment, capsys):
-    optics.bell_resource.cache_clear()
-    cold = run_cli([experiment], capsys)
-    warm = run_cli([experiment], capsys)
-    assert cold == warm
-    assert cold[0] == EXIT_OK
 
 
 def test_every_experiment_prints_the_same_bytes_under_one_and_two_blas_threads():

@@ -584,25 +584,29 @@ def test_gate_z_on_a_leaked_input_builds_at_most_two_tables(monkeypatch, picks, 
     assert len(tables) == strict_tables
 
 
-# (CoherentSuperposition constructions, overlap matrices) of one seeded call
-# of each gate on a warm resource.  An upper bound: a throw-away state copy
-# (an identity permutation, say) raises the first count.
+# (CoherentSuperposition constructions, overlap matrices, Bell resources) of
+# one seeded call of each gate.  The first two are upper bounds: a throw-away
+# state copy (an identity permutation, say) raises the first count.  The
+# resources are exact, one per Bell table or Rx joint; their own
+# constructions are not counted in the first.
 _ENC_A, _ENC_B = QubitEncoding(2.0, 0), QubitEncoding(2.0, 1)
 
 
-@pytest.mark.parametrize("gate, constructions, grams", [
-    (lambda one, two, rng: teleport(one, ENC, rng), 4, 1),
-    (lambda one, two, rng: gate_z(one, ENC, rng), 7, 1),
-    (lambda one, two, rng: gate_rz(one, ENC, 0.01, rng), 5, 1),
-    (lambda one, two, rng: gate_rx(one, ENC, rng=rng), 7, 2),
-    (lambda one, two, rng: entangling_gate(two, _ENC_A, _ENC_B, 0.005, rng), 16, 3),
+@pytest.mark.parametrize("gate, constructions, grams, resources", [
+    (lambda one, two, rng: teleport(one, ENC, rng), 4, 1, 1),
+    (lambda one, two, rng: gate_z(one, ENC, rng), 7, 1, 1),
+    (lambda one, two, rng: gate_rz(one, ENC, 0.01, rng), 5, 1, 1),
+    (lambda one, two, rng: gate_rx(one, ENC, rng=rng), 7, 2, 2),
+    (lambda one, two, rng: entangling_gate(two, _ENC_A, _ENC_B, 0.005, rng), 16, 3, 3),
 ], ids=["teleport", "gate_z", "gate_rz", "gate_rx", "entangling_gate"])
-def test_per_gate_state_constructions_and_gram_forms(monkeypatch, gate, constructions, grams):
+def test_per_gate_state_constructions_and_gram_forms(
+    monkeypatch, gate, constructions, grams, resources
+):
     one = encode(0.6, 0.8, ENC)
     two = optics.tensor(encode(0.6, 0.8, _ENC_A), encode(0.8, 0.6j, _ENC_B))
-    optics.bell_resource(ENC.alpha)
-    counts = {"constructions": 0, "grams": 0}
+    counts = {"constructions": 0, "grams": 0, "resources": 0}
     post_init, overlap = states.CoherentSuperposition.__post_init__, states._overlap_matrix
+    resource = optics.bell_resource
 
     def counted_post_init(self):
         counts["constructions"] += 1
@@ -612,8 +616,17 @@ def test_per_gate_state_constructions_and_gram_forms(monkeypatch, gate, construc
         counts["grams"] += 1
         return overlap(*args)
 
+    def counted_resource(alpha):
+        counts["resources"] += 1
+        before = counts["constructions"]
+        out = resource(alpha)
+        counts["constructions"] = before
+        return out
+
     monkeypatch.setattr(states.CoherentSuperposition, "__post_init__", counted_post_init)
     monkeypatch.setattr(states, "_overlap_matrix", counted_overlap)
+    monkeypatch.setattr(optics, "bell_resource", counted_resource)
     assert gate(one, two, np.random.default_rng(1)).success
     assert counts["constructions"] <= constructions
     assert counts["grams"] <= grams
+    assert counts["resources"] == resources

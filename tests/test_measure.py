@@ -543,7 +543,7 @@ def test_gate_rx_table_matches_sequential_projections_and_fock_oracle(monkeypatc
     (bell_cat, lambda: (1.5, "iv"), 0),
     (states.ghz_cat, lambda: (2.0, 3), 0),
     (gates.encode, lambda: (0.6, -0.8j, gates.QubitEncoding(1.5)), 0),
-    (optics.bell_resource, lambda: optics.bell_resource.cache_clear() or (1.5,), 0),
+    (optics.bell_resource, lambda: (1.5,), 0),
 ], ids=["bell_outcomes", "bell_cat_outcomes", "parity_projection", "cat_projection",
         "photon_statistics", "homodyne_pdf", "norm_squared", "inner_product",
         "qfi_displacement", "mean_photon_number", "cat", "bell_cat", "ghz_cat", "encode",
@@ -621,8 +621,8 @@ def test_sample_counts_is_one_multinomial_in_dict_order():
 def _eager_states(kind, s, modes, rows):
     """{outcome: state} as a table that built every kept branch's state at
     once would give: the row's nonzero-weight terms, normalized, then merged."""
-    norms = measure._branch_norms(s, modes, np.array([w for _, _, w, _ in rows]))
     rest = np.delete(s.amps, modes, axis=1)
+    norms = measure._branch_norms(s, rest, np.array([w for _, _, w, _ in rows]))
     out = {}
     for (outcome, factor, w, keep), n2 in zip(rows, norms):
         keep = keep and float(factor * n2) > measure.PROB_FLOOR

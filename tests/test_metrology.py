@@ -120,7 +120,10 @@ def test_probe_photon_number_matches_mpmath(n):
     for alpha in (1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 2.0, 4.0, 16.0):
         sq = ctx.mpf(alpha) ** 2
         exact = sq * ctx.tanh(sq)
-        assert abs(sensitivity_bound(alpha, n).n_tot / exact - 1) <= 1e-15
+        rep = sensitivity_bound(alpha, n)
+        assert abs(rep.n_tot / exact - 1) <= 1e-15
+        # 4 Var(G) = 4 N (1 + 2 alpha^2 + 2 n_tot)
+        assert abs(rep.qfi / (4 * n * (1 + 2 * sq + 2 * exact)) - 1) <= 1e-15, alpha
 
 
 def test_mean_photon_number_even_cat():
