@@ -148,6 +148,10 @@ def _check_beamsplitter(rng, s, alpha_max):
         s = optics.append_modes(s, [rng.uniform(0, 1.5)])
     theta = rng.uniform(-np.pi, np.pi)
     a, b = (int(m) for m in rng.choice(s.modes, size=2, replace=False))
+    # the oracle keeps the photon-number blocks N <= n of the pair.  A term's
+    # N is Poisson with mean |alpha_a|^2 + |alpha_b|^2 <= (sqrt(2) scale)^2,
+    # so this cutoff holds N to its sub-1e-12 tail; at alpha_max = 4 (mean
+    # 32, n = 109) a unit term leaves P(N > n) ~ 4e-27, amplitude ~ 6e-14
     n = _nmax(np.sqrt(2) * _amp_scale(s))
     out = optics.beamsplitter(s, a, b, theta)
     return _element_error(s, out, [a, b], n, lambda v: fo.fock_beamsplitter(v, 1, 2, theta))

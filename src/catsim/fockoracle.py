@@ -3,18 +3,21 @@ oracle for the coherent-superposition representation.
 
 Deliberately shares no arithmetic code path with the primary modules:
 coherent-state coefficients come from a cumulative-product recurrence,
-unitaries from truncated generator exponentials, and quadrature densities
-from the Hermite-function recurrence.
+unitaries from generator exponentials in the number basis, and quadrature
+densities from the Hermite-function recurrence.
 
-Each unitary is the exponential of its generator truncated to the cutoff,
-applied through an eigendecomposition that does not depend on the angle
-or amplitude, so it is computed once and cached:
+Each unitary is applied through an eigendecomposition that does not depend
+on the angle or amplitude, so it is computed once and cached:
 
-- The beam splitter conserves the total photon number N, so its truncated
-  generator is block diagonal; the block of N over n_a = lo..hi depends
-  only on (N, lo, hi).  `_block_eigh` caches it.  Blocks with lo = 0 are
-  untruncated and shared by every cutoff above N.
-- The displacement generator h(beta) = -i(beta a^dag - beta^* a) equals
+- The beam splitter conserves the total photon number N, so its generator
+  is block diagonal, and a cutoff of d levels per mode keeps the blocks
+  N < d whole.  On them the oracle applies the exact beam splitter; the
+  corner n_a + n_b >= d, where the cutoff would cut the blocks, is set to
+  0.  A cutoff that holds the pair's total photon number leaves only its
+  tail in that corner.  The block of N depends on N alone, so
+  `_block_eigh` caches it once for every cutoff above N.
+- The displacement is the exponential of its generator truncated to the
+  cutoff.  Its generator h(beta) = -i(beta a^dag - beta^* a) equals
   |beta| S h(i) S^dag with S = diag(e^{i n (arg beta - pi/2)}) and the real
   h(i) = a + a^dag, so `_quadrature_eigh` caches one eigendecomposition per
   cutoff, and a call only applies phases to it to form the unitary.
@@ -23,20 +26,19 @@ or amplitude, so it is computed once and cached:
 (d, d) grid of (n_a, n_b) leading.  In that row-major grid the entry
 (n_a, n_b) sits at row n_a d + n_b = N + n_a (d - 1), so the block of N is
 one strided view with step d - 1, and each block is transformed in place,
-with no gather or scatter.  All the blocks' eigenvalue phases come from one
-`exp` call.  The only array the size of the input that the call makes is
-its output.
+with no gather or scatter; one boolean mask on the grid zeroes the
+corner.  All the blocks' eigenvalue phases come from one `exp` call.  The
+only array the size of the input that the call makes is its output.
 
 `_block_eigh` and `_quadrature_eigh` are least-recently-used caches, each
 bounded by the bytes it holds, `_BLOCK_BYTES` = 12 MiB, since an entry's
 size ranges from 1 to d^2 numbers.  At the command line's largest
-`alpha_max`, 4, the audit's cutoffs reach d = 110 levels per mode; all 217
-blocks of that cutoff hold 6.9 MiB, so the budget holds them with room for
-the shared lower blocks.  A benchmark round at alpha <= 2 (d <= 58) asks
-for about 7 MB of distinct blocks, which the budget holds whole, so no
-block is decomposed twice in a round.  The quadrature bases of every
-cutoff up to d = 110 hold about 3.6 MB, so none is ever evicted.  Both
-caches have a `cache_clear`.
+`alpha_max`, 4, the audit's cutoffs reach d = 110 levels per mode; the
+blocks N = 1..109 that serve every cutoff up to it hold 3.5 MiB.  A
+benchmark round at alpha <= 2 (d <= 58) asks for at most the 57 blocks
+N = 1..57, 0.52 MiB.  The quadrature bases of every cutoff up to d = 110
+hold about 3.6 MB.  So the audit evicts no entry and decomposes none
+twice.  Both caches have a `cache_clear`.
 
 Every d^M tensor is made by one assembly, `_assemble`: a sum over groups,
 each a block on the modes an element touches times the Fock columns of the
@@ -194,10 +196,10 @@ def _lru_bytes(max_bytes: int):
 
 
 @_lru_bytes(_BLOCK_BYTES)
-def _block_eigh(total: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+def _block_eigh(total: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a b^dag + a^dag b on the states
-    |n_a, total - n_a> with n_a = lo..hi."""
-    na = np.arange(lo + 1, hi + 1)
+    |n_a, total - n_a> with n_a = 0..total, the whole block of `total`."""
+    na = np.arange(1, total + 1)
     # <na-1, nb+1 | a b^dag | na, nb> = sqrt(na (N - na + 1))
     off = np.sqrt(na * (total - na + 1.0))
     return _frozen_eigh(np.diag(off, 1) + np.diag(off, -1))
@@ -247,26 +249,29 @@ def fock_displace(v: np.ndarray, mode: int, beta: complex) -> np.ndarray:
 def fock_beamsplitter(
     v: np.ndarray, mode_a: int, mode_b: int, theta: float
 ) -> np.ndarray:
-    """exp[i theta (a b^dag + a^dag b)], applied exactly within each
-    total-photon-number block of the truncated two-mode space."""
+    """exp[i theta (a b^dag + a^dag b)], applied exactly on every
+    total-photon-number block N < d that the cutoff of d levels per mode
+    keeps whole; the corner n_a + n_b >= d is set to 0."""
     if mode_a == mode_b:
         raise ValueError("beam splitter needs two distinct modes")
     d = v.shape[mode_a]
-    if d == 1:  # the generator is 0 on one level per mode
+    if v.shape[mode_b] != d:
+        raise ValueError("beam splitter needs the same cutoff on both modes")
+    if d == 1:  # only N = 0, on which the generator is 0
         return v.copy()
     data = np.moveaxis(v, (mode_a, mode_b), (0, 1)).copy()
+    n = np.arange(d)
+    data[n[:, None] + n >= d] = 0
     # (n_a, n_b) is row n_a d + n_b = N + n_a (d - 1) of the flattened grid,
-    # so the block of N over n_a = lo..hi is a view with step d - 1.  N = 0
-    # and N = 2d - 2 are 1 x 1 blocks on which the generator is 0
+    # so the block of N over n_a = 0..N is a view with step d - 1, and the
+    # blocks 1..N-1 below it hold N (N + 1) / 2 - 1 eigenvalues.  The
+    # generator is 0 on N = 0
     rows = data.reshape(d * d, -1).view(np.float64)
-    blocks = [(n, max(0, n - d + 1), min(n, d - 1)) for n in range(1, 2 * d - 2)]
-    eigs = [_block_eigh(*block) for block in blocks]
+    eigs = [_block_eigh(total) for total in range(1, d)]
     phases = np.exp(1j * theta * np.concatenate([evals for evals, _ in eigs]))
-    start = 0
-    for (n, lo, hi), (_, evecs) in zip(blocks, eigs):
-        stop = start + hi - lo + 1
-        _eig_apply(evecs, phases[start:stop], rows[n + lo * (d - 1) : n + hi * (d - 1) + 1 : d - 1])
-        start = stop
+    for total, (_, evecs) in enumerate(eigs, 1):
+        start = total * (total + 1) // 2 - 1
+        _eig_apply(evecs, phases[start : start + total + 1], rows[total : total * d + 1 : d - 1])
     return np.moveaxis(data, (0, 1), (mode_a, mode_b))
 
 

@@ -212,12 +212,28 @@ def test_oracle_audit_passes_at_the_alpha_cap(capsys):
     assert all(tol == "1e-10" and passed == "true" for _, _, _, tol, passed in table)
 
 
-def test_block_cache_stays_within_its_byte_budget_at_the_alpha_cap():
+def test_block_cache_stays_within_its_byte_budget_at_the_alpha_cap(monkeypatch):
+    cutoffs = []
+    beamsplitter = fockoracle.fock_beamsplitter
+
+    def recorded(v, mode_a, mode_b, theta):
+        cutoffs.append(v.shape[mode_a])
+        return beamsplitter(v, mode_a, mode_b, theta)
+
+    monkeypatch.setattr(fockoracle, "fock_beamsplitter", recorded)
     fockoracle._block_eigh.cache_clear()
     audit.run_audit(0, 5, 4.0)
-    # the run asks for about 15 MB of distinct blocks, more than the budget
+    # every cutoff d reads the whole blocks N = 1..d-1, shared by all, so the
+    # cache holds exactly those of the largest cutoff: a block of N holds
+    # N + 1 eigenvalues and (N + 1)^2 eigenvector entries, 8 bytes each
+    d_max = max(cutoffs)
+    assert 100 < d_max <= audit._nmax(np.sqrt(2) * 4.0) + 1 == 110
     held = fockoracle._block_eigh.cache_bytes()
-    assert fockoracle._BLOCK_BYTES / 2 < held <= fockoracle._BLOCK_BYTES
+    assert held == sum(8 * (n + 1) * (n + 2) for n in range(1, d_max)) <= fockoracle._BLOCK_BYTES
+    # nothing was evicted: reading every block again decomposes none
+    for n in range(1, d_max):
+        fockoracle._block_eigh(n)
+    assert fockoracle._block_eigh.cache_bytes() == held
 
 
 def test_qubit_rows_draw_amplitudes_within_alpha_max(monkeypatch):

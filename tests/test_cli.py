@@ -558,10 +558,12 @@ def test_every_experiment_prints_the_same_bytes_under_one_and_two_blas_threads()
     import catsim
 
     src = Path(catsim.__file__).resolve().parent.parent
+    # every experiment at its defaults, and the oracle audit at the CLI's
+    # alpha cap, where the beam splitter's cutoff reaches 110 levels
     script = (
         "import catsim.cli as c\n"
-        "for name in c._EXPERIMENTS:\n"
-        "    assert c.main([name]) == c.EXIT_OK, name\n"
+        "for args in [[name] for name in c._EXPERIMENTS] + [['oracle-audit', '--alpha-max', '4']]:\n"
+        "    assert c.main(args) == c.EXIT_OK, args\n"
     )
 
     def run(threads):
@@ -575,5 +577,6 @@ def test_every_experiment_prints_the_same_bytes_under_one_and_two_blas_threads()
         return proc.stdout
 
     one = run("1")
-    assert one.count("# experiment ") == len(cli._EXPERIMENTS) == 6
+    assert one.count("# experiment ") == len(cli._EXPERIMENTS) + 1 == 7
+    assert "# alpha_max = 4\n" in one
     assert run("2") == one

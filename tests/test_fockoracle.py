@@ -91,7 +91,8 @@ def test_inner_product_shape_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# dense references at small cutoffs, where truncation reaches every block
+# dense references at small cutoffs, where the corner n_a + n_b >= d is a
+# large share of the grid
 
 
 def _annihilation(d):
@@ -102,16 +103,29 @@ def _random_vector(rng, d, modes):
     return rng.normal(size=(d,) * modes) + 1j * rng.normal(size=(d,) * modes)
 
 
+def _kept(d):
+    """The (d, d) grid of (n_a, n_b) with n_a + n_b < d."""
+    return np.add.outer(np.arange(d), np.arange(d)) < d
+
+
 def _dense_beamsplitter(data, mode_a, mode_b, theta):
     """exp[i theta G] with G = kron(a, a^dag) + kron(a^dag, a) on the full
-    truncated two-mode space."""
+    truncated two-mode space, projected onto n_a + n_b < d.  G is block
+    diagonal in N = n_a + n_b and its blocks N < d are untruncated, so
+    there it is the exact beam splitter."""
     d = data.shape[mode_a]
     a = _annihilation(d)
     evals, evecs = np.linalg.eigh(np.kron(a, a.T) + np.kron(a.T, a))
-    u = (evecs * np.exp(1j * theta * evals)) @ evecs.T
+    kept = _kept(d).ravel()
+    u = (evecs * np.exp(1j * theta * evals)) @ evecs.T * np.outer(kept, kept)
     x = np.moveaxis(data, (mode_a, mode_b), (0, 1))
     y = (u @ x.reshape(d * d, -1)).reshape(x.shape)
     return np.moveaxis(y, (0, 1), (mode_a, mode_b))
+
+
+def _corner(data, mode_a, mode_b):
+    d = data.shape[mode_a]
+    return np.moveaxis(data, (mode_a, mode_b), (0, 1))[~_kept(d)]
 
 
 def test_beamsplitter_matches_dense_truncated_generator():
@@ -124,6 +138,7 @@ def test_beamsplitter_matches_dense_truncated_generator():
                 out = fock_beamsplitter(data, *pair, theta)
                 ref = _dense_beamsplitter(data, *pair, theta)
                 assert np.max(np.abs(out - ref)) < 1e-13, (d, pair, theta)
+                assert np.all(_corner(out, *pair) == 0), (d, pair, theta)
 
 
 @pytest.mark.parametrize("d", range(2, 9))
@@ -136,6 +151,25 @@ def test_beamsplitter_matches_dense_generator_on_every_mode_pair(d, modes):
         for theta in (0.3, np.pi, -np.pi):
             out = fock_beamsplitter(data, *pair, theta)
             assert _distance(out, _dense_beamsplitter(data, *pair, theta)) <= 1e-13, (pair, theta)
+            assert np.all(_corner(out, *pair) == 0), (pair, theta)
+
+
+def test_beamsplitter_refuses_modes_of_unequal_cutoff():
+    data = _random_vector(np.random.default_rng(11), 2, 3)
+    wide = np.concatenate([data, data], axis=1)  # (2, 4, 2)
+    for pair in ((0, 1), (1, 0), (1, 2), (2, 1)):
+        with pytest.raises(ValueError, match="cutoff"):
+            fock_beamsplitter(wide, *pair, 0.4)
+    assert fock_beamsplitter(wide, 0, 2, 0.4).shape == wide.shape
+
+
+def test_every_block_spectrum_is_that_of_2_jx_on_spin_n_over_2():
+    # a b^dag + a^dag b on the whole block of N is 2 J_x on spin N/2, so its
+    # eigenvalues are -N, -N + 2, ..., N; a truncated block has others
+    for total in range(1, 111):
+        evals, evecs = fockoracle._block_eigh(total)
+        assert evecs.shape == (total + 1, total + 1)
+        np.testing.assert_allclose(evals, np.arange(-total, total + 1, 2), rtol=0, atol=1e-12)
 
 
 def _fockoracle_caches():
