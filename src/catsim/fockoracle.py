@@ -30,33 +30,40 @@ with no gather or scatter; one boolean mask on the grid zeroes the
 corner.  All the blocks' eigenvalue phases come from one `exp` call.  The
 only array the size of the input that the call makes is its output.
 
-`_block_eigh` and `_quadrature_eigh` are least-recently-used caches, each
-bounded by the bytes it holds, `_BLOCK_BYTES` = 12 MiB, since an entry's
-size ranges from 1 to d^2 numbers.  At the command line's largest
-`alpha_max`, 4, the audit's cutoffs reach d = 110 levels per mode; the
-blocks N = 1..109 that serve every cutoff up to it hold 3.5 MiB.  A
-benchmark round at alpha <= 2 (d <= 58) asks for at most the 57 blocks
-N = 1..57, 0.52 MiB.  The quadrature bases of every cutoff up to d = 110
-hold about 3.6 MB.  So the audit evicts no entry and decomposes none
-twice.  Both caches have a `cache_clear`.
+`_block_eigh` and `_quadrature_eigh` are `functools.lru_cache`s bounded by
+entry counts: the keys an audit at the command line's largest `alpha_max`,
+4, asks for.  Its beam splitter's cutoffs reach d = 110 levels per mode,
+whose blocks N = 1..109 serve every cutoff up to it and hold 3.5 MiB, and
+its displacement's reach d = 107, one basis per cutoff, at most 3.4 MB in
+all.  So the audit evicts no entry and decomposes none twice.  An entry
+holds up to d^2 numbers, so a library call at cutoffs far above the
+audit's keeps up to 109 blocks of its own size.
 
-Every d^M tensor is made by one assembly, `_assemble`: a sum over groups,
+Every tensor is made by one assembly, `_assemble`: a sum over G groups,
 each a block on the modes an element touches times the Fock columns of the
 modes it leaves alone.  `to_fock` is the case with no touched mode, a
-group per term and its coefficient for the block.  An audit state row
-passes the difference of catsim's and the oracle's like-term groups, so it
-builds one tensor, the difference.  The assembly writes the first group straight into the
-tensor and adds the others one at a time, each a rounded product, rather
-than contracting over the groups with a matrix product: BLAS fuses the
-multiply and the add, which leaves a residue of about 1e-17 where a cat's
+group per term and its coefficient for the block, and builds the whole
+d^M tensor.  The assembly writes the first group straight into the tensor
+and adds the others one at a time, each a rounded product, rather than
+contracting over the groups with a matrix product: BLAS fuses the multiply
+and the add, which leaves a residue of about 1e-17 where a cat's
 amplitudes of the opposite parity must cancel to exactly 0.
+
+A norm, an inner product or a marginal needs no number basis on a mode it
+only sums over.  `_span` moves such a mode's G columns of d levels into an
+orthonormal basis Q of their span, G coordinates each where d > G, by one
+batched Householder QR.  The tensor has no component outside span Q, and Q
+is an isometry, so that sum is the same in the new coordinates: the change
+is exact up to round-off, and Householder QR's backward error is of the
+size of the columns' own rounding (Higham, Accuracy and Stability of
+Numerical Algorithms, ch. 19).  Two tensors whose inner product is read
+share one basis, spanned from both sets of columns.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import OrderedDict
 
 import numpy as np
 
@@ -73,7 +80,6 @@ __all__ = [
     "fock_quadrature_pdf",
 ]
 
-_BLOCK_BYTES = 12 << 20
 # complex entries of `_assemble`'s output summed at a time (256 KiB): the
 # slab and the product being added hold 512 KiB, well inside a 2 MiB L2
 _SLAB = 1 << 14
@@ -124,6 +130,16 @@ def _assemble(blocks: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return data
 
 
+def _span(cols: np.ndarray) -> np.ndarray:
+    """The (G, U, d) Fock columns of U modes in an orthonormal basis of each
+    mode's column span, (G, U, G), where d > G; unchanged where d <= G.
+    One batched Householder QR: column g of mode u is Q_u R_u[:, g], so its
+    coordinates are R_u[:, g]."""
+    if cols.shape[2] <= cols.shape[0]:
+        return cols
+    return np.linalg.qr(cols.transpose(1, 2, 0), mode="r").transpose(2, 0, 1)
+
+
 def to_fock(s: CoherentSuperposition, n_max: int) -> np.ndarray:
     """The (n_max + 1,) * M number-basis amplitudes of s, one axis per mode:
     every term's coefficient is a block on no mode."""
@@ -134,12 +150,18 @@ def to_fock(s: CoherentSuperposition, n_max: int) -> np.ndarray:
     return _assemble(s.coeffs, _coherent_columns(s.amps, n_max))
 
 
+def _floats(v: np.ndarray) -> np.ndarray:
+    """The float64 view of complex v, its real and imaginary parts along a
+    new last axis."""
+    return np.ascontiguousarray(v, dtype=complex).view(np.float64).reshape(np.shape(v) + (2,))
+
+
 def _sum_squares(v: np.ndarray, keep: tuple[int, ...] = ()) -> np.ndarray:
     """sum |v|^2 over every axis not in `keep`, read as the squares of the
     float64 view's entries: a fixed-order sum with no temporary the size of
     v, unlike np.abs(v) ** 2, and no BLAS dot, whose rounding follows the
     thread count."""
-    x = np.ascontiguousarray(v, dtype=complex).view(np.float64).reshape(np.shape(v) + (2,))
+    x = _floats(v)
     axes = list(range(x.ndim))
     return np.einsum(x, axes, x, axes, list(keep))
 
@@ -149,11 +171,15 @@ def fock_norm_squared(v: np.ndarray) -> float:
 
 
 def fock_inner(x: np.ndarray, y: np.ndarray) -> complex:
+    """<x|y> from the (2, 2) products p[i, j] = sum x_i y_j of the float64
+    views' parts: one fixed-order einsum with no temporary the size of x,
+    unlike np.vdot, whose BLAS dot rounds differently with the thread
+    count."""
     if x.shape != y.shape:
         raise ValueError("shape mismatch")
-    # a fixed-order sum, unlike np.vdot, whose BLAS dot rounds differently
-    # with the thread count
-    return complex(np.sum(x.conj() * y))
+    axes = list(range(x.ndim))
+    p = np.einsum(_floats(x), axes + [x.ndim], _floats(y), axes + [x.ndim + 1], [x.ndim, x.ndim + 1])
+    return complex(p[0, 0] + p[1, 1], p[0, 1] - p[1, 0])
 
 
 def _frozen_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -163,39 +189,10 @@ def _frozen_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return evals, evecs
 
 
-def _lru_bytes(max_bytes: int):
-    """functools.lru_cache for functions returning a tuple of arrays, bounded
-    by the bytes those arrays hold rather than by an entry count."""
-
-    def decorate(fn):
-        entries: OrderedDict = OrderedDict()
-        held = 0
-
-        @functools.wraps(fn)
-        def cached(*key):
-            nonlocal held
-            if key in entries:
-                entries.move_to_end(key)
-                return entries[key]
-            value = entries[key] = fn(*key)
-            held += sum(a.nbytes for a in value)
-            while held > max_bytes:
-                held -= sum(a.nbytes for a in entries.popitem(last=False)[1])
-            return value
-
-        def cache_clear() -> None:
-            nonlocal held
-            entries.clear()
-            held = 0
-
-        cached.cache_clear = cache_clear
-        cached.cache_bytes = lambda: held
-        return cached
-
-    return decorate
-
-
-@_lru_bytes(_BLOCK_BYTES)
+# entry counts that hold every key an audit at the command line's alpha
+# cap, 4, asks for: the beam splitter's cutoff reaches d = 110 levels, the
+# blocks N = 1..109, and the displacement's d = 107, one basis per cutoff
+@functools.lru_cache(maxsize=109)
 def _block_eigh(total: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a b^dag + a^dag b on the states
     |n_a, total - n_a> with n_a = 0..total, the whole block of `total`."""
@@ -205,7 +202,7 @@ def _block_eigh(total: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen_eigh(np.diag(off, 1) + np.diag(off, -1))
 
 
-@_lru_bytes(_BLOCK_BYTES)
+@functools.lru_cache(maxsize=107)
 def _quadrature_eigh(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of the truncated a + a^dag on d levels."""
     off = np.sqrt(np.arange(1.0, d))

@@ -44,6 +44,10 @@ def _move_the_output(step):
     return lambda element: lambda *args: _moved(element(*args), step)
 
 
+def _move_the_input(move):
+    return lambda measurement: lambda s, *args: measurement(move(s), *args)
+
+
 def _move_the_conditioned_state(step):
     def mutate(project):
         def mutant(s, mode, n):
@@ -118,7 +122,54 @@ def _two_tensor_photon_conditioning(rng, s):
     return err
 
 
+def _two_tensor_conversion_norm(rng, s):
+    return abs(fockoracle.fock_norm_squared(fockoracle.to_fock(s, audit._nmax(audit._amp_scale(s)))) - 1.0)
+
+
+def _two_tensor_inner_product(rng, s):
+    t = audit._random_state(rng, audit._amp_scale(s) or 1.0, modes_max=1, terms_max=4)
+    if t.modes != s.modes:
+        extra = np.tile(t.amps[:, :1], (1, s.modes - t.modes))
+        t = CoherentSuperposition(t.coeffs, np.concatenate([t.amps, extra], axis=1))
+    n = audit._nmax(max(audit._amp_scale(s), audit._amp_scale(t)))
+    oracle = fockoracle.fock_inner(fockoracle.to_fock(s, n), fockoracle.to_fock(t, n))
+    return abs(audit.inner_product(s, t) - oracle)
+
+
+def _two_tensor_photon_statistics(rng, s):
+    mode = int(rng.integers(s.modes))
+    n = audit._nmax(audit._amp_scale(s))
+    oracle = fockoracle.fock_measure_number(fockoracle.to_fock(s, n), mode)
+    return float(np.max(np.abs(measure.photon_statistics(s, mode, n) - oracle)))
+
+
+def _two_tensor_homodyne_pdf(rng, s):
+    mode = int(rng.integers(s.modes))
+    n = audit._nmax(audit._amp_scale(s))
+    edge = audit._amp_scale(s) * np.sqrt(2) + 5
+    xs = np.linspace(-edge, edge, 41)
+    oracle = fockoracle.fock_quadrature_pdf(fockoracle.to_fock(s, n), mode, xs)
+    return float(np.max(np.abs(measure.homodyne_pdf(s, mode, xs) - oracle)))
+
+
+def _two_tensor_parity_projection(rng, s):
+    s = audit._random_qubit_like(rng, 3.0)
+    mode = int(rng.integers(s.modes))
+    recs = measure.parity_projection(s, mode)
+    oracle = fockoracle.fock_measure_number(fockoracle.to_fock(s, audit._nmax(audit._amp_scale(s))), mode)
+    return max(
+        abs(recs["zero"].probability - oracle[0]),
+        abs(recs["even_nonzero"].probability - np.sum(oracle[2::2])),
+        abs(recs["odd"].probability - np.sum(oracle[1::2])),
+    )
+
+
 TWO_TENSOR_ROWS = {
+    "conversion_norm": _two_tensor_conversion_norm,
+    "inner_product": _two_tensor_inner_product,
+    "photon_statistics": _two_tensor_photon_statistics,
+    "homodyne_pdf": _two_tensor_homodyne_pdf,
+    "parity_projection": _two_tensor_parity_projection,
     "phase_shift": _two_tensor_phase_shift,
     "displace": _two_tensor_displace,
     "beamsplitter": _two_tensor_beamsplitter,
@@ -140,8 +191,15 @@ def _states_with_like_terms():
     yield CoherentSuperposition([0.6, 0.8j, -0.3], [[zero, 1.0], [0.0, 1.0], [0.5, zero]]).normalize()
 
 
-# each element with its output moved, so that every row reads about 1e-3
+# each element with its output moved, so that every row reads about 1e-3; a
+# measurement reads a moved state (a parity projection a scaled one, which
+# keeps every mode's amplitudes at +-a)
 MOVED_ELEMENTS = {
+    "inner_product": (audit, "inner_product", _move_the_input(lambda s: _moved(s, 1e-3 + 1e-3j))),
+    "photon_statistics": (measure, "photon_statistics", _move_the_input(lambda s: _moved(s, 1e-3 + 1e-3j))),
+    "homodyne_pdf": (measure, "homodyne_pdf", _move_the_input(lambda s: _moved(s, 1e-3 + 1e-3j))),
+    "parity_projection": (measure, "parity_projection",
+                          _move_the_input(lambda s: CoherentSuperposition(s.coeffs, s.amps * (1 + 1e-3)))),
     "phase_shift": (optics, "phase_shift", _move_the_output(1e-3 + 1e-3j)),
     "displace": (optics, "displace", _move_the_output(1e-3 + 1e-3j)),
     "beamsplitter": (optics, "beamsplitter", _move_the_output(1e-3 + 1e-3j)),
@@ -154,11 +212,14 @@ MOVED_ELEMENTS = {
 def test_like_term_rows_match_the_two_tensor_reference(monkeypatch, row, moved):
     # moved, the rows check the assembly of catsim's and the oracle's groups
     # far above round-off, where a misplaced untouched column would show
-    if moved:
+    states = list(_states_with_like_terms())
+    if moved and row == "conversion_norm":  # its one catsim input is the normalized state
+        states = [_moved(s, 1e-3 + 1e-3j) for s in states]
+    elif moved:
         owner, attr, mutate = MOVED_ELEMENTS[row]
         monkeypatch.setattr(owner, attr, mutate(getattr(owner, attr)))
     check = dict(audit.AUDIT_CHECKS)[row]
-    for i, s in enumerate(_states_with_like_terms()):
+    for i, s in enumerate(states):
         got = check(np.random.default_rng(i), s, 3.0)
         ref = TWO_TENSOR_ROWS[row](np.random.default_rng(i), s)
         assert abs(got - ref) < 1e-14, (row, i, got, ref)
@@ -166,16 +227,23 @@ def test_like_term_rows_match_the_two_tensor_reference(monkeypatch, row, moved):
 
 @pytest.fixture
 def assembled(monkeypatch):
-    """The number of modes of each `_assemble` result, in call order."""
-    ndims, assemble = [], fockoracle._assemble
+    """Each `_assemble` call, in call order: the number of groups G, the
+    number U of modes it sums over (those of its Fock columns), and the
+    shape of its result, whose axes are the first of those modes, the
+    block's, then the others."""
+    calls, assemble = [], fockoracle._assemble
 
-    def counted(*args):
-        out = assemble(*args)
-        ndims.append(np.ndim(out))
+    def recorded(blocks, cols):
+        out = assemble(blocks, cols)
+        calls.append(SimpleNamespace(groups=len(blocks), summed=cols.shape[1], shape=np.shape(out)))
         return out
 
-    monkeypatch.setattr(fockoracle, "_assemble", counted)
-    return ndims
+    monkeypatch.setattr(fockoracle, "_assemble", recorded)
+    return calls
+
+
+def _ndims(assembled):
+    return [len(call.shape) for call in assembled]
 
 
 @pytest.mark.parametrize("row", ["phase_shift", "displace", "beamsplitter"])
@@ -184,7 +252,7 @@ def test_an_element_row_assembles_one_tensor_on_all_modes(assembled, row):
     for i, s in enumerate(_states_with_like_terms()):
         assembled.clear()
         check(np.random.default_rng(i), s, 3.0)
-        assert assembled == [max(s.modes, 2) if row == "beamsplitter" else s.modes], (i, assembled)
+        assert _ndims(assembled) == [max(s.modes, 2) if row == "beamsplitter" else s.modes], (i, assembled)
 
 
 def test_conditioning_assembles_only_the_remaining_modes(assembled):
@@ -192,14 +260,31 @@ def test_conditioning_assembles_only_the_remaining_modes(assembled):
     for i, s in enumerate(_states_with_like_terms()):
         assembled.clear()
         check(np.random.default_rng(i), s, 3.0)
-        assert 1 <= len(assembled) <= 2 and set(assembled) == {s.modes - 1}, (i, assembled)
+        assert 1 <= len(assembled) <= 2 and set(_ndims(assembled)) == {s.modes - 1}, (i, assembled)
 
 
 def test_to_fock_assembles_once(assembled):
     for s in _states_with_like_terms():
         assembled.clear()
         fockoracle.to_fock(s, 6)
-        assert assembled == [s.modes]
+        assert _ndims(assembled) == [s.modes]
+
+
+@pytest.mark.parametrize("row", [name for name, _ in audit.AUDIT_CHECKS if name != "bell_completeness"])
+def test_no_row_holds_a_mode_it_only_sums_over_on_more_than_g_levels(assembled, row):
+    # each state's cutoff is at least 21 levels, above the at most 16 groups
+    # of a tensor; the inner product's two tensors share the basis of all
+    # their groups
+    check = dict(audit.AUDIT_CHECKS)[row]
+    for i, s in enumerate(_states_with_like_terms()):
+        assembled.clear()
+        check(np.random.default_rng(i), s, 3.0)
+        assert assembled, (row, i)
+        shared = sum(call.groups for call in assembled)
+        for call in assembled:
+            groups = shared if row == "inner_product" else call.groups
+            summed = [0] + list(range(len(call.shape) - call.summed + 1, len(call.shape)))
+            assert all(call.shape[axis] <= groups for axis in summed[: call.summed]), (row, i, call)
 
 
 def test_oracle_audit_passes_at_the_alpha_cap(capsys):
@@ -212,28 +297,39 @@ def test_oracle_audit_passes_at_the_alpha_cap(capsys):
     assert all(tol == "1e-10" and passed == "true" for _, _, _, tol, passed in table)
 
 
-def test_block_cache_stays_within_its_byte_budget_at_the_alpha_cap(monkeypatch):
-    cutoffs = []
-    beamsplitter = fockoracle.fock_beamsplitter
+def test_oracle_caches_decompose_each_key_once_at_the_alpha_cap(monkeypatch):
+    cutoffs = {"beamsplitter": set(), "displace": set()}
+    beamsplitter, displace = fockoracle.fock_beamsplitter, fockoracle.fock_displace
 
-    def recorded(v, mode_a, mode_b, theta):
-        cutoffs.append(v.shape[mode_a])
+    def recorded_beamsplitter(v, mode_a, mode_b, theta):
+        cutoffs["beamsplitter"].add(v.shape[mode_a])
         return beamsplitter(v, mode_a, mode_b, theta)
 
-    monkeypatch.setattr(fockoracle, "fock_beamsplitter", recorded)
-    fockoracle._block_eigh.cache_clear()
+    def recorded_displace(v, mode, beta):
+        cutoffs["displace"].add(v.shape[mode])
+        return displace(v, mode, beta)
+
+    monkeypatch.setattr(fockoracle, "fock_beamsplitter", recorded_beamsplitter)
+    monkeypatch.setattr(fockoracle, "fock_displace", recorded_displace)
+    blocks, bases = fockoracle._block_eigh, fockoracle._quadrature_eigh
+    blocks.cache_clear()
+    bases.cache_clear()
     audit.run_audit(0, 5, 4.0)
+    # the count bounds are the keys of the CLI's largest cutoffs: the blocks
+    # N = 1..109 of the beam splitter's 110 levels, and one basis for each
+    # displacement cutoff of at most 107 levels
+    assert blocks.cache_parameters()["maxsize"] == audit._nmax(np.sqrt(2) * 4.0) == 109
+    assert bases.cache_parameters()["maxsize"] == audit._nmax(4.0, 1.5) + 1 == 107
     # every cutoff d reads the whole blocks N = 1..d-1, shared by all, so the
-    # cache holds exactly those of the largest cutoff: a block of N holds
-    # N + 1 eigenvalues and (N + 1)^2 eigenvector entries, 8 bytes each
-    d_max = max(cutoffs)
-    assert 100 < d_max <= audit._nmax(np.sqrt(2) * 4.0) + 1 == 110
-    held = fockoracle._block_eigh.cache_bytes()
-    assert held == sum(8 * (n + 1) * (n + 2) for n in range(1, d_max)) <= fockoracle._BLOCK_BYTES
-    # nothing was evicted: reading every block again decomposes none
-    for n in range(1, d_max):
-        fockoracle._block_eigh(n)
-    assert fockoracle._block_eigh.cache_bytes() == held
+    # cache holds one entry per block of the largest cutoff, and none was
+    # decomposed twice
+    d_max = max(cutoffs["beamsplitter"])
+    assert 100 < d_max <= 110
+    info = blocks.cache_info()
+    assert info.misses == info.currsize == d_max - 1
+    info = bases.cache_info()
+    assert max(cutoffs["displace"]) <= 107
+    assert info.misses == info.currsize == len(cutoffs["displace"])
 
 
 def test_qubit_rows_draw_amplitudes_within_alpha_max(monkeypatch):

@@ -1,10 +1,13 @@
 import itertools
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from catsim import fockoracle
+from catsim import audit, fockoracle
 from catsim.fockoracle import (
     fock_beamsplitter,
     fock_displace,
@@ -195,25 +198,6 @@ def test_cold_and_warm_beamsplitter_give_the_same_bytes():
     assert cold.tobytes() == warm.tobytes()
 
 
-def test_byte_bounded_cache_evicts_the_least_recently_used():
-    calls = []
-
-    @fockoracle._lru_bytes(4 * 8)
-    def zeros(n):
-        calls.append(n)
-        return (np.zeros(n),)
-
-    zeros(1), zeros(2), zeros(1)
-    zeros(3)  # 6 doubles: evicts 2, the least recently used
-    zeros(1), zeros(2)  # 6 doubles again: evicts 3
-    assert calls == [1, 2, 3, 2]
-    assert zeros.cache_bytes() == 3 * 8
-    zeros.cache_clear()
-    assert zeros.cache_bytes() == 0
-    zeros(1)
-    assert calls == [1, 2, 3, 2, 1]
-
-
 def test_sums_of_squares_match_abs_squared_on_every_axis():
     data = _random_vector(np.random.default_rng(9), 7, 3)
     ref = np.abs(data) ** 2
@@ -277,3 +261,105 @@ def test_to_fock_matches_per_term_reference():
         out = to_fock(s, n_max)
         assert out.shape == (n_max + 1,) * m
         assert np.max(np.abs(out - _to_fock_per_term(s, n_max))) < 1e-15
+
+
+def test_inner_matches_vdot_to_round_off():
+    rng = np.random.default_rng(12)
+    u = 2.0**-53
+    for shape in ((), (1,), (9,), (5, 7), (4, 3, 6), (11, 11, 11)):
+        x, y = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2))
+        # each part is a fixed-order sum of 2 N real products on either side,
+        # within gamma_2N sum |x_i| |y_i| of the exact sum
+        n = 2 * x.size
+        bound = 2 * n * u / (1 - n * u) * np.sum(np.abs(x) * np.abs(y))
+        got, ref = fock_inner(x, y), np.vdot(x, y)
+        assert abs(got.real - ref.real) <= bound and abs(got.imag - ref.imag) <= bound, shape
+    x = rng.normal(size=(4, 6)) + 0j
+    for other in (x.reshape(6, 4), x.reshape(24), x[None]):
+        with pytest.raises(ValueError, match="shape"):
+            fock_inner(x, other)
+
+
+def _steep_states(count, seed):
+    """Cancelling superpositions: K = 2..6 terms within a spread (log-uniform
+    1e-4 to 1e-1) of a random centre of at most 3 on M = 1 or 2 modes, with
+    coefficients in the null space of the first r = 1..K-1 moment rows
+    sum c, sum c d, ... of the terms' offsets d from the centre."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m, k = int(rng.integers(1, 3)), int(rng.integers(2, 7))
+        r = int(rng.integers(1, k))
+        spread = 10 ** rng.uniform(-4, -1)
+        centre = rng.uniform(0, 3, m) * np.exp(2j * np.pi * rng.uniform(size=m))
+        offsets = spread * (rng.normal(size=(k, m)) + 1j * rng.normal(size=(k, m)))
+        # the monomials d_0^a d_1^b in order of degree a + b
+        powers = [p for j in range(k) for p in ([(j,)] if m == 1 else [(a, j - a) for a in range(j + 1)])]
+        moments = np.array([np.prod(offsets ** np.array(p), axis=1) for p in powers[:r]])
+        null = np.linalg.svd(moments)[2][r:].conj().T
+        yield null @ (rng.normal(size=k - r) + 1j * rng.normal(size=k - r)), centre + offsets
+
+
+def test_span_matches_a_50_digit_referee_on_cancelling_states():
+    # the spanned columns of Householder QR are the exact coordinates of
+    # columns a + da with ||da|| <= g ||a||, g = gamma~_{dG} (Higham, Accuracy
+    # and Stability of Numerical Algorithms, 2nd ed., Thm 19.4), its small
+    # constant c taken as 16 for complex arithmetic.  With S = sum_g |c_g|
+    # prod_m ||a_gm||, that moves the tensor T by at most ((1 + g)^M - 1) S,
+    # and its assembly, M complex products and G - 1 sums an entry, by at
+    # most sqrt(2) gamma_{2M+G} (1 + g)^M S; ||T||^2 then sums 2 G^M squares.
+    # R read from a Cholesky factor of the Gram matrix A^H A fails here: it
+    # loses digits as the Gram form does, u (S / ||T||)^2 rather than
+    # u S / ||T||, or A^H A does not factor at all
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    u = 2.0**-53
+
+    def gamma(k, c=1):
+        return c * k * u / (1 - c * k * u)
+
+    for i, (coeffs, amps) in enumerate(_steep_states(40, 0)):
+        cols = fockoracle._coherent_columns(amps, audit._nmax(float(np.max(np.abs(amps)))))
+        g, m, d = cols.shape
+        got = fock_norm_squared(fockoracle._assemble(coeffs, fockoracle._span(cols)))
+        # the referee: sum_jk conj(c_j) c_k prod_m <a_jm|a_km> of the same columns
+        c = [mp.mpc(complex(x)) for x in coeffs]
+        a = [[[mp.mpc(complex(x)) for x in cols[k, mode]] for mode in range(m)] for k in range(g)]
+        exact = mp.re(mp.fsum(
+            mp.conj(c[j]) * c[k] * mp.fprod(mp.fdot(a[k][mode], a[j][mode], conjugate=True) for mode in range(m))
+            for j in range(g)
+            for k in range(g)
+        ))
+        norm = float(mp.sqrt(exact))
+        size = float(np.sum(np.abs(coeffs) * np.prod(np.linalg.norm(cols, axis=2), axis=1)))
+        moved = (1 + gamma(d * g, 16)) ** m
+        delta = (moved - 1 + math.sqrt(2) * gamma(2 * m + g) * moved) * size
+        bound = delta * (2 * norm + delta) + gamma(2 * g**m) * (norm + delta) ** 2
+        assert abs(got - exact) <= bound, (i, float(abs(got - exact) / exact), bound / norm**2)
+
+
+def test_span_gives_the_same_bytes_under_one_and_two_blas_threads():
+    # the largest audit shape: 16 groups at the beam splitter's 110 levels
+    script = (
+        "import numpy as np\n"
+        "from catsim import fockoracle as fo\n"
+        "rng = np.random.default_rng(4)\n"
+        "amps = rng.uniform(0, 4 * 2 ** 0.5, (16, 2)) * np.exp(2j * np.pi * rng.uniform(size=(16, 2)))\n"
+        "cols = fo._coherent_columns(amps, 109)\n"
+        "assert cols.shape == (16, 2, 110)\n"
+        "print(fo._span(cols).tobytes().hex())\n"
+    )
+    src = Path(fockoracle.__file__).resolve().parent.parent
+
+    def run(threads):
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    one = run("1")
+    assert len(one) == 2 * 16 * 2 * 16 * 16 + 1
+    assert run("2") == one
