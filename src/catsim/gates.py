@@ -7,6 +7,12 @@ Probabilistic gates take an RNG; passing rng=None post-selects the
 canonical branch (the outcome whose conditioned state realizes the gate
 with no residual correction), which serves `gate-check` and deterministic
 circuits.
+
+Each gate is its optical step and its first branch table.  Every measured
+step goes through `_draw` (pick a record, multiply its probability, trace
+it, land the output in the qubit's mode, X-correct it and compose its Z
+residual), and every Z fix, the Z gate included, through `_settle`
+(repeat-until-success Bell teleports until the wanted residual lands).
 """
 
 from __future__ import annotations
@@ -69,17 +75,6 @@ class GateOutcome:
 
 def _traced(element: str, params: str, outcome: str, probability: float) -> tuple:
     return (element, params, outcome, float(probability))
-
-
-def _fold(done: GateOutcome, step: GateOutcome) -> GateOutcome:
-    """`step` run after `done`: probabilities multiplied, repetitions added
-    and traces concatenated."""
-    return replace(
-        step,
-        probability=done.probability * step.probability,
-        repetitions=done.repetitions + step.repetitions,
-        trace=done.trace + step.trace,
-    )
 
 
 def encode(mu: complex, nu: complex, enc: QubitEncoding) -> CoherentSuperposition:
@@ -154,17 +149,17 @@ def gate_x(s: CoherentSuperposition, enc: QubitEncoding) -> CoherentSuperpositio
     return optics.phase_shift(s, enc.mode, np.pi)
 
 
-# map from a landed record's outcome, a Bell outcome or gate_rx's (input,
-# resource) parity pair, to (apply X correction?, residual op)
+# map from a drawn record's outcome, a Bell outcome or gate_rx's (input,
+# resource) parity pair, to (apply X correction?, Z residual?)
 _CORRECTIONS = {
-    "I": (False, "identity"),
-    "II": (False, "Z"),
-    "III": (True, "identity"),
-    "IV": (True, "Z"),
-    ("even", "even"): (False, "identity"),
-    ("even", "odd"): (False, "Z"),
-    ("odd", "even"): (True, "Z"),
-    ("odd", "odd"): (True, "identity"),
+    "I": (False, False),
+    "II": (False, True),
+    "III": (True, False),
+    "IV": (True, True),
+    ("even", "even"): (False, False),
+    ("even", "odd"): (False, True),
+    ("odd", "even"): (True, True),
+    ("odd", "odd"): (True, False),
 }
 
 
@@ -204,22 +199,56 @@ def _bell_table(s: CoherentSuperposition, enc: QubitEncoding) -> tuple[dict, boo
     return measure.bell_outcomes(joint, enc.mode, m), False
 
 
-def _land(
-    s: CoherentSuperposition, enc: QubitEncoding, rec: measure.MeasurementRecord
+def _draw(
+    out: GateOutcome, enc: QubitEncoding, table: dict, rng: Optional[np.random.Generator], canonical
 ) -> GateOutcome:
-    """The step of a gate on `s` that drew record `rec` (a Bell record, or
-    gate_rx's cat projection), traced under rec.kind: FAIL keeps `s`, every
-    other outcome moves the output into enc.mode and applies the X
-    correction of its branch, leaving its residual op to the caller."""
-    trace = (_traced(rec.kind, f"alpha={enc.alpha}", str(rec.outcome), rec.probability),)
+    """The measured step after `out`: the record `_pick`ed from `table`
+    (a Bell table, or gate_rx's cat projection) multiplies the probability,
+    counts one repetition and is traced under rec.kind.  FAIL keeps
+    out.state; every other outcome moves the output into enc.mode, applies
+    the X correction of its branch and composes its Z residual into
+    `applied`."""
+    rec = _pick(table, rng, canonical)
+    p, reps = out.probability * rec.probability, out.repetitions + 1
+    trace = out.trace + (_traced(rec.kind, f"alpha={enc.alpha}", str(rec.outcome), rec.probability),)
     if rec.outcome == "FAIL":
-        return GateOutcome(s, False, "FAIL", rec.probability, trace=trace)
-    out = _replace_mode(rec.state, enc.mode)
-    flip, residual = _CORRECTIONS[rec.outcome]
+        return GateOutcome(out.state, False, "FAIL", p, reps, trace)
+    state = _replace_mode(rec.state, enc.mode)
+    flip, z = _CORRECTIONS[rec.outcome]
     if flip:
-        out = gate_x(out, enc)
-        trace = trace + (_traced("phase_shift", "theta=pi (X correction)", "-", 1.0),)
-    return GateOutcome(out, True, residual, rec.probability, trace=trace)
+        state = gate_x(state, enc)
+        trace += (_traced("phase_shift", "theta=pi (X correction)", "-", 1.0),)
+    applied = "Z" if z != (out.applied == "Z") else "identity"
+    return GateOutcome(state, True, applied, p, reps, trace)
+
+
+def _settle(
+    out: GateOutcome, enc: QubitEncoding, rng: Optional[np.random.Generator], want: str = "identity"
+) -> GateOutcome:
+    """Repeat-until-success Bell teleports of the qubit in enc.mode until
+    out.applied is `want` (each Z landing, probability ~1/2 per attempt,
+    flips it), or a FAIL; post-selecting 'II'.  More than MAX_REPEATS
+    teleports is a GateFailure.
+
+    An identity landing (I, or III after its X correction) returns the
+    logical state the table was built from, so while the state is strict
+    (on {+alpha, -alpha}) every attempt draws from one table.  A leaked
+    state builds a second table from its first landing, which the
+    teleport has projected onto the logical space."""
+    leaked, cap = True, out.repetitions + MAX_REPEATS
+    while out.success and out.applied != want:
+        if out.repetitions == cap:
+            raise GateFailure(f"Z branch did not land within {MAX_REPEATS} teleports")
+        if leaked:
+            table, leaked = _bell_table(out.state, enc)
+        out = _draw(out, enc, table, rng, "II")
+    return out
+
+
+def _named(s: CoherentSuperposition, out: GateOutcome, name: str) -> GateOutcome:
+    """A settled gate on input `s`: `out` under the gate's name, or, if it
+    failed, on `s`, counting every teleport it ran."""
+    return replace(out, applied=name) if out.success else replace(out, state=s)
 
 
 def teleport(
@@ -234,7 +263,7 @@ def teleport(
     III), II/IV land Z.  With rng=None the 'I' branch is post-selected.
     """
     table, _ = _bell_table(s, enc)
-    return _land(s, enc, _pick(table, rng, "I"))
+    return _draw(GateOutcome(s, True, "identity", 1.0, 0), enc, table, rng, "I")
 
 
 def gate_z(
@@ -242,40 +271,10 @@ def gate_z(
     enc: QubitEncoding,
     rng: Optional[np.random.Generator] = None,
 ) -> GateOutcome:
-    """Sign flip by repeat-until-success teleportation (Z branch lands with
-    probability ~1/2 per attempt).
-
-    Each attempt is one draw from a Bell table.  An identity landing
-    (I, or III after its X correction) returns the logical state the table
-    was built from, so a strict {+alpha, -alpha} input builds one table and
-    draws every attempt from it.  A leaked input builds a second table from
-    its first landing, which the teleport has projected onto the logical
-    space."""
-    out = GateOutcome(s, True, "identity", 1.0, 0)
-    leaked = True
-    for _ in range(MAX_REPEATS):
-        if leaked:
-            table, leaked = _bell_table(out.state, enc)
-        out = _fold(out, _land(out.state, enc, _pick(table, rng, "II")))
-        if not out.success or out.applied == "Z":
-            return out
-    raise GateFailure(f"Z branch did not land within {MAX_REPEATS} teleports")
-
-
-def _undo_z(
-    s: CoherentSuperposition,
-    step: GateOutcome,
-    enc: QubitEncoding,
-    rng: Optional[np.random.Generator],
-) -> GateOutcome:
-    """Settle one step of a gate on input `s`.  `step` carries the gate's
-    running probability, repetitions and trace; a Z residual
-    (step.applied == "Z") is undone with gate_z on `enc`, folded in.  A
-    failed step fails the gate on `s`, counting every teleport it ran."""
-    if step.success and step.applied == "Z":
-        fix = _fold(step, gate_z(step.state, enc, rng))
-        step = replace(fix, applied="identity") if fix.success else fix
-    return step if step.success else replace(step, state=s)
+    """Sign flip by repeat-until-success teleportation: the settle step of
+    every gate's Z fix, run until a Z lands (`_settle`).  A FAIL returns
+    the state it was drawn on."""
+    return _settle(GateOutcome(s, True, "identity", 1.0, 0), enc, rng, want="Z")
 
 
 def _warn_outside_regime(theta: float, alpha: float) -> None:
@@ -303,9 +302,9 @@ def gate_rz(
     _warn_outside_regime(theta, enc.alpha)
     displaced = optics.displace(s, enc.mode, 1j * enc.alpha * theta)
     trace = (_traced("displace", f"beta={1j * enc.alpha * theta:.6g}", "-", 1.0),)
-    done = GateOutcome(displaced, True, "identity", 1.0, 0, trace)
-    out = _undo_z(s, _fold(done, teleport(displaced, enc, rng)), enc, rng)
-    return replace(out, applied=f"Rz({4 * theta * enc.alpha ** 2:.6g})") if out.success else out
+    table, _ = _bell_table(displaced, enc)
+    out = _draw(GateOutcome(displaced, True, "identity", 1.0, 0, trace), enc, table, rng, "I")
+    return _named(s, _settle(out, enc, rng), f"Rz({4 * theta * enc.alpha ** 2:.6g})")
 
 
 def gate_rx(
@@ -327,8 +326,9 @@ def gate_rx(
     The map is a multiple of a unitary only where theta alpha^2 is an odd
     multiple of pi/4; at any other theta it is not a rotation but an
     input-dependent filter once normalized.  The drawn parity record lands
-    through `_land` like a teleport's Bell record: X correction first, then
-    gate_z for a Z residual.  With rng=None the even/even branch is post-selected.
+    through `_draw` like a teleport's Bell record: X correction first, then
+    `_settle` for a Z residual.  With rng=None the even/even branch is
+    post-selected.
     """
     if theta is None:
         theta = np.pi / (4 * enc.alpha**2)
@@ -345,9 +345,8 @@ def gate_rx(
     wb = {k: measure._cat_weights(enc.alpha, p, b) for k, p in parity.items()}
     rows = [((ka, kb), 1.0, wa[ka] * wb[kb], True) for kb in parity for ka in parity]
     table = measure._table("cat_projection", joint, [enc.mode, m], rows)
-    done = GateOutcome(s, True, "identity", 1.0, 0, trace)
-    out = _undo_z(s, _fold(done, _land(s, enc, _pick(table, rng, ("even", "even")))), enc, rng)
-    return replace(out, applied=f"Rx({2 * theta * enc.alpha ** 2:.6g})") if out.success else out
+    out = _draw(GateOutcome(s, True, "identity", 1.0, 0, trace), enc, table, rng, ("even", "even"))
+    return _named(s, _settle(out, enc, rng), f"Rx({2 * theta * enc.alpha ** 2:.6g})")
 
 
 def entangling_gate(
@@ -371,10 +370,10 @@ def entangling_gate(
     trace = (_traced("beamsplitter", f"theta={theta / 2.0:.6g}", "-", 1.0),)
     out = GateOutcome(mixed, True, "identity", 1.0, 0, trace)
     for enc in (enc_a, enc_b):
-        out = _undo_z(s, _fold(out, teleport(out.state, enc, rng)), enc, rng)
-        if not out.success:
-            return out
-    return replace(out, applied=f"ZZ({theta * enc_a.alpha ** 2:.6g})")
+        if out.success:
+            table, _ = _bell_table(out.state, enc)
+            out = _settle(_draw(out, enc, table, rng, "I"), enc, rng)
+    return _named(s, out, f"ZZ({theta * enc_a.alpha ** 2:.6g})")
 
 
 # ---------------------------------------------------------------------------

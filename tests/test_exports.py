@@ -59,3 +59,31 @@ def test_every_public_name_is_reached_or_listed_as_library_api():
         if attr not in used and attr not in listed
     )
     assert not unreached, f"public names neither reached by the package nor listed as library API: {unreached}"
+
+
+def _loads(node: ast.AST) -> set[str]:
+    """Names and attributes that `node` reads."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    }
+
+
+def test_every_private_helper_is_loaded_by_the_package():
+    """No module-level private function or class exists only for tests:
+    some other statement of `src/catsim` reads it."""
+    body = [
+        (path.name, node)
+        for path in sorted((ROOT / "src" / "catsim").glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+    ]
+    loads = [_loads(node) for _, node in body]
+    unused = sorted(
+        f"{name}:{node.name}"
+        for i, (name, node) in enumerate(body)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and not any(node.name in seen for j, seen in enumerate(loads) if j != i)
+    )
+    assert not unused, f"private helpers that nothing in src/catsim reads: {unused}"

@@ -524,12 +524,17 @@ def test_a_gate_rx_flip_branch_lands_like_a_teleport():
 
 def _gate_z_one_teleport_each(s, enc, rng):
     """The repeat-until-success loop with a fresh teleport (and Bell table)
-    per attempt: the reference gate_z must reproduce."""
-    out = GateOutcome(s, True, "identity", 1.0, 0)
+    per attempt, folded here: probabilities multiplied, repetitions added
+    and traces joined.  The reference gate_z must reproduce."""
+    probability, repetitions, trace = 1.0, 0, ()
     while True:
-        out = gates._fold(out, teleport(out.state, enc, rng))
+        out = teleport(s, enc, rng)
+        probability *= out.probability
+        repetitions += out.repetitions
+        trace += out.trace
         if not out.success or out.applied == "Z":
-            return out
+            return GateOutcome(out.state, out.success, out.applied, probability, repetitions, trace)
+        s = out.state
 
 
 @pytest.mark.parametrize("alpha", [1.0, 2.0])
@@ -571,6 +576,21 @@ def test_gate_z_draws_every_attempt_from_one_table(monkeypatch):
     with pytest.raises(GateFailure, match=f"within {gates.MAX_REPEATS} teleports"):
         gate_z(encode(0.6, 0.8, ENC), ENC, _ScriptedRng(*[_I] * gates.MAX_REPEATS))
     assert len(tables) == 2
+
+
+@pytest.mark.parametrize("gate, z_landing, name", [
+    (lambda s, rng: gate_rz(s, ENC, 0.01, rng), _II, "Rz(0.16)"),
+    (lambda s, rng: gate_rx(s, ENC, rng=rng), _EVEN_ODD, "Rx(1.5708)"),
+], ids=["gate_rz", "gate_rx"])
+def test_the_z_fix_inside_a_gate_keeps_the_repeat_cap(gate, z_landing, name):
+    s = encode(0.6, 0.8, ENC)
+    # a Z landing, then identity landings only: the fix gives up after MAX_REPEATS teleports
+    with pytest.raises(GateFailure, match=f"Z branch did not land within {gates.MAX_REPEATS} teleports"):
+        gate(s, _ScriptedRng(z_landing, *[_I] * gates.MAX_REPEATS))
+    # one identity landing fewer, then II: the fix's last teleport lands the Z
+    out = gate(s, _ScriptedRng(z_landing, *[_I] * (gates.MAX_REPEATS - 1), _II))
+    assert out.success and out.applied == name
+    assert out.repetitions == gates.MAX_REPEATS + 1
 
 
 @pytest.mark.parametrize("picks, strict_tables", [((_II,), 0), ((_I, 2, _I, _II), 1)])
