@@ -185,18 +185,35 @@ def _replace_mode(s: CoherentSuperposition, target_mode: int) -> CoherentSuperpo
     return optics.permute_modes(s, order)
 
 
+def _with_resource(s: CoherentSuperposition, enc: QubitEncoding) -> tuple:
+    """What a step measuring s's enc.mode and the first mode of a fresh
+    Bell-cat resource reads of s (x) resource, without building it:
+    (coeffs, cols, rests), the joint coefficients and the (2K, 2) measured
+    columns (s's, then the resource's) in the term order of `optics.tensor`
+    (term 2j + r is s's term j times the resource's term r), and the
+    remaining modes as the Kronecker factors of `measure._table`: s's other
+    modes, then the resource's kept mode."""
+    res = optics.bell_resource(enc.alpha)
+    k = s.nterms
+    coeffs = (s.coeffs[:, None] * res.coeffs[None, :]).reshape(2 * k)
+    cols = np.empty((k, 2, 2), dtype=complex)
+    cols[:, :, 0] = s.amps[:, enc.mode, None]
+    cols[:, :, 1] = res.amps[:, 0]
+    return coeffs, cols.reshape(2 * k, 2), [measure._rest(s, [enc.mode]), res.amps[:, 1:]]
+
+
 def _bell_table(s: CoherentSuperposition, enc: QubitEncoding) -> tuple[dict, bool]:
     """(table, leaked): the Bell table of teleporting the qubit in enc.mode
     through a fresh Bell-cat resource, and whether that mode had leaked off
     {+alpha, -alpha}.  Strict inputs get the exact photon-counting
-    classifier; leaked inputs get the idealized Bell-cat projection that
-    cleans them."""
-    joint = optics.tensor(s, optics.bell_resource(enc.alpha))
-    m = s.modes
+    classifier (the rows of `measure.bell_outcomes`); leaked inputs get the
+    idealized Bell-cat projection that cleans them (those of
+    `measure.bell_cat_outcomes`)."""
+    coeffs, cols, rests = _with_resource(s, enc)
     _, leaked = measure._support(s.amps[:, enc.mode], enc.alpha)
-    if leaked:
-        return measure.bell_cat_outcomes(joint, enc.mode, m, enc.alpha), True
-    return measure.bell_outcomes(joint, enc.mode, m), False
+    a, b = cols[:, 0], cols[:, 1]
+    rows = measure._bell_cat_rows(a, b, enc.alpha) if leaked else measure._bell_rows(a, b)
+    return measure._table("bell_measurement", coeffs, rests, rows), leaked
 
 
 def _draw(
@@ -273,8 +290,8 @@ def gate_z(
 ) -> GateOutcome:
     """Sign flip by repeat-until-success teleportation: the settle step of
     every gate's Z fix, run until a Z lands (`_settle`).  A FAIL returns
-    the state it was drawn on."""
-    return _settle(GateOutcome(s, True, "identity", 1.0, 0), enc, rng, want="Z")
+    the input s, like every gate, counting every teleport it ran."""
+    return _named(s, _settle(GateOutcome(s, True, "identity", 1.0, 0), enc, rng, want="Z"), "Z")
 
 
 def _warn_outside_regime(theta: float, alpha: float) -> None:
@@ -332,19 +349,18 @@ def gate_rx(
     """
     if theta is None:
         theta = np.pi / (4 * enc.alpha**2)
-    joint = optics.tensor(s, optics.bell_resource(enc.alpha))
-    m = s.modes
+    coeffs, cols, rests = _with_resource(s, enc)
     # the two cat projections each contribute e^{+/- i (theta/2) alpha^2};
     # the beam splitter touches only the two measured columns
-    a, b = _passive(joint.amps[:, [enc.mode, m]], _beamsplitter_u(theta / 2.0)).T
+    a, b = _passive(cols, _beamsplitter_u(theta / 2.0)).T
     trace = (_traced("beamsplitter", f"theta={theta / 2.0:.6g}", "-", 1.0),)
 
-    # joint cat projection of the input mode and resource half m, keys (pa, pb)
+    # joint cat projection of the input mode and the resource's first mode, keys (pa, pb)
     parity = {"even": +1, "odd": -1}
     wa = {k: measure._cat_weights(enc.alpha, p, a) for k, p in parity.items()}
     wb = {k: measure._cat_weights(enc.alpha, p, b) for k, p in parity.items()}
     rows = [((ka, kb), 1.0, wa[ka] * wb[kb], True) for kb in parity for ka in parity]
-    table = measure._table("cat_projection", joint, [enc.mode, m], rows)
+    table = measure._table("cat_projection", coeffs, rests, rows)
     out = _draw(GateOutcome(s, True, "identity", 1.0, 0, trace), enc, table, rng, ("even", "even"))
     return _named(s, _settle(out, enc, rng), f"Rx({2 * theta * enc.alpha ** 2:.6g})")
 

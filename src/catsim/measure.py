@@ -1,7 +1,9 @@
 """Photon counting, parity conditioning, homodyne detection and the
 Bell-cat measurement, with exact outcome probabilities and conditioned
 pure states.  Every conditioning is an exact branch table {outcome:
-MeasurementRecord} scored from one Gram matrix; the parity and Bell-cat
+MeasurementRecord} scored from the Gram matrix of its remaining modes,
+given whole or, for a gate's input (x) resource, as the Gram matrices of
+its two Kronecker factors (`_table`); the parity and Bell-cat
 measurements return the whole table, `sample` draws one outcome and
 `sample_counts` the outcome counts of many shots.  A branch's conditioned
 state is built on its first read, so a shot that keeps one branch builds
@@ -22,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import states
 from .states import CoherentSuperposition, ZeroNormError, _gram_forms, _pair_norm, coherent_overlap
 
 __all__ = [
@@ -67,12 +70,22 @@ class MeasurementRecord:
         return None if self.build is None else _branch_state(*self.build)
 
 
-def _branch_state(coeffs, w, n2, rest) -> CoherentSuperposition:
+def _branch_state(coeffs, w, n2, rests) -> CoherentSuperposition:
     """The normalized, merged branch sum_k w_k c_k |rest_k> / sqrt(n2), built
     from the terms its row supports (w_k != 0, in term order): a term of
-    weight 0 adds nothing to the state, so `merge_terms` never sees it."""
-    live = np.flatnonzero(w)
-    return CoherentSuperposition(coeffs[live] * w[live] / np.sqrt(n2), rest[live]).merge_terms()
+    weight 0 adds nothing to the state, so `merge_terms` never sees it.
+    Term k's remaining amplitudes are gathered from the one or two
+    Kronecker factors `rests` (`_table`): rows k // K2 and k % K2 of two."""
+    live = w.nonzero()[0]
+    if len(rests) == 1:
+        amps = rests[0][live]
+    elif not rests[0].shape[1]:
+        # a first factor with no remaining modes adds no columns
+        amps = rests[1][live % len(rests[1])]
+    else:
+        first, last = np.unravel_index(live, (len(rests[0]), len(rests[1])))
+        amps = np.concatenate([rests[0][first], rests[1][last]], axis=1)
+    return CoherentSuperposition(coeffs[live] * w[live] / np.sqrt(n2), amps).merge_terms()
 
 
 def _rest(s: CoherentSuperposition, modes: list[int]) -> np.ndarray:
@@ -80,22 +93,26 @@ def _rest(s: CoherentSuperposition, modes: list[int]) -> np.ndarray:
     return s.amps[:, [m for m in range(s.modes) if m not in modes]]
 
 
-def _table(kind: str, s: CoherentSuperposition, modes: list[int], rows: list[tuple]) -> dict:
-    """Branch table {outcome: MeasurementRecord} of measuring `modes` of `s`.
+def _table(kind: str, coeffs: np.ndarray, rests: list, rows: list[tuple]) -> dict:
+    """Branch table {outcome: MeasurementRecord} of a measurement whose
+    remaining modes are given as one or two Kronecker factors: `rests`
+    holds each factor's remaining amplitude columns (a plain state is one
+    factor, `[_rest(s, modes)]`), and term k of the coefficients `coeffs`
+    and of each row's weights is the product of the factors' terms that k
+    indexes row-major, the term order of `optics.tensor`.
     Row (outcome, factor, weights, keep) has probability factor times the
     squared norm of the unmerged branch (per-term contraction `weights`),
-    all rows from one `_branch_norms` call on the remaining modes.  A kept
-    branch above PROB_FLOOR carries its normalized, merged state, built on
-    the record's first read by `_branch_state` from the row's nonzero-weight
-    terms; the others carry None."""
-    rest = _rest(s, modes)
-    norms = _branch_norms(s, rest, np.array([w for _, _, w, _ in rows]))
+    all rows from one `_branch_norms` call.  A kept branch above PROB_FLOOR
+    carries its normalized, merged state, built on the record's first read
+    by `_branch_state` from the row's nonzero-weight terms; the others
+    carry None."""
+    norms = _branch_norms(coeffs, rests, np.array([w for _, _, w, _ in rows]))
     table = {}
     for (outcome, factor, w, keep), n2 in zip(rows, norms):
         p = float(factor * n2)
         build = None
         if keep and p > PROB_FLOOR:
-            build = (s.coeffs, w, n2, rest)
+            build = (coeffs, w, n2, rests)
         table[outcome] = MeasurementRecord(kind, outcome, p, build)
     return table
 
@@ -158,13 +175,36 @@ def default_nmax(amp_scale: float) -> int:
     return math.ceil(a * a + 10 * a + 20)
 
 
-def _branch_norms(s: CoherentSuperposition, rest: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Squared norm of the branch sum_k w_k c_k |rest_k> on the remaining
-    modes' amplitude columns `rest` (`_rest`), for every row w of a (..., K)
-    stack of weights: v* G v with v = w * coeffs on the one Gram matrix G
-    of those modes."""
-    v = weights * s.coeffs
-    return _gram_forms(rest, v, rest, v).real
+def _branch_norms(coeffs: np.ndarray, rests: list, weights: np.ndarray) -> np.ndarray:
+    """Squared norm of the branch sum_k w_k c_k |rest_k> for every row w of a
+    (..., K) stack of weights, on the remaining modes given as one or two
+    Kronecker factors (`_table`): v* G v with v = w * coeffs, where G is the
+    Kronecker product of the factors' Gram matrices.  A plain state is one
+    factor, on its one Gram matrix (`states._gram_forms`).  Of two factors,
+    v is reshaped to (rows, K1, K2) and each Gram matrix acts on its own
+    axis, so no matrix over all K terms is formed.  A second factor of two
+    opposite rows x, -x (a gate's Bell-cat resource keeps one) is a pair,
+    whose Gram matrix has a closed form (`states._pair_gram`); a first
+    factor with no remaining modes has the all-ones Gram matrix, so its
+    terms are summed."""
+    v = weights * coeffs
+    if len(rests) == 1:
+        return _gram_forms(rests[0], v, rests[0], v).real
+    first, last = rests
+    lead, k1, k2 = v.shape[:-1], len(first), len(last)
+    v = v.reshape(-1, k1, k2)
+    if k2 == 2 and not (last[0] + last[1]).any():
+        gram = states._pair_gram(last[0])
+    else:
+        gram = states._overlap_matrix(last, last)
+    if not first.shape[1]:
+        v = v.sum(axis=1)
+        return np.einsum("...j,...j->...", v.conj() @ gram, v).real.reshape(lead)
+    # both as 2-D products: the last factor's Gram matrix on rows (row, j)
+    # of v, the first's on the columns (row, r) of v's (j, row, r) transpose
+    u = (v.conj().reshape(-1, k2) @ gram).reshape(v.shape)
+    y = states._overlap_matrix(first, first) @ v.transpose(1, 0, 2).reshape(k1, -1)
+    return np.einsum("ijr,jir->i", u, y.reshape(k1, -1, k2)).real.reshape(lead)
 
 
 def photon_statistics(s: CoherentSuperposition, mode: int, n_max: int | None = None) -> np.ndarray:
@@ -175,14 +215,14 @@ def photon_statistics(s: CoherentSuperposition, mode: int, n_max: int | None = N
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     w = fock_amplitude(np.arange(n_max + 1)[:, None], s.amps[:, mode])
-    return _branch_norms(s, _rest(s, [mode]), w)
+    return _branch_norms(s.coeffs, [_rest(s, [mode])], w)
 
 
 def project_photon_number(s: CoherentSuperposition, mode: int, n: int) -> MeasurementRecord:
     """Condition on counting exactly n photons in `mode`."""
     s.check_mode(mode)
     w = fock_amplitude(n, s.amps[:, mode])
-    (rec,) = _table("photon_count", s, [mode], [(n, 1.0, w, True)]).values()
+    (rec,) = _table("photon_count", s.coeffs, [_rest(s, [mode])], [(n, 1.0, w, True)]).values()
     if rec.state is None:
         raise ZeroNormError(f"photon-number branch n={n} has probability 0")
     return rec
@@ -237,7 +277,7 @@ def parity_projection(s: CoherentSuperposition, mode: int) -> dict[str, Measurem
     ref, signs = _signs_against_reference(s.amps[:, mode])
     z0, even_nz, odd = _parity_class_weights(abs(ref) ** 2)
     ones = np.ones(s.nterms)
-    return _table("parity", s, [mode], [
+    return _table("parity", s.coeffs, [_rest(s, [mode])], [
         ("zero", z0, ones, True),
         ("even_nonzero", even_nz, ones, True),
         ("odd", odd, signs, True),
@@ -282,7 +322,8 @@ def cat_projection(
         raise ValueError("parity must be +1 or -1")
     outcome = "even" if parity > 0 else "odd"
     w = _cat_weights(ref_amp, parity, s.amps[:, mode])
-    return _table("cat_projection", s, [mode], [(outcome, 1.0, w, True)])[outcome]
+    rows = [(outcome, 1.0, w, True)]
+    return _table("cat_projection", s.coeffs, [_rest(s, [mode])], rows)[outcome]
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +344,7 @@ def homodyne_pdf(s: CoherentSuperposition, mode: int, x: float | np.ndarray) -> 
     over an array of x (a scalar x gives a scalar)."""
     s.check_mode(mode)
     w = _quadrature_overlap(np.asarray(x, dtype=float)[..., None], s.amps[:, mode])
-    return np.maximum(_branch_norms(s, _rest(s, [mode]), w), 0.0)[()]
+    return np.maximum(_branch_norms(s.coeffs, [_rest(s, [mode])], w), 0.0)[()]
 
 
 def homodyne_condition(s: CoherentSuperposition, mode: int, x: float) -> MeasurementRecord:
@@ -311,7 +352,7 @@ def homodyne_condition(s: CoherentSuperposition, mode: int, x: float) -> Measure
     probability field holds the density at x."""
     s.check_mode(mode)
     w = _quadrature_overlap(x, s.amps[:, mode])
-    (rec,) = _table("homodyne", s, [mode], [(float(x), 1.0, w, True)]).values()
+    (rec,) = _table("homodyne", s.coeffs, [_rest(s, [mode])], [(float(x), 1.0, w, True)]).values()
     if rec.state is None:
         raise ZeroNormError(f"zero homodyne density at x={x}")
     return rec
@@ -360,21 +401,28 @@ def bell_outcomes(
     s.check_mode(mode_b)
     if mode_a == mode_b:
         raise ValueError("Bell measurement needs two distinct modes")
-    ref, signs_a = _signs_against_reference(s.amps[:, mode_a])
-    signs_b, off = _support(s.amps[:, mode_b], ref)
+    rows = _bell_rows(s.amps[:, mode_a], s.amps[:, mode_b])
+    return _table("bell_measurement", s.coeffs, [_rest(s, [mode_a, mode_b])], rows)
+
+
+def _bell_rows(a: np.ndarray, b: np.ndarray) -> list[tuple]:
+    """The `_table` rows of `bell_outcomes` from its two measured columns,
+    one amplitude per term in each."""
+    ref, signs_a = _signs_against_reference(a)
+    signs_b, off = _support(b, ref)
     if off:
         raise UnsupportedStateError(
             "the two measured modes are not supported on {+a, -a} for a common a"
         )
     same = signs_a == signs_b
     z0, even_nz, odd = _parity_class_weights(2 * abs(ref) ** 2)
-    return _table("bell_measurement", s, [mode_a, mode_b], [
+    return [
         ("I", even_nz, same, True),
         ("II", odd, same * signs_a, True),
         ("III", even_nz, ~same, True),
         ("IV", odd, ~same * signs_a, True),
-        ("FAIL", z0, np.ones(s.nterms), False),
-    ])
+        ("FAIL", z0, np.ones(len(a)), False),
+    ]
 
 
 def bell_cat_outcomes(
@@ -396,11 +444,16 @@ def bell_cat_outcomes(
     s.check_mode(mode_b)
     if mode_a == mode_b:
         raise ValueError("Bell measurement needs two distinct modes")
+    rows = _bell_cat_rows(s.amps[:, mode_a], s.amps[:, mode_b], ref_amp)
+    return _table("bell_measurement", s.coeffs, [_rest(s, [mode_a, mode_b])], rows)
+
+
+def _bell_cat_rows(a: np.ndarray, b: np.ndarray, ref_amp: complex) -> list[tuple]:
+    """The `_table` rows of `bell_cat_outcomes` from its two measured
+    columns, one amplitude per term in each."""
     ref = complex(ref_amp)
     if ref == 0:
         raise ValueError("ref_amp must be nonzero")
-    a = s.amps[:, mode_a]
-    b = s.amps[:, mode_b]
     sgn_a = _nearest_signs(a, ref)
     sgn_b = _nearest_signs(b, ref)
     wa = coherent_overlap(sgn_a * ref, a)
@@ -413,10 +466,10 @@ def bell_cat_outcomes(
     # the Bell cats' norms: pairs with ||x||^2 = 2 |a|^2
     sq = 2 * abs(ref) * abs(ref)
     norm_plus, norm_minus = _pair_norm(sq, 1, 1), _pair_norm(sq, 1, -1)
-    return _table("bell_measurement", s, [mode_a, mode_b], [
+    return [
         ("I", 1.0, same * wa * wb / norm_plus, True),
         ("II", 1.0, same * flip * wa * wb / norm_minus, True),
         ("III", 1.0, anti * wa * wb / norm_plus, True),
         ("IV", 1.0, anti * flip * wa * wb / norm_minus, True),
         ("FAIL", 1.0, coherent_overlap(0.0, a) * coherent_overlap(0.0, b), False),
-    ])
+    ]

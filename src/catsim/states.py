@@ -7,7 +7,10 @@ a quadratic form on the full Gram matrix of pairwise overlaps.  A
 two-term state c0|x> + c1|-x> (the cats, the Bell cats, the GHZ probe,
 an encoded qubit) is normalized by the exact closed form of its 2 x 2
 Gram matrix, `_pair_norm`; every other form is one `_gram_forms` call,
-built once per call.  No orthogonality approximation is made anywhere.
+built once per call, except a gate's branch table, which `measure` scores
+from the Gram matrices of its two Kronecker factors, the resource's a pair
+in closed form (`_pair_gram`).  No orthogonality approximation is made
+anywhere.
 """
 
 from __future__ import annotations
@@ -39,11 +42,12 @@ MERGE_TOL = 1e-12
 # keeps the term count bounded under repeated teleportations.
 DROP_THRESHOLD = 1e-14
 
-# Rows of the K x K distance table `merge_terms` builds at a time.  A band
-# of K = 128 complex differences is 64 KiB, below glibc's 128 KiB mmap
-# threshold, so its temporaries are reused instead of mapped and faulted in
-# afresh on every call.
-_MERGE_ROWS = 32
+# `merge_terms` sorts terms by Re(sum_m w_m a_m) for these fixed unit
+# weights w_m, one per mode, at phases a golden angle apart so that distinct
+# register terms (+/-a per mode) seldom project close together; a near tie
+# costs one exact comparison, never a wrong merge.  Modes past the 32nd are
+# left out of the sort key but still compared exactly.
+_MERGE_AXIS = np.exp(2j * np.pi * 0.6180339887498949 * np.arange(1, 33))
 
 
 class ZeroNormError(ValueError):
@@ -144,6 +148,12 @@ class CoherentSuperposition:
         earlier representative it is close to, or else becomes one.  A
         representative keeps its first term's amplitudes, and its
         coefficient is the sum of its terms' coefficients in term order.
+
+        Close pairs are found from one sort of the terms by a fixed real
+        projection of their amplitudes (`_MERGE_AXIS`): only pairs whose
+        projections lie within a window that provably holds every close
+        pair, rounding included, get the exact max-norm test, so no K x K
+        table is built and the result does not depend on how BLAS sums.
         """
         k = self.nterms
         if k <= 1:
@@ -151,28 +161,53 @@ class CoherentSuperposition:
         if self.modes == 0:
             # a scalar: all terms are one, summed in term order
             return CoherentSuperposition(np.cumsum(self.coeffs)[-1:], self.amps[:1])
-        # max-norm distances, accumulated mode by mode, a band of rows at a time
-        cols = self.amps.T
-        close = np.empty((k, k), dtype=bool)
-        for band in range(0, k, _MERGE_ROWS):
-            rows = slice(band, band + _MERGE_ROWS)
-            dist = np.abs(cols[0][rows, None] - cols[0])
-            for col in cols[1:]:
-                np.maximum(dist, np.abs(col[rows, None] - col), out=dist)
-            close[rows] = dist <= MERGE_TOL
-        # label[j]: first term close to term j.  If every label is its own
-        # label, the terms with label[j] == j are the greedy representatives.
-        label = close.argmax(axis=1)
-        if not (label[label] == label).all():
-            # not transitive: greedy scan (close[j, j] holds, so it stops by j)
-            is_rep = np.ones(k, dtype=bool)
-            for j in range(k):
-                label[j] = (close[j] & is_rep).argmax()
-                is_rep[j] = label[j] == j
-        reps = label == np.arange(k)
-        if reps.all():
-            coeffs, amps = self.coeffs, self.amps
-        else:
+        # Candidate pairs from one sort of the projection p_j = Re(sum_m w_m
+        # a_jm) over the first n modes.  A close pair has |p_j - p_k| <=
+        # n MERGE_TOL, as |w_m| = 1.  Each computed p is the real parts of n
+        # complex products summed, off by at most gamma_(n+1) n max|a| in
+        # any summation order.  The window adds 8 times that bound of both
+        # terms together, which also covers its own rounding and that of
+        # the key differences, so it holds every close pair, and only the
+        # exact test below decides.
+        cols = self.amps[:, : len(_MERGE_AXIS)]
+        n = cols.shape[1]
+        top = float(np.abs(cols).max())
+        window = n * (MERGE_TOL + 8 * (n + 1) * 2.0**-52 * (top + MERGE_TOL))
+        proj = (cols * _MERGE_AXIS[:n]).real.sum(axis=1)
+        order = proj.argsort(kind="stable")
+        key = proj[order]
+        # the close pairs (lo, hi), lo < hi, among the pairs `lag` apart in
+        # sorted order, for every lag up to the first at which no pair lies
+        # within the window (none lies within it at a larger lag)
+        lo, hi, lag = [], [], 1
+        while lag < k and (key[lag:] - key[:-lag] <= window).any():
+            if lag == 1:
+                rows = self.amps[order]
+            # the exact max-norm test
+            pos = (np.abs(rows[lag:] - rows[:-lag]).max(axis=1) <= MERGE_TOL).nonzero()[0]
+            a, b = order[pos], order[pos + lag]
+            lo.append(np.minimum(a, b))
+            hi.append(np.maximum(a, b))
+            lag += 1
+        coeffs, amps = self.coeffs, self.amps
+        if lo:
+            lo, hi = np.concatenate(lo), np.concatenate(hi)
+        if len(lo):
+            # label[j]: first term close to term j.  If every label is its
+            # own label, the terms with label[j] == j are the greedy
+            # representatives.
+            label = np.arange(k)
+            np.minimum.at(label, hi, lo)
+            reps = label == np.arange(k)
+            if not reps[label].all():
+                # not transitive: greedy scan in term order, each term
+                # joining its first close earlier representative
+                reps = np.ones(k, dtype=bool)
+                for j in np.unique(hi):
+                    earlier = lo[hi == j]
+                    earlier = earlier[reps[earlier]]
+                    label[j] = earlier.min() if len(earlier) else j
+                    reps[j] = label[j] == j
             # unbuffered, in term order, onto each representative's own value
             sums = self.coeffs.copy()
             dups = ~reps
@@ -227,6 +262,13 @@ def _pair_norm(sq: float, c0: complex, c1: complex) -> float:
     if not n2 > 1e-300:
         raise ZeroNormError(f"c0|x> + c1|-x> has norm^2 {n2:.3g} at ||x||^2 = {sq:.3g}")
     return math.sqrt(n2)
+
+
+def _pair_gram(x: np.ndarray) -> np.ndarray:
+    """Gram matrix [[1, o], [o, 1]] of the pair |x>, |-x> for a vector x of
+    per-mode amplitudes, in closed form: o = <x|-x> = e^{-2 ||x||^2}."""
+    o = math.exp(-2 * float(np.vdot(x, x).real))
+    return np.array([[1, o], [o, 1]], dtype=complex)
 
 
 def _pair(x: tuple, c0: complex, c1: complex) -> CoherentSuperposition:

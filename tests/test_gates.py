@@ -494,7 +494,9 @@ _I, _II, _III, _IV, _FAIL, _EVEN_ODD = 0, 1, 2, 3, 4, 2
     (lambda s, rng: gate_rx(s, QubitEncoding(1.0), rng=rng), (_EVEN_ODD, _I, _FAIL), 3),
     (lambda s, rng: entangling_gate(s, QubitEncoding(1.0, 0), QubitEncoding(1.0, 1), 0.05, rng),
      (_II, _FAIL), 2),
-], ids=["gate_rz", "gate_rx", "entangling_gate"])
+    # an identity landing, then FAIL: gate_z returns its input, not the landing
+    (lambda s, rng: gate_z(s, QubitEncoding(1.0), rng), (_I, _FAIL), 2),
+], ids=["gate_rz", "gate_rx", "entangling_gate", "gate_z"])
 def test_a_fail_inside_gate_z_counts_every_teleport_the_gate_ran(gate, picks, repetitions):
     s = optics.tensor(encode(0.6, 0.8, QubitEncoding(1.0)), encode(1.0, 1.0j, QubitEncoding(1.0, 1)))
     out = gate(s, _ScriptedRng(*picks))
@@ -525,16 +527,18 @@ def test_a_gate_rx_flip_branch_lands_like_a_teleport():
 def _gate_z_one_teleport_each(s, enc, rng):
     """The repeat-until-success loop with a fresh teleport (and Bell table)
     per attempt, folded here: probabilities multiplied, repetitions added
-    and traces joined.  The reference gate_z must reproduce."""
-    probability, repetitions, trace = 1.0, 0, ()
+    and traces joined; a FAIL returns the input.  The reference gate_z must
+    reproduce."""
+    probability, repetitions, trace, state = 1.0, 0, (), s
     while True:
-        out = teleport(s, enc, rng)
+        out = teleport(state, enc, rng)
         probability *= out.probability
         repetitions += out.repetitions
         trace += out.trace
         if not out.success or out.applied == "Z":
-            return GateOutcome(out.state, out.success, out.applied, probability, repetitions, trace)
-        s = out.state
+            state = out.state if out.success else s
+            return GateOutcome(state, out.success, out.applied, probability, repetitions, trace)
+        state = out.state
 
 
 @pytest.mark.parametrize("alpha", [1.0, 2.0])
@@ -566,7 +570,7 @@ def _count_calls(monkeypatch, name):
 
 
 def test_gate_z_draws_every_attempt_from_one_table(monkeypatch):
-    tables = _count_calls(monkeypatch, "bell_outcomes")
+    tables = _count_calls(monkeypatch, "_bell_rows")
     out = gate_z(encode(0.6, 0.8, ENC), ENC, _ScriptedRng(_I, 2, _I, _II))
     assert out.success and out.applied == "Z" and out.repetitions == 4
     assert [t[2] for t in out.trace if t[0] == "bell_measurement"] == ["I", "III", "I", "II"]
@@ -595,8 +599,8 @@ def test_the_z_fix_inside_a_gate_keeps_the_repeat_cap(gate, z_landing, name):
 
 @pytest.mark.parametrize("picks, strict_tables", [((_II,), 0), ((_I, 2, _I, _II), 1)])
 def test_gate_z_on_a_leaked_input_builds_at_most_two_tables(monkeypatch, picks, strict_tables):
-    cat_tables = _count_calls(monkeypatch, "bell_cat_outcomes")
-    tables = _count_calls(monkeypatch, "bell_outcomes")
+    cat_tables = _count_calls(monkeypatch, "_bell_cat_rows")
+    tables = _count_calls(monkeypatch, "_bell_rows")
     s = optics.displace(encode(0.6, 0.8, ENC), 0, 0.03 + 0.02j).normalize()
     out = gate_z(s, ENC, _ScriptedRng(*picks))
     assert out.success and out.applied == "Z" and out.repetitions == len(picks)
@@ -606,25 +610,28 @@ def test_gate_z_on_a_leaked_input_builds_at_most_two_tables(monkeypatch, picks, 
 
 # (CoherentSuperposition constructions, overlap matrices, Bell resources) of
 # one seeded call of each gate.  The first two are upper bounds: a throw-away
-# state copy (an identity permutation, say) raises the first count.  The
-# resources are exact, one per Bell table or Rx joint; their own
-# constructions are not counted in the first.
+# state copy (an identity permutation, say) raises the first count.  A table
+# of input (x) resource builds no joint state and at most one overlap
+# matrix, of the input's other modes, with no more rows than the input has
+# terms: none for a single-mode input (the resource's kept mode is a pair,
+# with a closed-form Gram matrix).  The resources are exact, one per Bell
+# table or Rx table; their own constructions are not counted in the first.
 _ENC_A, _ENC_B = QubitEncoding(2.0, 0), QubitEncoding(2.0, 1)
 
 
-@pytest.mark.parametrize("gate, constructions, grams, resources", [
-    (lambda one, two, rng: teleport(one, ENC, rng), 4, 1, 1),
-    (lambda one, two, rng: gate_z(one, ENC, rng), 7, 1, 1),
-    (lambda one, two, rng: gate_rz(one, ENC, 0.01, rng), 5, 1, 1),
-    (lambda one, two, rng: gate_rx(one, ENC, rng=rng), 7, 2, 2),
-    (lambda one, two, rng: entangling_gate(two, _ENC_A, _ENC_B, 0.005, rng), 16, 3, 3),
+@pytest.mark.parametrize("gate, constructions, grams, resources, terms", [
+    (lambda one, two, rng: teleport(one, ENC, rng), 3, 0, 1, 2),
+    (lambda one, two, rng: gate_z(one, ENC, rng), 6, 0, 1, 2),
+    (lambda one, two, rng: gate_rz(one, ENC, 0.01, rng), 4, 0, 1, 2),
+    (lambda one, two, rng: gate_rx(one, ENC, rng=rng), 5, 0, 2, 2),
+    (lambda one, two, rng: entangling_gate(two, _ENC_A, _ENC_B, 0.005, rng), 13, 3, 3, 4),
 ], ids=["teleport", "gate_z", "gate_rz", "gate_rx", "entangling_gate"])
 def test_per_gate_state_constructions_and_gram_forms(
-    monkeypatch, gate, constructions, grams, resources
+    monkeypatch, gate, constructions, grams, resources, terms
 ):
     one = encode(0.6, 0.8, ENC)
     two = optics.tensor(encode(0.6, 0.8, _ENC_A), encode(0.8, 0.6j, _ENC_B))
-    counts = {"constructions": 0, "grams": 0, "resources": 0}
+    counts = {"constructions": 0, "grams": 0, "resources": 0, "rows": 0}
     post_init, overlap = states.CoherentSuperposition.__post_init__, states._overlap_matrix
     resource = optics.bell_resource
 
@@ -634,6 +641,7 @@ def test_per_gate_state_constructions_and_gram_forms(
 
     def counted_overlap(*args):
         counts["grams"] += 1
+        counts["rows"] = max(counts["rows"], len(args[0]))
         return overlap(*args)
 
     def counted_resource(alpha):
@@ -649,4 +657,92 @@ def test_per_gate_state_constructions_and_gram_forms(
     assert gate(one, two, np.random.default_rng(1)).success
     assert counts["constructions"] <= constructions
     assert counts["grams"] <= grams
+    assert counts["rows"] <= terms
     assert counts["resources"] == resources
+
+
+# ---------------------------------------------------------------------------
+# tables of input (x) resource from the factors, against the joint state
+
+def _register(n, alpha, rng, leaked):
+    """An n-qubit register on modes 0..n-1 (K = 2^n terms); a leaked one
+    moves every amplitude off {+alpha, -alpha} by its own small shift."""
+    s = encode(*rng.normal(size=2), QubitEncoding(alpha))
+    for q in range(1, n):
+        s = optics.tensor(s, encode(*(rng.normal(size=2) + 1j * rng.normal(size=2)),
+                                    QubitEncoding(alpha, q)))
+    if leaked:
+        shift = rng.normal(scale=0.02, size=s.amps.shape) * (1 + 1j)
+        s = CoherentSuperposition(s.coeffs, s.amps + shift).normalize()
+    return s
+
+
+def _assert_same_table(table, joint_table):
+    """Equal outcomes and, to round-off, equal probabilities and branch
+    states.  Both Gram forms exponentiate the same exponents, of size up to
+    M alpha^2 < 30 here, summed in another order: the overlaps agree to
+    ~1e-14 relative, the probabilities to ~1e-16 (seen: 2e-16) and the
+    states' squared distance 2 - 2 Re<x|y> to its own round-off (seen:
+    2e-15)."""
+    assert list(table) == list(joint_table)
+    for outcome, rec in table.items():
+        ref = joint_table[outcome]
+        assert abs(rec.probability - ref.probability) <= 1e-13, outcome
+        assert (rec.state is None) == (ref.state is None), outcome
+        if ref.state is not None:
+            assert rec.state.modes == ref.state.modes
+            distance2 = 2 - 2 * states.inner_product(rec.state, ref.state).real
+            assert abs(distance2) <= 1e-13, outcome
+
+
+@pytest.mark.parametrize("leaked", [False, True], ids=["strict", "leaked"])
+def test_factored_tables_match_the_tables_of_the_joint_state(monkeypatch, leaked):
+    table = measure._table
+    rng = np.random.default_rng(17)
+    for n, alpha in ((1, 1.0), (2, 1.5), (4, 2.0), (6, 1.5)):
+        s = _register(n, alpha, rng, leaked)
+        for mode in sorted({0, n // 2, n - 1}):
+            enc = QubitEncoding(alpha, mode)
+            joint = optics.tensor(s, optics.bell_resource(alpha))
+            bell, was_leaked = gates._bell_table(s, enc)
+            assert was_leaked == leaked
+            _assert_same_table(bell, measure.bell_cat_outcomes(joint, mode, n, alpha) if leaked
+                               else measure.bell_outcomes(joint, mode, n))
+            # gate_rx's table, against `_table` on the joint state's mixed columns
+            built = []
+            monkeypatch.setattr(measure, "_table", lambda *a: built.append(table(*a)) or built[-1])
+            gate_rx(s, enc)
+            monkeypatch.setattr(measure, "_table", table)
+            a, b = optics.beamsplitter(joint, mode, n, np.pi / (8 * alpha**2)).amps[:, [mode, n]].T
+            parity = {"even": +1, "odd": -1}
+            wa = {k: measure._cat_weights(alpha, p, a) for k, p in parity.items()}
+            wb = {k: measure._cat_weights(alpha, p, b) for k, p in parity.items()}
+            rows = [((ka, kb), 1.0, wa[ka] * wb[kb], True) for kb in parity for ka in parity]
+            rest = np.delete(joint.amps, [mode, n], axis=1)
+            _assert_same_table(built[0], table("cat_projection", joint.coeffs, [rest], rows))
+
+
+@pytest.mark.parametrize("leaked", [False, True], ids=["strict", "leaked"])
+def test_no_gate_on_a_six_qubit_register_forms_an_overlap_matrix_past_its_terms(
+    monkeypatch, leaked
+):
+    s = _register(6, 1.5, np.random.default_rng(3), leaked)
+    # (rows, terms of the state whose table is being scored) per overlap matrix
+    rows, terms = [], [0]
+    overlap, with_resource = states._overlap_matrix, gates._with_resource
+    monkeypatch.setattr(states, "_overlap_matrix",
+                        lambda x, y: rows.append((len(x), terms[0])) or overlap(x, y))
+    monkeypatch.setattr(gates, "_with_resource",
+                        lambda x, enc: terms.__setitem__(0, x.nterms) or with_resource(x, enc))
+    enc_a, enc_b = QubitEncoding(1.5, 2), QubitEncoding(1.5, 4)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        teleport(s, enc_a, rng)
+        gate_rz(s, enc_a, 0.02, rng)
+        gate_rx(s, enc_b, rng=rng)
+        entangling_gate(s, enc_a, enc_b, 0.02, rng)
+    assert rows and all(n <= k for n, k in rows)
+    if not leaked:
+        # every branch merges back to the register's 64 terms; a leaked
+        # register's Rx branch keeps all 128 (s's other modes differ too)
+        assert max(n for n, _ in rows) == s.nterms == 64

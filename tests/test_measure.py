@@ -313,8 +313,9 @@ def test_table_keeps_the_columns_np_delete_keeps():
             s = _random_state(rng)
             s = CoherentSuperposition(s.coeffs, rng.normal(size=(s.nterms, m)) + 0j)
             modes = [int(x) for x in rng.permutation(m)[: int(rng.integers(1, m + 1))]]
-            (rec,) = measure._table("t", s, modes, [("x", 1.0, np.ones(s.nterms), True)]).values()
-            rest = rec.build[3]
+            rows = [("x", 1.0, np.ones(s.nterms), True)]
+            (rec,) = measure._table("t", s.coeffs, [measure._rest(s, modes)], rows).values()
+            (rest,) = rec.build[3]
             expected = np.delete(s.amps, modes, axis=1)
             assert rest.shape == expected.shape and rest.tobytes() == expected.tobytes()
 
@@ -492,9 +493,9 @@ def test_gate_rx_table_matches_sequential_projections_and_fock_oracle(monkeypatc
     built = []
     table = measure._table
 
-    def recording(kind, s, modes, rows):
-        out = table(kind, s, modes, rows)
-        built.append((s, modes, out))
+    def recording(kind, coeffs, rests, rows):
+        out = table(kind, coeffs, rests, rows)
+        built.append((kind, coeffs, out))
         return out
 
     monkeypatch.setattr(measure, "_table", recording)
@@ -507,9 +508,12 @@ def test_gate_rx_table_matches_sequential_projections_and_fock_oracle(monkeypatc
         s = CoherentSuperposition(rng.normal(size=k) + 1j * rng.normal(size=k), amps).normalize()
         built.clear()
         gates.gate_rx(s, gates.QubitEncoding(alpha))
-        (joint, modes, recs), = [b for b in built if len(b[1]) == 2]
-        mode, m = modes
-        # gate_rx mixes only the measured columns: rebuild the whole mixed state
+        (coeffs, recs), = [b[1:] for b in built if b[0] == "cat_projection"]
+        # gate_rx builds neither the joint state nor its mixed columns:
+        # rebuild the whole mixed state, input mode 0 and resource half 1
+        joint = optics.tensor(s, optics.bell_resource(alpha))
+        assert coeffs.tobytes() == joint.coeffs.tobytes()
+        mode, m = 0, 1
         theta = np.pi / (4 * alpha**2)
         mixed = optics.beamsplitter(joint, mode, m, theta / 2)
         assert list(recs) == [("even", "even"), ("odd", "even"), ("even", "odd"), ("odd", "odd")]
@@ -618,17 +622,49 @@ def test_sample_counts_is_one_multinomial_in_dict_order():
 # eager build of every kept branch
 
 
-def _eager_states(kind, s, modes, rows):
+def _joint_rest(rests):
+    """The remaining amplitudes of every term of a table whose remaining
+    modes are the Kronecker factors `rests`: the factors' rows combined as
+    optics.tensor combines the terms of its two states."""
+    joint = rests[0]
+    for rest in rests[1:]:
+        joint = np.concatenate(
+            [np.repeat(joint, len(rest), axis=0), np.tile(rest, (len(joint), 1))], axis=1)
+    return joint
+
+
+def test_branch_norms_of_two_factors_match_the_joint_rest():
+    # every two-factor path: a first factor with or without modes, a second
+    # factor that is a pair (x, -x) or not; against the one-factor form on
+    # the joint rows, to round-off (the same exponents, summed otherwise)
+    rng = np.random.default_rng(31)
+    for first_modes in (0, 1, 3):
+        for pair in (True, False):
+            k1 = int(rng.integers(1, 6))
+            first = rng.normal(size=(k1, first_modes)) + 1j * rng.normal(size=(k1, first_modes))
+            x = rng.normal(size=2) + 1j * rng.normal(size=2)
+            last = np.array([x, -x]) if pair else rng.normal(size=(2, 2)) + 0j
+            rests = [first, last]
+            k = k1 * len(last)
+            coeffs = rng.normal(size=k) + 1j * rng.normal(size=k)
+            weights = rng.normal(size=(4, k)) + 1j * rng.normal(size=(4, k))
+            factored = measure._branch_norms(coeffs, rests, weights)
+            joint = measure._branch_norms(coeffs, [_joint_rest(rests)], weights)
+            assert factored.shape == joint.shape == (4,)
+            assert np.allclose(factored, joint, rtol=1e-12, atol=0), (first_modes, pair)
+
+
+def _eager_states(kind, coeffs, rests, rows):
     """{outcome: state} as a table that built every kept branch's state at
     once would give: the row's nonzero-weight terms, normalized, then merged."""
-    rest = np.delete(s.amps, modes, axis=1)
-    norms = measure._branch_norms(s, rest, np.array([w for _, _, w, _ in rows]))
+    rest = _joint_rest(rests)
+    norms = measure._branch_norms(coeffs, rests, np.array([w for _, _, w, _ in rows]))
     out = {}
     for (outcome, factor, w, keep), n2 in zip(rows, norms):
         keep = keep and float(factor * n2) > measure.PROB_FLOOR
         live = np.flatnonzero(w)
         out[outcome] = CoherentSuperposition(
-            s.coeffs[live] * w[live] / np.sqrt(n2), rest[live]).merge_terms() if keep else None
+            coeffs[live] * w[live] / np.sqrt(n2), rest[live]).merge_terms() if keep else None
     return out
 
 
@@ -724,10 +760,10 @@ def test_branch_state_from_supported_terms_is_the_full_branch(monkeypatch, measu
     kept = [rec for recs in tables for rec in recs.values() if rec.build is not None]
     assert kept
     for rec in kept:
-        coeffs, w, n2, rest = rec.build
+        coeffs, w, n2, rests = rec.build
         # every term of the joint state, the zero-weight ones too, as
         # branch states were built before
-        full = CoherentSuperposition(coeffs * w / np.sqrt(n2), rest).merge_terms()
+        full = CoherentSuperposition(coeffs * w / np.sqrt(n2), _joint_rest(rests)).merge_terms()
         assert rec.state.nterms == full.nterms
         assert _sorted_term_bytes(rec.state) == _sorted_term_bytes(full)
 

@@ -10,8 +10,10 @@ from catsim.states import (
     MERGE_TOL,
     CoherentSuperposition,
     ZeroNormError,
+    _MERGE_AXIS,
     _gram_forms,
     _overlap_matrix,
+    _pair_gram,
     bell_cat,
     cat,
     coherent,
@@ -64,6 +66,13 @@ def test_overlap_matrix_shares_half_norms_only_within_one_array():
         assert _overlap_matrix(x, x).tobytes() == _overlap_matrix(x, x.copy()).tobytes()
         expected = np.prod(coherent_overlap(x[:, None, :], y[None, :, :]), axis=2)
         assert np.allclose(_overlap_matrix(x, y), expected, rtol=1e-12, atol=0)
+
+
+def test_pair_gram_is_the_overlap_matrix_of_the_pair():
+    for x in ([1.5], [0.3 - 0.7j, 2.0, -1.1j], [1e-8], [6.0]):
+        x = np.array(x, dtype=complex)
+        expected = _overlap_matrix(np.array([x, -x]), np.array([x, -x]))
+        assert np.allclose(_pair_gram(x), expected, rtol=1e-14, atol=0)
 
 
 def test_gram_forms_bits_do_not_follow_the_amplitude_layout():
@@ -234,6 +243,60 @@ def test_merge_terms_bit_identical_to_greedy_reference():
                     nontransitive += not np.all(first[first] == first)
     # the large effective tolerances must exercise the non-transitive grouping path
     assert nontransitive > 50
+
+
+def _edge_states(case, rng):
+    """States at the edges of `merge_terms`' sorted candidate search, each a
+    few terms in random term order."""
+    m = int(rng.integers(1, 5))
+    w = _MERGE_AXIS[:m]
+    a = rng.normal(size=m) + 1j * rng.normal(size=m)
+    if case == "tol_apart":
+        # every mode MERGE_TOL apart along conj(w): the projections differ
+        # by the window's m MERGE_TOL, less or more by a last bit
+        step = MERGE_TOL * w.conj() * (1 + rng.choice([-1, 0, 1]) * 2.0**-52)
+        rows = [a, a + step, a - step, a + step * np.eye(m)[int(rng.integers(m))]]
+    elif case == "far_ties":
+        # far apart along i conj(w), on which every projection is the same,
+        # and one exact duplicate
+        rows = [a + 0.5j * j * w.conj() for j in range(5)] + [a]
+    elif case == "chains":
+        # a-b and b-c close, a-c not: greedy grouping follows term order
+        e = np.exp(1j * rng.uniform(0, 2 * np.pi)) * np.eye(m)[int(rng.integers(m))]
+        rows = [a + j * 0.9 * MERGE_TOL * e for j in range(4)]
+    elif case == "large":
+        # |a| ~ 1e3, where rounding moves a projection by ~1e-13: steps just
+        # under MERGE_TOL along conj(w), whose rounded projections can lie
+        # farther apart than m MERGE_TOL
+        a = 1e3 * np.exp(2j * np.pi * rng.random(m))
+        step = MERGE_TOL * w.conj() * (1 - rng.uniform(0.0, 0.03))
+        rows = [a, a + step, a + 2 * step, a - step]
+    order = rng.permutation(len(rows))
+    amps = np.array(rows)[order]
+    coeffs = rng.normal(size=len(rows)) + 1j * rng.normal(size=len(rows))
+    return CoherentSuperposition(coeffs, amps)
+
+
+@pytest.mark.parametrize("case", ["tol_apart", "far_ties", "chains", "large"])
+def test_merge_terms_edges_of_the_sorted_search_match_the_reference(case):
+    rng = np.random.default_rng(["tol_apart", "far_ties", "chains", "large"].index(case))
+    merged = 0
+    for _ in range(2000):
+        s = _edge_states(case, rng)
+        expected = _merge_reference(s)
+        assert _same_bytes(s.merge_terms(), expected), (case, s.amps)
+        merged += expected.nterms < s.nterms
+        if case == "far_ties":
+            assert expected.nterms == s.nterms - 1  # the duplicate alone
+    assert merged > 500
+
+
+def test_merge_terms_of_zero_modes_and_one_term():
+    one = CoherentSuperposition(np.array([2.0 - 1j]), np.array([[0.3, -1.5j]]))
+    assert one.merge_terms() is one
+    scalar = CoherentSuperposition(np.array([1.0, -0.0, 2.5j, 1e-20]), np.zeros((4, 0)))
+    assert _same_bytes(scalar.merge_terms(), _merge_reference(scalar))
+    assert scalar.merge_terms().nterms == 1
 
 
 def test_merge_terms_keeps_negative_zero():
