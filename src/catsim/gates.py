@@ -59,7 +59,7 @@ class QubitEncoding:
     mode: int = 0
 
     def __post_init__(self):
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ValueError("alpha must be > 0")
 
 
@@ -89,8 +89,9 @@ def logical_coefficients(
     """Least-squares coefficients of `s` in the nonorthogonal logical
     product basis over the encoded modes (mode 0 the most significant bit,
     logical 0 = -alpha), plus the leakage outside the logical span.
-    Non-encoded modes must not exist (decode expects the state to live
-    entirely on the encoded modes).
+    The encodings' modes must be the state's modes, each exactly once
+    (ValueError): decode expects the state to live entirely on the encoded
+    modes.
 
     The logical Gram matrix is the Kronecker product of [[1, o], [o, 1]],
     o = e^{-2a^2}, over the modes, so the fit goes mode by mode: amplitude
@@ -102,8 +103,8 @@ def logical_coefficients(
     coefficients are y = sum_k c_k (Kronecker over m) d(x_km); with b the
     same product of the overlaps <r|x_km>, the leakage is 1 - Re y^dag b.  Only
     alpha^2 underflowing to 0 leaves the fit undefined (ValueError)."""
-    if s.modes != len(encs):
-        raise ValueError("state must have exactly one mode per encoding")
+    if sorted(e.mode for e in encs) != list(range(s.modes)):
+        raise ValueError("the encodings' modes must be the state's modes, each exactly once")
     alphas = np.array([e.alpha for e in encs], dtype=float)
     scale = np.expm1(-4.0 * alphas**2)
     if not scale.all():
@@ -188,18 +189,20 @@ def _replace_mode(s: CoherentSuperposition, target_mode: int) -> CoherentSuperpo
 def _with_resource(s: CoherentSuperposition, enc: QubitEncoding) -> tuple:
     """What a step measuring s's enc.mode and the first mode of a fresh
     Bell-cat resource reads of s (x) resource, without building it:
-    (coeffs, cols, rests), the joint coefficients and the (2K, 2) measured
-    columns (s's, then the resource's) in the term order of `optics.tensor`
-    (term 2j + r is s's term j times the resource's term r), and the
-    remaining modes as the Kronecker factors of `measure._table`: s's other
-    modes, then the resource's kept mode."""
+    (coeffs, cols, rest, pair), the joint coefficients and the (2K, 2)
+    measured columns (s's, then the resource's) in the term order of
+    `optics.tensor` (term 2j + r is s's term j times the resource's term
+    r), s's other modes and the resource's kept mode, the rows x, -x whose
+    eigen-forms `measure._table` scores.  IndexError for an enc.mode
+    outside s."""
+    s.check_mode(enc.mode)
     res = optics.bell_resource(enc.alpha)
     k = s.nterms
     coeffs = (s.coeffs[:, None] * res.coeffs[None, :]).reshape(2 * k)
     cols = np.empty((k, 2, 2), dtype=complex)
     cols[:, :, 0] = s.amps[:, enc.mode, None]
     cols[:, :, 1] = res.amps[:, 0]
-    return coeffs, cols.reshape(2 * k, 2), [measure._rest(s, [enc.mode]), res.amps[:, 1:]]
+    return coeffs, cols.reshape(2 * k, 2), measure._rest(s, [enc.mode]), res.amps[:, 1:]
 
 
 def _bell_table(s: CoherentSuperposition, enc: QubitEncoding) -> tuple[dict, bool]:
@@ -209,11 +212,11 @@ def _bell_table(s: CoherentSuperposition, enc: QubitEncoding) -> tuple[dict, boo
     classifier (the rows of `measure.bell_outcomes`); leaked inputs get the
     idealized Bell-cat projection that cleans them (those of
     `measure.bell_cat_outcomes`)."""
-    coeffs, cols, rests = _with_resource(s, enc)
+    coeffs, cols, rest, pair = _with_resource(s, enc)
     _, leaked = measure._support(s.amps[:, enc.mode], enc.alpha)
     a, b = cols[:, 0], cols[:, 1]
     rows = measure._bell_cat_rows(a, b, enc.alpha) if leaked else measure._bell_rows(a, b)
-    return measure._table("bell_measurement", coeffs, rests, rows), leaked
+    return measure._table("bell_measurement", coeffs, rest, rows, pair), leaked
 
 
 def _draw(
@@ -349,7 +352,7 @@ def gate_rx(
     """
     if theta is None:
         theta = np.pi / (4 * enc.alpha**2)
-    coeffs, cols, rests = _with_resource(s, enc)
+    coeffs, cols, rest, pair = _with_resource(s, enc)
     # the two cat projections each contribute e^{+/- i (theta/2) alpha^2};
     # the beam splitter touches only the two measured columns
     a, b = _passive(cols, _beamsplitter_u(theta / 2.0)).T
@@ -360,7 +363,7 @@ def gate_rx(
     wa = {k: measure._cat_weights(enc.alpha, p, a) for k, p in parity.items()}
     wb = {k: measure._cat_weights(enc.alpha, p, b) for k, p in parity.items()}
     rows = [((ka, kb), 1.0, wa[ka] * wb[kb], True) for kb in parity for ka in parity]
-    table = measure._table("cat_projection", coeffs, rests, rows)
+    table = measure._table("cat_projection", coeffs, rest, rows, pair)
     out = _draw(GateOutcome(s, True, "identity", 1.0, 0, trace), enc, table, rng, ("even", "even"))
     return _named(s, _settle(out, enc, rng), f"Rx({2 * theta * enc.alpha ** 2:.6g})")
 

@@ -1,15 +1,15 @@
 """Photon counting, parity conditioning, homodyne detection and the
 Bell-cat measurement, with exact outcome probabilities and conditioned
 pure states.  Every conditioning is an exact branch table {outcome:
-MeasurementRecord} scored from the Gram matrix of its remaining modes,
-given whole or, for a gate's input (x) resource, as the Gram matrices of
-its two Kronecker factors (`_table`); the parity and Bell-cat
-measurements return the whole table, `sample` draws one outcome and
-`sample_counts` the outcome counts of many shots.  A branch's conditioned
-state is built on its first read, so a shot that keeps one branch builds
-only that branch's state, and it is built from the terms its row supports:
-the terms a branch's weights zero (a Bell outcome's unmatched signs) never
-reach `merge_terms`.
+MeasurementRecord} scored from the Gram matrix of its remaining modes
+(`_table`); a gate's input (x) resource keeps the resource's pair x, -x
+in one mode, whose two eigen-forms leave one Gram form on the input's
+other modes.  The parity and Bell-cat measurements return the whole
+table, `sample` draws one outcome and `sample_counts` the outcome counts
+of many shots.  A branch's conditioned state is built on its first read,
+so a shot that keeps one branch builds only that branch's state, and it
+is built from the terms its row supports: the terms a branch's weights
+zero (a Bell outcome's unmatched signs) never reach `merge_terms`.
 
 Quadrature convention: x = (a + a^dag)/sqrt(2), so a coherent state |a>
 has mean sqrt(2) Re a and variance 1/2.
@@ -24,7 +24,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import states
 from .states import CoherentSuperposition, ZeroNormError, _gram_forms, _pair_norm, coherent_overlap
 
 __all__ = [
@@ -70,21 +69,14 @@ class MeasurementRecord:
         return None if self.build is None else _branch_state(*self.build)
 
 
-def _branch_state(coeffs, w, n2, rests) -> CoherentSuperposition:
+def _branch_state(coeffs, w, n2, rest, pair) -> CoherentSuperposition:
     """The normalized, merged branch sum_k w_k c_k |rest_k> / sqrt(n2), built
     from the terms its row supports (w_k != 0, in term order): a term of
     weight 0 adds nothing to the state, so `merge_terms` never sees it.
-    Term k's remaining amplitudes are gathered from the one or two
-    Kronecker factors `rests` (`_table`): rows k // K2 and k % K2 of two."""
+    With a resource `pair` (`_table`), term k remains in rest row k // 2
+    and pair row k % 2."""
     live = w.nonzero()[0]
-    if len(rests) == 1:
-        amps = rests[0][live]
-    elif not rests[0].shape[1]:
-        # a first factor with no remaining modes adds no columns
-        amps = rests[1][live % len(rests[1])]
-    else:
-        first, last = np.unravel_index(live, (len(rests[0]), len(rests[1])))
-        amps = np.concatenate([rests[0][first], rests[1][last]], axis=1)
+    amps = rest[live] if pair is None else np.concatenate([rest[live // 2], pair[live % 2]], axis=1)
     return CoherentSuperposition(coeffs[live] * w[live] / np.sqrt(n2), amps).merge_terms()
 
 
@@ -93,26 +85,28 @@ def _rest(s: CoherentSuperposition, modes: list[int]) -> np.ndarray:
     return s.amps[:, [m for m in range(s.modes) if m not in modes]]
 
 
-def _table(kind: str, coeffs: np.ndarray, rests: list, rows: list[tuple]) -> dict:
+def _table(
+    kind: str, coeffs: np.ndarray, rest: np.ndarray, rows: list[tuple],
+    pair: Optional[np.ndarray] = None,
+) -> dict:
     """Branch table {outcome: MeasurementRecord} of a measurement whose
-    remaining modes are given as one or two Kronecker factors: `rests`
-    holds each factor's remaining amplitude columns (a plain state is one
-    factor, `[_rest(s, modes)]`), and term k of the coefficients `coeffs`
-    and of each row's weights is the product of the factors' terms that k
-    indexes row-major, the term order of `optics.tensor`.
+    terms `coeffs` remain in the amplitude rows `rest` (`_rest(s, modes)`
+    of a plain state), or, given a resource `pair` (its kept mode's rows
+    x, -x), in |rest_j, pair_r> for term 2j + r: the term order of
+    `optics.tensor` on the input's other modes and the resource.
     Row (outcome, factor, weights, keep) has probability factor times the
     squared norm of the unmerged branch (per-term contraction `weights`),
     all rows from one `_branch_norms` call.  A kept branch above PROB_FLOOR
     carries its normalized, merged state, built on the record's first read
     by `_branch_state` from the row's nonzero-weight terms; the others
     carry None."""
-    norms = _branch_norms(coeffs, rests, np.array([w for _, _, w, _ in rows]))
+    norms = _branch_norms(coeffs, rest, np.array([w for _, _, w, _ in rows]), pair)
     table = {}
     for (outcome, factor, w, keep), n2 in zip(rows, norms):
         p = float(factor * n2)
         build = None
         if keep and p > PROB_FLOOR:
-            build = (coeffs, w, n2, rests)
+            build = (coeffs, w, n2, rest, pair)
         table[outcome] = MeasurementRecord(kind, outcome, p, build)
     return table
 
@@ -175,36 +169,28 @@ def default_nmax(amp_scale: float) -> int:
     return math.ceil(a * a + 10 * a + 20)
 
 
-def _branch_norms(coeffs: np.ndarray, rests: list, weights: np.ndarray) -> np.ndarray:
+def _branch_norms(
+    coeffs: np.ndarray, rest: np.ndarray, weights: np.ndarray, pair: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Squared norm of the branch sum_k w_k c_k |rest_k> for every row w of a
-    (..., K) stack of weights, on the remaining modes given as one or two
-    Kronecker factors (`_table`): v* G v with v = w * coeffs, where G is the
-    Kronecker product of the factors' Gram matrices.  A plain state is one
-    factor, on its one Gram matrix (`states._gram_forms`).  Of two factors,
-    v is reshaped to (rows, K1, K2) and each Gram matrix acts on its own
-    axis, so no matrix over all K terms is formed.  A second factor of two
-    opposite rows x, -x (a gate's Bell-cat resource keeps one) is a pair,
-    whose Gram matrix has a closed form (`states._pair_gram`); a first
-    factor with no remaining modes has the all-ones Gram matrix, so its
-    terms are summed."""
+    (..., K) stack of weights: v* G v with v = w * coeffs and G the Gram
+    matrix of `rest`, one `states._gram_forms` call.
+
+    With a resource `pair` (`_table`), term 2j + r remains in |rest_j,
+    pair_r>.  The pair's Gram matrix [[1, o], [o, 1]], o = e^{-2 ||x||^2},
+    has eigenvectors (1, +/-1) with eigenvalues 1 +/- o, so the squared
+    norm is (1 + o)/2 F(v_0 + v_1) + (1 - o)/2 F(v_0 - v_1), v_r the
+    weighted coefficients of resource term r and F the Gram form on `rest`
+    (|sum u|^2 when it has no modes: no overlap matrix).  Both terms are
+    >= 0 and 1 - o comes from expm1, so nothing cancels."""
     v = weights * coeffs
-    if len(rests) == 1:
-        return _gram_forms(rests[0], v, rests[0], v).real
-    first, last = rests
-    lead, k1, k2 = v.shape[:-1], len(first), len(last)
-    v = v.reshape(-1, k1, k2)
-    if k2 == 2 and not (last[0] + last[1]).any():
-        gram = states._pair_gram(last[0])
-    else:
-        gram = states._overlap_matrix(last, last)
-    if not first.shape[1]:
-        v = v.sum(axis=1)
-        return np.einsum("...j,...j->...", v.conj() @ gram, v).real.reshape(lead)
-    # both as 2-D products: the last factor's Gram matrix on rows (row, j)
-    # of v, the first's on the columns (row, r) of v's (j, row, r) transpose
-    u = (v.conj().reshape(-1, k2) @ gram).reshape(v.shape)
-    y = states._overlap_matrix(first, first) @ v.transpose(1, 0, 2).reshape(k1, -1)
-    return np.einsum("ijr,jir->i", u, y.reshape(k1, -1, k2)).real.reshape(lead)
+    if pair is None:
+        return _gram_forms(rest, v, rest, v).real
+    v0, v1 = v[..., 0::2], v[..., 1::2]
+    u = np.stack([v0 + v1, v0 - v1])
+    f = _gram_forms(rest, u, rest, u).real if rest.shape[1] else np.abs(u.sum(axis=-1)) ** 2
+    e = math.expm1(-2 * float(np.vdot(pair[0], pair[0]).real))
+    return (1 + 0.5 * e) * f[0] - 0.5 * e * f[1]
 
 
 def photon_statistics(s: CoherentSuperposition, mode: int, n_max: int | None = None) -> np.ndarray:
@@ -215,14 +201,14 @@ def photon_statistics(s: CoherentSuperposition, mode: int, n_max: int | None = N
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     w = fock_amplitude(np.arange(n_max + 1)[:, None], s.amps[:, mode])
-    return _branch_norms(s.coeffs, [_rest(s, [mode])], w)
+    return _branch_norms(s.coeffs, _rest(s, [mode]), w)
 
 
 def project_photon_number(s: CoherentSuperposition, mode: int, n: int) -> MeasurementRecord:
     """Condition on counting exactly n photons in `mode`."""
     s.check_mode(mode)
     w = fock_amplitude(n, s.amps[:, mode])
-    (rec,) = _table("photon_count", s.coeffs, [_rest(s, [mode])], [(n, 1.0, w, True)]).values()
+    (rec,) = _table("photon_count", s.coeffs, _rest(s, [mode]), [(n, 1.0, w, True)]).values()
     if rec.state is None:
         raise ZeroNormError(f"photon-number branch n={n} has probability 0")
     return rec
@@ -277,7 +263,7 @@ def parity_projection(s: CoherentSuperposition, mode: int) -> dict[str, Measurem
     ref, signs = _signs_against_reference(s.amps[:, mode])
     z0, even_nz, odd = _parity_class_weights(abs(ref) ** 2)
     ones = np.ones(s.nterms)
-    return _table("parity", s.coeffs, [_rest(s, [mode])], [
+    return _table("parity", s.coeffs, _rest(s, [mode]), [
         ("zero", z0, ones, True),
         ("even_nonzero", even_nz, ones, True),
         ("odd", odd, signs, True),
@@ -323,7 +309,7 @@ def cat_projection(
     outcome = "even" if parity > 0 else "odd"
     w = _cat_weights(ref_amp, parity, s.amps[:, mode])
     rows = [(outcome, 1.0, w, True)]
-    return _table("cat_projection", s.coeffs, [_rest(s, [mode])], rows)[outcome]
+    return _table("cat_projection", s.coeffs, _rest(s, [mode]), rows)[outcome]
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +330,7 @@ def homodyne_pdf(s: CoherentSuperposition, mode: int, x: float | np.ndarray) -> 
     over an array of x (a scalar x gives a scalar)."""
     s.check_mode(mode)
     w = _quadrature_overlap(np.asarray(x, dtype=float)[..., None], s.amps[:, mode])
-    return np.maximum(_branch_norms(s.coeffs, [_rest(s, [mode])], w), 0.0)[()]
+    return np.maximum(_branch_norms(s.coeffs, _rest(s, [mode]), w), 0.0)[()]
 
 
 def homodyne_condition(s: CoherentSuperposition, mode: int, x: float) -> MeasurementRecord:
@@ -352,7 +338,7 @@ def homodyne_condition(s: CoherentSuperposition, mode: int, x: float) -> Measure
     probability field holds the density at x."""
     s.check_mode(mode)
     w = _quadrature_overlap(x, s.amps[:, mode])
-    (rec,) = _table("homodyne", s.coeffs, [_rest(s, [mode])], [(float(x), 1.0, w, True)]).values()
+    (rec,) = _table("homodyne", s.coeffs, _rest(s, [mode]), [(float(x), 1.0, w, True)]).values()
     if rec.state is None:
         raise ZeroNormError(f"zero homodyne density at x={x}")
     return rec
@@ -402,7 +388,7 @@ def bell_outcomes(
     if mode_a == mode_b:
         raise ValueError("Bell measurement needs two distinct modes")
     rows = _bell_rows(s.amps[:, mode_a], s.amps[:, mode_b])
-    return _table("bell_measurement", s.coeffs, [_rest(s, [mode_a, mode_b])], rows)
+    return _table("bell_measurement", s.coeffs, _rest(s, [mode_a, mode_b]), rows)
 
 
 def _bell_rows(a: np.ndarray, b: np.ndarray) -> list[tuple]:
@@ -445,7 +431,7 @@ def bell_cat_outcomes(
     if mode_a == mode_b:
         raise ValueError("Bell measurement needs two distinct modes")
     rows = _bell_cat_rows(s.amps[:, mode_a], s.amps[:, mode_b], ref_amp)
-    return _table("bell_measurement", s.coeffs, [_rest(s, [mode_a, mode_b])], rows)
+    return _table("bell_measurement", s.coeffs, _rest(s, [mode_a, mode_b]), rows)
 
 
 def _bell_cat_rows(a: np.ndarray, b: np.ndarray, ref_amp: complex) -> list[tuple]:

@@ -7,10 +7,9 @@ a quadratic form on the full Gram matrix of pairwise overlaps.  A
 two-term state c0|x> + c1|-x> (the cats, the Bell cats, the GHZ probe,
 an encoded qubit) is normalized by the exact closed form of its 2 x 2
 Gram matrix, `_pair_norm`; every other form is one `_gram_forms` call,
-built once per call, except a gate's branch table, which `measure` scores
-from the Gram matrices of its two Kronecker factors, the resource's a pair
-in closed form (`_pair_gram`).  No orthogonality approximation is made
-anywhere.
+built once per call (a gate's branch table too: `measure` splits the
+resource's pair into its two eigen-forms).  No orthogonality
+approximation is made anywhere.
 """
 
 from __future__ import annotations
@@ -262,13 +261,6 @@ def _pair_norm(sq: float, c0: complex, c1: complex) -> float:
     if not n2 > 1e-300:
         raise ZeroNormError(f"c0|x> + c1|-x> has norm^2 {n2:.3g} at ||x||^2 = {sq:.3g}")
     return math.sqrt(n2)
-
-
-def _pair_gram(x: np.ndarray) -> np.ndarray:
-    """Gram matrix [[1, o], [o, 1]] of the pair |x>, |-x> for a vector x of
-    per-mode amplitudes, in closed form: o = <x|-x> = e^{-2 ||x||^2}."""
-    o = math.exp(-2 * float(np.vdot(x, x).real))
-    return np.array([[1, o], [o, 1]], dtype=complex)
 
 
 def _pair(x: tuple, c0: complex, c1: complex) -> CoherentSuperposition:

@@ -87,3 +87,15 @@ def test_every_private_helper_is_loaded_by_the_package():
         and not any(node.name in seen for j, seen in enumerate(loads) if j != i)
     )
     assert not unused, f"private helpers that nothing in src/catsim reads: {unused}"
+
+
+def test_only_gram_forms_reads_the_overlap_matrix():
+    """One Gram kernel: every quadratic form on an overlap matrix is a
+    `states._gram_forms` call, the one reader of `_overlap_matrix`."""
+    readers = sorted(
+        f"{path.name}:{getattr(node, 'name', '<module>')}"
+        for path in sorted((ROOT / "src" / "catsim").glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if "_overlap_matrix" in _loads(node)
+    )
+    assert readers == ["states.py:_gram_forms"]

@@ -376,6 +376,40 @@ def test_decoding_where_alpha_squared_underflows_is_a_value_error():
         decode(CoherentSuperposition([1.0], [[1e-200]]), enc)
 
 
+def test_logical_readout_needs_each_mode_of_the_state_once():
+    s = optics.tensor(encode(0.6, 0.8, _ENC_A), encode(1.0, 1.0j, _ENC_B))
+    # a repeated mode reads mode 0 twice and mode 1 never; a mode past the
+    # state's, or too few encodings, leaves a mode unread
+    for encs in ([_ENC_A, _ENC_A], [_ENC_B, _ENC_B], [_ENC_A, QubitEncoding(2.0, 2)], [_ENC_A]):
+        with pytest.raises(ValueError, match="each exactly once"):
+            logical_coefficients(s, encs)
+    with pytest.raises(ValueError, match="each exactly once"):
+        decode_two(s, _ENC_A, _ENC_A)
+    # the modes in either order
+    assert decode_two(s, _ENC_B, _ENC_A)[1] < 1e-14
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan")])
+def test_encoding_needs_a_positive_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha must be > 0"):
+        QubitEncoding(alpha)
+
+
+@pytest.mark.parametrize("mode", [-1, 2])
+@pytest.mark.parametrize("gate", [
+    lambda s, enc: teleport(s, enc),
+    lambda s, enc: gate_z(s, enc),
+    lambda s, enc: gate_rz(s, enc, 0.01),
+    lambda s, enc: gate_rx(s, enc),
+    lambda s, enc: entangling_gate(s, enc, _ENC_B, 0.01),
+    lambda s, enc: gate_x(s, enc),
+], ids=["teleport", "gate_z", "gate_rz", "gate_rx", "entangling_gate", "gate_x"])
+def test_a_gate_on_a_mode_outside_the_register_is_an_index_error(gate, mode):
+    s = optics.tensor(encode(0.6, 0.8, _ENC_A), encode(1.0, 1.0j, _ENC_B))
+    with pytest.raises(IndexError, match=f"mode {mode} out of range for 2-mode state"):
+        gate(s, QubitEncoding(2.0, mode))
+
+
 def _logical_fidelity(x, y) -> float:
     """|<x|y>|^2 / (<x|x><y|y>): equality up to a global phase and scale."""
     x, y = np.asarray(x), np.asarray(y)
@@ -614,7 +648,7 @@ def test_gate_z_on_a_leaked_input_builds_at_most_two_tables(monkeypatch, picks, 
 # of input (x) resource builds no joint state and at most one overlap
 # matrix, of the input's other modes, with no more rows than the input has
 # terms: none for a single-mode input (the resource's kept mode is a pair,
-# with a closed-form Gram matrix).  The resources are exact, one per Bell
+# scored by its two eigen-forms).  The resources are exact, one per Bell
 # table or Rx table; their own constructions are not counted in the first.
 _ENC_A, _ENC_B = QubitEncoding(2.0, 0), QubitEncoding(2.0, 1)
 
@@ -662,7 +696,8 @@ def test_per_gate_state_constructions_and_gram_forms(
 
 
 # ---------------------------------------------------------------------------
-# tables of input (x) resource from the factors, against the joint state
+# tables of input (x) resource from the input's other modes and the
+# resource's pair, against the joint state
 
 def _register(n, alpha, rng, leaked):
     """An n-qubit register on modes 0..n-1 (K = 2^n terms); a leaked one
@@ -719,7 +754,48 @@ def test_factored_tables_match_the_tables_of_the_joint_state(monkeypatch, leaked
             wb = {k: measure._cat_weights(alpha, p, b) for k, p in parity.items()}
             rows = [((ka, kb), 1.0, wa[ka] * wb[kb], True) for kb in parity for ka in parity]
             rest = np.delete(joint.amps, [mode, n], axis=1)
-            _assert_same_table(built[0], table("cat_projection", joint.coeffs, [rest], rows))
+            _assert_same_table(built[0], table("cat_projection", joint.coeffs, rest, rows))
+
+
+def _table_probabilities_50_digits(coeffs, rest, rows, pair):
+    """Each row's factor times sum_jk conj(v_j) v_k <x_j|x_k>, v = w *
+    coeffs, over the joint rest x (rest row j and pair row r for term 2j +
+    r, as optics.tensor combines them), in 50-digit arithmetic."""
+    mp = pytest.importorskip("mpmath")
+    joint = np.concatenate([np.repeat(rest, 2, axis=0), np.tile(pair, (len(rest), 1))], axis=1)
+    with mp.workdps(50):
+        x = [[mp.mpc(a) for a in row] for row in joint]
+        gram = [[mp.exp(mp.fsum(-abs(a) ** 2 / 2 - abs(b) ** 2 / 2 + mp.conj(a) * b
+                                for a, b in zip(xj, xk))) for xk in x] for xj in x]
+        out = []
+        for _, factor, w, _ in rows:
+            v = [mp.mpc(c) * mp.mpc(complex(wk)) for c, wk in zip(coeffs, w)]
+            form = mp.fsum(mp.conj(v[j]) * gram[j][k] * v[k]
+                           for j in range(len(v)) for k in range(len(v)))
+            out.append(float(mp.mpf(factor) * form.real))
+        return out
+
+
+@pytest.mark.parametrize("alpha", [1e-2, 1e-3, 1e-4])
+def test_gate_tables_match_a_50_digit_sum_over_the_joint_rest(monkeypatch, alpha):
+    # The resource's pair is scored by its two eigen-forms, each >= 0, with
+    # 1 - o from expm1; the pair's plain form F00 + F11 + 2o Re F01 cancels
+    # here, by up to 8e-10 relative at alpha = 1e-4.  An odd input (mu =
+    # -nu) is left out: its FAIL and even/even rows are 0 but for round-off,
+    # where the input's own terms cancel (a K-term form, not the pair).
+    built = []
+    table = measure._table
+    monkeypatch.setattr(measure, "_table", lambda *a: built.append((a, table(*a))) or built[-1][1])
+    enc = QubitEncoding(alpha)
+    for mu, nu in ((1, 1), (0.6, 0.8j)):
+        s = encode(mu, nu, enc)
+        for gate in (gates._bell_table, gate_rx):
+            built.clear()
+            gate(s, enc)
+            (kind, coeffs, rest, rows, pair), recs = built[0]
+            refs = _table_probabilities_50_digits(coeffs, rest, rows, pair)
+            for (outcome, *_), ref in zip(rows, refs):
+                assert abs(recs[outcome].probability - ref) <= 4 * 2.0**-52 * ref, (kind, mu, nu, outcome)
 
 
 @pytest.mark.parametrize("leaked", [False, True], ids=["strict", "leaked"])

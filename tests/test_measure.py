@@ -314,8 +314,8 @@ def test_table_keeps_the_columns_np_delete_keeps():
             s = CoherentSuperposition(s.coeffs, rng.normal(size=(s.nterms, m)) + 0j)
             modes = [int(x) for x in rng.permutation(m)[: int(rng.integers(1, m + 1))]]
             rows = [("x", 1.0, np.ones(s.nterms), True)]
-            (rec,) = measure._table("t", s.coeffs, [measure._rest(s, modes)], rows).values()
-            (rest,) = rec.build[3]
+            (rec,) = measure._table("t", s.coeffs, measure._rest(s, modes), rows).values()
+            rest = rec.build[3]
             expected = np.delete(s.amps, modes, axis=1)
             assert rest.shape == expected.shape and rest.tobytes() == expected.tobytes()
 
@@ -493,8 +493,8 @@ def test_gate_rx_table_matches_sequential_projections_and_fock_oracle(monkeypatc
     built = []
     table = measure._table
 
-    def recording(kind, coeffs, rests, rows):
-        out = table(kind, coeffs, rests, rows)
+    def recording(kind, coeffs, rest, rows, pair=None):
+        out = table(kind, coeffs, rest, rows, pair)
         built.append((kind, coeffs, out))
         return out
 
@@ -622,49 +622,45 @@ def test_sample_counts_is_one_multinomial_in_dict_order():
 # eager build of every kept branch
 
 
-def _joint_rest(rests):
-    """The remaining amplitudes of every term of a table whose remaining
-    modes are the Kronecker factors `rests`: the factors' rows combined as
-    optics.tensor combines the terms of its two states."""
-    joint = rests[0]
-    for rest in rests[1:]:
-        joint = np.concatenate(
-            [np.repeat(joint, len(rest), axis=0), np.tile(rest, (len(joint), 1))], axis=1)
-    return joint
+def _joint_rest(rest, pair):
+    """The remaining amplitudes of every term of a table on `rest` and a
+    resource `pair`: the rows combined as optics.tensor combines the terms
+    of its two states."""
+    if pair is None:
+        return rest
+    return np.concatenate([np.repeat(rest, len(pair), axis=0), np.tile(pair, (len(rest), 1))], axis=1)
 
 
 def test_branch_norms_of_two_factors_match_the_joint_rest():
-    # every two-factor path: a first factor with or without modes, a second
-    # factor that is a pair (x, -x) or not; against the one-factor form on
-    # the joint rows, to round-off (the same exponents, summed otherwise)
+    # the pair's eigen-forms, with a first factor of 0, 1 and 3 modes,
+    # against the one-factor form on the joint rows, to round-off (the
+    # same exponents, summed otherwise)
     rng = np.random.default_rng(31)
     for first_modes in (0, 1, 3):
-        for pair in (True, False):
-            k1 = int(rng.integers(1, 6))
-            first = rng.normal(size=(k1, first_modes)) + 1j * rng.normal(size=(k1, first_modes))
-            x = rng.normal(size=2) + 1j * rng.normal(size=2)
-            last = np.array([x, -x]) if pair else rng.normal(size=(2, 2)) + 0j
-            rests = [first, last]
-            k = k1 * len(last)
-            coeffs = rng.normal(size=k) + 1j * rng.normal(size=k)
-            weights = rng.normal(size=(4, k)) + 1j * rng.normal(size=(4, k))
-            factored = measure._branch_norms(coeffs, rests, weights)
-            joint = measure._branch_norms(coeffs, [_joint_rest(rests)], weights)
-            assert factored.shape == joint.shape == (4,)
-            assert np.allclose(factored, joint, rtol=1e-12, atol=0), (first_modes, pair)
+        k1 = int(rng.integers(1, 6))
+        first = rng.normal(size=(k1, first_modes)) + 1j * rng.normal(size=(k1, first_modes))
+        x = rng.normal(size=2) + 1j * rng.normal(size=2)
+        pair = np.array([x, -x])
+        k = 2 * k1
+        coeffs = rng.normal(size=k) + 1j * rng.normal(size=k)
+        weights = rng.normal(size=(4, k)) + 1j * rng.normal(size=(4, k))
+        factored = measure._branch_norms(coeffs, first, weights, pair)
+        joint = measure._branch_norms(coeffs, _joint_rest(first, pair), weights)
+        assert factored.shape == joint.shape == (4,)
+        assert np.allclose(factored, joint, rtol=1e-12, atol=0), first_modes
 
 
-def _eager_states(kind, coeffs, rests, rows):
+def _eager_states(kind, coeffs, rest, rows, pair=None):
     """{outcome: state} as a table that built every kept branch's state at
     once would give: the row's nonzero-weight terms, normalized, then merged."""
-    rest = _joint_rest(rests)
-    norms = measure._branch_norms(coeffs, rests, np.array([w for _, _, w, _ in rows]))
+    joint = _joint_rest(rest, pair)
+    norms = measure._branch_norms(coeffs, rest, np.array([w for _, _, w, _ in rows]), pair)
     out = {}
     for (outcome, factor, w, keep), n2 in zip(rows, norms):
         keep = keep and float(factor * n2) > measure.PROB_FLOOR
         live = np.flatnonzero(w)
         out[outcome] = CoherentSuperposition(
-            coeffs[live] * w[live] / np.sqrt(n2), rest[live]).merge_terms() if keep else None
+            coeffs[live] * w[live] / np.sqrt(n2), joint[live]).merge_terms() if keep else None
     return out
 
 
@@ -760,10 +756,10 @@ def test_branch_state_from_supported_terms_is_the_full_branch(monkeypatch, measu
     kept = [rec for recs in tables for rec in recs.values() if rec.build is not None]
     assert kept
     for rec in kept:
-        coeffs, w, n2, rests = rec.build
+        coeffs, w, n2, rest, pair = rec.build
         # every term of the joint state, the zero-weight ones too, as
         # branch states were built before
-        full = CoherentSuperposition(coeffs * w / np.sqrt(n2), _joint_rest(rests)).merge_terms()
+        full = CoherentSuperposition(coeffs * w / np.sqrt(n2), _joint_rest(rest, pair)).merge_terms()
         assert rec.state.nterms == full.nterms
         assert _sorted_term_bytes(rec.state) == _sorted_term_bytes(full)
 

@@ -13,7 +13,6 @@ from catsim.states import (
     _MERGE_AXIS,
     _gram_forms,
     _overlap_matrix,
-    _pair_gram,
     bell_cat,
     cat,
     coherent,
@@ -66,13 +65,6 @@ def test_overlap_matrix_shares_half_norms_only_within_one_array():
         assert _overlap_matrix(x, x).tobytes() == _overlap_matrix(x, x.copy()).tobytes()
         expected = np.prod(coherent_overlap(x[:, None, :], y[None, :, :]), axis=2)
         assert np.allclose(_overlap_matrix(x, y), expected, rtol=1e-12, atol=0)
-
-
-def test_pair_gram_is_the_overlap_matrix_of_the_pair():
-    for x in ([1.5], [0.3 - 0.7j, 2.0, -1.1j], [1e-8], [6.0]):
-        x = np.array(x, dtype=complex)
-        expected = _overlap_matrix(np.array([x, -x]), np.array([x, -x]))
-        assert np.allclose(_pair_gram(x), expected, rtol=1e-14, atol=0)
 
 
 def test_gram_forms_bits_do_not_follow_the_amplitude_layout():
