@@ -30,7 +30,6 @@ from .optics import (
 from .measure import (
     MeasurementRecord,
     UnsupportedStateError,
-    bell_cat_outcomes,
     bell_outcomes,
     cat_projection,
     homodyne_pdf,

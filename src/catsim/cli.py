@@ -196,9 +196,8 @@ def run_bell_stats(cfg: dict, seed: int) -> tuple[list[str], list[list], list[tu
             worst_completeness = max(worst_completeness, abs(total - 1.0))
             row.append(recs[name].probability)
         # the Bell table every teleport of `plus` draws from
-        plus = gates.encode(1.0, 1.0, gates.QubitEncoding(alpha))
-        joint = optics.tensor(plus, optics.bell_resource(alpha))
-        table = measure.bell_outcomes(joint, 0, 1)
+        enc = gates.QubitEncoding(alpha)
+        table = gates._bell_table(gates.encode(1.0, 1.0, enc), enc)
         row += [table["FAIL"].probability, worst_completeness]
         if worst_completeness > 1e-10:
             failed.append((index, "completeness_error > 1e-10"))

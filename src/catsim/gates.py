@@ -13,6 +13,9 @@ step goes through `_draw` (pick a record, multiply its probability, trace
 it, land the output in the qubit's mode, X-correct it and compose its Z
 residual), and every Z fix, the Z gate included, through `_settle`
 (repeat-until-success Bell teleports until the wanted residual lands).
+Every teleport draws from one kind of Bell table, `_bell_table`, whether
+its input is logical or has left {+alpha, -alpha} (Rz's displaced input,
+the entangling gate's mixed one): no tolerance chooses between tables.
 """
 
 from __future__ import annotations
@@ -205,18 +208,20 @@ def _with_resource(s: CoherentSuperposition, enc: QubitEncoding) -> tuple:
     return coeffs, cols.reshape(2 * k, 2), measure._rest(s, [enc.mode]), res.amps[:, 1:]
 
 
-def _bell_table(s: CoherentSuperposition, enc: QubitEncoding) -> tuple[dict, bool]:
-    """(table, leaked): the Bell table of teleporting the qubit in enc.mode
-    through a fresh Bell-cat resource, and whether that mode had leaked off
-    {+alpha, -alpha}.  Strict inputs get the exact photon-counting
-    classifier (the rows of `measure.bell_outcomes`); leaked inputs get the
-    idealized Bell-cat projection that cleans them (those of
-    `measure.bell_cat_outcomes`)."""
+def _bell_table(s: CoherentSuperposition, enc: QubitEncoding) -> dict:
+    """The Bell table of teleporting the qubit in enc.mode through a fresh
+    Bell-cat resource: the rows of `measure._bell_rows` against the +alpha
+    or -alpha nearest the mode's largest amplitude, the reference that
+    `measure.bell_outcomes` takes on a logical input.  One table serves
+    every input: a term off {+alpha, -alpha} is weighted by its overlap with
+    the nearest support point, which is exactly 1 on the support, so the
+    table is continuous in its input and the teleport projects any leakage
+    back into the logical space."""
     coeffs, cols, rest, pair = _with_resource(s, enc)
-    _, leaked = measure._support(s.amps[:, enc.mode], enc.alpha)
-    a, b = cols[:, 0], cols[:, 1]
-    rows = measure._bell_cat_rows(a, b, enc.alpha) if leaked else measure._bell_rows(a, b)
-    return measure._table("bell_measurement", coeffs, rest, rows, pair), leaked
+    a = s.amps[:, enc.mode]
+    ref = enc.alpha * measure._nearest_signs(a[np.abs(a).argmax()], enc.alpha)
+    rows = measure._bell_rows(cols[:, 0], cols[:, 1], ref)
+    return measure._table("bell_measurement", coeffs, rest, rows, pair)
 
 
 def _draw(
@@ -251,17 +256,22 @@ def _settle(
     teleports is a GateFailure.
 
     An identity landing (I, or III after its X correction) returns the
-    logical state the table was built from, so while the state is strict
-    (on {+alpha, -alpha}) every attempt draws from one table.  A leaked
-    state builds a second table from its first landing, which the
-    teleport has projected onto the logical space."""
-    leaked, cap = True, out.repetitions + MAX_REPEATS
+    logical state the table was built from, so a table built from a logical
+    state serves every attempt: a state that a table landed (out has drawn
+    before), or an input exactly on {+alpha, -alpha}.  Any other input
+    builds a second table from its first landing, which the teleport has
+    projected onto the logical space."""
+    cap, table = out.repetitions + MAX_REPEATS, None
     while out.success and out.applied != want:
         if out.repetitions == cap:
             raise GateFailure(f"Z branch did not land within {MAX_REPEATS} teleports")
-        if leaked:
-            table, leaked = _bell_table(out.state, enc)
+        if table is None:
+            table = _bell_table(out.state, enc)
+            col = out.state.amps[:, enc.mode]
+            keep = out.repetitions > 0 or np.isin(col, (-enc.alpha, enc.alpha)).all()
         out = _draw(out, enc, table, rng, "II")
+        if not keep:
+            table = None
     return out
 
 
@@ -282,8 +292,7 @@ def teleport(
     decides the residual: I/III land the identity (after X correction for
     III), II/IV land Z.  With rng=None the 'I' branch is post-selected.
     """
-    table, _ = _bell_table(s, enc)
-    return _draw(GateOutcome(s, True, "identity", 1.0, 0), enc, table, rng, "I")
+    return _draw(GateOutcome(s, True, "identity", 1.0, 0), enc, _bell_table(s, enc), rng, "I")
 
 
 def gate_z(
@@ -322,7 +331,7 @@ def gate_rz(
     _warn_outside_regime(theta, enc.alpha)
     displaced = optics.displace(s, enc.mode, 1j * enc.alpha * theta)
     trace = (_traced("displace", f"beta={1j * enc.alpha * theta:.6g}", "-", 1.0),)
-    table, _ = _bell_table(displaced, enc)
+    table = _bell_table(displaced, enc)
     out = _draw(GateOutcome(displaced, True, "identity", 1.0, 0, trace), enc, table, rng, "I")
     return _named(s, _settle(out, enc, rng), f"Rz({4 * theta * enc.alpha ** 2:.6g})")
 
@@ -390,8 +399,7 @@ def entangling_gate(
     out = GateOutcome(mixed, True, "identity", 1.0, 0, trace)
     for enc in (enc_a, enc_b):
         if out.success:
-            table, _ = _bell_table(out.state, enc)
-            out = _settle(_draw(out, enc, table, rng, "I"), enc, rng)
+            out = _settle(_draw(out, enc, _bell_table(out.state, enc), rng, "I"), enc, rng)
     return _named(s, out, f"ZZ({theta * enc_a.alpha ** 2:.6g})")
 
 

@@ -4,7 +4,10 @@ pure states.  Every conditioning is an exact branch table {outcome:
 MeasurementRecord} scored from the Gram matrix of its remaining modes
 (`_table`); a gate's input (x) resource keeps the resource's pair x, -x
 in one mode, whose two eigen-forms leave one Gram form on the input's
-other modes.  The parity and Bell-cat measurements return the whole
+other modes.  Every Bell-cat table, `bell_outcomes` and every
+teleport's, is scored by one row function, `_bell_rows`, which weights a
+term off {+a, -a} by its overlap with the nearest support point, exactly 1
+on the support.  The parity and Bell-cat measurements return the whole
 table, `sample` draws one outcome and `sample_counts` the outcome counts
 of many shots.  A branch's conditioned state is built on its first read,
 so a shot that keeps one branch builds only that branch's state, and it
@@ -24,7 +27,10 @@ from typing import Optional
 
 import numpy as np
 
-from .states import CoherentSuperposition, ZeroNormError, _gram_forms, _pair_norm, coherent_overlap
+# coherent_overlap stays bound here for bench/tracer.py, which wraps it per module
+from .states import (  # noqa: F401
+    CoherentSuperposition, ZeroNormError, _gram_forms, _pair_norm, coherent_overlap,
+)
 
 __all__ = [
     "MeasurementRecord",
@@ -39,7 +45,6 @@ __all__ = [
     "homodyne_condition",
     "homodyne_sample",
     "bell_outcomes",
-    "bell_cat_outcomes",
     "sample",
     "sample_counts",
 ]
@@ -220,26 +225,22 @@ def _nearest_signs(amps: np.ndarray, ref: complex) -> np.ndarray:
     return np.where(np.abs(amps - ref) <= np.abs(amps + ref), 1.0, -1.0)
 
 
-def _support(amps: np.ndarray, ref: complex) -> tuple[np.ndarray, bool]:
-    """(signs, off): the `_nearest_signs` of the amplitudes against `ref`,
-    and whether any amplitude lies farther than 1e-9 (1 + |ref|) from
-    signs * ref, i.e. off the support {+ref, -ref}."""
-    signs = _nearest_signs(amps, ref)
-    return signs, bool(np.count_nonzero(np.abs(amps - signs * ref) > 1e-9 * (1 + abs(ref))))
+def _off_support(amps: np.ndarray, ref: complex) -> bool:
+    """Whether any amplitude lies farther than 1e-9 (1 + |ref|) from both
+    +ref and -ref, i.e. off the support {+ref, -ref}."""
+    near = np.minimum(np.abs(amps - ref), np.abs(amps + ref))
+    return bool(np.count_nonzero(near > 1e-9 * (1 + abs(ref))))
 
 
-def _signs_against_reference(amps: np.ndarray) -> tuple[complex, np.ndarray]:
-    """For amplitudes all in {+a, -a}, return (a, signs); a may be 0, as it
-    is for an empty column."""
-    ref = amps[np.argmax(np.abs(amps))] if len(amps) else 0.0
-    if abs(ref) == 0.0:
-        return 0.0, np.ones(len(amps))
-    signs, off = _support(amps, ref)
-    if off:
+def _reference(amps: np.ndarray) -> complex:
+    """The largest amplitude a of a column (0 for an empty one), refused
+    (UnsupportedStateError) unless every amplitude lies in {+a, -a}."""
+    ref = complex(amps[np.argmax(np.abs(amps))]) if len(amps) else 0j
+    if _off_support(amps, ref):
         raise UnsupportedStateError(
             "mode amplitudes are not supported on {+a, -a} for a common a"
         )
-    return complex(ref), signs
+    return ref
 
 
 def _parity_class_weights(amp_mag2: float) -> tuple[float, float, float]:
@@ -260,13 +261,14 @@ def parity_projection(s: CoherentSuperposition, mode: int) -> dict[str, Measurem
     common a: the regime where each class conditions onto a pure state
     (projecting onto the even/odd cat direction)."""
     s.check_mode(mode)
-    ref, signs = _signs_against_reference(s.amps[:, mode])
+    col = s.amps[:, mode]
+    ref = _reference(col)
     z0, even_nz, odd = _parity_class_weights(abs(ref) ** 2)
     ones = np.ones(s.nterms)
     return _table("parity", s.coeffs, _rest(s, [mode]), [
         ("zero", z0, ones, True),
         ("even_nonzero", even_nz, ones, True),
-        ("odd", odd, signs, True),
+        ("odd", odd, _nearest_signs(col, ref), True),
     ])
 
 
@@ -372,90 +374,57 @@ def bell_outcomes(
     mode_b, then B(-pi/4)), after which photon counting on the two output
     modes is classified as I=(even>0, 0), II=(odd, 0), III=(0, even>0),
     IV=(0, odd) and FAIL=(0, 0).  The FAIL record carries no state.
-
-    The phase and beam splitter send |x, y> to |(x + y)/sqrt(2),
-    i(y - x)/sqrt(2)>, so a term with x = s_a a and y = s_b a leaves as
-    |sqrt(2) s_a a, 0> when s_a = s_b and as |0, -i sqrt(2) s_a a>
-    otherwise: all its photons reach one output, at amplitude sqrt(2) a up
-    to a phase common to the branch.  The classes are therefore read off
-    the input signs, each column scanned once, with no mixed amplitude
-    formed.  Counting n photons contributes s_a^n, so an even class weights
-    a term by 1 and an odd class by s_a, times the class factor at
-    |sqrt(2) a|^2 = 2 |a|^2.  Amplitudes off {+a, -a} for the a of mode_a
-    are refused."""
+    Amplitudes off {+a, -a} for the a of mode_a's largest amplitude are
+    refused; the rows are those of `_bell_rows`, which every teleport
+    reads too."""
     s.check_mode(mode_a)
     s.check_mode(mode_b)
     if mode_a == mode_b:
         raise ValueError("Bell measurement needs two distinct modes")
-    rows = _bell_rows(s.amps[:, mode_a], s.amps[:, mode_b])
-    return _table("bell_measurement", s.coeffs, _rest(s, [mode_a, mode_b]), rows)
-
-
-def _bell_rows(a: np.ndarray, b: np.ndarray) -> list[tuple]:
-    """The `_table` rows of `bell_outcomes` from its two measured columns,
-    one amplitude per term in each."""
-    ref, signs_a = _signs_against_reference(a)
-    signs_b, off = _support(b, ref)
-    if off:
+    a, b = s.amps[:, mode_a], s.amps[:, mode_b]
+    ref = _reference(a)
+    if _off_support(b, ref):
         raise UnsupportedStateError(
             "the two measured modes are not supported on {+a, -a} for a common a"
         )
+    return _table("bell_measurement", s.coeffs, _rest(s, [mode_a, mode_b]), _bell_rows(a, b, ref))
+
+
+def _bell_rows(a: np.ndarray, b: np.ndarray, ref: complex) -> list[tuple]:
+    """The `_table` rows of the Bell-cat measurement from its two measured
+    columns, one amplitude per term in each, against the reference `ref`.
+
+    The phase and beam splitter send |x, y> to |(x + y)/sqrt(2),
+    i(y - x)/sqrt(2)>, so a term with x = s_a r and y = s_b r leaves as
+    |sqrt(2) s_a r, 0> when s_a = s_b and as |0, -i sqrt(2) s_a r>
+    otherwise: all its photons reach one output, at amplitude sqrt(2) r up
+    to a phase common to the branch.  The classes are therefore read off
+    the signs, each column scanned once, with no mixed amplitude formed.
+    Counting n photons contributes s_a^n, so an even class weights a term
+    by 1 and an odd class by s_a, times the class factor at
+    |sqrt(2) r|^2 = 2 |r|^2.
+
+    A term off the support {+ref, -ref} is contracted against the support
+    point nearest it in each mode: its weight gains <r|x> <r'|y>, with r,
+    r' = (nearest sign) ref.  With d = x - r, <r|x> = exp(-|d|^2/2 +
+    i Im(conj(r) d)), exactly 1 on the support, with nothing cancelling.
+    FAIL is the joint vacuum, |<0, 0|x, y>|^2 = e^{-|x|^2 - |y|^2}: the class
+    factor e^{-2 |ref|^2} times the squared weight exp(|ref|^2 - (|x|^2 +
+    |y|^2)/2), written exp(-|d|^2/2 - Re(conj(r) d)) per mode, again exactly
+    1 on the support."""
+    ref = complex(ref)
+    signs_a, signs_b = _nearest_signs(a, ref), _nearest_signs(b, ref)
+    ra, rb = signs_a * ref, signs_b * ref
+    da, db = a - ra, b - rb
+    h = ra.conj() * da + rb.conj() * db
+    e = -0.5 * (np.abs(da) ** 2 + np.abs(db) ** 2)
+    w = np.exp(e + 1j * h.imag)
     same = signs_a == signs_b
     z0, even_nz, odd = _parity_class_weights(2 * abs(ref) ** 2)
     return [
-        ("I", even_nz, same, True),
-        ("II", odd, same * signs_a, True),
-        ("III", even_nz, ~same, True),
-        ("IV", odd, ~same * signs_a, True),
-        ("FAIL", z0, np.ones(len(a)), False),
-    ]
-
-
-def bell_cat_outcomes(
-    s: CoherentSuperposition, mode_a: int, mode_b: int, ref_amp: complex
-) -> dict[str, MeasurementRecord]:
-    """Idealized Bell measurement for inputs that have leaked slightly off
-    the logical amplitudes: each coherent term is contracted against the
-    Bell-cat bra component whose per-mode amplitudes are *nearest* to the
-    term's own, and only that component (FAIL = joint vacuum, recorded
-    without a state).
-
-    Dropping the non-nearest bra components removes the O(e^{-2|a|^2})
-    cross-overlap contamination, which is exactly the orthogonal-support
-    idealization under which the teleported-gate phase formulas are exact;
-    on {+a, -a}-supported inputs the conditioned states coincide with the
-    photon-counting classifier of `bell_outcomes` branch by branch.
-    """
-    s.check_mode(mode_a)
-    s.check_mode(mode_b)
-    if mode_a == mode_b:
-        raise ValueError("Bell measurement needs two distinct modes")
-    rows = _bell_cat_rows(s.amps[:, mode_a], s.amps[:, mode_b], ref_amp)
-    return _table("bell_measurement", s.coeffs, _rest(s, [mode_a, mode_b]), rows)
-
-
-def _bell_cat_rows(a: np.ndarray, b: np.ndarray, ref_amp: complex) -> list[tuple]:
-    """The `_table` rows of `bell_cat_outcomes` from its two measured
-    columns, one amplitude per term in each."""
-    ref = complex(ref_amp)
-    if ref == 0:
-        raise ValueError("ref_amp must be nonzero")
-    sgn_a = _nearest_signs(a, ref)
-    sgn_b = _nearest_signs(b, ref)
-    wa = coherent_overlap(sgn_a * ref, a)
-    wb = coherent_overlap(sgn_b * ref, b)
-    same = (sgn_a == sgn_b).astype(complex)
-    anti = 1.0 - same
-    # bra-side coefficient of the matched component: +1 on the all-minus
-    # term, -sgn on the all-plus term of the odd-symmetry Bell cats
-    flip = -sgn_a
-    # the Bell cats' norms: pairs with ||x||^2 = 2 |a|^2
-    sq = 2 * abs(ref) * abs(ref)
-    norm_plus, norm_minus = _pair_norm(sq, 1, 1), _pair_norm(sq, 1, -1)
-    return [
-        ("I", 1.0, same * wa * wb / norm_plus, True),
-        ("II", 1.0, same * flip * wa * wb / norm_minus, True),
-        ("III", 1.0, anti * wa * wb / norm_plus, True),
-        ("IV", 1.0, anti * flip * wa * wb / norm_minus, True),
-        ("FAIL", 1.0, coherent_overlap(0.0, a) * coherent_overlap(0.0, b), False),
+        ("I", even_nz, same * w, True),
+        ("II", odd, same * signs_a * w, True),
+        ("III", even_nz, ~same * w, True),
+        ("IV", odd, ~same * signs_a * w, True),
+        ("FAIL", z0, np.exp(e - h.real), False),
     ]

@@ -37,10 +37,6 @@ __all__ = [
 # the encodings used here), far above double-precision noise.
 MERGE_TOL = 1e-12
 
-# Coefficients below this fraction of the largest |coeff| are dropped;
-# keeps the term count bounded under repeated teleportations.
-DROP_THRESHOLD = 1e-14
-
 # `merge_terms` sorts terms by Re(sum_m w_m a_m) for these fixed unit
 # weights w_m, one per mode, at phases a golden angle apart so that distinct
 # register terms (+/-a per mode) seldom project close together; a near tie
@@ -141,7 +137,7 @@ class CoherentSuperposition:
 
     def merge_terms(self) -> "CoherentSuperposition":
         """Combine terms whose amplitude vectors agree to within MERGE_TOL
-        (max-norm) and drop negligibly small coefficients.
+        (max-norm).  No term is dropped, however small its coefficient.
 
         Terms are grouped greedily in term order: each term joins the first
         earlier representative it is close to, or else becomes one.  A
@@ -212,10 +208,6 @@ class CoherentSuperposition:
             dups = ~reps
             np.add.at(sums, label[dups], self.coeffs[dups])
             coeffs, amps = sums[reps], self.amps[reps]
-        mag = np.abs(coeffs)
-        keep = mag >= DROP_THRESHOLD * mag.max()
-        if not keep.all() and keep.any():
-            coeffs, amps = coeffs[keep], amps[keep]
         if coeffs is self.coeffs:
             return self
         return CoherentSuperposition(coeffs, amps)

@@ -294,10 +294,17 @@ def _bell_stats_rows(args, capsys):
 
 def _assert_within_4_sigma_of_exact_table(row, trials):
     alpha = row["alpha"]
-    plus = gates.encode(1.0, 1.0, gates.QubitEncoding(alpha))
-    p = {name: rec.probability for name, rec in measure.bell_outcomes(
-        optics.tensor(plus, optics.bell_resource(alpha)), 0, 1).items()}
+    enc = gates.QubitEncoding(alpha)
+    plus = gates.encode(1.0, 1.0, enc)
+    # the table every teleport of `plus` draws from, which the CLI reads
+    p = {name: rec.probability for name, rec in gates._bell_table(plus, enc).items()}
     assert row["p_fail_teleport"] == p["FAIL"]
+    # the joint state's table: the same Gram forms on 2 K terms instead of
+    # the pair's eigen-forms on K, exponents of size up to 4 alpha^2 summed
+    # otherwise, so equal to the rounding of those exponents
+    joint = measure.bell_outcomes(optics.tensor(plus, optics.bell_resource(alpha)), 0, 1)
+    bound = 16 * sys.float_info.epsilon * (1 + 4 * alpha**2) * p["FAIL"]
+    assert abs(joint["FAIL"].probability - p["FAIL"]) <= bound
     exact = {"freq_identity": p["I"] + p["III"], "freq_z": p["II"] + p["IV"],
              "freq_fail": p["FAIL"]}
     assert sum(row[col] for col in exact) == pytest.approx(1.0, abs=1e-12)
@@ -500,6 +507,51 @@ def test_gate_check_rz_phase_is_exact_at_tiny_alpha(alpha, theta_alpha2, capsys)
     assert code == EXIT_OK
     row = out.splitlines()[-1].split("\t")
     assert float(row[3]) <= 1e-15  # rz phase error
+
+
+@pytest.mark.parametrize("alpha, theta_alpha2", [
+    ("1.5", "3e-9"), ("2", "1e-8"), ("2.5", "1e-8"), ("3", "1e-8"),
+])
+def test_gate_check_runs_where_the_displacement_is_tiny(alpha, theta_alpha2, capsys):
+    # a displacement of alpha theta below about 1e-9 (1 + alpha) once made the
+    # Bell table read the displaced input as logical and refuse it (exit 2)
+    code, out = run_cli(["gate-check", "--alpha-min", alpha, "--alpha-max", alpha,
+                         "--alpha-steps", "1", "--theta-alpha2", theta_alpha2], capsys)
+    assert code == EXIT_OK
+    row = out.splitlines()[-1].split("\t")
+    assert float(row[3]) <= 1e-15 and float(row[4]) <= 1e-15  # rz and zz phase errors
+
+
+def _dynamic_openblas():
+    """Whether NumPy's BLAS is an OpenBLAS built with DYNAMIC_ARCH on x86-64,
+    whose kernel OPENBLAS_CORETYPE picks."""
+    import platform
+
+    import numpy as np
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    config = blas.get("openblas configuration", "")
+    return platform.machine() in ("x86_64", "AMD64") and "DYNAMIC_ARCH" in config
+
+
+@pytest.mark.skipif(not _dynamic_openblas(), reason="needs a DYNAMIC_ARCH OpenBLAS on x86-64")
+def test_bell_stats_bytes_do_not_depend_on_the_blas_kernel():
+    # the default kernel and three older ones, each on 1 and 2 threads
+    src = Path(cli.__file__).resolve().parent.parent
+    outputs = set()
+    for coretype in (None, "Prescott", "Nehalem", "Sandybridge"):
+        for threads in ("1", "2"):
+            env = {"PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+            if coretype:
+                env["OPENBLAS_CORETYPE"] = coretype
+            proc = subprocess.run([sys.executable, "-m", "catsim.cli", "bell-stats"],
+                                  capture_output=True, env=env)
+            assert proc.returncode == EXIT_OK, (coretype, threads, proc.stderr)
+            outputs.add(proc.stdout)
+    assert len(outputs) == 1
 
 
 def test_import_does_not_load_scipy_special():

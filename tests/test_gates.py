@@ -123,6 +123,71 @@ def test_gate_rz_phase_exact():
         assert leak < 1e-12
 
 
+_EPS = np.finfo(float).eps
+_TINY_TO_SMALL = [float(x) for x in np.logspace(-12, -2, 11)]
+
+
+def _phase_bound(alpha, phase):
+    """Round-off of a decoded phase: the per-term exponents (the overlaps'
+    Im(conj(r) d) and the displacement's phase, of size up to alpha^2 times
+    the rounding of an amplitude) and the few products and the angle that
+    read it from four coefficients, each a few eps relative.  16 eps
+    (1 + alpha^2) is 3.5e-14 rad at alpha = 3: a 4e-12 rad phase to 1%."""
+    return 16 * _EPS * (1 + alpha**2) + 16 * _EPS * abs(phase)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+def test_gate_rz_phase_is_4_theta_alpha2_at_every_small_angle(alpha):
+    # the Bell table weights each displaced term by its overlap with the
+    # nearest +/-alpha, whose phase carries half the rotation, however small
+    enc = QubitEncoding(alpha)
+    mu, nu = 0.6 + 0.2j, 0.7 - 0.3j
+    s = encode(mu, nu, enc)
+    for theta_alpha2 in _TINY_TO_SMALL:
+        m, n, _ = decode(gate_rz(s, enc, theta_alpha2 / alpha**2).state, enc)
+        phase = float(np.angle((n / m) / (nu / mu)))
+        expected = 4 * theta_alpha2
+        assert abs(phase - expected) <= _phase_bound(alpha, expected), theta_alpha2
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+def test_entangling_step_phase_is_4_alpha2_sin_half_theta_at_every_small_angle(alpha):
+    # B(theta/2) turns the mixed components by -4 alpha^2 sin(theta/2)
+    # against |--> and |++>, which the two teleports must keep
+    enc_a, enc_b = QubitEncoding(alpha, 0), QubitEncoding(alpha, 1)
+    s = optics.tensor(encode(1.0, 1.0, enc_a), encode(1.0, 1.0, enc_b))
+    for theta_alpha2 in _TINY_TO_SMALL:
+        theta = theta_alpha2 / alpha**2
+        x, _ = decode_two(entangling_gate(s, enc_a, enc_b, theta).state, enc_a, enc_b)
+        mixed = -4 * alpha**2 * math.sin(theta / 2)
+        err = np.abs(np.angle(x / x[0]) - [0.0, mixed, mixed, 0.0])
+        assert err.max() <= _phase_bound(alpha, mixed), theta_alpha2
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+def test_gate_rz_table_is_continuous_in_the_angle(alpha):
+    # The displacement D(i alpha theta) moves each term by d = i alpha
+    # theta: every row weight gains e^{-|d|^2 / 2} and each term a phase
+    # e^{+/- 2 i theta alpha^2} (overlap and displacement), so a row is
+    # p(theta) = factor e^{-theta^2 alpha^2} v^dag U^dag G U v with U
+    # diagonal, ||U - 1|| <= 2 theta alpha^2, and |p(theta) - p(0)| <=
+    # factor ||G|| |v|^2 (4 theta alpha^2 + theta^2 alpha^2): factor <= 1,
+    # ||G|| <= 2K (the joint terms), |v|^2 <= sum |c|^2 of the joint
+    # coefficients.
+    enc = QubitEncoding(alpha)
+    s = encode(0.6 + 0.2j, 0.7 - 0.3j, enc)
+    res = optics.bell_resource(alpha)
+    joint = float(np.sum(np.abs(s.coeffs) ** 2) * np.sum(np.abs(res.coeffs) ** 2))
+    at_zero = gates._bell_table(s, enc)
+    for theta_alpha2 in (1e-12, 1e-10, 1e-9, 3e-9, 1e-8, 1e-6, 1e-4, 1e-2):
+        theta = theta_alpha2 / alpha**2
+        table = gates._bell_table(optics.displace(s, 0, 1j * alpha * theta), enc)
+        bound = 2 * s.nterms * joint * (4 * theta_alpha2 + theta * theta_alpha2) + 8 * _EPS
+        for outcome, rec in table.items():
+            step = abs(rec.probability - at_zero[outcome].probability)
+            assert step <= bound, (theta_alpha2, outcome)
+
+
 def test_gate_rz_composition_reaches_large_angle():
     # 40 small steps accumulate a pi/2 logical rotation
     enc = QubitEncoding(2.0)
@@ -631,15 +696,15 @@ def test_the_z_fix_inside_a_gate_keeps_the_repeat_cap(gate, z_landing, name):
     assert out.repetitions == gates.MAX_REPEATS + 1
 
 
-@pytest.mark.parametrize("picks, strict_tables", [((_II,), 0), ((_I, 2, _I, _II), 1)])
-def test_gate_z_on_a_leaked_input_builds_at_most_two_tables(monkeypatch, picks, strict_tables):
-    cat_tables = _count_calls(monkeypatch, "_bell_cat_rows")
+@pytest.mark.parametrize("picks, second_tables", [((_II,), 0), ((_I, 2, _I, _II), 1)])
+def test_gate_z_on_a_leaked_input_builds_at_most_two_tables(monkeypatch, picks, second_tables):
     tables = _count_calls(monkeypatch, "_bell_rows")
     s = optics.displace(encode(0.6, 0.8, ENC), 0, 0.03 + 0.02j).normalize()
     out = gate_z(s, ENC, _ScriptedRng(*picks))
     assert out.success and out.applied == "Z" and out.repetitions == len(picks)
-    assert len(cat_tables) == 1
-    assert len(tables) == strict_tables
+    # the input's own table, then, if the first landing was not the Z, one
+    # table of that landed logical state for every later attempt
+    assert len(tables) == 1 + second_tables
 
 
 # (CoherentSuperposition constructions, overlap matrices, Bell resources) of
@@ -739,10 +804,17 @@ def test_factored_tables_match_the_tables_of_the_joint_state(monkeypatch, leaked
         for mode in sorted({0, n // 2, n - 1}):
             enc = QubitEncoding(alpha, mode)
             joint = optics.tensor(s, optics.bell_resource(alpha))
-            bell, was_leaked = gates._bell_table(s, enc)
-            assert was_leaked == leaked
-            _assert_same_table(bell, measure.bell_cat_outcomes(joint, mode, n, alpha) if leaked
-                               else measure.bell_outcomes(joint, mode, n))
+            rest = np.delete(joint.amps, [mode, n], axis=1)
+            if leaked:
+                # the same rows on the joint state's measured columns,
+                # against the +/-alpha nearest the mode's largest amplitude
+                top = s.amps[np.abs(s.amps[:, mode]).argmax(), mode]
+                ref = alpha if abs(top - alpha) <= abs(top + alpha) else -alpha
+                rows = measure._bell_rows(joint.amps[:, mode], joint.amps[:, n], ref)
+                bell = table("bell_measurement", joint.coeffs, rest, rows)
+            else:
+                bell = measure.bell_outcomes(joint, mode, n)
+            _assert_same_table(gates._bell_table(s, enc), bell)
             # gate_rx's table, against `_table` on the joint state's mixed columns
             built = []
             monkeypatch.setattr(measure, "_table", lambda *a: built.append(table(*a)) or built[-1])
@@ -753,7 +825,6 @@ def test_factored_tables_match_the_tables_of_the_joint_state(monkeypatch, leaked
             wa = {k: measure._cat_weights(alpha, p, a) for k, p in parity.items()}
             wb = {k: measure._cat_weights(alpha, p, b) for k, p in parity.items()}
             rows = [((ka, kb), 1.0, wa[ka] * wb[kb], True) for kb in parity for ka in parity]
-            rest = np.delete(joint.amps, [mode, n], axis=1)
             _assert_same_table(built[0], table("cat_projection", joint.coeffs, rest, rows))
 
 

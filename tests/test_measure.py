@@ -11,7 +11,6 @@ from catsim.audit import DIST_TOL
 from catsim.measure import (
     MeasurementRecord,
     UnsupportedStateError,
-    bell_cat_outcomes,
     bell_outcomes,
     cat_projection,
     default_nmax,
@@ -211,37 +210,21 @@ def test_parity_classes_stay_finite_at_large_amplitude(monkeypatch):
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
-def test_bell_cat_outcomes_matches_counting_on_subspace():
-    rng = np.random.default_rng(2)
-    a = 2.0
-    coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
-    amps = a * rng.choice([-1.0, 1.0], size=(4, 2))
-    s = CoherentSuperposition(coeffs, amps).merge_terms().normalize()
-    counting = bell_outcomes(s, 0, 1)
-    ideal = bell_cat_outcomes(s, 0, 1, a)
-    for name in ("I", "II", "III", "IV"):
-        if counting[name].state is None:
-            assert ideal[name].probability < 1e-10
-            continue
-        assert ideal[name].state.modes == 0
-        # zero-mode conditioned states: compare scalar amplitudes
-        zc = np.sum(counting[name].state.coeffs)
-        zi = np.sum(ideal[name].state.coeffs)
-        assert abs(abs(zc) - abs(zi)) < 1e-9
-
-
-def test_bell_cat_outcomes_cleans_leaked_input():
+def test_teleport_cleans_leaked_input(monkeypatch):
     # leaked qubit mode: small imaginary displacement off +/- a
-    a = 2.0
+    enc = gates.QubitEncoding(2.0)
+    a = enc.alpha
     leaked = CoherentSuperposition(
         np.array([0.7, 0.3]), np.array([[a + 0.05j], [-a + 0.05j]])
     ).normalize()
-    joint = optics.tensor(leaked, optics.bell_resource(a))
-    recs = bell_cat_outcomes(joint, 0, 1, a)
-    for name in ("I", "II", "III", "IV"):
-        st = recs[name].state
-        # conditioned output lives exactly on {+a, -a}
-        assert np.max(np.abs(np.abs(st.amps) - a)) < 1e-12
+    # in place of an rng, the index of the Bell branch that `sample` picks
+    monkeypatch.setattr(measure, "sample", lambda table, i: table[list(table)[i]])
+    for i, name in enumerate(("I", "II", "III", "IV")):
+        out = gates.teleport(leaked, enc, i)
+        assert out.trace[0][2] == name
+        # the teleported output lives on {+a, -a}, up to the X correction's
+        # rounding of e^{i pi}
+        assert np.max(np.abs(np.abs(out.state.amps) - a)) < 1e-12
 
 
 def test_bell_measurement_sampling_reproducible():
@@ -452,25 +435,113 @@ def test_bell_outcomes_table_matches_fock_oracle():
         assert recs["FAIL"].state is None
 
 
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("theta_alpha2", [0.01, 0.05])
+def test_leaked_bell_table_is_near_the_physical_measurement(alpha, theta_alpha2):
+    # A teleport of an input displaced off {+a, -a} (gate_rz's), against the
+    # oracle's physical Bell measurement of input (x) resource: +pi/2 on the
+    # resource mode, B(-pi/4), then photon counting.  Rows I-IV are the
+    # physical classes of Phi_id, the joint state Phi with every measured
+    # amplitude moved to its nearest support point and its coefficient
+    # weighted by that overlap; FAIL is Phi's own vacuum.  With Pi_C a
+    # class's projector, |<Pi_C Phi>^2 - <Pi_C Phi_id>^2| <= ||Phi - Phi_id||
+    # (sqrt(p_phys) + sqrt(p_id)), plus the oracle's truncation (DIST_TOL).
+    enc = gates.QubitEncoding(alpha)
+    theta = theta_alpha2 / alpha**2
+    s = optics.displace(gates.encode(0.6 + 0.2j, 0.7 - 0.3j, enc), 0, 1j * alpha * theta)
+    table = gates._bell_table(s, enc)
+    phi = optics.tensor(s, optics.bell_resource(alpha))
+    near = alpha * np.where(phi.amps[:, :2].real >= 0, 1.0, -1.0)
+    w = np.prod(states.coherent_overlap(near, phi.amps[:, :2]), axis=1)
+    moved = np.concatenate([near, phi.amps[:, 2:]], axis=1)
+    diff = CoherentSuperposition(np.concatenate([phi.coeffs, -w * phi.coeffs]),
+                                 np.concatenate([phi.amps, moved]))
+    distance = math.sqrt(max(diff.norm_squared(), 0.0))
+    n_max = default_nmax(math.sqrt(2) * np.max(np.abs(phi.amps)))
+    v = fo.fock_beamsplitter(fo.fock_phase(fo.to_fock(phi, n_max), 1, np.pi / 2), 0, 1, -np.pi / 4)
+    classes = _parity_rows(n_max)
+    zero = classes["zero"]
+    for name, (on_a, on_b) in {
+        "I": (classes["even_nonzero"], zero),
+        "II": (classes["odd"], zero),
+        "III": (zero, classes["even_nonzero"]),
+        "IV": (zero, classes["odd"]),
+        "FAIL": (zero, zero),
+    }.items():
+        p, _ = _oracle_branch(v, {0: on_a, 1: on_b})
+        q = table[name].probability
+        gap = 0.0 if name == "FAIL" else distance * (math.sqrt(p) + math.sqrt(max(q, 0.0)))
+        assert abs(q - p) <= gap + DIST_TOL, (name, q, p, gap)
+
+
+def test_bell_rows_on_the_support_are_the_counting_classes():
+    # on {+a, -a} every nearest-point overlap and the FAIL weight are
+    # exactly 1, so the rows are the sign classes bit for bit; off it the
+    # overlap is <r|x> to round-off
+    rng = np.random.default_rng(24)
+    for i in range(12):
+        if i < 6:
+            s = _random_qubit_like(rng, min_modes=2)
+            mode_a, mode_b = 0, 1
+        else:
+            s, mode_a, mode_b = _random_bell_input(rng)
+        a, b = s.amps[:, mode_a], s.amps[:, mode_b]
+        ref = measure._reference(a)
+        signs_a, signs_b = np.where(a == ref, 1.0, -1.0), np.where(b == ref, 1.0, -1.0)
+        same = signs_a == signs_b
+        z0, even_nz, odd = measure._parity_class_weights(2 * abs(ref) ** 2)
+        expected = [("I", even_nz, same), ("II", odd, same * signs_a), ("III", even_nz, ~same),
+                    ("IV", odd, ~same * signs_a), ("FAIL", z0, np.ones(len(a)))]
+        rows = measure._bell_rows(a, b, ref)
+        assert [(o, f) for o, f, _, _ in rows] == [(o, f) for o, f, _ in expected]
+        for (outcome, _, w, _), (_, _, ref_w) in zip(rows, expected):
+            assert np.array_equal(w, ref_w), outcome
+        # off the support: the I row's weight is <r|x> <r'|y> against the
+        # nearest points, and FAIL's the vacuum ratio <0|x><0|y> / <0|r>^2
+        x, y = (c + rng.normal(scale=0.1, size=c.shape) * (1 + 1j) for c in (a, b))
+        rows = measure._bell_rows(x, y, ref)
+        overlap = (states.coherent_overlap(signs_a * ref, x)
+                   * states.coherent_overlap(signs_b * ref, y))
+        vac = np.exp(abs(ref) ** 2 - 0.5 * (np.abs(x) ** 2 + np.abs(y) ** 2))
+        assert np.allclose(rows[0][2], same * overlap, rtol=1e-13, atol=0)
+        assert np.allclose(rows[4][2], vac, rtol=1e-13, atol=0)
+
+
+def _assert_teleport_table_is_counting(s, enc):
+    """The Bell-cat measurement every teleport reads, `gates._bell_table`,
+    against photon counting (`bell_outcomes`) on the joint state s (x)
+    resource: the same outcomes, probabilities and branch states."""
+    counting = bell_outcomes(optics.tensor(s, optics.bell_resource(enc.alpha)), enc.mode, s.modes)
+    table = gates._bell_table(s, enc)
+    assert list(table) == list(counting)
+    for name in table:
+        assert table[name].probability == pytest.approx(counting[name].probability, abs=1e-12)
+        x, y = counting[name].state, table[name].state
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert y.modes == x.modes
+            assert abs(y.norm_squared() - 1.0) < 1e-12
+            assert fidelity(x, y) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_bell_cat_outcomes_matches_counting_on_subspace():
+    # inputs on {+a, -a}: the teleport's table is the counting classifier
+    rng = np.random.default_rng(2)
+    a = 2.0
+    coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
+    amps = a * rng.choice([-1.0, 1.0], size=(4, 2))
+    s = CoherentSuperposition(coeffs, amps).merge_terms().normalize()
+    for mode in (0, 1):
+        _assert_teleport_table_is_counting(s, gates.QubitEncoding(a, mode))
+
+
 def test_bell_cat_outcomes_equal_bell_outcomes_on_logical_inputs():
     rng = np.random.default_rng(24)
     for _ in range(12):
-        s = _random_qubit_like(rng, min_modes=2)
+        s = _random_qubit_like(rng)
         a = float(np.max(np.abs(s.amps)))
-        counting = bell_outcomes(s, 0, 1)
-        ideal = bell_cat_outcomes(s, 0, 1, a)
-        assert list(ideal) == list(counting)
-        for name in ("I", "II", "III", "IV"):
-            x, y = counting[name].state, ideal[name].state
-            assert (x is None) == (y is None), name
-            if x is None:
-                continue
-            assert abs(y.norm_squared() - 1.0) < 1e-12
-            assert fidelity(x, y) == pytest.approx(1.0, abs=1e-8)
-            # the idealized projection drops only O(e^{-2a^2}) cross overlaps
-            assert ideal[name].probability == pytest.approx(
-                counting[name].probability, abs=4 * math.exp(-2 * a * a)
-            )
+        for mode in range(s.modes):
+            _assert_teleport_table_is_counting(s, gates.QubitEncoding(a, mode))
 
 
 def _sequential_rx_table(mixed, mode, m, alpha):
@@ -530,9 +601,15 @@ def test_gate_rx_table_matches_sequential_projections_and_fock_oracle(monkeypatc
             _assert_matches_oracle(rec, v, {mode: bra[pa], m: bra[pb]}, n_max)
 
 
+def _leaked_pair():
+    """A two-mode input whose mode 0, the odd cat at 1.5 displaced by 0.02i,
+    has leaked off {+1.5, -1.5}; mode 1 is the even cat at 1.5."""
+    return optics.tensor(optics.displace(cat(1.5, -1), 0, 0.02j), cat(1.5, +1))
+
+
 @pytest.mark.parametrize("measure_fn, make_args, count", [
     (bell_outcomes, lambda: (bell_cat(1.5, "ii"), 0, 1), 1),
-    (bell_cat_outcomes, lambda: (optics.tensor(cat(1.5, -1), bell_cat(1.5, "i")), 0, 1, 1.5), 1),
+    (gates._bell_table, lambda: (_leaked_pair(), gates.QubitEncoding(1.5)), 1),
     (parity_projection, lambda: (optics.tensor(cat(1.5, +1), coherent(0.5, 1.5)), 0), 1),
     (cat_projection, lambda: (optics.tensor(coherent(0.3), cat(1.5, -1)), 1, 1.5, -1), 1),
     (photon_statistics, lambda: (optics.tensor(cat(1.5, +1), coherent(0.5, 1.5)), 0), 1),
@@ -548,7 +625,7 @@ def test_gate_rx_table_matches_sequential_projections_and_fock_oracle(monkeypatc
     (states.ghz_cat, lambda: (2.0, 3), 0),
     (gates.encode, lambda: (0.6, -0.8j, gates.QubitEncoding(1.5)), 0),
     (optics.bell_resource, lambda: (1.5,), 0),
-], ids=["bell_outcomes", "bell_cat_outcomes", "parity_projection", "cat_projection",
+], ids=["bell_outcomes", "bell_table", "parity_projection", "cat_projection",
         "photon_statistics", "homodyne_pdf", "norm_squared", "inner_product",
         "qfi_displacement", "mean_photon_number", "cat", "bell_cat", "ghz_cat", "encode",
         "bell_resource"])
@@ -675,7 +752,7 @@ def _leaked_rx_input():
     (cat_projection, lambda: (optics.tensor(coherent(0.3), cat(1.5, -1)), 1, 1.5, -1)),
     (bell_outcomes, lambda: (optics.tensor(gates.encode(0.6, 0.8, gates.QubitEncoding(2.0)),
                                            optics.bell_resource(2.0)), 0, 1)),
-    (bell_cat_outcomes, lambda: (optics.tensor(cat(1.5, -1), bell_cat(1.5, "i")), 0, 1, 1.5)),
+    (gates._bell_table, lambda: (_leaked_pair(), gates.QubitEncoding(1.5))),
     (project_photon_number, lambda: (optics.tensor(cat(1.2, +1), coherent(0.4, 1.0)), 1, 2)),
     (homodyne_condition, lambda: (optics.tensor(cat(1.5, -1), coherent(0.7)), 0, 0.4)),
     (gates.gate_rx, lambda: (_leaked_rx_input(), gates.QubitEncoding(1.6))),
@@ -743,7 +820,7 @@ def _sorted_term_bytes(s):
     (parity_projection, lambda s: (s, 0)),
     (cat_projection, lambda s: (s, 3, 1.5, -1)),
     (bell_outcomes, lambda s: (_with_resource(s), 0, 5)),
-    (bell_cat_outcomes, lambda s: (_with_resource(s), 2, 5, 1.5)),
+    (gates._bell_table, lambda s: (s, gates.QubitEncoding(1.5, mode=2))),
     (project_photon_number, lambda s: (s, 1, 2)),
     (homodyne_condition, lambda s: (s, 4, 0.4)),
     (gates.gate_rx, lambda s: (s, gates.QubitEncoding(1.5, mode=2))),

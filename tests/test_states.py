@@ -6,7 +6,6 @@ import pytest
 
 from catsim.gates import QubitEncoding, encode
 from catsim.states import (
-    DROP_THRESHOLD,
     MERGE_TOL,
     CoherentSuperposition,
     ZeroNormError,
@@ -153,12 +152,15 @@ def test_two_term_states_are_normalized_to_round_off(alpha):
 
 
 def test_merge_terms_combines_and_drops():
+    # the close pair combines into its first term and the duplicate row is
+    # dropped; a tiny coefficient is a term like any other and stays
     s = CoherentSuperposition(
         np.array([0.5, 0.5, 1e-20]), np.array([[1.0], [1.0 + 1e-14], [3.0]])
     )
     m = s.merge_terms()
-    assert m.nterms == 1
-    assert m.coeffs[0] == pytest.approx(1.0)
+    assert m.nterms == 2
+    assert m.coeffs.tolist() == [1.0, 1e-20]
+    assert m.amps.tolist() == [[1.0], [3.0]]
 
 
 def test_merge_preserves_inner_products():
@@ -187,10 +189,6 @@ def _merge_reference(s):
             rep_coeffs.append(complex(s.coeffs[k]))
     coeffs = np.array(rep_coeffs, dtype=complex)
     amps = np.array(rep_amps, dtype=complex).reshape(len(rep_amps), s.modes)
-    cmax = np.max(np.abs(coeffs)) if coeffs.size else 0.0
-    keep = np.abs(coeffs) >= DROP_THRESHOLD * cmax
-    if not np.all(keep) and np.any(keep):
-        coeffs, amps = coeffs[keep], amps[keep]
     return CoherentSuperposition(coeffs, amps)
 
 
@@ -212,7 +210,7 @@ def _random_state_with_duplicates(rng, k, m):
     coeffs.real, coeffs.imag = rng.normal(size=k), rng.normal(size=k)
     coeffs.real[rng.random(k) < 0.3] = -0.0
     coeffs.imag[rng.random(k) < 0.1] = -0.0
-    coeffs[rng.random(k) < 0.1] *= 1e-20  # below the drop threshold
+    coeffs[rng.random(k) < 0.1] *= 1e-20  # tiny, and kept like any other
     return CoherentSuperposition(coeffs, amps)
 
 
