@@ -10,9 +10,11 @@ circuits.
 
 Each gate is its optical step and its first branch table.  Every measured
 step goes through `_draw` (pick a record, multiply its probability, trace
-it, land the output in the qubit's mode, X-correct it and compose its Z
-residual), and every Z fix, the Z gate included, through `_settle`
-(repeat-until-success Bell teleports until the wanted residual lands).
+it, compose its Z residual and land its branch once: one build of the
+record's live terms with the output column in the qubit's mode, negated
+exactly for an X correction), and every Z fix, the Z gate included,
+through `_settle` (repeat-until-success Bell teleports until the wanted
+residual lands; an attempt that lands nothing new builds no state).
 Every teleport draws from one kind of Bell table, `_bell_table`, whether
 its input is logical or has left {+alpha, -alpha} (Rz's displaced input,
 the entangling gate's mixed one): no tolerance chooses between tables.
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import measure, optics
 from .optics import _beamsplitter_u, _passive
-from .states import CoherentSuperposition, _pair, coherent_overlap
+from .states import CoherentSuperposition, _pair, _pair_norm, coherent_overlap
 
 __all__ = [
     "QubitEncoding",
@@ -62,8 +64,8 @@ class QubitEncoding:
     mode: int = 0
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be > 0")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError("alpha must be > 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -172,21 +174,13 @@ def _pick(
 ) -> measure.MeasurementRecord:
     """The record a gate goes on with: drawn from its exact branch table
     when an rng is given, else the canonical branch.  Picking a branch
-    without a state (other than FAIL) is a GateFailure."""
+    without a state to land (other than FAIL) is a GateFailure."""
     if all(r.probability <= measure.PROB_FLOOR for r in table.values()):
         raise GateFailure("all branches have zero probability")
     rec = table[canonical] if rng is None else measure.sample(table, rng)
-    if rec.state is None and rec.outcome != "FAIL":
+    if rec.build is None and rec.outcome != "FAIL":
         raise GateFailure(f"branch {rec.outcome} has zero probability")
     return rec
-
-
-def _replace_mode(s: CoherentSuperposition, target_mode: int) -> CoherentSuperposition:
-    """Move the last mode (a fresh teleported output) into target_mode's slot."""
-    m = s.modes
-    order = list(range(m - 1))
-    order.insert(target_mode, m - 1)
-    return optics.permute_modes(s, order)
 
 
 def _with_resource(s: CoherentSuperposition, enc: QubitEncoding) -> tuple:
@@ -196,16 +190,19 @@ def _with_resource(s: CoherentSuperposition, enc: QubitEncoding) -> tuple:
     measured columns (s's, then the resource's) in the term order of
     `optics.tensor` (term 2j + r is s's term j times the resource's term
     r), s's other modes and the resource's kept mode, the rows x, -x whose
-    eigen-forms `measure._table` scores.  IndexError for an enc.mode
-    outside s."""
+    eigen-forms `measure._table` scores.  The resource is
+    `optics.bell_resource`, (|a,a> + |-a,-a>)/norm, read from its closed
+    form (`states._pair_norm`) with no state built.  IndexError for an
+    enc.mode outside s."""
     s.check_mode(enc.mode)
-    res = optics.bell_resource(enc.alpha)
+    c = np.full(2, 1 / _pair_norm(2 * enc.alpha * enc.alpha, 1, 1), dtype=complex)
+    x = np.array([enc.alpha, -enc.alpha], dtype=complex)
     k = s.nterms
-    coeffs = (s.coeffs[:, None] * res.coeffs[None, :]).reshape(2 * k)
+    coeffs = (s.coeffs[:, None] * c[None, :]).reshape(2 * k)
     cols = np.empty((k, 2, 2), dtype=complex)
     cols[:, :, 0] = s.amps[:, enc.mode, None]
-    cols[:, :, 1] = res.amps[:, 0]
-    return coeffs, cols.reshape(2 * k, 2), measure._rest(s, [enc.mode]), res.amps[:, 1:]
+    cols[:, :, 1] = x
+    return coeffs, cols.reshape(2 * k, 2), measure._rest(s, [enc.mode]), x[:, None]
 
 
 def _bell_table(s: CoherentSuperposition, enc: QubitEncoding) -> dict:
@@ -219,31 +216,37 @@ def _bell_table(s: CoherentSuperposition, enc: QubitEncoding) -> dict:
     back into the logical space."""
     coeffs, cols, rest, pair = _with_resource(s, enc)
     a = s.amps[:, enc.mode]
-    ref = enc.alpha * measure._nearest_signs(a[np.abs(a).argmax()], enc.alpha)
+    top = complex(a[np.abs(a).argmax()])
+    ref = enc.alpha if abs(top - enc.alpha) <= abs(top + enc.alpha) else -enc.alpha
     rows = measure._bell_rows(cols[:, 0], cols[:, 1], ref)
     return measure._table("bell_measurement", coeffs, rest, rows, pair)
 
 
 def _draw(
-    out: GateOutcome, enc: QubitEncoding, table: dict, rng: Optional[np.random.Generator], canonical
+    out: GateOutcome, enc: QubitEncoding, table: dict, rng: Optional[np.random.Generator], canonical,
+    reuse: bool = False,
 ) -> GateOutcome:
     """The measured step after `out`: the record `_pick`ed from `table`
     (a Bell table, or gate_rx's cat projection) multiplies the probability,
     counts one repetition and is traced under rec.kind.  FAIL keeps
-    out.state; every other outcome moves the output into enc.mode, applies
-    the X correction of its branch and composes its Z residual into
-    `applied`."""
+    out.state; every other outcome composes its Z residual into `applied`
+    and lands once: `measure._branch_state` builds the record's live terms
+    with the resource's kept column inserted at enc.mode, negated exactly
+    where the branch takes an X correction, and merges them.  With `reuse`
+    (the caller draws again from the same table), a landing that leaves
+    `applied` unchanged builds no state and keeps out.state: nothing reads
+    it."""
     rec = _pick(table, rng, canonical)
     p, reps = out.probability * rec.probability, out.repetitions + 1
     trace = out.trace + (_traced(rec.kind, f"alpha={enc.alpha}", str(rec.outcome), rec.probability),)
     if rec.outcome == "FAIL":
         return GateOutcome(out.state, False, "FAIL", p, reps, trace)
-    state = _replace_mode(rec.state, enc.mode)
     flip, z = _CORRECTIONS[rec.outcome]
     if flip:
-        state = gate_x(state, enc)
         trace += (_traced("phase_shift", "theta=pi (X correction)", "-", 1.0),)
     applied = "Z" if z != (out.applied == "Z") else "identity"
+    unread = reuse and applied == out.applied
+    state = out.state if unread else measure._branch_state(*rec.build, enc.mode, flip)
     return GateOutcome(state, True, applied, p, reps, trace)
 
 
@@ -258,9 +261,12 @@ def _settle(
     An identity landing (I, or III after its X correction) returns the
     logical state the table was built from, so a table built from a logical
     state serves every attempt: a state that a table landed (out has drawn
-    before), or an input exactly on {+alpha, -alpha}.  Any other input
-    builds a second table from its first landing, which the teleport has
-    projected onto the logical space."""
+    before; an X-corrected landing is exactly on {+alpha, -alpha} too), or
+    an input exactly on that support.  Such an attempt builds no state
+    unless its landing changes out.applied (`_draw`'s `reuse`): the next
+    attempt reads the kept table, and a FAIL's state is the input's
+    (`_named`).  Any other input builds a second table from its first
+    landing, which the teleport has projected onto the logical space."""
     cap, table = out.repetitions + MAX_REPEATS, None
     while out.success and out.applied != want:
         if out.repetitions == cap:
@@ -269,7 +275,7 @@ def _settle(
             table = _bell_table(out.state, enc)
             col = out.state.amps[:, enc.mode]
             keep = out.repetitions > 0 or np.isin(col, (-enc.alpha, enc.alpha)).all()
-        out = _draw(out, enc, table, rng, "II")
+        out = _draw(out, enc, table, rng, "II", reuse=keep)
         if not keep:
             table = None
     return out

@@ -12,7 +12,10 @@ table, `sample` draws one outcome and `sample_counts` the outcome counts
 of many shots.  A branch's conditioned state is built on its first read,
 so a shot that keeps one branch builds only that branch's state, and it
 is built from the terms its row supports: the terms a branch's weights
-zero (a Bell outcome's unmatched signs) never reach `merge_terms`.
+zero (a Bell outcome's unmatched signs) never reach `merge_terms`.  A gate
+lands its drawn branch through the same `_branch_state`, with the
+resource's kept column placed in the qubit's mode and, for an X
+correction, negated (`gates._draw`).
 
 Quadrature convention: x = (a + a^dag)/sqrt(2), so a coherent state |a>
 has mean sqrt(2) Re a and variance 1/2.
@@ -20,7 +23,9 @@ has mean sqrt(2) Re a and variance 1/2.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -74,14 +79,21 @@ class MeasurementRecord:
         return None if self.build is None else _branch_state(*self.build)
 
 
-def _branch_state(coeffs, w, n2, rest, pair) -> CoherentSuperposition:
+def _branch_state(coeffs, w, n2, rest, pair, at=None, flip=False) -> CoherentSuperposition:
     """The normalized, merged branch sum_k w_k c_k |rest_k> / sqrt(n2), built
     from the terms its row supports (w_k != 0, in term order): a term of
     weight 0 adds nothing to the state, so `merge_terms` never sees it.
     With a resource `pair` (`_table`), term k remains in rest row k // 2
-    and pair row k % 2."""
+    and pair row k % 2, and the pair's column is inserted before rest's
+    column `at` (after the last by default).  A gate lands its drawn
+    branch here in one build: `at` is its qubit's mode, and `flip` negates
+    the pair's column exactly, the X correction, before the merge."""
     live = w.nonzero()[0]
-    amps = rest[live] if pair is None else np.concatenate([rest[live // 2], pair[live % 2]], axis=1)
+    if pair is None:
+        amps = rest[live]
+    else:
+        rows, at = rest[live // 2], rest.shape[1] if at is None else at
+        amps = np.concatenate([rows[:, :at], (-pair if flip else pair)[live % 2], rows[:, at:]], axis=1)
     return CoherentSuperposition(coeffs[live] * w[live] / np.sqrt(n2), amps).merge_terms()
 
 
@@ -116,26 +128,28 @@ def _table(
     return table
 
 
-def _probabilities(table: dict) -> tuple[list, np.ndarray]:
-    """Outcomes of a table in dict order and their probabilities, clipped
-    at 0 (round-off) and renormalized; ValueError for a total of 0, NaN or inf."""
+def _probabilities(table: dict) -> tuple[list, list]:
+    """Outcomes of a table in dict order and their probabilities, Python
+    floats clipped at 0 (round-off) and divided by their sum taken in dict
+    order; ValueError for a sum of 0, NaN or inf."""
     names = list(table)
-    probs = np.maximum([table[n].probability for n in names], 0.0)
-    total = probs.sum()
+    probs = [max(table[n].probability, 0.0) for n in names]  # NaN stays NaN
+    total = list(itertools.accumulate(probs, initial=0.0))[-1]
     if not 0.0 < total < math.inf:
         raise ValueError(f"branch probabilities sum to {total}")
-    return names, probs / total
+    return names, [p / total for p in probs]
 
 
 def sample(table: dict, rng: np.random.Generator) -> MeasurementRecord:
     """Draw one record of an exact branch table {outcome: record}: one
     uniform rng.random() against the CDF of the table in dict order, with
-    probabilities clipped at 0 (round-off) and renormalized.  That is the
-    index and generator state rng.choice(len(table), p=probs) gives."""
+    probabilities clipped at 0 (round-off) and renormalized (`_probabilities`).
+    The CDF is their running sum divided by its last entry, so this is the
+    index and generator state rng.choice(len(table), p=probs) gives, in
+    plain Python floats."""
     names, probs = _probabilities(table)
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    return table[names[cdf.searchsorted(rng.random(), side="right")]]
+    cdf = list(itertools.accumulate(probs))
+    return table[names[bisect.bisect_right([c / cdf[-1] for c in cdf], rng.random())]]
 
 
 def sample_counts(table: dict, rng: np.random.Generator, shots: int) -> dict:

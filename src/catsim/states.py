@@ -163,7 +163,10 @@ class CoherentSuperposition:
         # any summation order.  The window adds 8 times that bound of both
         # terms together, which also covers its own rounding and that of
         # the key differences, so it holds every close pair, and only the
-        # exact test below decides.
+        # exact test below decides.  The 8 is a proof margin, not a tuned
+        # value: with 2 in its place every test still passes, because no
+        # input rounds a close pair's keys that far apart, but only the
+        # margin makes the window hold every close pair by the bound.
         cols = self.amps[:, : len(_MERGE_AXIS)]
         n = cols.shape[1]
         top = float(np.abs(cols).max())

@@ -23,6 +23,19 @@ def test_displacement_off_by_one_part_in_a_million_fails_only_its_row(monkeypatc
     assert row.max_error > 1e3 * row.tolerance
 
 
+def test_displacement_off_by_a_part_in_ten_billion_fails_only_its_row(monkeypatch):
+    # the distance reads such a beta error once, about 3e-10: between
+    # DIST_TOL and ten times it, so a tenfold looser tolerance passes it
+    displace = optics.displace
+    monkeypatch.setattr(
+        optics, "displace", lambda s, mode, beta: displace(s, mode, beta * (1 + 1e-10))
+    )
+    rows = audit.run_audit(0, cases_per_check=5)
+    assert [r.name for r in rows if not r.passed] == ["displace"]
+    (row,) = [r for r in rows if r.name == "displace"]
+    assert audit.DIST_TOL < row.max_error < 10 * audit.DIST_TOL
+
+
 def _nudge_another_mode(offset):
     def mutate(phase_shift):
         def mutant(s, mode, theta):

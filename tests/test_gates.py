@@ -454,7 +454,7 @@ def test_logical_readout_needs_each_mode_of_the_state_once():
     assert decode_two(s, _ENC_B, _ENC_A)[1] < 1e-14
 
 
-@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
 def test_encoding_needs_a_positive_alpha(alpha):
     with pytest.raises(ValueError, match="alpha must be > 0"):
         QubitEncoding(alpha)
@@ -670,11 +670,15 @@ def _count_calls(monkeypatch, name):
 
 def test_gate_z_draws_every_attempt_from_one_table(monkeypatch):
     tables = _count_calls(monkeypatch, "_bell_rows")
+    landings = _count_calls(monkeypatch, "_branch_state")
     out = gate_z(encode(0.6, 0.8, ENC), ENC, _ScriptedRng(_I, 2, _I, _II))
     assert out.success and out.applied == "Z" and out.repetitions == 4
     assert [t[2] for t in out.trace if t[0] == "bell_measurement"] == ["I", "III", "I", "II"]
     assert sum(t[0] == "phase_shift" for t in out.trace) == 1
     assert len(tables) == 1
+    # only the Z landing builds a state: the identity landings' states
+    # would be read by no one, as the next attempt reads the kept table
+    assert len(landings) == 1
     # identity landings all the way to the cap: still one table, then a GateFailure
     with pytest.raises(GateFailure, match=f"within {gates.MAX_REPEATS} teleports"):
         gate_z(encode(0.6, 0.8, ENC), ENC, _ScriptedRng(*[_I] * gates.MAX_REPEATS))
@@ -707,23 +711,43 @@ def test_gate_z_on_a_leaked_input_builds_at_most_two_tables(monkeypatch, picks, 
     assert len(tables) == 1 + second_tables
 
 
+@pytest.mark.parametrize("land", [
+    lambda s: teleport(s, ENC, _ScriptedRng(_III)),
+    lambda s: teleport(s, ENC, _ScriptedRng(_IV)),
+    lambda s: gate_rx(s, ENC, rng=_ScriptedRng(3)),
+], ids=["teleport_III", "teleport_IV", "gate_rx_odd_odd"])
+def test_gate_z_on_an_x_corrected_landing_builds_one_table(monkeypatch, land):
+    # the X correction negates the landed column exactly, so the output is
+    # exactly on {+alpha, -alpha} and gate_z keeps its first table
+    landed = land(encode(0.6, 0.8, ENC))
+    assert any(t[0] == "phase_shift" for t in landed.trace)
+    assert np.isin(landed.state.amps, (-ENC.alpha, ENC.alpha)).all()
+    tables = _count_calls(monkeypatch, "_bell_rows")
+    out = gate_z(landed.state, ENC, _ScriptedRng(_I, _III, _II))
+    assert out.success and out.applied == "Z" and out.repetitions == 3
+    assert len(tables) == 1
+
+
 # (CoherentSuperposition constructions, overlap matrices, Bell resources) of
-# one seeded call of each gate.  The first two are upper bounds: a throw-away
-# state copy (an identity permutation, say) raises the first count.  A table
-# of input (x) resource builds no joint state and at most one overlap
-# matrix, of the input's other modes, with no more rows than the input has
-# terms: none for a single-mode input (the resource's kept mode is a pair,
-# scored by its two eigen-forms).  The resources are exact, one per Bell
-# table or Rx table; their own constructions are not counted in the first.
+# one seeded call of each gate.  The first two are upper bounds, met here: a
+# throw-away state (a mode permutation, an X pass, an attempt's landing that
+# nothing reads) raises the first count.  A drawn branch lands in one build,
+# plus one when its terms merge; gate_z's identity landings build nothing,
+# and gate_rz's displacement is one more.  A table of input (x) resource
+# builds no joint state and at most one overlap matrix, of the input's
+# other modes, with no more rows than the input has terms: none for a
+# single-mode input (the resource's kept mode is a pair, scored by its two
+# eigen-forms).  The resources are exact, one closed-form pair read
+# (`gates._pair_norm`) per Bell table or Rx table, with no state built.
 _ENC_A, _ENC_B = QubitEncoding(2.0, 0), QubitEncoding(2.0, 1)
 
 
 @pytest.mark.parametrize("gate, constructions, grams, resources, terms", [
-    (lambda one, two, rng: teleport(one, ENC, rng), 3, 0, 1, 2),
-    (lambda one, two, rng: gate_z(one, ENC, rng), 6, 0, 1, 2),
-    (lambda one, two, rng: gate_rz(one, ENC, 0.01, rng), 4, 0, 1, 2),
-    (lambda one, two, rng: gate_rx(one, ENC, rng=rng), 5, 0, 2, 2),
-    (lambda one, two, rng: entangling_gate(two, _ENC_A, _ENC_B, 0.005, rng), 13, 3, 3, 4),
+    (lambda one, two, rng: teleport(one, ENC, rng), 1, 0, 1, 2),
+    (lambda one, two, rng: gate_z(one, ENC, rng), 1, 0, 1, 2),
+    (lambda one, two, rng: gate_rz(one, ENC, 0.01, rng), 2, 0, 1, 2),
+    (lambda one, two, rng: gate_rx(one, ENC, rng=rng), 3, 0, 2, 2),
+    (lambda one, two, rng: entangling_gate(two, _ENC_A, _ENC_B, 0.005, rng), 4, 3, 3, 4),
 ], ids=["teleport", "gate_z", "gate_rz", "gate_rx", "entangling_gate"])
 def test_per_gate_state_constructions_and_gram_forms(
     monkeypatch, gate, constructions, grams, resources, terms
@@ -732,7 +756,7 @@ def test_per_gate_state_constructions_and_gram_forms(
     two = optics.tensor(encode(0.6, 0.8, _ENC_A), encode(0.8, 0.6j, _ENC_B))
     counts = {"constructions": 0, "grams": 0, "resources": 0, "rows": 0}
     post_init, overlap = states.CoherentSuperposition.__post_init__, states._overlap_matrix
-    resource = optics.bell_resource
+    pair_norm = gates._pair_norm
 
     def counted_post_init(self):
         counts["constructions"] += 1
@@ -743,16 +767,13 @@ def test_per_gate_state_constructions_and_gram_forms(
         counts["rows"] = max(counts["rows"], len(args[0]))
         return overlap(*args)
 
-    def counted_resource(alpha):
+    def counted_pair_norm(*args):
         counts["resources"] += 1
-        before = counts["constructions"]
-        out = resource(alpha)
-        counts["constructions"] = before
-        return out
+        return pair_norm(*args)
 
     monkeypatch.setattr(states.CoherentSuperposition, "__post_init__", counted_post_init)
     monkeypatch.setattr(states, "_overlap_matrix", counted_overlap)
-    monkeypatch.setattr(optics, "bell_resource", counted_resource)
+    monkeypatch.setattr(gates, "_pair_norm", counted_pair_norm)
     assert gate(one, two, np.random.default_rng(1)).success
     assert counts["constructions"] <= constructions
     assert counts["grams"] <= grams

@@ -95,6 +95,35 @@ def test_parity_projection_requires_two_point_support():
         )
 
 
+@pytest.mark.parametrize("measure_fn", [
+    lambda s: parity_projection(s, 0),
+    lambda s: bell_outcomes(optics.tensor(cat(2.0), s), 0, 1),
+], ids=["parity", "bell"])
+def test_support_tolerance_refuses_an_amplitude_three_tolerances_off(measure_fn):
+    # `_off_support` accepts an amplitude within 1e-9 (1 + |a|) of +/-a, as
+    # round-off, and refuses one three times that far off, which a
+    # tenfold looser tolerance would take as supported
+    a = 2.0
+    tol = 1e-9 * (1 + a)
+    for off, refused in ((0.3 * tol, False), (3 * tol, True)):
+        s = CoherentSuperposition(np.array([0.6, 0.8]), np.array([[a], [-a + off]]))
+        if refused:
+            with pytest.raises(UnsupportedStateError):
+                measure_fn(s)
+        else:
+            measure_fn(s)
+
+
+def test_a_branch_just_above_the_probability_floor_keeps_its_state():
+    # P(167 photons) of |1.01> is 6.7e-300, above PROB_FLOOR = 1e-300 (and
+    # below ten times it): the branch is conditioned on, not floored
+    rec = project_photon_number(coherent(1.01), 0, 167)
+    expected = math.exp(-(1.01**2)) * 1.01**334 / math.factorial(167)
+    assert rec.probability == pytest.approx(expected, rel=1e-10)
+    assert measure.PROB_FLOOR < rec.probability < 10 * measure.PROB_FLOOR
+    assert rec.state is not None and rec.state.coeffs[0] == pytest.approx(1.0)
+
+
 def test_cat_projection_matches_parity_classes():
     a = 2.0
     s = CoherentSuperposition(np.array([0.8, 0.6j]), np.array([[a], [-a]])).normalize()
@@ -222,9 +251,9 @@ def test_teleport_cleans_leaked_input(monkeypatch):
     for i, name in enumerate(("I", "II", "III", "IV")):
         out = gates.teleport(leaked, enc, i)
         assert out.trace[0][2] == name
-        # the teleported output lives on {+a, -a}, up to the X correction's
-        # rounding of e^{i pi}
-        assert np.max(np.abs(np.abs(out.state.amps) - a)) < 1e-12
+        # the teleported output lives exactly on {+a, -a}: the X correction
+        # of III and IV negates the landed column exactly
+        assert np.isin(out.state.amps, (-a, a)).all()
 
 
 def test_bell_measurement_sampling_reproducible():
@@ -252,18 +281,27 @@ def test_sample_is_one_rng_choice_in_dict_order():
             assert sample(table(order), rng).outcome == expected
             # the draw consumes exactly what one rng.choice does
             assert rng.random() == ref.random()
-    # random tables with zero rows, across 300 orders of magnitude
+    # random tables across 300 orders of magnitude, with zero rows, rows at
+    # or below PROB_FLOOR and -1e-17 round-off rows: the probabilities of
+    # the docstring are the rows clipped at 0 and divided by their sum in
+    # dict order (a cumulative sum), and rng.choice on them picks the same
+    # record and leaves the generator in the same state
     tables = np.random.default_rng(21)
     for _ in range(1200):
         k = int(tables.integers(1, 10))
         p = tables.random(k) * 10.0 ** tables.integers(-300, 1, size=k)
-        p[tables.random(k) < 0.3] = 0.0
+        kind = tables.random(k)
+        p[kind < 0.2] = 0.0
+        p[(kind >= 0.2) & (kind < 0.3)] = measure.PROB_FLOOR * tables.random()
+        p[(kind >= 0.3) & (kind < 0.4)] = -1e-17
         p[tables.integers(k)] = tables.random() + 1e-3
+        probs = np.maximum(p, 0.0)
+        probs /= np.cumsum(probs)[-1]
         seed = int(tables.integers(2**32))
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(5):
-            assert sample(_probability_table(p), rng).outcome == ref.choice(k, p=p / p.sum())
-        assert rng.random() == ref.random()
+            assert sample(_probability_table(p), rng).outcome == ref.choice(k, p=probs)
+        assert rng.bit_generator.state == ref.bit_generator.state
     # a -1e-17 round-off probability is clipped to 0, never drawn, never an error
     rounded = table({"x": 0.5, "y": -1e-17, "z": 0.5})
     rng = np.random.default_rng(3)
@@ -283,9 +321,13 @@ def test_sample_at_the_ends_of_the_unit_interval():
 @pytest.mark.parametrize("probs", [[0.5, math.nan], [0.0, 0.0], [math.inf, 1.0], []],
                          ids=["nan", "all-zero", "inf", "empty"])
 def test_sample_refuses_a_table_without_a_distribution(probs):
+    errors = []
     for draw in (sample, lambda table, rng: sample_counts(table, rng, 10)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="branch probabilities sum to") as err:
             draw(_probability_table(probs), np.random.default_rng(0))
+        errors.append(str(err.value))
+    # one refusal, from the probabilities both draws share
+    assert errors[0] == errors[1]
 
 
 def test_table_keeps_the_columns_np_delete_keeps():

@@ -179,6 +179,19 @@ def test_nport_merge_rejects_unequal():
         nport_merge(s, [0, 2])
 
 
+def test_nport_merge_tolerance_refuses_a_port_a_few_tolerances_off_vacuum():
+    # the other port of two merged modes reads (a - b)/sqrt(2), refused past
+    # 1e-9 (1 + max|a|) = 2e-9 here: 7e-10 passes as round-off, 7e-9 does
+    # not, though a tenfold looser tolerance would take it
+    for step, refused in ((1e-9, False), (1e-8, True)):
+        s = CoherentSuperposition(np.array([1.0]), np.array([[1.0, 1.0 + step]]))
+        if refused:
+            with pytest.raises(ValueError, match="equal amplitudes"):
+                nport_merge(s, [0, 1])
+        else:
+            assert nport_merge(s, [0, 1]).modes == 1
+
+
 def test_tensor_and_permute():
     x = cat(1.0, +1)
     y = coherent(0.5)

@@ -303,6 +303,27 @@ def test_zero_norm_rejected():
         s.normalize()
 
 
+def test_merge_tol_joins_terms_1e_12_apart_and_no_farther():
+    # far below any separation a gate makes (2 alpha per mode), far above
+    # round-off (~1e-16 |a|): a pair 0.9e-12 apart is one term, a pair
+    # 5e-12 apart stays two, so a merge moves no amplitude by more than 1e-12
+    a = np.array([1.5 + 0.5j, -0.7j])
+    for step, nterms in ((0.9e-12, 1), (5e-12, 2)):
+        s = CoherentSuperposition(np.array([0.6, 0.8]), np.array([a, a + step]))
+        assert s.merge_terms().nterms == nterms, step
+
+
+def test_norm_floors_refuse_only_at_1e_300():
+    # normalize and the closed-form pair norm call a state zero at or below
+    # norm^2 = 1e-300, at the edge of the double range: 6.25e-300 is still a
+    # state, 2.5e-301 is not
+    for make in (lambda c: CoherentSuperposition(np.array([c]), np.array([[0.3]])).normalize(),
+                 lambda c: encode(c, 0, QubitEncoding(1.0))):
+        assert make(2.5e-150).coeffs[0] == pytest.approx(1.0)
+        with pytest.raises(ZeroNormError):
+            make(5e-151)
+
+
 def test_fidelity_basics():
     assert fidelity(vacuum(), vacuum()) == pytest.approx(1.0)
     assert fidelity(cat(2.0, +1), cat(2.0, -1)) < 1e-28
