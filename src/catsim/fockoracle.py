@@ -20,7 +20,8 @@ on the angle or amplitude, so it is computed once and cached:
   cutoff.  Its generator h(beta) = -i(beta a^dag - beta^* a) equals
   |beta| S h(i) S^dag with S = diag(e^{i n (arg beta - pi/2)}) and the real
   h(i) = a + a^dag, so `_quadrature_eigh` caches one eigendecomposition per
-  cutoff, and a call only applies phases to it to form the unitary.
+  cutoff, and a call only applies phases to it to form the unitary.  The
+  unitary acts by one matrix product over the mode moved to the last axis.
 
 `fock_beamsplitter` copies the two modes to the front of one array, the
 (d, d) grid of (n_a, n_b) leading.  In that row-major grid the entry
@@ -43,11 +44,12 @@ Every tensor is made by one assembly, `_assemble`: a sum over G groups,
 each a block on the modes an element touches times the Fock columns of the
 modes it leaves alone.  `to_fock` is the case with no touched mode, a
 group per term and its coefficient for the block, and builds the whole
-d^M tensor.  The assembly writes the first group straight into the tensor
-and adds the others one at a time, each a rounded product, rather than
-contracting over the groups with a matrix product: BLAS fuses the multiply
-and the add, which leaves a residue of about 1e-17 where a cat's
-amplitudes of the opposite parity must cancel to exactly 0.
+d^M tensor (a state of no mode is the sum of its coefficients).  The
+assembly writes the first group straight into the tensor and adds the
+others in group order, each a rounded product formed in one reused
+buffer, rather than contracting over the groups with a matrix product:
+BLAS fuses the multiply and the add, which leaves a residue of about 1e-17
+where a cat's amplitudes of the opposite parity must cancel to exactly 0.
 
 A norm, an inner product or a marginal needs no number basis on a mode it
 only sums over.  `_span` moves such a mode's G columns of d levels into an
@@ -80,11 +82,6 @@ __all__ = [
     "fock_quadrature_pdf",
 ]
 
-# complex entries of `_assemble`'s output summed at a time (256 KiB): the
-# slab and the product being added hold 512 KiB, well inside a 2 MiB L2
-_SLAB = 1 << 14
-
-
 def _coherent_columns(amps: np.ndarray, n_max: int) -> np.ndarray:
     """<n|alpha> for n = 0..n_max along a new last axis, for every
     amplitude in `amps`: one cumulative product of the recurrence steps
@@ -115,18 +112,14 @@ def _assemble(blocks: np.ndarray, cols: np.ndarray) -> np.ndarray:
     d = cols.shape[2]
     # the block times the columns of untouched modes 1..U-1, flattened
     tail = _products(blocks.reshape(len(blocks), -1), cols[:, 1:])
-    # write the first group and add the others into the rows of the first
-    # untouched mode a slab of rows at a time, so the slab and the group
-    # being added stay in cache
+    # write the first group, then add each other group's product, formed in
+    # one reused buffer, in group order
     data = np.empty((d,) + blocks.shape[1:] + (d,) * (cols.shape[1] - 1), dtype=complex)
     rows = data.reshape(d, -1)
-    step = max(1, _SLAB // rows.shape[1])
-    term = np.empty((min(step, d), rows.shape[1]), dtype=complex)
-    for i in range(0, d, step):
-        slab = rows[i : i + step]
-        np.multiply(cols[0, 0, i : i + step, None], tail[0], out=slab)
-        for k in range(1, len(tail)):
-            slab += np.multiply(cols[k, 0, i : i + step, None], tail[k], out=term[: len(slab)])
+    np.multiply(cols[0, 0, :, None], tail[0], out=rows)
+    term = np.empty_like(rows)
+    for k in range(1, len(tail)):
+        rows += np.multiply(cols[k, 0, :, None], tail[k], out=term)
     return data
 
 
@@ -145,8 +138,6 @@ def to_fock(s: CoherentSuperposition, n_max: int) -> np.ndarray:
     every term's coefficient is a block on no mode."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if s.modes == 0:
-        return np.array(sum(s.coeffs.tolist(), 0j))
     return _assemble(s.coeffs, _coherent_columns(s.amps, n_max))
 
 
@@ -236,11 +227,7 @@ def fock_displace(v: np.ndarray, mode: int, beta: complex) -> np.ndarray:
     evals, evecs = _quadrature_eigh(d)
     w = np.exp(1j * (np.angle(beta) - 0.5 * np.pi) * np.arange(d))[:, None] * evecs
     u = (w * np.exp(1j * abs(beta) * evals)) @ w.conj().T
-    if mode == v.ndim - 1:  # one product over the trailing axis
-        out = v.reshape(-1, d) @ u.T
-    else:  # a stack of products on the middle axis of (before, mode, after)
-        out = u @ v.reshape(math.prod(v.shape[:mode]), d, -1)
-    return out.reshape(v.shape)
+    return np.moveaxis(np.moveaxis(v, mode, -1) @ u.T, -1, mode)
 
 
 def fock_beamsplitter(

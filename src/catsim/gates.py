@@ -105,13 +105,15 @@ def logical_coefficients(
     0 at x = -r; expm1 keeps the two cancelling differences exact at small
     alpha.  Past -r, where expm1 would overflow, the equal form
     -e^{-2r^2} <-r|x> expm1(2r(r + x)) / expm1(-4r^2) is used.  The
-    coefficients are y = sum_k c_k (Kronecker over m) d(x_km); with b the
-    same product of the overlaps <r|x_km>, the leakage is 1 - Re y^dag b.  Only
-    alpha^2 underflowing to 0 leaves the fit undefined (ValueError)."""
+    coefficients are y = sum_k c_k (Kronecker over m) d(x_km), and the
+    leakage is 1 - Re y^dag G y, with G applied mode by mode as y + o y',
+    y' the vector with that mode's bit flipped.  Only alpha^2 underflowing
+    to 0 leaves the fit undefined (ValueError)."""
     if sorted(e.mode for e in encs) != list(range(s.modes)):
         raise ValueError("the encodings' modes must be the state's modes, each exactly once")
     alphas = np.array([e.alpha for e in encs], dtype=float)
     scale = np.expm1(-4.0 * alphas**2)
+    o = np.exp(-2.0 * alphas**2)  # <-a|a> per mode
     if not scale.all():
         raise ValueError("logical Gram system is singular (alpha too small)")
     refs = np.stack([-alphas, alphas], axis=1)[..., None]
@@ -119,20 +121,18 @@ def logical_coefficients(
     ov = coherent_overlap(refs, x)  # (n, 2, K): <r|x_km>
     expo = -2.0 * refs * (refs + x)
     far = expo.real > 0
-    dual = (np.where(far, -np.exp(-2.0 * refs**2) * ov[:, ::-1], ov)
+    dual = (np.where(far, -o[:, None, None] * ov[:, ::-1], ov)
             * np.expm1(np.where(far, -expo, expo)) / scale[:, None, None])
-    # per term, the duals (then the overlaps) multiplied mode by mode into
-    # 2^n-vectors, mode 0 outermost and terms last, then summed over terms.
-    # One table at a time: both at once (256 KiB at 2^6 x 128 terms) were
-    # mapped and page-faulted afresh on every call.
-    sums = []
-    for table in (dual, ov):
-        acc = s.coeffs[None]
-        for m in range(len(encs)):
-            acc = (acc[:, None] * table[m, None]).reshape(-1, s.nterms)
-        sums.append(acc.sum(axis=1))
-    coeffs, proj = sums
-    leakage = max(1.0 - float(np.sum(coeffs.conj() * proj).real), 0.0)
+    # per term, the duals multiplied mode by mode into 2^n-vectors, mode 0
+    # outermost and terms last, then summed over terms
+    acc = s.coeffs[None]
+    for m in range(len(encs)):
+        acc = (acc[:, None] * dual[m, None]).reshape(-1, s.nterms)
+    coeffs = gy = acc.sum(axis=1)
+    for m in range(len(encs)):
+        v = gy.reshape(2**m, 2, -1)
+        gy = v + o[m] * v[:, ::-1]
+    leakage = max(1.0 - float(np.sum(coeffs.conj() * gy.ravel()).real), 0.0)
     return coeffs, leakage
 
 

@@ -363,8 +363,10 @@ def homodyne_condition(s: CoherentSuperposition, mode: int, x: float) -> Measure
 def homodyne_sample(
     s: CoherentSuperposition, mode: int, rng: np.random.Generator, points: int = 4096
 ) -> MeasurementRecord:
-    """Draw a homodyne result by inverse CDF on a fixed grid over
-    +/-(sqrt(2) max|a| + 8), then condition."""
+    """Draw a homodyne result by inverse CDF on a fixed grid of `points`
+    (at least 2) over +/-(sqrt(2) max|a| + 8), then condition."""
+    if points < 2:
+        raise ValueError(f"homodyne grid needs at least 2 points, got {points}")
     a = float(np.max(np.abs(s.amps[:, mode]))) if s.nterms else 0.0
     half = a * math.sqrt(2) + 8.0
     xs = np.linspace(-half, half, points)

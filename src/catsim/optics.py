@@ -31,7 +31,6 @@ __all__ = [
     "bell_resource",
     "append_modes",
     "tensor",
-    "permute_modes",
 ]
 
 
@@ -137,12 +136,3 @@ def tensor(x: CoherentSuperposition, y: CoherentSuperposition) -> CoherentSuperp
     amps[:, :, x.modes :] = y.amps
     coeffs = (x.coeffs[:, None] * y.coeffs[None, :]).reshape(kx * ky)
     return CoherentSuperposition(coeffs, amps.reshape(kx * ky, m))
-
-
-def permute_modes(s: CoherentSuperposition, order: list[int]) -> CoherentSuperposition:
-    """Reorder modes so new mode i is old mode order[i]."""
-    if list(order) == list(range(s.modes)):
-        return s  # states are immutable
-    if sorted(order) != list(range(s.modes)):
-        raise ValueError("order must be a permutation of all modes")
-    return CoherentSuperposition(s.coeffs, s.amps[:, order])

@@ -218,9 +218,11 @@ def test_displacement_matches_dense_truncated_generator():
             u = (evecs * np.exp(1j * evals)) @ evecs.conj().T
             for modes, mode in ((1, 0), (3, 0), (3, 1), (3, 2)):
                 data = _random_vector(rng, d, modes)
-                out = fock_displace(data, mode, beta)
-                ref = np.moveaxis(np.tensordot(u, data, axes=([1], [mode])), 0, mode)
-                assert np.max(np.abs(out - ref)) < 1e-13, (d, beta, mode)
+                # the array and a strided view of it with its axes reversed
+                for v in (data, data.T):
+                    out = fock_displace(v, mode, beta)
+                    ref = np.moveaxis(np.tensordot(u, v, axes=([1], [mode])), 0, mode)
+                    assert out.shape == v.shape and np.max(np.abs(out - ref)) < 1e-13, (d, beta, mode)
 
 
 @pytest.mark.parametrize("modes", [1, 2, 3])
@@ -261,6 +263,10 @@ def test_to_fock_matches_per_term_reference():
         out = to_fock(s, n_max)
         assert out.shape == (n_max + 1,) * m
         assert np.max(np.abs(out - _to_fock_per_term(s, n_max))) < 1e-15
+    # a state of no mode is the sum of its coefficients, of shape ()
+    s = CoherentSuperposition(np.array([0.5, -0.25j, 2.0 + 1.0j]), np.zeros((3, 0)))
+    out = to_fock(s, 4)
+    assert np.shape(out) == () and out == sum(s.coeffs.tolist())
 
 
 def test_inner_matches_vdot_to_round_off():

@@ -163,6 +163,10 @@ def test_homodyne_condition_and_sample():
     sampled = homodyne_sample(s, 0, rng)
     assert sampled.kind == "homodyne"
     assert sampled.state.modes == 1
+    # one point would always draw the grid's left edge; none has no CDF
+    for points in (1, 0):
+        with pytest.raises(ValueError, match=f"got {points}$"):
+            homodyne_sample(s, 0, rng, points)
 
 
 def test_bell_outcomes_classify_bell_cats():
