@@ -53,7 +53,7 @@ where a cat's amplitudes of the opposite parity must cancel to exactly 0.
 
 A norm, an inner product or a marginal needs no number basis on a mode it
 only sums over.  `_span` moves such a mode's G columns of d levels into an
-orthonormal basis Q of their span, G coordinates each where d > G, by one
+orthonormal basis Q of their span, min(d, G) coordinates each, by one
 batched Householder QR.  The tensor has no component outside span Q, and Q
 is an isometry, so that sum is the same in the new coordinates: the change
 is exact up to round-off, and Householder QR's backward error is of the
@@ -125,11 +125,8 @@ def _assemble(blocks: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 def _span(cols: np.ndarray) -> np.ndarray:
     """The (G, U, d) Fock columns of U modes in an orthonormal basis of each
-    mode's column span, (G, U, G), where d > G; unchanged where d <= G.
-    One batched Householder QR: column g of mode u is Q_u R_u[:, g], so its
-    coordinates are R_u[:, g]."""
-    if cols.shape[2] <= cols.shape[0]:
-        return cols
+    mode's column span, (G, U, min(d, G)).  One batched Householder QR:
+    column g of mode u is Q_u R_u[:, g], so its coordinates are R_u[:, g]."""
     return np.linalg.qr(cols.transpose(1, 2, 0), mode="r").transpose(2, 0, 1)
 
 

@@ -39,6 +39,7 @@ __all__ = [
     "encode",
     "decode",
     "decode_two",
+    "logical_coefficients",
     "gate_x",
     "teleport",
     "gate_z",

@@ -316,9 +316,10 @@ def cat_projection(
 
     A branch at or below PROB_FLOOR gives a record whose `state` is None,
     where `project_photon_number` and `homodyne_condition` raise
-    ZeroNormError.  The gates rely on this: `gate_rx` builds the same
-    cat-projection table, and `gates._pick` turns a drawn stateless branch
-    into a GateFailure."""
+    ZeroNormError.  The record comes from `_table`'s PROB_FLOOR rule, the
+    one `gate_rx` also builds its joint two-mode table through (it never
+    calls this function); `gates._pick` turns a drawn stateless branch into
+    a GateFailure."""
     s.check_mode(mode)
     if parity not in (+1, -1):
         raise ValueError("parity must be +1 or -1")

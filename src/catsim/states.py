@@ -101,6 +101,8 @@ class CoherentSuperposition:
         coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
         amps = np.asarray(self.amps, dtype=complex)
         if amps.ndim != 2:
+            if amps.ndim > 2:
+                raise ValueError(f"amps must be at most 2-D (terms, modes), got shape {amps.shape}")
             amps = amps.reshape(len(coeffs), -1)
         if amps.shape[0] != coeffs.shape[0]:
             raise ValueError(

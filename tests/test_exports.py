@@ -1,8 +1,11 @@
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,6 +34,33 @@ def test_every_package_name_is_exported_by_its_defining_module():
         if attr not in getattr(home, "__all__", ()):
             stale.append(f"{attr} ({obj.__module__})")
     assert not stale, f"catsim re-exports names missing from their module's __all__: {stale}"
+
+
+LIBRARY = ["states", "optics", "measure", "gates", "metrology"]
+
+
+def test_package_names_are_the_library_modules_all():
+    """The package declares no public name of its own: its flat names are
+    the five library modules' `__all__`, which share no name."""
+    declared = [attr for m in LIBRARY for attr in importlib.import_module(f"catsim.{m}").__all__]
+    assert len(declared) == len(set(declared)), "two library modules export one name"
+    flat = {
+        attr for attr in dir(catsim)
+        if not attr.startswith("_") and not inspect.ismodule(getattr(catsim, attr))
+    }
+    assert flat == set(declared)
+
+
+def test_import_catsim_loads_the_library_modules_only():
+    # `import catsim` is the import cost the benchmark's setup time sees:
+    # `cli`, `audit` and `fockoracle` stay out of it
+    script = "import sys, catsim\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'catsim'))"
+    src = Path(catsim.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(sorted(["catsim"] + [f"catsim.{m}" for m in LIBRARY]))
 
 
 ROOT = Path(__file__).resolve().parents[1]

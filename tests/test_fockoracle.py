@@ -369,3 +369,14 @@ def test_span_gives_the_same_bytes_under_one_and_two_blas_threads():
     one = run("1")
     assert len(one) == 2 * 16 * 2 * 16 * 16 + 1
     assert run("2") == one
+
+
+def test_span_of_no_more_levels_than_columns_keeps_d_coordinates():
+    # 12 columns of 4 levels: the basis has min(d, G) = 4 vectors, and the
+    # coordinates keep every Gram entry of each mode's columns
+    rng = np.random.default_rng(6)
+    cols = fockoracle._coherent_columns(rng.normal(size=(12, 2)) + 1j * rng.normal(size=(12, 2)), 3)
+    got = fockoracle._span(cols)
+    assert got.shape == (12, 2, 4)
+    for u in range(2):
+        np.testing.assert_allclose(got[:, u].conj() @ got[:, u].T, cols[:, u].conj() @ cols[:, u].T, atol=1e-14)

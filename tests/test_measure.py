@@ -570,7 +570,7 @@ def _assert_teleport_table_is_counting(s, enc):
             assert fidelity(x, y) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_bell_cat_outcomes_matches_counting_on_subspace():
+def test_teleport_table_is_counting_on_a_two_mode_register():
     # inputs on {+a, -a}: the teleport's table is the counting classifier
     rng = np.random.default_rng(2)
     a = 2.0
@@ -581,7 +581,7 @@ def test_bell_cat_outcomes_matches_counting_on_subspace():
         _assert_teleport_table_is_counting(s, gates.QubitEncoding(a, mode))
 
 
-def test_bell_cat_outcomes_equal_bell_outcomes_on_logical_inputs():
+def test_teleport_table_is_counting_on_random_logical_inputs():
     rng = np.random.default_rng(24)
     for _ in range(12):
         s = _random_qubit_like(rng)

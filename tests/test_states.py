@@ -54,6 +54,12 @@ def test_constructor_validation():
     assert s.modes == 2 and s.nterms == 1
     with pytest.raises(ValueError):
         s.amps[0, 0] = 0.0  # frozen arrays
+    # a (2, 3, 2) array is not read as 2 terms of 6 modes
+    with pytest.raises(ValueError, match=r"\(2, 3, 2\)"):
+        CoherentSuperposition(np.ones(2), np.zeros((2, 3, 2)))
+    # a 0-D or 1-D array is still one amplitude per term
+    assert CoherentSuperposition(1.0, 2.0).amps.shape == (1, 1)
+    assert CoherentSuperposition(np.ones(3), np.arange(3.0)).amps.shape == (3, 1)
 
 
 def test_overlap_matrix_shares_half_norms_only_within_one_array():
