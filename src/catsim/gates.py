@@ -18,6 +18,11 @@ residual lands; an attempt that lands nothing new builds no state).
 Every teleport draws from one kind of Bell table, `_bell_table`, whether
 its input is logical or has left {+alpha, -alpha} (Rz's displaced input,
 the entangling gate's mixed one): no tolerance chooses between tables.
+The table is scored and landed on the input's K terms alone: the Bell-cat
+resource's measured column is exactly +/-alpha, so each input term meets
+one resource term per outcome (`_bell_step`).  Only gate_rx, which mixes
+that column with the input before it measures, reads the 2K joint terms
+of input (x) resource (`_with_resource`).
 """
 
 from __future__ import annotations
@@ -185,13 +190,13 @@ def _pick(
 
 
 def _with_resource(s: CoherentSuperposition, enc: QubitEncoding) -> tuple:
-    """What a step measuring s's enc.mode and the first mode of a fresh
-    Bell-cat resource reads of s (x) resource, without building it:
-    (coeffs, cols, rest, pair), the joint coefficients and the (2K, 2)
-    measured columns (s's, then the resource's) in the term order of
-    `optics.tensor` (term 2j + r is s's term j times the resource's term
-    r), s's other modes and the resource's kept mode, the rows x, -x whose
-    eigen-forms `measure._table` scores.  The resource is
+    """What gate_rx, which mixes s's enc.mode with the first mode of a fresh
+    Bell-cat resource before it measures both, reads of s (x) resource,
+    without building it: (coeffs, cols, rest, pair), the joint coefficients
+    and the (2K, 2) measured columns (s's, then the resource's) in the term
+    order of `optics.tensor` (term 2j + r is s's term j times the resource's
+    term r), s's other modes and the resource's kept mode, the rows x, -x
+    whose eigen-forms `measure._branch_norms` scores.  The resource is
     `optics.bell_resource`, (|a,a> + |-a,-a>)/norm, read from its closed
     form (`states._pair_norm`) with no state built.  IndexError for an
     enc.mode outside s."""
@@ -206,21 +211,59 @@ def _with_resource(s: CoherentSuperposition, enc: QubitEncoding) -> tuple:
     return coeffs, cols.reshape(2 * k, 2), measure._rest(s, [enc.mode]), x[:, None]
 
 
-def _bell_table(s: CoherentSuperposition, enc: QubitEncoding) -> dict:
+def _bell_step(s: CoherentSuperposition, enc: QubitEncoding) -> tuple[dict, bool]:
     """The Bell table of teleporting the qubit in enc.mode through a fresh
-    Bell-cat resource: the rows of `measure._bell_rows` against the +alpha
-    or -alpha nearest the mode's largest amplitude, the reference that
-    `measure.bell_outcomes` takes on a logical input.  One table serves
-    every input: a term off {+alpha, -alpha} is weighted by its overlap with
-    the nearest support point, which is exactly 1 on the support, so the
-    table is continuous in its input and the teleport projects any leakage
-    back into the logical space."""
-    coeffs, cols, rest, pair = _with_resource(s, enc)
+    Bell-cat resource, and whether that mode lies exactly on {+alpha,
+    -alpha} (its every offset d is 0).
+
+    The rows are those of `measure._bell_rows` on s (x) resource against
+    ref = sigma alpha, the +alpha or -alpha nearest the mode's largest
+    amplitude (the reference `measure.bell_outcomes` takes on a logical
+    input), scored and landed on s's K terms alone.  The resource,
+    `optics.bell_resource` read from its closed form (coefficient c, by
+    `states._pair_norm`), measures exactly x_r = (-1)^r alpha in term r:
+    its offset is 0, so its weight factor is 1, and s's term j, of nearest
+    sign s_j, meets resource term r* with (-1)^{r*} = sigma s_j in rows
+    I/II and the other term in III/IV.  So every row keeps one resource
+    term per input term: x_{r*} (I/II) or x_{1 - r*} (III/IV), with weight
+    w_j (I, III) or s_j w_j (II, IV), and the pair's two eigen-forms
+    (`measure._pair_form`) need three Gram forms on s's other modes:
+    F(c w), F(c s w) and F(c f), f the FAIL weight.  Rows I and III score
+    (F(c w), F(c s w)), rows II and IV the same two swapped, and FAIL, whose
+    two resource terms weigh alike, (4 F(c f), 0).  One table serves every
+    input: a term off {+alpha, -alpha} is weighted by its overlap with the
+    nearest support point, exactly 1 on the support, so the table is
+    continuous in its input and the teleport projects any leakage back into
+    the logical space.  IndexError for an enc.mode outside s."""
+    s.check_mode(enc.mode)
     a = s.amps[:, enc.mode]
     top = complex(a[np.abs(a).argmax()])
     ref = enc.alpha if abs(top - enc.alpha) <= abs(top + enc.alpha) else -enc.alpha
-    rows = measure._bell_rows(cols[:, 0], cols[:, 1], ref)
-    return measure._table("bell_measurement", coeffs, rest, rows, pair)
+    signs, d, h = measure._bell_column(a, complex(ref))
+    w, fail = measure._bell_weights(np.abs(d) ** 2, h)
+    sw = signs * w
+    c = s.coeffs * (1 / _pair_norm(2 * enc.alpha * enc.alpha, 1, 1))
+    rest = measure._rest(s, [enc.mode])
+    f = measure._forms(rest, np.array([w, sw, fail]) * c)
+    sq = enc.alpha * enc.alpha
+    even, odd = measure._pair_form(f[0], f[1], sq), measure._pair_form(f[1], f[0], sq)
+    x = np.array([enc.alpha, -enc.alpha], dtype=complex)
+    r = (signs * ref < 0).astype(np.intp)  # r*, the resource term each input term meets in I/II
+    z0, even_nz, odd_nz = measure._parity_class_weights(2 * enc.alpha ** 2)
+    rows = [
+        ("I", even_nz, w, x[r]),
+        ("II", odd_nz, sw, x[r]),
+        ("III", even_nz, w, x[1 - r]),
+        ("IV", odd_nz, sw, x[1 - r]),
+        ("FAIL", z0, fail, False),
+    ]
+    norms = (even, odd, even, odd, measure._pair_form(4 * f[2], 0.0, sq))
+    return measure._table("bell_measurement", c, rest, rows, norms), not d.any()
+
+
+def _bell_table(s: CoherentSuperposition, enc: QubitEncoding) -> dict:
+    """The Bell table of teleporting the qubit in enc.mode (`_bell_step`)."""
+    return _bell_step(s, enc)[0]
 
 
 def _draw(
@@ -231,9 +274,10 @@ def _draw(
     (a Bell table, or gate_rx's cat projection) multiplies the probability,
     counts one repetition and is traced under rec.kind.  FAIL keeps
     out.state; every other outcome composes its Z residual into `applied`
-    and lands once: `measure._branch_state` builds the record's live terms
-    with the resource's kept column inserted at enc.mode, negated exactly
-    where the branch takes an X correction, and merges them.  With `reuse`
+    and lands once: `measure._branch_state` builds the record's live terms,
+    its rest rows with the resource column each term keeps inserted at
+    enc.mode, negated exactly where the branch takes an X correction, and
+    merges them.  A Bell record's terms are the input's K terms.  With `reuse`
     (the caller draws again from the same table), a landing that leaves
     `applied` unchanged builds no state and keeps out.state: nothing reads
     it."""
@@ -266,16 +310,17 @@ def _settle(
     an input exactly on that support.  Such an attempt builds no state
     unless its landing changes out.applied (`_draw`'s `reuse`): the next
     attempt reads the kept table, and a FAIL's state is the input's
-    (`_named`).  Any other input builds a second table from its first
-    landing, which the teleport has projected onto the logical space."""
+    (`_named`).  Whether an input lies exactly on the support is read off
+    the table's own offsets (`_bell_step`).  Any other input builds a
+    second table from its first landing, which the teleport has projected
+    onto the logical space."""
     cap, table = out.repetitions + MAX_REPEATS, None
     while out.success and out.applied != want:
         if out.repetitions == cap:
             raise GateFailure(f"Z branch did not land within {MAX_REPEATS} teleports")
         if table is None:
-            table = _bell_table(out.state, enc)
-            col = out.state.amps[:, enc.mode]
-            keep = out.repetitions > 0 or np.isin(col, (-enc.alpha, enc.alpha)).all()
+            table, exact = _bell_step(out.state, enc)
+            keep = out.repetitions > 0 or exact
         out = _draw(out, enc, table, rng, "II", reuse=keep)
         if not keep:
             table = None
@@ -374,12 +419,16 @@ def gate_rx(
     a, b = _passive(cols, _beamsplitter_u(theta / 2.0)).T
     trace = (_traced("beamsplitter", f"theta={theta / 2.0:.6g}", "-", 1.0),)
 
-    # joint cat projection of the input mode and the resource's first mode, keys (pa, pb)
+    # joint cat projection of the input mode and the resource's first mode, keys (pa, pb);
+    # the mixed columns do not factor, so the table is scored on the 2K joint terms
     parity = {"even": +1, "odd": -1}
     wa = {k: measure._cat_weights(enc.alpha, p, a) for k, p in parity.items()}
     wb = {k: measure._cat_weights(enc.alpha, p, b) for k, p in parity.items()}
-    rows = [((ka, kb), 1.0, wa[ka] * wb[kb], True) for kb in parity for ka in parity]
-    table = measure._table("cat_projection", coeffs, rest, rows, pair)
+    # joint term 2j + r keeps s's other modes of term j and the resource's
+    # kept mode, which holds what its measured column held before the mix
+    rows = [((ka, kb), 1.0, wa[ka] * wb[kb], cols[:, 1]) for kb in parity for ka in parity]
+    norms = measure._branch_norms(coeffs, rest, np.array([w for _, _, w, _ in rows]), pair)
+    table = measure._table("cat_projection", coeffs, np.repeat(rest, 2, axis=0), rows, norms)
     out = _draw(GateOutcome(s, True, "identity", 1.0, 0, trace), enc, table, rng, ("even", "even"))
     return _named(s, _settle(out, enc, rng), f"Rx({2 * theta * enc.alpha ** 2:.6g})")
 
@@ -393,9 +442,10 @@ def entangling_gate(
 ) -> GateOutcome:
     """Two-qubit phase gate: weak beam splitter between the qubit modes,
     then teleport both back into the logical space.  The computational
-    amplitudes acquire e^{+i theta alpha^2} on |--> and |++> and
-    e^{-i theta alpha^2} on the mixed components; accumulating to
-    2 theta alpha^2 = pi/2 gives a gate locally equivalent to CNOT.
+    amplitudes acquire e^{+i theta a_a a_b} on |--> and |++> and
+    e^{-i theta a_a a_b} on the mixed components, a_a and a_b the two
+    encodings' alphas; accumulating to 2 theta a_a a_b = pi/2 gives a gate
+    locally equivalent to CNOT.  The outcome is named ZZ(theta a_a a_b).
     """
     if enc_a.mode == enc_b.mode:
         raise ValueError("the two qubits must occupy distinct modes")
@@ -407,7 +457,7 @@ def entangling_gate(
     for enc in (enc_a, enc_b):
         if out.success:
             out = _settle(_draw(out, enc, _bell_table(out.state, enc), rng, "I"), enc, rng)
-    return _named(s, out, f"ZZ({theta * enc_a.alpha ** 2:.6g})")
+    return _named(s, out, f"ZZ({theta * (enc_a.alpha * enc_b.alpha):.6g})")
 
 
 # ---------------------------------------------------------------------------

@@ -3,19 +3,23 @@ Bell-cat measurement, with exact outcome probabilities and conditioned
 pure states.  Every conditioning is an exact branch table {outcome:
 MeasurementRecord} scored from the Gram matrix of its remaining modes
 (`_table`); a gate's input (x) resource keeps the resource's pair x, -x
-in one mode, whose two eigen-forms leave one Gram form on the input's
-other modes.  Every Bell-cat table, `bell_outcomes` and every
-teleport's, is scored by one row function, `_bell_rows`, which weights a
-term off {+a, -a} by its overlap with the nearest support point, exactly 1
-on the support.  The parity and Bell-cat measurements return the whole
-table, `sample` draws one outcome and `sample_counts` the outcome counts
-of many shots.  A branch's conditioned state is built on its first read,
-so a shot that keeps one branch builds only that branch's state, and it
-is built from the terms its row supports: the terms a branch's weights
-zero (a Bell outcome's unmatched signs) never reach `merge_terms`.  A gate
-lands its drawn branch through the same `_branch_state`, with the
-resource's kept column placed in the qubit's mode and, for an X
-correction, negated (`gates._draw`).
+in one mode, whose two eigen-forms (`_pair_form`) leave Gram forms on the
+input's other modes only.  Every Bell-cat table, `bell_outcomes` and
+every teleport's, weights its terms by one per-column function,
+`_bell_column`, and one weight function, `_bell_weights`: a term off {+a,
+-a} is weighted by its overlap with the nearest support point, exactly 1
+on the support.  `_bell_rows` composes two measured columns; a teleport's
+table reads its input's column alone, as the resource's lies exactly on
+the support, and is scored on the input's K terms (`gates._bell_step`).
+The parity and Bell-cat measurements return the whole table, `sample`
+draws one outcome and `sample_counts` the outcome counts of many shots.
+A branch's conditioned state is built on its first read, so a shot that
+keeps one branch builds only that branch's state, and it is built from
+the terms its row supports: the terms a branch's weights zero (a Bell
+outcome's unmatched signs) never reach `merge_terms`.  A gate lands its
+drawn branch through the same `_branch_state`: each live term's rest row
+with the resource amplitude it keeps placed in the qubit's mode and, for
+an X correction, negated (`gates._draw`).
 
 Quadrature convention: x = (a + a^dag)/sqrt(2), so a coherent state |a>
 has mean sqrt(2) Re a and variance 1/2.
@@ -79,21 +83,21 @@ class MeasurementRecord:
         return None if self.build is None else _branch_state(*self.build)
 
 
-def _branch_state(coeffs, w, n2, rest, pair, at=None, flip=False) -> CoherentSuperposition:
+def _branch_state(coeffs, w, n2, rest, kept, at=None, flip=False) -> CoherentSuperposition:
     """The normalized, merged branch sum_k w_k c_k |rest_k> / sqrt(n2), built
     from the terms its row supports (w_k != 0, in term order): a term of
     weight 0 adds nothing to the state, so `merge_terms` never sees it.
-    With a resource `pair` (`_table`), term k remains in rest row k // 2
-    and pair row k % 2, and the pair's column is inserted before rest's
-    column `at` (after the last by default).  A gate lands its drawn
-    branch here in one build: `at` is its qubit's mode, and `flip` negates
-    the pair's column exactly, the X correction, before the merge."""
+    A gate's branch also keeps one column of the resource (`_table`; None
+    for any other branch): term k keeps `kept[k]`, inserted before rest's
+    column `at` (after the last by default).  A gate lands its drawn branch here in one build: `at` is
+    its qubit's mode, and `flip` negates the kept column exactly, the X
+    correction, before the merge."""
     live = w.nonzero()[0]
-    if pair is None:
-        amps = rest[live]
-    else:
-        rows, at = rest[live // 2], rest.shape[1] if at is None else at
-        amps = np.concatenate([rows[:, :at], (-pair if flip else pair)[live % 2], rows[:, at:]], axis=1)
+    amps = rest[live]
+    if kept is not None:
+        at = amps.shape[1] if at is None else at
+        col = kept[live, None]
+        amps = np.concatenate([amps[:, :at], -col if flip else col, amps[:, at:]], axis=1)
     return CoherentSuperposition(coeffs[live] * w[live] / np.sqrt(n2), amps).merge_terms()
 
 
@@ -104,26 +108,27 @@ def _rest(s: CoherentSuperposition, modes: list[int]) -> np.ndarray:
 
 def _table(
     kind: str, coeffs: np.ndarray, rest: np.ndarray, rows: list[tuple],
-    pair: Optional[np.ndarray] = None,
+    norms: Optional[np.ndarray] = None,
 ) -> dict:
     """Branch table {outcome: MeasurementRecord} of a measurement whose
     terms `coeffs` remain in the amplitude rows `rest` (`_rest(s, modes)`
-    of a plain state), or, given a resource `pair` (its kept mode's rows
-    x, -x), in |rest_j, pair_r> for term 2j + r: the term order of
-    `optics.tensor` on the input's other modes and the resource.
-    Row (outcome, factor, weights, keep) has probability factor times the
-    squared norm of the unmerged branch (per-term contraction `weights`),
-    all rows from one `_branch_norms` call.  A kept branch above PROB_FLOOR
-    carries its normalized, merged state, built on the record's first read
-    by `_branch_state` from the row's nonzero-weight terms; the others
-    carry None."""
-    norms = _branch_norms(coeffs, rest, np.array([w for _, _, w, _ in rows]), pair)
+    of a plain state; one row per term).  Row (outcome, factor, weights,
+    keep) has probability factor times the squared norm of the unmerged
+    branch (per-term contraction `weights`): `norms`, one per row, or else
+    all rows from one `_branch_norms` call.  `keep` is False for a
+    discarded branch, True for one that remains in `rest`, or, for a gate's
+    branch, the resource column its terms keep besides (`_branch_state`).
+    A kept branch above PROB_FLOOR carries its normalized, merged state,
+    built on the record's first read by `_branch_state` from the row's
+    nonzero-weight terms; the others carry None."""
+    if norms is None:
+        norms = _branch_norms(coeffs, rest, np.array([w for _, _, w, _ in rows]))
     table = {}
     for (outcome, factor, w, keep), n2 in zip(rows, norms):
         p = float(factor * n2)
         build = None
-        if keep and p > PROB_FLOOR:
-            build = (coeffs, w, n2, rest, pair)
+        if keep is not False and p > PROB_FLOOR:
+            build = (coeffs, w, n2, rest, None if keep is True else keep)
         table[outcome] = MeasurementRecord(kind, outcome, p, build)
     return table
 
@@ -188,6 +193,25 @@ def default_nmax(amp_scale: float) -> int:
     return math.ceil(a * a + 10 * a + 20)
 
 
+def _forms(rest: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The Gram form F(u) = u^dag G u on `rest` for every row of a (..., K)
+    stack u: one `states._gram_forms` call, or |sum u|^2 when `rest` has no
+    modes (no overlap matrix)."""
+    return _gram_forms(rest, u, rest, u).real if rest.shape[1] else np.abs(u.sum(axis=-1)) ** 2
+
+
+def _pair_form(f_plus, f_minus, sq: float):
+    """The squared norm of a branch whose terms also sit in a resource pair
+    x, -x, ||x||^2 = sq, from its two eigen-forms.  The pair's Gram matrix
+    [[1, o], [o, 1]], o = e^{-2 sq}, has eigenvectors (1, +/-1) with
+    eigenvalues 1 +/- o, so the squared norm is (1 + o)/2 F(v_0 + v_1) +
+    (1 - o)/2 F(v_0 - v_1), v_r the weighted coefficients of pair term r;
+    f_plus, f_minus are those two forms.  Both terms are >= 0 and 1 - o
+    comes from expm1, so nothing cancels."""
+    e = math.expm1(-2 * sq)
+    return (1 + 0.5 * e) * f_plus - 0.5 * e * f_minus
+
+
 def _branch_norms(
     coeffs: np.ndarray, rest: np.ndarray, weights: np.ndarray, pair: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -195,21 +219,17 @@ def _branch_norms(
     (..., K) stack of weights: v* G v with v = w * coeffs and G the Gram
     matrix of `rest`, one `states._gram_forms` call.
 
-    With a resource `pair` (`_table`), term 2j + r remains in |rest_j,
-    pair_r>.  The pair's Gram matrix [[1, o], [o, 1]], o = e^{-2 ||x||^2},
-    has eigenvectors (1, +/-1) with eigenvalues 1 +/- o, so the squared
-    norm is (1 + o)/2 F(v_0 + v_1) + (1 - o)/2 F(v_0 - v_1), v_r the
-    weighted coefficients of resource term r and F the Gram form on `rest`
-    (|sum u|^2 when it has no modes: no overlap matrix).  Both terms are
-    >= 0 and 1 - o comes from expm1, so nothing cancels."""
+    With a resource `pair` (its kept mode's rows x, -x; gate_rx's joint
+    table), term 2j + r remains in |rest_j, pair_r>, the term order of
+    `optics.tensor`, and the norm is `_pair_form` of F(v_0 + v_1) and
+    F(v_0 - v_1), `_forms` on `rest`.  A Bell table needs no joint terms
+    and takes its norms from the same two functions (`gates._bell_step`)."""
     v = weights * coeffs
     if pair is None:
         return _gram_forms(rest, v, rest, v).real
     v0, v1 = v[..., 0::2], v[..., 1::2]
-    u = np.stack([v0 + v1, v0 - v1])
-    f = _gram_forms(rest, u, rest, u).real if rest.shape[1] else np.abs(u.sum(axis=-1)) ** 2
-    e = math.expm1(-2 * float(np.vdot(pair[0], pair[0]).real))
-    return (1 + 0.5 * e) * f[0] - 0.5 * e * f[1]
+    f = _forms(rest, np.stack([v0 + v1, v0 - v1]))
+    return _pair_form(f[0], f[1], float(np.vdot(pair[0], pair[0]).real))
 
 
 def photon_statistics(s: CoherentSuperposition, mode: int, n_max: int | None = None) -> np.ndarray:
@@ -407,6 +427,27 @@ def bell_outcomes(
     return _table("bell_measurement", s.coeffs, _rest(s, [mode_a, mode_b]), _bell_rows(a, b, ref))
 
 
+def _bell_column(col: np.ndarray, ref: complex) -> tuple:
+    """(signs, d, conj(r) d) of one measured column of a Bell-cat
+    measurement against `ref`: each amplitude x's nearest sign (+1 or -1),
+    its offset d = x - r from r = sign * ref, the support point nearest
+    it, and conj(r) d.  d is exactly 0 where x lies on {+ref, -ref}."""
+    signs = _nearest_signs(col, ref)
+    r = signs * ref
+    d = col - r
+    return signs, d, r.conj() * d
+
+
+def _bell_weights(d2: np.ndarray, h: np.ndarray) -> tuple:
+    """(w, fail) per term from the sums of |d|^2 and of conj(r) d over its
+    measured columns (`_bell_column`): the support weight w = exp(-|d|^2/2 +
+    i Im h), the product of <r|x> over the columns, and the FAIL weight
+    exp(-|d|^2/2 - Re h), which `_bell_rows` derives.  Both are exactly 1
+    on the support."""
+    e = -0.5 * d2
+    return np.exp(e + 1j * h.imag), np.exp(e - h.real)
+
+
 def _bell_rows(a: np.ndarray, b: np.ndarray, ref: complex) -> list[tuple]:
     """The `_table` rows of the Bell-cat measurement from its two measured
     columns, one amplitude per term in each, against the reference `ref`.
@@ -428,14 +469,13 @@ def _bell_rows(a: np.ndarray, b: np.ndarray, ref: complex) -> list[tuple]:
     FAIL is the joint vacuum, |<0, 0|x, y>|^2 = e^{-|x|^2 - |y|^2}: the class
     factor e^{-2 |ref|^2} times the squared weight exp(|ref|^2 - (|x|^2 +
     |y|^2)/2), written exp(-|d|^2/2 - Re(conj(r) d)) per mode, again exactly
-    1 on the support."""
+    1 on the support.  Each column's part comes from `_bell_column`, which
+    a gate's table reads for its input's column alone
+    (`gates._bell_step`)."""
     ref = complex(ref)
-    signs_a, signs_b = _nearest_signs(a, ref), _nearest_signs(b, ref)
-    ra, rb = signs_a * ref, signs_b * ref
-    da, db = a - ra, b - rb
-    h = ra.conj() * da + rb.conj() * db
-    e = -0.5 * (np.abs(da) ** 2 + np.abs(db) ** 2)
-    w = np.exp(e + 1j * h.imag)
+    signs_a, da, ha = _bell_column(a, ref)
+    signs_b, db, hb = _bell_column(b, ref)
+    w, fail = _bell_weights(np.abs(da) ** 2 + np.abs(db) ** 2, ha + hb)
     same = signs_a == signs_b
     z0, even_nz, odd = _parity_class_weights(2 * abs(ref) ** 2)
     return [
@@ -443,5 +483,5 @@ def _bell_rows(a: np.ndarray, b: np.ndarray, ref: complex) -> list[tuple]:
         ("II", odd, same * signs_a * w, True),
         ("III", even_nz, ~same * w, True),
         ("IV", odd, ~same * signs_a * w, True),
-        ("FAIL", z0, np.exp(e - h.real), False),
+        ("FAIL", z0, fail, False),
     ]

@@ -255,6 +255,21 @@ def test_entangling_phase_per_step():
     assert abs(ideal - 2 * theta * a2) < theta**3 * a2 / 6
 
 
+@pytest.mark.parametrize("alphas", [(2.0, 2.5), (2.5, 2.0)])
+def test_entangling_gate_is_named_by_the_phase_it_applies(alphas):
+    # two encodings of different alpha: the gate applies ZZ(theta a_a a_b),
+    # not ZZ(theta a_a^2); the aligned-minus-mixed phase is 4 a_a a_b sin(theta/2)
+    enc_a, enc_b = QubitEncoding(alphas[0], 0), QubitEncoding(alphas[1], 1)
+    theta = 0.02 / (alphas[0] * alphas[1])
+    s = optics.tensor(encode(1.0, 1.0, enc_a), encode(1.0, 1.0, enc_b))
+    out = entangling_gate(s, enc_a, enc_b, theta)
+    assert out.applied == "ZZ(0.02)"
+    x, leak = decode_two(out.state, enc_a, enc_b)
+    assert leak < 1e-10
+    rel = np.angle(x[0] / x[1])
+    assert abs(rel - 4 * alphas[0] * alphas[1] * math.sin(theta / 2)) < 1e-9
+
+
 def test_dressed_cnot_fidelity():
     enc_a, enc_b = QubitEncoding(2.5, 0), QubitEncoding(2.5, 1)
     a2 = enc_a.alpha**2
@@ -669,7 +684,7 @@ def _count_calls(monkeypatch, name):
 
 
 def test_gate_z_draws_every_attempt_from_one_table(monkeypatch):
-    tables = _count_calls(monkeypatch, "_bell_rows")
+    tables = _count_calls(monkeypatch, "_table")
     landings = _count_calls(monkeypatch, "_branch_state")
     out = gate_z(encode(0.6, 0.8, ENC), ENC, _ScriptedRng(_I, 2, _I, _II))
     assert out.success and out.applied == "Z" and out.repetitions == 4
@@ -702,7 +717,7 @@ def test_the_z_fix_inside_a_gate_keeps_the_repeat_cap(gate, z_landing, name):
 
 @pytest.mark.parametrize("picks, second_tables", [((_II,), 0), ((_I, 2, _I, _II), 1)])
 def test_gate_z_on_a_leaked_input_builds_at_most_two_tables(monkeypatch, picks, second_tables):
-    tables = _count_calls(monkeypatch, "_bell_rows")
+    tables = _count_calls(monkeypatch, "_table")
     s = optics.displace(encode(0.6, 0.8, ENC), 0, 0.03 + 0.02j).normalize()
     out = gate_z(s, ENC, _ScriptedRng(*picks))
     assert out.success and out.applied == "Z" and out.repetitions == len(picks)
@@ -722,7 +737,7 @@ def test_gate_z_on_an_x_corrected_landing_builds_one_table(monkeypatch, land):
     landed = land(encode(0.6, 0.8, ENC))
     assert any(t[0] == "phase_shift" for t in landed.trace)
     assert np.isin(landed.state.amps, (-ENC.alpha, ENC.alpha)).all()
-    tables = _count_calls(monkeypatch, "_bell_rows")
+    tables = _count_calls(monkeypatch, "_table")
     out = gate_z(landed.state, ENC, _ScriptedRng(_I, _III, _II))
     assert out.success and out.applied == "Z" and out.repetitions == 3
     assert len(tables) == 1
@@ -849,14 +864,12 @@ def test_factored_tables_match_the_tables_of_the_joint_state(monkeypatch, leaked
             _assert_same_table(built[0], table("cat_projection", joint.coeffs, rest, rows))
 
 
-def _table_probabilities_50_digits(coeffs, rest, rows, pair):
+def _table_probabilities_50_digits(coeffs, rest, rows):
     """Each row's factor times sum_jk conj(v_j) v_k <x_j|x_k>, v = w *
-    coeffs, over the joint rest x (rest row j and pair row r for term 2j +
-    r, as optics.tensor combines them), in 50-digit arithmetic."""
+    coeffs, over the remaining amplitude rows x, in 50-digit arithmetic."""
     mp = pytest.importorskip("mpmath")
-    joint = np.concatenate([np.repeat(rest, 2, axis=0), np.tile(pair, (len(rest), 1))], axis=1)
     with mp.workdps(50):
-        x = [[mp.mpc(a) for a in row] for row in joint]
+        x = [[mp.mpc(a) for a in row] for row in rest]
         gram = [[mp.exp(mp.fsum(-abs(a) ** 2 / 2 - abs(b) ** 2 / 2 + mp.conj(a) * b
                                 for a, b in zip(xj, xk))) for xk in x] for xj in x]
         out = []
@@ -875,19 +888,33 @@ def test_gate_tables_match_a_50_digit_sum_over_the_joint_rest(monkeypatch, alpha
     # here, by up to 8e-10 relative at alpha = 1e-4.  An odd input (mu =
     # -nu) is left out: its FAIL and even/even rows are 0 but for round-off,
     # where the input's own terms cancel (a K-term form, not the pair).
+    # The reference sums over the joint state s (x) resource with the rows
+    # of its measured columns: the Bell rows against the gate's reference,
+    # and gate_rx's cat weights after its beam splitter.
     built = []
     table = measure._table
-    monkeypatch.setattr(measure, "_table", lambda *a: built.append((a, table(*a))) or built[-1][1])
+    monkeypatch.setattr(measure, "_table", lambda *a: built.append(table(*a)) or built[-1])
     enc = QubitEncoding(alpha)
+    parity = {"even": +1, "odd": -1}
     for mu, nu in ((1, 1), (0.6, 0.8j)):
         s = encode(mu, nu, enc)
-        for gate in (gates._bell_table, gate_rx):
+        joint = optics.tensor(s, optics.bell_resource(alpha))
+        top = s.amps[np.abs(s.amps[:, 0]).argmax(), 0]
+        ref = alpha if abs(top - alpha) <= abs(top + alpha) else -alpha
+        bell = measure._bell_rows(joint.amps[:, 0], joint.amps[:, 1], ref)
+        mixed = optics.beamsplitter(joint, 0, 1, np.pi / (8 * alpha**2))
+        a, b = mixed.amps[:, :2].T
+        wa = {k: measure._cat_weights(alpha, p, a) for k, p in parity.items()}
+        wb = {k: measure._cat_weights(alpha, p, b) for k, p in parity.items()}
+        rx = [((ka, kb), 1.0, wa[ka] * wb[kb], True) for kb in parity for ka in parity]
+        for name, gate, rows, rest in (("bell", gates._bell_table, bell, joint.amps[:, 2:]),
+                                       ("rx", gate_rx, rx, mixed.amps[:, 2:])):
             built.clear()
             gate(s, enc)
-            (kind, coeffs, rest, rows, pair), recs = built[0]
-            refs = _table_probabilities_50_digits(coeffs, rest, rows, pair)
-            for (outcome, *_), ref in zip(rows, refs):
-                assert abs(recs[outcome].probability - ref) <= 4 * 2.0**-52 * ref, (kind, mu, nu, outcome)
+            refs = _table_probabilities_50_digits(joint.coeffs, rest, rows)
+            for (outcome, *_), ref_p in zip(rows, refs):
+                p = built[0][outcome].probability
+                assert abs(p - ref_p) <= 4 * 2.0**-52 * ref_p, (name, mu, nu, outcome)
 
 
 @pytest.mark.parametrize("leaked", [False, True], ids=["strict", "leaked"])
@@ -895,13 +922,14 @@ def test_no_gate_on_a_six_qubit_register_forms_an_overlap_matrix_past_its_terms(
     monkeypatch, leaked
 ):
     s = _register(6, 1.5, np.random.default_rng(3), leaked)
-    # (rows, terms of the state whose table is being scored) per overlap matrix
+    # (rows, terms of the state whose table is being scored) per overlap
+    # matrix; every gate's table reads its input's other modes by `_rest`
     rows, terms = [], [0]
-    overlap, with_resource = states._overlap_matrix, gates._with_resource
+    overlap, rest = states._overlap_matrix, measure._rest
     monkeypatch.setattr(states, "_overlap_matrix",
                         lambda x, y: rows.append((len(x), terms[0])) or overlap(x, y))
-    monkeypatch.setattr(gates, "_with_resource",
-                        lambda x, enc: terms.__setitem__(0, x.nterms) or with_resource(x, enc))
+    monkeypatch.setattr(measure, "_rest",
+                        lambda x, modes: terms.__setitem__(0, x.nterms) or rest(x, modes))
     enc_a, enc_b = QubitEncoding(1.5, 2), QubitEncoding(1.5, 4)
     for seed in range(3):
         rng = np.random.default_rng(seed)
@@ -914,3 +942,103 @@ def test_no_gate_on_a_six_qubit_register_forms_an_overlap_matrix_past_its_terms(
         # every branch merges back to the register's 64 terms; a leaked
         # register's Rx branch keeps all 128 (s's other modes differ too)
         assert max(n for n, _ in rows) == s.nterms == 64
+
+
+def _joint_pair_bell_table(s, enc):
+    """A teleport's Bell table scored on the 2K joint terms of s (x)
+    resource, term 2j + r s's term j times resource term r (the order of
+    `optics.tensor`): `measure._bell_rows` on the two measured columns, each
+    row's squared norm from the resource pair's two eigen-forms F(v_0 +/-
+    v_1) on s's other modes.  {outcome: (probability, weights, n2)}, with
+    the joint coefficients and s's other modes."""
+    c = np.full(2, 1 / states._pair_norm(2 * enc.alpha * enc.alpha, 1, 1), dtype=complex)
+    x = np.array([enc.alpha, -enc.alpha], dtype=complex)
+    coeffs = (s.coeffs[:, None] * c[None, :]).reshape(-1)
+    a = s.amps[:, enc.mode]
+    top = complex(a[np.abs(a).argmax()])
+    ref = enc.alpha if abs(top - enc.alpha) <= abs(top + enc.alpha) else -enc.alpha
+    rows = measure._bell_rows(np.repeat(a, 2), np.tile(x, s.nterms), ref)
+    rest = measure._rest(s, [enc.mode])
+    v = np.array([w for _, _, w, _ in rows]) * coeffs
+    v0, v1 = v[..., 0::2], v[..., 1::2]
+    u = np.stack([v0 + v1, v0 - v1])
+    f = states._gram_forms(rest, u, rest, u).real if rest.shape[1] else np.abs(u.sum(axis=-1)) ** 2
+    e = math.expm1(-2 * enc.alpha * enc.alpha)
+    norms = (1 + 0.5 * e) * f[0] - 0.5 * e * f[1]
+    table = {o: (float(factor * n2), w, n2) for (o, factor, w, _), n2 in zip(rows, norms)}
+    return table, coeffs, rest
+
+
+def _joint_pair_landing(coeffs, w, n2, rest, alpha, at, flip):
+    """The branch of joint weights w landed from the 2K joint terms: term
+    2j + r keeps rest row j and resource row r, (-1)^r alpha, in mode `at`,
+    negated for an X correction, then merged."""
+    live = w.nonzero()[0]
+    pair = np.array([[alpha], [-alpha]], dtype=complex)
+    rows = rest[live // 2]
+    amps = np.concatenate([rows[:, :at], (-pair if flip else pair)[live % 2], rows[:, at:]], axis=1)
+    return CoherentSuperposition(coeffs[live] * w[live] / np.sqrt(n2), amps).merge_terms()
+
+
+@pytest.mark.parametrize("leaked", [False, True], ids=["strict", "leaked"])
+def test_bell_tables_on_the_inputs_terms_match_the_joint_pair_tables(leaked):
+    # The resource's measured column is exactly +/-alpha, so each input term
+    # meets one resource term per row and the 2K-term table factors into
+    # three K-term forms.  A single-mode input sums its forms without BLAS
+    # and must agree bit for bit; a Gram form through BLAS may round
+    # otherwise with another stacking of the same vectors (4 eps).  A
+    # landing, given the record's norm, keeps the same terms in the same
+    # order, so its bytes are equal.
+    rng = np.random.default_rng(41)
+    for n, alpha in ((1, 1.0), (1, 2.0), (2, 1.5), (3, 2.0), (4, 1.5)):
+        for _ in range(3):
+            s = _register(n, alpha, rng, leaked)
+            for mode in range(n):
+                enc = QubitEncoding(alpha, mode)
+                joint, coeffs, rest = _joint_pair_bell_table(s, enc)
+                table = gates._bell_table(s, enc)
+                assert list(table) == list(joint)
+                for outcome, rec in table.items():
+                    p, w, n2 = joint[outcome]
+                    if n == 1:
+                        assert rec.probability == p, (n, mode, outcome)
+                    else:
+                        assert abs(rec.probability - p) <= 4 * 2.0**-52 * p, (n, mode, outcome)
+                    if rec.build is None:
+                        continue
+                    for flip in (False, True):
+                        got = measure._branch_state(*rec.build, mode, flip)
+                        ref = _joint_pair_landing(coeffs, w, rec.build[2], rest, alpha, mode, flip)
+                        assert got.coeffs.tobytes() == ref.coeffs.tobytes(), (n, mode, outcome)
+                        assert got.amps.tobytes() == ref.amps.tobytes(), (n, mode, outcome)
+
+
+@pytest.mark.parametrize("leaked", [False, True], ids=["strict", "leaked"])
+def test_no_bell_table_reads_the_joint_terms(monkeypatch, leaked):
+    # every Bell table of teleport, Z, Rz and the entangling gate is scored
+    # and landed on its input's K terms: no `_with_resource` call (gate_rx's
+    # joint read), no 2K-row array in a record, no overlap matrix past K x K
+    s = _register(3, 1.5, np.random.default_rng(9), leaked)
+    terms, tables, grams = [0], [], []
+    rest, table, overlap = measure._rest, measure._table, states._overlap_matrix
+    monkeypatch.setattr(gates, "_with_resource", lambda *a: pytest.fail("joint terms read"))
+    monkeypatch.setattr(measure, "_rest",
+                        lambda x, modes: terms.__setitem__(0, x.nterms) or rest(x, modes))
+    monkeypatch.setattr(measure, "_table",
+                        lambda *a: tables.append((terms[0], table(*a))) or tables[-1][1])
+    monkeypatch.setattr(states, "_overlap_matrix",
+                        lambda x, y: grams.append((len(x), terms[0])) or overlap(x, y))
+    enc_a, enc_b = QubitEncoding(1.5, 0), QubitEncoding(1.5, 2)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        teleport(s, enc_a, rng)
+        gate_z(s, enc_b, rng)
+        gate_rz(s, enc_a, 0.02, rng)
+        entangling_gate(s, enc_a, enc_b, 0.02, rng)
+    assert tables and grams
+    assert all(n <= k for n, k in grams)
+    for k, recs in tables:
+        for rec in recs.values():
+            if rec.build is not None:
+                coeffs, w, n2, rows, kept = rec.build
+                assert len(coeffs) == len(w) == len(rows) == len(kept) == k

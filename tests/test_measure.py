@@ -773,17 +773,24 @@ def test_branch_norms_of_two_factors_match_the_joint_rest():
         assert np.allclose(factored, joint, rtol=1e-12, atol=0), first_modes
 
 
-def _eager_states(kind, coeffs, rest, rows, pair=None):
+def _kept_rest(rest, kept):
+    """The remaining amplitudes of every term of a gate's branch: its rest
+    row and, appended, the resource amplitude it keeps (`kept`, or none)."""
+    return rest if kept is None else np.concatenate([rest, kept[:, None]], axis=1)
+
+
+def _eager_states(kind, coeffs, rest, rows, norms=None):
     """{outcome: state} as a table that built every kept branch's state at
     once would give: the row's nonzero-weight terms, normalized, then merged."""
-    joint = _joint_rest(rest, pair)
-    norms = measure._branch_norms(coeffs, rest, np.array([w for _, _, w, _ in rows]), pair)
+    if norms is None:
+        norms = measure._branch_norms(coeffs, rest, np.array([w for _, _, w, _ in rows]))
     out = {}
     for (outcome, factor, w, keep), n2 in zip(rows, norms):
-        keep = keep and float(factor * n2) > measure.PROB_FLOOR
+        amps = _kept_rest(rest, keep if isinstance(keep, np.ndarray) else None)
+        keep = keep is not False and float(factor * n2) > measure.PROB_FLOOR
         live = np.flatnonzero(w)
         out[outcome] = CoherentSuperposition(
-            coeffs[live] * w[live] / np.sqrt(n2), joint[live]).merge_terms() if keep else None
+            coeffs[live] * w[live] / np.sqrt(n2), amps[live]).merge_terms() if keep else None
     return out
 
 
@@ -879,10 +886,10 @@ def test_branch_state_from_supported_terms_is_the_full_branch(monkeypatch, measu
     kept = [rec for recs in tables for rec in recs.values() if rec.build is not None]
     assert kept
     for rec in kept:
-        coeffs, w, n2, rest, pair = rec.build
-        # every term of the joint state, the zero-weight ones too, as
-        # branch states were built before
-        full = CoherentSuperposition(coeffs * w / np.sqrt(n2), _joint_rest(rest, pair)).merge_terms()
+        coeffs, w, n2, rest, col = rec.build
+        # every term of the table, the zero-weight ones too, as branch
+        # states were built before
+        full = CoherentSuperposition(coeffs * w / np.sqrt(n2), _kept_rest(rest, col)).merge_terms()
         assert rec.state.nterms == full.nterms
         assert _sorted_term_bytes(rec.state) == _sorted_term_bytes(full)
 
