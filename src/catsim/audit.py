@@ -279,6 +279,8 @@ def run_audit(
         raise ValueError("cases_per_check must be >= 1")
     if alpha_max < QUBIT_ALPHA_MIN:
         raise ValueError(f"alpha_max must be >= {QUBIT_ALPHA_MIN}")
+    if modes_max < 1:
+        raise ValueError("modes_max must be >= 1")
     rows = []
     for index, (name, fn) in enumerate(AUDIT_CHECKS):
         rng = np.random.default_rng(np.random.SeedSequence([seed, index]))

@@ -8,25 +8,31 @@ canonical branch (the outcome whose conditioned state realizes the gate
 with no residual correction), which serves `gate-check` and deterministic
 circuits.
 
-Each gate is its optical step and its first branch table.  Every measured
-step goes through `_draw` (pick a record, multiply its probability, trace
-it, compose its Z residual and land its branch once: one build of the
-record's live terms with the output column in the qubit's mode, negated
-exactly for an X correction), and every Z fix, the Z gate included,
-through `_settle` (repeat-until-success Bell teleports until the wanted
-residual lands; an attempt that lands nothing new builds no state).
-Every teleport draws from one kind of Bell table, `_bell_table`, whether
-its input is logical or has left {+alpha, -alpha} (Rz's displaced input,
-the entangling gate's mixed one): no tolerance chooses between tables.
-The table is scored and landed on the input's K terms alone: the Bell-cat
-resource's measured column is exactly +/-alpha, so each input term meets
-one resource term per outcome (`_bell_step`).  Only gate_rx, which mixes
-that column with the input before it measures, reads the 2K joint terms
-of input (x) resource (`_with_resource`).
+Each gate is its optical step and its first branch table.  `gates` is the
+one module that knows the Bell-cat resource: its closed form
+(`_resource`), the pair x, -x it keeps in the qubit's mode, and the X
+correction.  Every row of a gate's table carries its landed amplitude
+rows, the input's with the output column already set in the qubit's mode
+and already X-corrected, so `measure` builds a branch as it builds any
+other.  Every measured step goes through `_draw` (pick a record, multiply
+its probability, trace it, compose its Z residual and land it by reading
+the record's cached state), and every Z fix, the Z gate included, through
+`_settle` (repeat-until-success Bell teleports until the wanted residual
+lands; an attempt that lands nothing new builds no state).  Every teleport
+draws from one kind of Bell table, `_bell_step`'s, whether its input is
+logical or has left {+alpha, -alpha} (Rz's displaced input, the
+entangling gate's mixed one): no tolerance chooses between tables.  The
+table is scored and landed on the input's K terms alone: the resource's
+measured column is exactly +/-alpha, so each input term meets one
+resource term per outcome.  Only gate_rx, which mixes that column with
+the input before it measures, reads the 2K joint terms of input (x)
+resource.  Both score their rows from the pair's two eigen-forms
+(`_pair_form`), Gram forms on the input's other modes only (`_forms`).
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -35,7 +41,7 @@ import numpy as np
 
 from . import measure, optics
 from .optics import _beamsplitter_u, _passive
-from .states import CoherentSuperposition, _pair, _pair_norm, coherent_overlap
+from .states import CoherentSuperposition, _gram_forms, _pair, _pair_norm, coherent_overlap
 
 __all__ = [
     "QubitEncoding",
@@ -189,26 +195,34 @@ def _pick(
     return rec
 
 
-def _with_resource(s: CoherentSuperposition, enc: QubitEncoding) -> tuple:
-    """What gate_rx, which mixes s's enc.mode with the first mode of a fresh
-    Bell-cat resource before it measures both, reads of s (x) resource,
-    without building it: (coeffs, cols, rest, pair), the joint coefficients
-    and the (2K, 2) measured columns (s's, then the resource's) in the term
-    order of `optics.tensor` (term 2j + r is s's term j times the resource's
-    term r), s's other modes and the resource's kept mode, the rows x, -x
-    whose eigen-forms `measure._branch_norms` scores.  The resource is
-    `optics.bell_resource`, (|a,a> + |-a,-a>)/norm, read from its closed
-    form (`states._pair_norm`) with no state built.  IndexError for an
-    enc.mode outside s."""
+def _resource(s: CoherentSuperposition, enc: QubitEncoding) -> tuple[float, np.ndarray]:
+    """(c, x): the coefficient of each term of the fresh Bell-cat resource
+    a gate on s's enc.mode consumes, and the pair x = (alpha, -alpha) that
+    its term r holds in both modes.  The resource is `optics.bell_resource`,
+    (|a,a> + |-a,-a>)/norm, read from its closed form (`states._pair_norm`)
+    with no state built.  IndexError for an enc.mode outside s."""
     s.check_mode(enc.mode)
-    c = np.full(2, 1 / _pair_norm(2 * enc.alpha * enc.alpha, 1, 1), dtype=complex)
     x = np.array([enc.alpha, -enc.alpha], dtype=complex)
-    k = s.nterms
-    coeffs = (s.coeffs[:, None] * c[None, :]).reshape(2 * k)
-    cols = np.empty((k, 2, 2), dtype=complex)
-    cols[:, :, 0] = s.amps[:, enc.mode, None]
-    cols[:, :, 1] = x
-    return coeffs, cols.reshape(2 * k, 2), measure._rest(s, [enc.mode]), x[:, None]
+    return 1 / _pair_norm(2 * enc.alpha * enc.alpha, 1, 1), x
+
+
+def _forms(rest: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The Gram form F(u) = u^dag G u on `rest` for every row of a (..., K)
+    stack u: one `states._gram_forms` call, or |sum u|^2 when `rest` has no
+    modes (no overlap matrix)."""
+    return _gram_forms(rest, u, rest, u).real if rest.shape[1] else np.abs(u.sum(axis=-1)) ** 2
+
+
+def _pair_form(f_plus, f_minus, sq: float):
+    """The squared norm of a branch whose terms also sit in the resource's
+    pair x, -x, ||x||^2 = sq, from its two eigen-forms.  The pair's Gram
+    matrix [[1, o], [o, 1]], o = e^{-2 sq}, has eigenvectors (1, +/-1) with
+    eigenvalues 1 +/- o, so the squared norm is (1 + o)/2 F(v_0 + v_1) +
+    (1 - o)/2 F(v_0 - v_1), v_r the weighted coefficients of pair term r;
+    f_plus, f_minus are those two forms.  Both terms are >= 0 and 1 - o
+    comes from expm1, so nothing cancels."""
+    e = math.expm1(-2 * sq)
+    return (1 + 0.5 * e) * f_plus - 0.5 * e * f_minus
 
 
 def _bell_step(s: CoherentSuperposition, enc: QubitEncoding) -> tuple[dict, bool]:
@@ -219,51 +233,50 @@ def _bell_step(s: CoherentSuperposition, enc: QubitEncoding) -> tuple[dict, bool
     The rows are those of `measure._bell_rows` on s (x) resource against
     ref = sigma alpha, the +alpha or -alpha nearest the mode's largest
     amplitude (the reference `measure.bell_outcomes` takes on a logical
-    input), scored and landed on s's K terms alone.  The resource,
-    `optics.bell_resource` read from its closed form (coefficient c, by
-    `states._pair_norm`), measures exactly x_r = (-1)^r alpha in term r:
-    its offset is 0, so its weight factor is 1, and s's term j, of nearest
-    sign s_j, meets resource term r* with (-1)^{r*} = sigma s_j in rows
-    I/II and the other term in III/IV.  So every row keeps one resource
-    term per input term: x_{r*} (I/II) or x_{1 - r*} (III/IV), with weight
-    w_j (I, III) or s_j w_j (II, IV), and the pair's two eigen-forms
-    (`measure._pair_form`) need three Gram forms on s's other modes:
-    F(c w), F(c s w) and F(c f), f the FAIL weight.  Rows I and III score
-    (F(c w), F(c s w)), rows II and IV the same two swapped, and FAIL, whose
-    two resource terms weigh alike, (4 F(c f), 0).  One table serves every
-    input: a term off {+alpha, -alpha} is weighted by its overlap with the
-    nearest support point, exactly 1 on the support, so the table is
-    continuous in its input and the teleport projects any leakage back into
-    the logical space.  IndexError for an enc.mode outside s."""
-    s.check_mode(enc.mode)
+    input), scored and landed on s's K terms alone.  The resource
+    (`_resource`: coefficient c, pair x) measures exactly x_r = (-1)^r
+    alpha in term r: its offset is 0, so its weight factor is 1, and s's
+    term j, of nearest sign s_j, meets resource term r* with (-1)^{r*} =
+    sigma s_j in rows I/II and the other term in III/IV.  So every row
+    keeps one resource term per input term, x_{r*} (I/II) or x_{1 - r*}
+    (III/IV), landed in enc.mode of s's rows, and III/IV land it negated
+    exactly, their X correction: -x_{1 - r*}, not the equal x_{r*}, whose
+    zero imaginary part has the other sign.  The weights are w_j (I, III)
+    or s_j w_j (II, IV), and the pair's two eigen-forms (`_pair_form`)
+    need three Gram forms on s's other modes: F(c w), F(c s w) and F(c f),
+    f the FAIL weight.  Rows I and III score (F(c w), F(c s w)), rows II
+    and IV the same two swapped, and FAIL, whose two resource terms weigh
+    alike, (4 F(c f), 0).  One table serves every input: a term off
+    {+alpha, -alpha} is weighted by its overlap with the nearest support
+    point, exactly 1 on the support, so the table is continuous in its
+    input and the teleport projects any leakage back into the logical
+    space.  IndexError for an enc.mode outside s."""
+    c, x = _resource(s, enc)
     a = s.amps[:, enc.mode]
     top = complex(a[np.abs(a).argmax()])
     ref = enc.alpha if abs(top - enc.alpha) <= abs(top + enc.alpha) else -enc.alpha
     signs, d, h = measure._bell_column(a, complex(ref))
     w, fail = measure._bell_weights(np.abs(d) ** 2, h)
     sw = signs * w
-    c = s.coeffs * (1 / _pair_norm(2 * enc.alpha * enc.alpha, 1, 1))
+    c = s.coeffs * c
     rest = measure._rest(s, [enc.mode])
-    f = measure._forms(rest, np.array([w, sw, fail]) * c)
+    f = _forms(rest, np.array([w, sw, fail]) * c)
     sq = enc.alpha * enc.alpha
-    even, odd = measure._pair_form(f[0], f[1], sq), measure._pair_form(f[1], f[0], sq)
-    x = np.array([enc.alpha, -enc.alpha], dtype=complex)
+    even, odd = _pair_form(f[0], f[1], sq), _pair_form(f[1], f[0], sq)
     r = (signs * ref < 0).astype(np.intp)  # r*, the resource term each input term meets in I/II
+    kept, flipped = s.amps.copy(), s.amps.copy()
+    kept[:, enc.mode] = x[r]
+    flipped[:, enc.mode] = -x[1 - r]
     z0, even_nz, odd_nz = measure._parity_class_weights(2 * enc.alpha ** 2)
     rows = [
-        ("I", even_nz, w, x[r]),
-        ("II", odd_nz, sw, x[r]),
-        ("III", even_nz, w, x[1 - r]),
-        ("IV", odd_nz, sw, x[1 - r]),
+        ("I", even_nz, w, kept),
+        ("II", odd_nz, sw, kept),
+        ("III", even_nz, w, flipped),
+        ("IV", odd_nz, sw, flipped),
         ("FAIL", z0, fail, False),
     ]
-    norms = (even, odd, even, odd, measure._pair_form(4 * f[2], 0.0, sq))
+    norms = (even, odd, even, odd, _pair_form(4 * f[2], 0.0, sq))
     return measure._table("bell_measurement", c, rest, rows, norms), not d.any()
-
-
-def _bell_table(s: CoherentSuperposition, enc: QubitEncoding) -> dict:
-    """The Bell table of teleporting the qubit in enc.mode (`_bell_step`)."""
-    return _bell_step(s, enc)[0]
 
 
 def _draw(
@@ -274,13 +287,11 @@ def _draw(
     (a Bell table, or gate_rx's cat projection) multiplies the probability,
     counts one repetition and is traced under rec.kind.  FAIL keeps
     out.state; every other outcome composes its Z residual into `applied`
-    and lands once: `measure._branch_state` builds the record's live terms,
-    its rest rows with the resource column each term keeps inserted at
-    enc.mode, negated exactly where the branch takes an X correction, and
-    merges them.  A Bell record's terms are the input's K terms.  With `reuse`
-    (the caller draws again from the same table), a landing that leaves
-    `applied` unchanged builds no state and keeps out.state: nothing reads
-    it."""
+    and lands as rec.state, the record's landed rows (X-corrected where the
+    branch takes an X correction), built on its first read and kept, so a
+    record drawn again builds nothing.  With `reuse` (the caller draws
+    again from the same table), a landing that leaves `applied` unchanged
+    reads no state and keeps out.state: nothing reads it."""
     rec = _pick(table, rng, canonical)
     p, reps = out.probability * rec.probability, out.repetitions + 1
     trace = out.trace + (_traced(rec.kind, f"alpha={enc.alpha}", str(rec.outcome), rec.probability),)
@@ -290,8 +301,7 @@ def _draw(
     if flip:
         trace += (_traced("phase_shift", "theta=pi (X correction)", "-", 1.0),)
     applied = "Z" if z != (out.applied == "Z") else "identity"
-    unread = reuse and applied == out.applied
-    state = out.state if unread else measure._branch_state(*rec.build, enc.mode, flip)
+    state = out.state if reuse and applied == out.applied else rec.state
     return GateOutcome(state, True, applied, p, reps, trace)
 
 
@@ -344,7 +354,7 @@ def teleport(
     decides the residual: I/III land the identity (after X correction for
     III), II/IV land Z.  With rng=None the 'I' branch is post-selected.
     """
-    return _draw(GateOutcome(s, True, "identity", 1.0, 0), enc, _bell_table(s, enc), rng, "I")
+    return _draw(GateOutcome(s, True, "identity", 1.0, 0), enc, _bell_step(s, enc)[0], rng, "I")
 
 
 def gate_z(
@@ -383,7 +393,7 @@ def gate_rz(
     _warn_outside_regime(theta, enc.alpha)
     displaced = optics.displace(s, enc.mode, 1j * enc.alpha * theta)
     trace = (_traced("displace", f"beta={1j * enc.alpha * theta:.6g}", "-", 1.0),)
-    table = _bell_table(displaced, enc)
+    table = _bell_step(displaced, enc)[0]
     out = _draw(GateOutcome(displaced, True, "identity", 1.0, 0, trace), enc, table, rng, "I")
     return _named(s, _settle(out, enc, rng), f"Rz({4 * theta * enc.alpha ** 2:.6g})")
 
@@ -406,29 +416,44 @@ def gate_rx(
     theta = pi/(4 alpha^2), where 2 theta alpha^2 = pi/2, gives Rx(pi/2).
     The map is a multiple of a unitary only where theta alpha^2 is an odd
     multiple of pi/4; at any other theta it is not a rotation but an
-    input-dependent filter once normalized.  The drawn parity record lands
-    through `_draw` like a teleport's Bell record: X correction first, then
-    `_settle` for a Z residual.  With rng=None the even/even branch is
-    post-selected.
+    input-dependent filter once normalized.  Like a teleport's Bell table,
+    each row carries its landing, X-corrected for an odd input; the drawn
+    record lands through `_draw`, then `_settle` fixes a Z residual.  With
+    rng=None the even/even branch is post-selected.
     """
     if theta is None:
         theta = np.pi / (4 * enc.alpha**2)
-    coeffs, cols, rest, pair = _with_resource(s, enc)
+    # joint term 2j + r is s's term j times the resource's term r (the term
+    # order of `optics.tensor`); the measured columns are s's, then the
+    # resource's first mode
+    c, x = _resource(s, enc)
+    coeffs = np.repeat(s.coeffs * c, 2)
+    cols = np.stack([np.repeat(s.amps[:, enc.mode], 2), np.tile(x, s.nterms)], axis=1)
     # the two cat projections each contribute e^{+/- i (theta/2) alpha^2};
     # the beam splitter touches only the two measured columns
     a, b = _passive(cols, _beamsplitter_u(theta / 2.0)).T
     trace = (_traced("beamsplitter", f"theta={theta / 2.0:.6g}", "-", 1.0),)
 
-    # joint cat projection of the input mode and the resource's first mode, keys (pa, pb);
-    # the mixed columns do not factor, so the table is scored on the 2K joint terms
-    parity = {"even": +1, "odd": -1}
-    wa = {k: measure._cat_weights(enc.alpha, p, a) for k, p in parity.items()}
-    wb = {k: measure._cat_weights(enc.alpha, p, b) for k, p in parity.items()}
-    # joint term 2j + r keeps s's other modes of term j and the resource's
-    # kept mode, which holds what its measured column held before the mix
-    rows = [((ka, kb), 1.0, wa[ka] * wb[kb], cols[:, 1]) for kb in parity for ka in parity]
-    norms = measure._branch_norms(coeffs, rest, np.array([w for _, _, w, _ in rows]), pair)
-    table = measure._table("cat_projection", coeffs, np.repeat(rest, 2, axis=0), rows, norms)
+    # joint cat projection of the input mode and the resource's first mode,
+    # keys (pa, pb); term 2j + r lands s's row j with the resource's kept
+    # mode, x_r, in enc.mode, negated exactly (-x_r) for an odd input's X
+    # correction
+    parity = ("even", "odd")
+    wa = dict(zip(parity, measure._cat_weights(enc.alpha, a)))
+    wb = dict(zip(parity, measure._cat_weights(enc.alpha, b)))
+    even = np.repeat(s.amps, 2, axis=0)
+    even[:, enc.mode] = cols[:, 1]
+    odd = even.copy()
+    odd[:, enc.mode] = -cols[:, 1]
+    rows = [((ka, kb), 1.0, wa[ka] * wb[kb], odd if ka == "odd" else even)
+            for kb in parity for ka in parity]
+    # the mixed columns do not factor: the pair's eigen-forms on the 2K joint
+    # terms, F(v_0 +/- v_1) over s's other modes
+    v = np.array([w for _, _, w, _ in rows]) * coeffs
+    rest = measure._rest(s, [enc.mode])
+    f = _forms(rest, np.stack([v[:, 0::2] + v[:, 1::2], v[:, 0::2] - v[:, 1::2]]))
+    norms = _pair_form(f[0], f[1], enc.alpha * enc.alpha)
+    table = measure._table("cat_projection", coeffs, rest, rows, norms)
     out = _draw(GateOutcome(s, True, "identity", 1.0, 0, trace), enc, table, rng, ("even", "even"))
     return _named(s, _settle(out, enc, rng), f"Rx({2 * theta * enc.alpha ** 2:.6g})")
 
@@ -456,7 +481,7 @@ def entangling_gate(
     out = GateOutcome(mixed, True, "identity", 1.0, 0, trace)
     for enc in (enc_a, enc_b):
         if out.success:
-            out = _settle(_draw(out, enc, _bell_table(out.state, enc), rng, "I"), enc, rng)
+            out = _settle(_draw(out, enc, _bell_step(out.state, enc)[0], rng, "I"), enc, rng)
     return _named(s, out, f"ZZ({theta * (enc_a.alpha * enc_b.alpha):.6g})")
 
 

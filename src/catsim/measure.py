@@ -2,24 +2,21 @@
 Bell-cat measurement, with exact outcome probabilities and conditioned
 pure states.  Every conditioning is an exact branch table {outcome:
 MeasurementRecord} scored from the Gram matrix of its remaining modes
-(`_table`); a gate's input (x) resource keeps the resource's pair x, -x
-in one mode, whose two eigen-forms (`_pair_form`) leave Gram forms on the
-input's other modes only.  Every Bell-cat table, `bell_outcomes` and
-every teleport's, weights its terms by one per-column function,
-`_bell_column`, and one weight function, `_bell_weights`: a term off {+a,
--a} is weighted by its overlap with the nearest support point, exactly 1
-on the support.  `_bell_rows` composes two measured columns; a teleport's
-table reads its input's column alone, as the resource's lies exactly on
-the support, and is scored on the input's K terms (`gates._bell_step`).
-The parity and Bell-cat measurements return the whole table, `sample`
-draws one outcome and `sample_counts` the outcome counts of many shots.
-A branch's conditioned state is built on its first read, so a shot that
-keeps one branch builds only that branch's state, and it is built from
-the terms its row supports: the terms a branch's weights zero (a Bell
-outcome's unmatched signs) never reach `merge_terms`.  A gate lands its
-drawn branch through the same `_branch_state`: each live term's rest row
-with the resource amplitude it keeps placed in the qubit's mode and, for
-an X correction, negated (`gates._draw`).
+(`_table`).  Every Bell-cat table, `bell_outcomes` and every teleport's,
+weights its terms by one per-column function, `_bell_column`, and one
+weight function, `_bell_weights`: a term off {+a, -a} is weighted by its
+overlap with the nearest support point, exactly 1 on the support.
+`_bell_rows` composes two measured columns; a teleport's table reads its
+input's column alone (`gates._bell_step`).  The parity and Bell-cat
+measurements return the whole table, `sample` draws one outcome and
+`sample_counts` the outcome counts of many shots.  A branch's conditioned
+state is built on its first read, so a shot that keeps one branch builds
+only that branch's state, and it is built from the terms its row supports:
+the terms a branch's weights zero (a Bell outcome's unmatched signs) never
+reach `merge_terms`.  A table's caller may hand a row its own amplitude
+rows, one per term, in place of the remaining modes: a gate's rows hold
+its landed output (`gates`), so this module knows no resource, no qubit
+mode and no X correction.
 
 Quadrature convention: x = (a + a^dag)/sqrt(2), so a coherent state |a>
 has mean sqrt(2) Re a and variance 1/2.
@@ -71,7 +68,8 @@ class MeasurementRecord:
     density for homodyne records) and the conditioned remaining-mode
     state.  `state` is built from the `_branch_state` arguments in `build`
     on its first read and kept from then on, or None for a discarded branch
-    (no `build`).  Neither `==` nor `repr` reads it."""
+    (no `build`); a gate lands its drawn branch by reading it.  Neither `==`
+    nor `repr` reads it."""
 
     kind: str
     outcome: object
@@ -83,22 +81,12 @@ class MeasurementRecord:
         return None if self.build is None else _branch_state(*self.build)
 
 
-def _branch_state(coeffs, w, n2, rest, kept, at=None, flip=False) -> CoherentSuperposition:
-    """The normalized, merged branch sum_k w_k c_k |rest_k> / sqrt(n2), built
+def _branch_state(coeffs, w, n2, amps) -> CoherentSuperposition:
+    """The normalized, merged branch sum_k w_k c_k |amps_k> / sqrt(n2), built
     from the terms its row supports (w_k != 0, in term order): a term of
-    weight 0 adds nothing to the state, so `merge_terms` never sees it.
-    A gate's branch also keeps one column of the resource (`_table`; None
-    for any other branch): term k keeps `kept[k]`, inserted before rest's
-    column `at` (after the last by default).  A gate lands its drawn branch here in one build: `at` is
-    its qubit's mode, and `flip` negates the kept column exactly, the X
-    correction, before the merge."""
+    weight 0 adds nothing to the state, so `merge_terms` never sees it."""
     live = w.nonzero()[0]
-    amps = rest[live]
-    if kept is not None:
-        at = amps.shape[1] if at is None else at
-        col = kept[live, None]
-        amps = np.concatenate([amps[:, :at], -col if flip else col, amps[:, at:]], axis=1)
-    return CoherentSuperposition(coeffs[live] * w[live] / np.sqrt(n2), amps).merge_terms()
+    return CoherentSuperposition(coeffs[live] * w[live] / np.sqrt(n2), amps[live]).merge_terms()
 
 
 def _rest(s: CoherentSuperposition, modes: list[int]) -> np.ndarray:
@@ -116,11 +104,11 @@ def _table(
     keep) has probability factor times the squared norm of the unmerged
     branch (per-term contraction `weights`): `norms`, one per row, or else
     all rows from one `_branch_norms` call.  `keep` is False for a
-    discarded branch, True for one that remains in `rest`, or, for a gate's
-    branch, the resource column its terms keep besides (`_branch_state`).
-    A kept branch above PROB_FLOOR carries its normalized, merged state,
-    built on the record's first read by `_branch_state` from the row's
-    nonzero-weight terms; the others carry None."""
+    discarded branch, True for one that remains in `rest`, or the amplitude
+    rows, one per term, that the branch remains in instead (a gate's landed
+    output).  A kept branch above PROB_FLOOR carries its normalized, merged
+    state, built on the record's first read by `_branch_state` from the
+    row's nonzero-weight terms; the others carry None."""
     if norms is None:
         norms = _branch_norms(coeffs, rest, np.array([w for _, _, w, _ in rows]))
     table = {}
@@ -128,7 +116,7 @@ def _table(
         p = float(factor * n2)
         build = None
         if keep is not False and p > PROB_FLOOR:
-            build = (coeffs, w, n2, rest, None if keep is True else keep)
+            build = (coeffs, w, n2, rest if keep is True else keep)
         table[outcome] = MeasurementRecord(kind, outcome, p, build)
     return table
 
@@ -193,43 +181,12 @@ def default_nmax(amp_scale: float) -> int:
     return math.ceil(a * a + 10 * a + 20)
 
 
-def _forms(rest: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The Gram form F(u) = u^dag G u on `rest` for every row of a (..., K)
-    stack u: one `states._gram_forms` call, or |sum u|^2 when `rest` has no
-    modes (no overlap matrix)."""
-    return _gram_forms(rest, u, rest, u).real if rest.shape[1] else np.abs(u.sum(axis=-1)) ** 2
-
-
-def _pair_form(f_plus, f_minus, sq: float):
-    """The squared norm of a branch whose terms also sit in a resource pair
-    x, -x, ||x||^2 = sq, from its two eigen-forms.  The pair's Gram matrix
-    [[1, o], [o, 1]], o = e^{-2 sq}, has eigenvectors (1, +/-1) with
-    eigenvalues 1 +/- o, so the squared norm is (1 + o)/2 F(v_0 + v_1) +
-    (1 - o)/2 F(v_0 - v_1), v_r the weighted coefficients of pair term r;
-    f_plus, f_minus are those two forms.  Both terms are >= 0 and 1 - o
-    comes from expm1, so nothing cancels."""
-    e = math.expm1(-2 * sq)
-    return (1 + 0.5 * e) * f_plus - 0.5 * e * f_minus
-
-
-def _branch_norms(
-    coeffs: np.ndarray, rest: np.ndarray, weights: np.ndarray, pair: Optional[np.ndarray] = None
-) -> np.ndarray:
+def _branch_norms(coeffs: np.ndarray, rest: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Squared norm of the branch sum_k w_k c_k |rest_k> for every row w of a
     (..., K) stack of weights: v* G v with v = w * coeffs and G the Gram
-    matrix of `rest`, one `states._gram_forms` call.
-
-    With a resource `pair` (its kept mode's rows x, -x; gate_rx's joint
-    table), term 2j + r remains in |rest_j, pair_r>, the term order of
-    `optics.tensor`, and the norm is `_pair_form` of F(v_0 + v_1) and
-    F(v_0 - v_1), `_forms` on `rest`.  A Bell table needs no joint terms
-    and takes its norms from the same two functions (`gates._bell_step`)."""
+    matrix of `rest`, one `states._gram_forms` call."""
     v = weights * coeffs
-    if pair is None:
-        return _gram_forms(rest, v, rest, v).real
-    v0, v1 = v[..., 0::2], v[..., 1::2]
-    f = _forms(rest, np.stack([v0 + v1, v0 - v1]))
-    return _pair_form(f[0], f[1], float(np.vdot(pair[0], pair[0]).real))
+    return _gram_forms(rest, v, rest, v).real
 
 
 def photon_statistics(s: CoherentSuperposition, mode: int, n_max: int | None = None) -> np.ndarray:
@@ -306,24 +263,29 @@ def parity_projection(s: CoherentSuperposition, mode: int) -> dict[str, Measurem
     ])
 
 
-def _cat_weights(ref_amp: complex, parity: int, amps: np.ndarray) -> np.ndarray:
-    """<cat|a> for each amplitude a, against the normalized even (+1) or
-    odd (-1) cat at amplitude `ref_amp` = r.
+def _cat_weights(ref_amp: complex, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(even, odd): <cat|a> for each amplitude a, against the normalized
+    even and odd cats at amplitude `ref_amp` = r, from one pass over the
+    amplitudes.
 
     With h = conj(r) a, <+/-r|a> = e^{e +/- h}, e = -|r|^2/2 - |a|^2/2, so
-    the unnormalized weight <r|a> + p <-r|a> is <r|a> ((1 + p) + p expm1(-2h)).
-    Where -r is the nearer reference (Re h < 0) the same algebra runs from
-    p <-r|a> with -h: Re h >= 0 always, so the odd weight is an expm1 with
-    no cancellation, and no term overflows."""
+    the unnormalized weight <r|a> + p <-r|a> of parity p is <r|a> ((1 + p) +
+    p expm1(-2h)).  Where -r is the nearer reference (Re h < 0) the same
+    algebra runs from p <-r|a> with -h: Re h >= 0 always, so the odd weight
+    is an expm1 with no cancellation, and no term overflows."""
     ref = complex(ref_amp)
     sq = abs(ref) * abs(ref)
-    norm = _pair_norm(sq, 1, parity)
     h = ref.conjugate() * amps
     far = h.real < 0
     h = np.where(far, -h, h)
     near = np.exp(-0.5 * sq - 0.5 * np.abs(amps) ** 2 + h)  # <nearer|a>
-    lead = np.where(far, parity / norm, 1 / norm) * near
-    return lead * ((1 + parity) + parity * np.expm1(-2 * h))
+    m = np.expm1(-2 * h)
+
+    def weights(parity):
+        norm = _pair_norm(sq, 1, parity)
+        return np.where(far, parity / norm, 1 / norm) * near * ((1 + parity) + parity * m)
+
+    return weights(+1), weights(-1)
 
 
 def cat_projection(
@@ -336,16 +298,17 @@ def cat_projection(
 
     A branch at or below PROB_FLOOR gives a record whose `state` is None,
     where `project_photon_number` and `homodyne_condition` raise
-    ZeroNormError.  The record comes from `_table`'s PROB_FLOOR rule, the
-    one `gate_rx` also builds its joint two-mode table through (it never
-    calls this function); `gates._pick` turns a drawn stateless branch into
-    a GateFailure."""
+    ZeroNormError.  The record comes from `_table`'s PROB_FLOOR rule, which
+    `gate_rx`'s joint two-mode table meets too: it weights both measured
+    modes with `_cat_weights` and scores its rows itself (it never calls
+    this function); `gates._pick` turns a drawn stateless branch into a
+    GateFailure."""
     s.check_mode(mode)
     if parity not in (+1, -1):
         raise ValueError("parity must be +1 or -1")
     outcome = "even" if parity > 0 else "odd"
-    w = _cat_weights(ref_amp, parity, s.amps[:, mode])
-    rows = [(outcome, 1.0, w, True)]
+    even, odd = _cat_weights(ref_amp, s.amps[:, mode])
+    rows = [(outcome, 1.0, even if parity > 0 else odd, True)]
     return _table("cat_projection", s.coeffs, _rest(s, [mode]), rows)[outcome]
 
 

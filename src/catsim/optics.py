@@ -115,8 +115,8 @@ def bell_resource(alpha: float) -> CoherentSuperposition:
     It is the state that a sqrt(2)a even cat and vacuum on B(pi/4), then
     P(-pi/2) on the second mode, prepare (Jeong & Kim, PRA 65, 042305
     (2002)); the tests check it against that chain.  The gates read the
-    same closed form without building the state: a teleport's Bell table
-    (`gates._bell_step`) and gate_rx (`gates._with_resource`).
+    same closed form without building the state (`gates._resource`): a
+    teleport's Bell table (`gates._bell_step`) and gate_rx.
     """
     return _pair((alpha, alpha), 1, 1)
 

@@ -7,7 +7,7 @@ a quadratic form on the full Gram matrix of pairwise overlaps.  A
 two-term state c0|x> + c1|-x> (the cats, the Bell cats, the GHZ probe,
 an encoded qubit) is normalized by the exact closed form of its 2 x 2
 Gram matrix, `_pair_norm`; every other form is one `_gram_forms` call,
-built once per call (a gate's branch table too: `measure` splits the
+built once per call (a gate's branch table too: `gates` splits the
 resource's pair into its two eigen-forms).  No orthogonality
 approximation is made anywhere.
 """

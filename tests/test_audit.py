@@ -359,3 +359,11 @@ def test_qubit_rows_draw_amplitudes_within_alpha_max(monkeypatch):
     assert max(float(np.max(np.abs(s.amps))) for s in drawn) <= 1.0
     with pytest.raises(ValueError):
         audit.run_audit(0, 5, alpha_max=0.5)
+
+
+@pytest.mark.parametrize("modes_max", [0, -1])
+def test_run_audit_refuses_fewer_than_one_mode(modes_max):
+    # refused by name before any state is drawn, like cases_per_check and
+    # alpha_max, not by the random draw of a mode count
+    with pytest.raises(ValueError, match="modes_max must be >= 1"):
+        audit.run_audit(0, 1, 3.0, modes_max)

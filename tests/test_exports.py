@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import inspect
 import os
 import pkgutil
@@ -133,3 +134,29 @@ def test_only_gram_forms_reads_the_overlap_matrix():
         if "_overlap_matrix" in _loads(node)
     )
     assert readers == ["states.py:_gram_forms"]
+
+
+def test_ast_count_counts_the_lines_that_hold_code():
+    """`tests/ast_count.py`, the count ROADMAP quotes: docstrings, comments
+    and blank lines count nothing; a decorator, a line with a trailing
+    comment and every line of a multi-line call count once each."""
+    spec = importlib.util.spec_from_file_location("ast_count", ROOT / "tests" / "ast_count.py")
+    ast_count = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ast_count)
+    snippet = '''"""A module docstring,
+on two lines."""
+
+import functools  # trailing comment
+
+
+# a comment line
+@functools.lru_cache(maxsize=None)
+def f(x):
+    """A function docstring."""
+
+    return max(
+        x,
+        0,
+    )
+'''
+    assert ast_count.count(snippet) == 7

@@ -178,10 +178,10 @@ def test_gate_rz_table_is_continuous_in_the_angle(alpha):
     s = encode(0.6 + 0.2j, 0.7 - 0.3j, enc)
     res = optics.bell_resource(alpha)
     joint = float(np.sum(np.abs(s.coeffs) ** 2) * np.sum(np.abs(res.coeffs) ** 2))
-    at_zero = gates._bell_table(s, enc)
+    at_zero = gates._bell_step(s, enc)[0]
     for theta_alpha2 in (1e-12, 1e-10, 1e-9, 3e-9, 1e-8, 1e-6, 1e-4, 1e-2):
         theta = theta_alpha2 / alpha**2
-        table = gates._bell_table(optics.displace(s, 0, 1j * alpha * theta), enc)
+        table = gates._bell_step(optics.displace(s, 0, 1j * alpha * theta), enc)[0]
         bound = 2 * s.nterms * joint * (4 * theta_alpha2 + theta * theta_alpha2) + 8 * _EPS
         for outcome, rec in table.items():
             step = abs(rec.probability - at_zero[outcome].probability)
@@ -743,6 +743,73 @@ def test_gate_z_on_an_x_corrected_landing_builds_one_table(monkeypatch, land):
     assert len(tables) == 1
 
 
+def _z(s, mode):
+    """Z on the qubit in `mode` of a logical register, normalized: the sign
+    of every term whose amplitude there is +alpha (logical 1) flipped."""
+    signs = np.where(s.amps[:, mode].real > 0, -1, 1)
+    return CoherentSuperposition(s.coeffs * signs, s.amps).normalize()
+
+
+@pytest.mark.parametrize("gate", [teleport, lambda s, enc, rng: gate_rx(s, enc, rng=rng)],
+                         ids=["teleport", "gate_rx"])
+def test_a_gate_returns_its_drawn_records_landed_state(monkeypatch, gate):
+    # the record carries the landing, X-corrected for III/IV and an odd
+    # input: the gate's output is that record's own state object, with no
+    # second build and no correction after the draw
+    tables, table = [], measure._table
+    monkeypatch.setattr(measure, "_table", lambda *a: tables.append(table(*a)) or tables[-1])
+    enc = QubitEncoding(1.5, 1)
+    s = _register(2, 1.5, np.random.default_rng(5), False)
+    drawn = set()
+    for seed in range(40):
+        tables.clear()
+        out = gate(s, enc, np.random.default_rng(seed))
+        if not out.success or out.repetitions > 1:
+            continue  # a FAIL, or a Z fix's teleport landed last
+        (outcome,) = [t[2] for t in out.trace if t[0] in ("bell_measurement", "cat_projection")]
+        key = {str(k): k for k in tables[0]}[outcome]
+        rec = tables[0][key]
+        drawn.add(key)
+        assert out.state is rec.state
+        if gate is teleport:
+            # the identity or Z on the input, III and IV X-corrected
+            expected = s if out.applied == "identity" else _z(s, 1)
+            assert fidelity(out.state, expected) >= 1 - 1e-12, key
+        else:
+            # the 2K joint terms landed, an odd input's kept column negated
+            coeffs, w, n2, _ = rec.build
+            landed = _joint_pair_landing(coeffs, w, n2, measure._rest(s, [1]), 1.5, 1,
+                                         key in _X_CORRECTED)
+            assert out.state.amps.tobytes() == landed.amps.tobytes(), key
+            assert out.state.coeffs.tobytes() == landed.coeffs.tobytes(), key
+    assert drawn & set(_X_CORRECTED) and drawn - set(_X_CORRECTED)
+
+
+def test_a_record_drawn_again_builds_its_state_once(monkeypatch):
+    builds = _count_calls(monkeypatch, "_branch_state")
+    tables = _count_calls(monkeypatch, "_table")
+    s = encode(0.6, 0.8, ENC)
+    repeated = 0
+    for seed in range(30):
+        builds.clear()
+        tables.clear()
+        out = gate_z(s, ENC, np.random.default_rng(seed))
+        if out.success and out.repetitions > 1:
+            # several draws from one kept table; only the Z landing is read
+            repeated += 1
+            assert len(tables) == 1
+            assert len(builds) == 1
+    assert repeated
+    # one record landed twice: built on its first read, then reused
+    table = gates._bell_step(s, ENC)[0]
+    builds.clear()
+    start = GateOutcome(s, True, "identity", 1.0, 0)
+    first = gates._draw(start, ENC, table, None, "II")
+    again = gates._draw(start, ENC, table, None, "II")
+    assert again.state is first.state is table["II"].state
+    assert len(builds) == 1
+
+
 # (CoherentSuperposition constructions, overlap matrices, Bell resources) of
 # one seeded call of each gate.  The first two are upper bounds, met here: a
 # throw-away state (a mode permutation, an X pass, an attempt's landing that
@@ -813,21 +880,30 @@ def _register(n, alpha, rng, leaked):
     return s
 
 
-def _assert_same_table(table, joint_table):
+# the outcomes of a Bell table and of gate_rx's table that land X-corrected
+_X_CORRECTED = ("III", "IV", ("odd", "even"), ("odd", "odd"))
+
+
+def _assert_same_table(table, joint_table, s, enc):
     """Equal outcomes and, to round-off, equal probabilities and branch
-    states.  Both Gram forms exponentiate the same exponents, of size up to
-    M alpha^2 < 30 here, summed in another order: the overlaps agree to
-    ~1e-14 relative, the probabilities to ~1e-16 (seen: 2e-16) and the
-    states' squared distance 2 - 2 Re<x|y> to its own round-off (seen:
-    2e-15)."""
+    states, each kept branch of the table on the joint state s (x) resource
+    landed as the gate lands it (`_joint_pair_landing`).  Both Gram forms
+    exponentiate the same exponents, of size up to M alpha^2 < 30 here,
+    summed in another order: the overlaps agree to ~1e-14 relative, the
+    probabilities to ~1e-16 (seen: 2e-16) and the states' squared distance
+    2 - 2 Re<x|y> to its own round-off (seen: 2e-15)."""
     assert list(table) == list(joint_table)
+    rest = measure._rest(s, [enc.mode])
     for outcome, rec in table.items():
         ref = joint_table[outcome]
         assert abs(rec.probability - ref.probability) <= 1e-13, outcome
         assert (rec.state is None) == (ref.state is None), outcome
         if ref.state is not None:
-            assert rec.state.modes == ref.state.modes
-            distance2 = 2 - 2 * states.inner_product(rec.state, ref.state).real
+            coeffs, w, n2, _ = ref.build
+            landed = _joint_pair_landing(coeffs, w, n2, rest, enc.alpha, enc.mode,
+                                         outcome in _X_CORRECTED)
+            assert rec.state.modes == landed.modes
+            distance2 = 2 - 2 * states.inner_product(rec.state, landed).real
             assert abs(distance2) <= 1e-13, outcome
 
 
@@ -850,18 +926,19 @@ def test_factored_tables_match_the_tables_of_the_joint_state(monkeypatch, leaked
                 bell = table("bell_measurement", joint.coeffs, rest, rows)
             else:
                 bell = measure.bell_outcomes(joint, mode, n)
-            _assert_same_table(gates._bell_table(s, enc), bell)
+            _assert_same_table(gates._bell_step(s, enc)[0], bell, s, enc)
             # gate_rx's table, against `_table` on the joint state's mixed columns
             built = []
             monkeypatch.setattr(measure, "_table", lambda *a: built.append(table(*a)) or built[-1])
             gate_rx(s, enc)
             monkeypatch.setattr(measure, "_table", table)
             a, b = optics.beamsplitter(joint, mode, n, np.pi / (8 * alpha**2)).amps[:, [mode, n]].T
-            parity = {"even": +1, "odd": -1}
-            wa = {k: measure._cat_weights(alpha, p, a) for k, p in parity.items()}
-            wb = {k: measure._cat_weights(alpha, p, b) for k, p in parity.items()}
+            parity = ("even", "odd")
+            wa = dict(zip(parity, measure._cat_weights(alpha, a)))
+            wb = dict(zip(parity, measure._cat_weights(alpha, b)))
             rows = [((ka, kb), 1.0, wa[ka] * wb[kb], True) for kb in parity for ka in parity]
-            _assert_same_table(built[0], table("cat_projection", joint.coeffs, rest, rows))
+            joint_rx = table("cat_projection", joint.coeffs, rest, rows)
+            _assert_same_table(built[0], joint_rx, s, enc)
 
 
 def _table_probabilities_50_digits(coeffs, rest, rows):
@@ -895,7 +972,7 @@ def test_gate_tables_match_a_50_digit_sum_over_the_joint_rest(monkeypatch, alpha
     table = measure._table
     monkeypatch.setattr(measure, "_table", lambda *a: built.append(table(*a)) or built[-1])
     enc = QubitEncoding(alpha)
-    parity = {"even": +1, "odd": -1}
+    parity = ("even", "odd")
     for mu, nu in ((1, 1), (0.6, 0.8j)):
         s = encode(mu, nu, enc)
         joint = optics.tensor(s, optics.bell_resource(alpha))
@@ -904,10 +981,10 @@ def test_gate_tables_match_a_50_digit_sum_over_the_joint_rest(monkeypatch, alpha
         bell = measure._bell_rows(joint.amps[:, 0], joint.amps[:, 1], ref)
         mixed = optics.beamsplitter(joint, 0, 1, np.pi / (8 * alpha**2))
         a, b = mixed.amps[:, :2].T
-        wa = {k: measure._cat_weights(alpha, p, a) for k, p in parity.items()}
-        wb = {k: measure._cat_weights(alpha, p, b) for k, p in parity.items()}
+        wa = dict(zip(parity, measure._cat_weights(alpha, a)))
+        wb = dict(zip(parity, measure._cat_weights(alpha, b)))
         rx = [((ka, kb), 1.0, wa[ka] * wb[kb], True) for kb in parity for ka in parity]
-        for name, gate, rows, rest in (("bell", gates._bell_table, bell, joint.amps[:, 2:]),
+        for name, gate, rows, rest in (("bell", gates._bell_step, bell, joint.amps[:, 2:]),
                                        ("rx", gate_rx, rx, mixed.amps[:, 2:])):
             built.clear()
             gate(s, enc)
@@ -988,7 +1065,7 @@ def test_bell_tables_on_the_inputs_terms_match_the_joint_pair_tables(leaked):
     # and must agree bit for bit; a Gram form through BLAS may round
     # otherwise with another stacking of the same vectors (4 eps).  A
     # landing, given the record's norm, keeps the same terms in the same
-    # order, so its bytes are equal.
+    # order, X-corrected exactly for III and IV, so its bytes are equal.
     rng = np.random.default_rng(41)
     for n, alpha in ((1, 1.0), (1, 2.0), (2, 1.5), (3, 2.0), (4, 1.5)):
         for _ in range(3):
@@ -996,7 +1073,7 @@ def test_bell_tables_on_the_inputs_terms_match_the_joint_pair_tables(leaked):
             for mode in range(n):
                 enc = QubitEncoding(alpha, mode)
                 joint, coeffs, rest = _joint_pair_bell_table(s, enc)
-                table = gates._bell_table(s, enc)
+                table = gates._bell_step(s, enc)[0]
                 assert list(table) == list(joint)
                 for outcome, rec in table.items():
                     p, w, n2 = joint[outcome]
@@ -1006,22 +1083,24 @@ def test_bell_tables_on_the_inputs_terms_match_the_joint_pair_tables(leaked):
                         assert abs(rec.probability - p) <= 4 * 2.0**-52 * p, (n, mode, outcome)
                     if rec.build is None:
                         continue
-                    for flip in (False, True):
-                        got = measure._branch_state(*rec.build, mode, flip)
-                        ref = _joint_pair_landing(coeffs, w, rec.build[2], rest, alpha, mode, flip)
-                        assert got.coeffs.tobytes() == ref.coeffs.tobytes(), (n, mode, outcome)
-                        assert got.amps.tobytes() == ref.amps.tobytes(), (n, mode, outcome)
+                    flip = outcome in _X_CORRECTED
+                    ref = _joint_pair_landing(coeffs, w, rec.build[2], rest, alpha, mode, flip)
+                    assert rec.state.coeffs.tobytes() == ref.coeffs.tobytes(), (n, mode, outcome)
+                    assert rec.state.amps.tobytes() == ref.amps.tobytes(), (n, mode, outcome)
 
 
 @pytest.mark.parametrize("leaked", [False, True], ids=["strict", "leaked"])
 def test_no_bell_table_reads_the_joint_terms(monkeypatch, leaked):
     # every Bell table of teleport, Z, Rz and the entangling gate is scored
-    # and landed on its input's K terms: no `_with_resource` call (gate_rx's
-    # joint read), no 2K-row array in a record, no overlap matrix past K x K
+    # and landed on its input's K terms: no pair form of more than K terms
+    # (gate_rx's joint read), no 2K-row array in a record, no overlap
+    # matrix past K x K, and every landing in the input's own modes
     s = _register(3, 1.5, np.random.default_rng(9), leaked)
-    terms, tables, grams = [0], [], []
+    terms, tables, grams, forms = [0], [], [], []
     rest, table, overlap = measure._rest, measure._table, states._overlap_matrix
-    monkeypatch.setattr(gates, "_with_resource", lambda *a: pytest.fail("joint terms read"))
+    pair_forms = gates._forms
+    monkeypatch.setattr(gates, "_forms",
+                        lambda r, u: forms.append((u.shape[-1], terms[0])) or pair_forms(r, u))
     monkeypatch.setattr(measure, "_rest",
                         lambda x, modes: terms.__setitem__(0, x.nterms) or rest(x, modes))
     monkeypatch.setattr(measure, "_table",
@@ -1035,10 +1114,12 @@ def test_no_bell_table_reads_the_joint_terms(monkeypatch, leaked):
         gate_z(s, enc_b, rng)
         gate_rz(s, enc_a, 0.02, rng)
         entangling_gate(s, enc_a, enc_b, 0.02, rng)
-    assert tables and grams
+    assert tables and grams and forms
     assert all(n <= k for n, k in grams)
+    assert all(n == k for n, k in forms)
     for k, recs in tables:
         for rec in recs.values():
             if rec.build is not None:
-                coeffs, w, n2, rows, kept = rec.build
-                assert len(coeffs) == len(w) == len(rows) == len(kept) == k
+                coeffs, w, n2, amps = rec.build
+                assert len(coeffs) == len(w) == k
+                assert amps.shape == (k, s.modes)

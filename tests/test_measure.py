@@ -495,7 +495,7 @@ def test_leaked_bell_table_is_near_the_physical_measurement(alpha, theta_alpha2)
     enc = gates.QubitEncoding(alpha)
     theta = theta_alpha2 / alpha**2
     s = optics.displace(gates.encode(0.6 + 0.2j, 0.7 - 0.3j, enc), 0, 1j * alpha * theta)
-    table = gates._bell_table(s, enc)
+    table = gates._bell_step(s, enc)[0]
     phi = optics.tensor(s, optics.bell_resource(alpha))
     near = alpha * np.where(phi.amps[:, :2].real >= 0, 1.0, -1.0)
     w = np.prod(states.coherent_overlap(near, phi.amps[:, :2]), axis=1)
@@ -553,18 +553,28 @@ def test_bell_rows_on_the_support_are_the_counting_classes():
         assert np.allclose(rows[4][2], vac, rtol=1e-13, atol=0)
 
 
+def _landed(state, mode, flip):
+    """A branch of s (x) resource as a gate lands it: the last mode, the
+    resource's kept one, moved to `mode` and, for an X correction, negated."""
+    kept = -state.amps[:, -1:] if flip else state.amps[:, -1:]
+    amps = np.concatenate([state.amps[:, :mode], kept, state.amps[:, mode:-1]], axis=1)
+    return CoherentSuperposition(state.coeffs, amps)
+
+
 def _assert_teleport_table_is_counting(s, enc):
-    """The Bell-cat measurement every teleport reads, `gates._bell_table`,
+    """The Bell-cat measurement every teleport reads, `gates._bell_step`'s,
     against photon counting (`bell_outcomes`) on the joint state s (x)
-    resource: the same outcomes, probabilities and branch states."""
+    resource: the same outcomes, probabilities and branch states, each
+    counting branch landed in enc.mode, X-corrected for III and IV."""
     counting = bell_outcomes(optics.tensor(s, optics.bell_resource(enc.alpha)), enc.mode, s.modes)
-    table = gates._bell_table(s, enc)
+    table = gates._bell_step(s, enc)[0]
     assert list(table) == list(counting)
     for name in table:
         assert table[name].probability == pytest.approx(counting[name].probability, abs=1e-12)
         x, y = counting[name].state, table[name].state
         assert (x is None) == (y is None), name
         if x is not None:
+            x = _landed(x, enc.mode, name in ("III", "IV"))
             assert y.modes == x.modes
             assert abs(y.norm_squared() - 1.0) < 1e-12
             assert fidelity(x, y) == pytest.approx(1.0, abs=1e-12)
@@ -610,8 +620,8 @@ def test_gate_rx_table_matches_sequential_projections_and_fock_oracle(monkeypatc
     built = []
     table = measure._table
 
-    def recording(kind, coeffs, rest, rows, pair=None):
-        out = table(kind, coeffs, rest, rows, pair)
+    def recording(kind, coeffs, rest, rows, norms=None):
+        out = table(kind, coeffs, rest, rows, norms)
         built.append((kind, coeffs, out))
         return out
 
@@ -627,7 +637,9 @@ def test_gate_rx_table_matches_sequential_projections_and_fock_oracle(monkeypatc
         gates.gate_rx(s, gates.QubitEncoding(alpha))
         (coeffs, recs), = [b[1:] for b in built if b[0] == "cat_projection"]
         # gate_rx builds neither the joint state nor its mixed columns:
-        # rebuild the whole mixed state, input mode 0 and resource half 1
+        # rebuild the whole mixed state, input mode 0 and resource half 1.
+        # An odd input's branch lands X-corrected in mode 0: the reference
+        # is the resource's kept mode 2 negated, the oracle's a phase pi on it
         joint = optics.tensor(s, optics.bell_resource(alpha))
         assert coeffs.tobytes() == joint.coeffs.tobytes()
         mode, m = 0, 1
@@ -638,13 +650,15 @@ def test_gate_rx_table_matches_sequential_projections_and_fock_oracle(monkeypatc
         assert list(reference) == list(recs)
         n_max = default_nmax(np.max(np.abs(mixed.amps)))
         v = fo.to_fock(mixed, n_max)
+        v = {"even": v, "odd": fo.fock_phase(v, 2, np.pi)}
         bra = {name: fo.to_fock(cat(alpha, p), n_max)[None, :]
                for name, p in (("even", +1), ("odd", -1))}
         for (pa, pb), rec in recs.items():
             p_ref, state_ref = reference[pa, pb]
             assert rec.probability == pytest.approx(p_ref, rel=1e-12)
-            assert fidelity(rec.state, state_ref) == pytest.approx(1.0, abs=1e-12)
-            _assert_matches_oracle(rec, v, {mode: bra[pa], m: bra[pb]}, n_max)
+            landed = _landed(state_ref, 0, pa == "odd")
+            assert fidelity(rec.state, landed) == pytest.approx(1.0, abs=1e-12)
+            _assert_matches_oracle(rec, v[pa], {mode: bra[pa], m: bra[pb]}, n_max)
 
 
 def _leaked_pair():
@@ -655,7 +669,8 @@ def _leaked_pair():
 
 @pytest.mark.parametrize("measure_fn, make_args, count", [
     (bell_outcomes, lambda: (bell_cat(1.5, "ii"), 0, 1), 1),
-    (gates._bell_table, lambda: (_leaked_pair(), gates.QubitEncoding(1.5)), 1),
+    (lambda s, enc: gates._bell_step(s, enc)[0],
+     lambda: (_leaked_pair(), gates.QubitEncoding(1.5)), 1),
     (parity_projection, lambda: (optics.tensor(cat(1.5, +1), coherent(0.5, 1.5)), 0), 1),
     (cat_projection, lambda: (optics.tensor(coherent(0.3), cat(1.5, -1)), 1, 1.5, -1), 1),
     (photon_statistics, lambda: (optics.tensor(cat(1.5, +1), coherent(0.5, 1.5)), 0), 1),
@@ -701,10 +716,10 @@ def test_cat_weights_match_50_digits_and_never_overflow():
     mp = pytest.importorskip("mpmath")
     xs = np.array([-100.0, -16.5, -1.0, -3e-7, 0.0, 2e-7, 1e-3j, 0.7 + 0.4j, 16.0, 100.0])
     for alpha in (1e-7, 1e-3, 1.0, 16.0 * np.exp(0.2j)):
-        for parity in (+1, -1):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # an exponential overflowing, or 0 * inf
-                w = measure._cat_weights(alpha, parity, xs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an exponential overflowing, or 0 * inf
+            weights = measure._cat_weights(alpha, xs)
+        for parity, w in zip((+1, -1), weights):
             with mp.workdps(50):
                 r = mp.mpc(complex(alpha))
 
@@ -755,9 +770,9 @@ def _joint_rest(rest, pair):
 
 
 def test_branch_norms_of_two_factors_match_the_joint_rest():
-    # the pair's eigen-forms, with a first factor of 0, 1 and 3 modes,
-    # against the one-factor form on the joint rows, to round-off (the
-    # same exponents, summed otherwise)
+    # the gates' pair scoring, its eigen-forms F(v_0 +/- v_1) on a first
+    # factor of 0, 1 and 3 modes, against the one-factor form on the joint
+    # rows, to round-off (the same exponents, summed otherwise)
     rng = np.random.default_rng(31)
     for first_modes in (0, 1, 3):
         k1 = int(rng.integers(1, 6))
@@ -767,16 +782,12 @@ def test_branch_norms_of_two_factors_match_the_joint_rest():
         k = 2 * k1
         coeffs = rng.normal(size=k) + 1j * rng.normal(size=k)
         weights = rng.normal(size=(4, k)) + 1j * rng.normal(size=(4, k))
-        factored = measure._branch_norms(coeffs, first, weights, pair)
+        v = weights * coeffs
+        f = gates._forms(first, np.stack([v[:, 0::2] + v[:, 1::2], v[:, 0::2] - v[:, 1::2]]))
+        factored = gates._pair_form(f[0], f[1], float(np.vdot(x, x).real))
         joint = measure._branch_norms(coeffs, _joint_rest(first, pair), weights)
         assert factored.shape == joint.shape == (4,)
         assert np.allclose(factored, joint, rtol=1e-12, atol=0), first_modes
-
-
-def _kept_rest(rest, kept):
-    """The remaining amplitudes of every term of a gate's branch: its rest
-    row and, appended, the resource amplitude it keeps (`kept`, or none)."""
-    return rest if kept is None else np.concatenate([rest, kept[:, None]], axis=1)
 
 
 def _eager_states(kind, coeffs, rest, rows, norms=None):
@@ -786,7 +797,7 @@ def _eager_states(kind, coeffs, rest, rows, norms=None):
         norms = measure._branch_norms(coeffs, rest, np.array([w for _, _, w, _ in rows]))
     out = {}
     for (outcome, factor, w, keep), n2 in zip(rows, norms):
-        amps = _kept_rest(rest, keep if isinstance(keep, np.ndarray) else None)
+        amps = keep if isinstance(keep, np.ndarray) else rest
         keep = keep is not False and float(factor * n2) > measure.PROB_FLOOR
         live = np.flatnonzero(w)
         out[outcome] = CoherentSuperposition(
@@ -805,7 +816,8 @@ def _leaked_rx_input():
     (cat_projection, lambda: (optics.tensor(coherent(0.3), cat(1.5, -1)), 1, 1.5, -1)),
     (bell_outcomes, lambda: (optics.tensor(gates.encode(0.6, 0.8, gates.QubitEncoding(2.0)),
                                            optics.bell_resource(2.0)), 0, 1)),
-    (gates._bell_table, lambda: (_leaked_pair(), gates.QubitEncoding(1.5))),
+    (lambda s, enc: gates._bell_step(s, enc)[0],
+     lambda: (_leaked_pair(), gates.QubitEncoding(1.5))),
     (project_photon_number, lambda: (optics.tensor(cat(1.2, +1), coherent(0.4, 1.0)), 1, 2)),
     (homodyne_condition, lambda: (optics.tensor(cat(1.5, -1), coherent(0.7)), 0, 0.4)),
     (gates.gate_rx, lambda: (_leaked_rx_input(), gates.QubitEncoding(1.6))),
@@ -854,7 +866,7 @@ def _five_qubit_register(leaked):
     return s
 
 
-def _with_resource(s):
+def _joint_with_resource(s):
     return optics.tensor(s, optics.bell_resource(1.5))
 
 
@@ -872,8 +884,8 @@ def _sorted_term_bytes(s):
 @pytest.mark.parametrize("measure_fn, args", [
     (parity_projection, lambda s: (s, 0)),
     (cat_projection, lambda s: (s, 3, 1.5, -1)),
-    (bell_outcomes, lambda s: (_with_resource(s), 0, 5)),
-    (gates._bell_table, lambda s: (s, gates.QubitEncoding(1.5, mode=2))),
+    (bell_outcomes, lambda s: (_joint_with_resource(s), 0, 5)),
+    (lambda s, enc: gates._bell_step(s, enc)[0], lambda s: (s, gates.QubitEncoding(1.5, mode=2))),
     (project_photon_number, lambda s: (s, 1, 2)),
     (homodyne_condition, lambda s: (s, 4, 0.4)),
     (gates.gate_rx, lambda s: (s, gates.QubitEncoding(1.5, mode=2))),
@@ -886,10 +898,10 @@ def test_branch_state_from_supported_terms_is_the_full_branch(monkeypatch, measu
     kept = [rec for recs in tables for rec in recs.values() if rec.build is not None]
     assert kept
     for rec in kept:
-        coeffs, w, n2, rest, col = rec.build
+        coeffs, w, n2, amps = rec.build
         # every term of the table, the zero-weight ones too, as branch
         # states were built before
-        full = CoherentSuperposition(coeffs * w / np.sqrt(n2), _kept_rest(rest, col)).merge_terms()
+        full = CoherentSuperposition(coeffs * w / np.sqrt(n2), amps).merge_terms()
         assert rec.state.nterms == full.nterms
         assert _sorted_term_bytes(rec.state) == _sorted_term_bytes(full)
 
