@@ -71,6 +71,8 @@ class Field(NamedTuple):
 
 
 def _fmt(value) -> str:
+    if type(value) is float:  # most cells: one step
+        return "%.17g" % value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -165,7 +167,7 @@ def emit(
         out.write(f"# {key} = {_fmt(cfg[key])}\n")
     out.write("\t".join(columns) + "\n")
     for row in rows:
-        out.write("\t".join(_fmt(v) for v in row) + "\n")
+        out.write("\t".join(map(_fmt, row)) + "\n")
 
 
 def _alpha_grid(cfg: dict) -> list[float]:
@@ -176,6 +178,20 @@ def _alpha_grid(cfg: dict) -> list[float]:
 # experiments
 
 def run_bell_stats(cfg: dict, seed: int) -> tuple[list[str], list[list], list[tuple[int, str]]]:
+    """The Bell-cat measurement on the four Bell cats at each alpha of the
+    grid: the probability that cat k reads its own outcome, the largest
+    |sum of its table - 1| over the four cats, the FAIL probability of a
+    teleport of |+> and, with trials, the sampled frequencies of that
+    teleport's identity, Z and FAIL landings.
+
+    The four cats of one alpha are scored as one stack
+    (`measure._bell_scores`): their 8 terms concatenated, with a
+    block-diagonal (4, 8) coefficient stack, in one Gram call.  Each
+    probability is class factor times norm, as `measure.bell_outcomes`
+    reads it, and each cat's five rows are summed in table order.  The
+    cats' remaining modes are empty, so every overlap is exactly 1, and a
+    zero coefficient adds an exact 0 to every sum: each printed byte is the
+    one the four separate tables give."""
     columns = [
         "alpha", "p_correct_i", "p_correct_ii", "p_correct_iii", "p_correct_iv",
         "p_fail_teleport", "completeness_error",
@@ -186,15 +202,21 @@ def run_bell_stats(cfg: dict, seed: int) -> tuple[list[str], list[list], list[tu
     for index, alpha in enumerate(_alpha_grid(cfg)):
         row = [alpha]
         worst_completeness = 0.0
-        for kind, name in zip(("i", "ii", "iii", "iv"), ("I", "II", "III", "IV")):
+        coeffs = np.zeros((4, 8), dtype=complex)
+        amps = []
+        for k, kind in enumerate(("i", "ii", "iii", "iv")):
             try:
                 state = states.bell_cat(alpha, kind)
             except states.ZeroNormError as exc:
                 raise ConfigError(f"alpha = {alpha}: Bell cat {kind} has zero norm") from exc
-            recs = measure.bell_outcomes(state, 0, 1)
-            total = sum(r.probability for r in recs.values())
-            worst_completeness = max(worst_completeness, abs(total - 1.0))
-            row.append(recs[name].probability)
+            coeffs[k, 2 * k:2 * k + 2] = state.coeffs
+            amps.append(state.amps)
+        bell_rows, _, norms = measure._bell_scores(coeffs, np.concatenate(amps), 0, 1)
+        factors = [factor for _, factor, _, _ in bell_rows]
+        for k, cat_norms in enumerate(norms.tolist()):
+            probs = [f * n2 for f, n2 in zip(factors, cat_norms)]
+            worst_completeness = max(worst_completeness, abs(sum(probs) - 1.0))
+            row.append(probs[k])  # cat k reads outcome k: I, II, III, IV
         # the Bell table every teleport of `plus` draws from
         enc = gates.QubitEncoding(alpha)
         table = gates._bell_step(gates.encode(1.0, 1.0, enc), enc)[0]

@@ -7,7 +7,10 @@ weights its terms by one per-column function, `_bell_column`, and one
 weight function, `_bell_weights`: a term off {+a, -a} is weighted by its
 overlap with the nearest support point, exactly 1 on the support.
 `_bell_rows` composes two measured columns; a teleport's table reads its
-input's column alone (`gates._bell_step`).  The parity and Bell-cat
+input's column alone (`gates._bell_step`).  `_bell_scores` scores a stack
+of coefficient vectors on one set of amplitude rows in one Gram call:
+`bell_outcomes` is its one-state case, and `catsim bell-stats` scores the
+four Bell cats of each alpha as one stack.  The parity and Bell-cat
 measurements return the whole table, `sample` draws one outcome and
 `sample_counts` the outcome counts of many shots.  A branch's conditioned
 state is built on its first read, so a shot that keeps one branch builds
@@ -56,6 +59,7 @@ __all__ = [
 ]
 
 PROB_FLOOR = 1e-300
+_OFF_SUPPORT = "mode amplitudes are not supported on {+a, -a} for a common a"
 
 
 class UnsupportedStateError(ValueError):
@@ -182,9 +186,10 @@ def default_nmax(amp_scale: float) -> int:
 
 
 def _branch_norms(coeffs: np.ndarray, rest: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Squared norm of the branch sum_k w_k c_k |rest_k> for every row w of a
-    (..., K) stack of weights: v* G v with v = w * coeffs and G the Gram
-    matrix of `rest`, one `states._gram_forms` call."""
+    """Squared norm of the branch sum_k w_k c_k |rest_k> for every row of
+    the (..., K) stack v = weights * coeffs, the two broadcast (a stack of
+    weights, or of coefficient vectors too, as `_bell_scores` passes):
+    v* G v with G the Gram matrix of `rest`, one `states._gram_forms` call."""
     v = weights * coeffs
     return _gram_forms(rest, v, rest, v).real
 
@@ -210,28 +215,19 @@ def project_photon_number(s: CoherentSuperposition, mode: int, n: int) -> Measur
     return rec
 
 
-def _nearest_signs(amps: np.ndarray, ref: complex) -> np.ndarray:
-    """+1 where an amplitude is nearer +ref than -ref (ties count as +1),
-    else -1, elementwise."""
-    return np.where(np.abs(amps - ref) <= np.abs(amps + ref), 1.0, -1.0)
-
-
-def _off_support(amps: np.ndarray, ref: complex) -> bool:
-    """Whether any amplitude lies farther than 1e-9 (1 + |ref|) from both
-    +ref and -ref, i.e. off the support {+ref, -ref}."""
-    near = np.minimum(np.abs(amps - ref), np.abs(amps + ref))
-    return bool(np.count_nonzero(near > 1e-9 * (1 + abs(ref))))
-
-
 def _reference(amps: np.ndarray) -> complex:
-    """The largest amplitude a of a column (0 for an empty one), refused
-    (UnsupportedStateError) unless every amplitude lies in {+a, -a}."""
-    ref = complex(amps[np.argmax(np.abs(amps))]) if len(amps) else 0j
-    if _off_support(amps, ref):
-        raise UnsupportedStateError(
-            "mode amplitudes are not supported on {+a, -a} for a common a"
-        )
-    return ref
+    """The largest amplitude of a column (0 for an empty one)."""
+    return complex(amps[np.argmax(np.abs(amps))]) if len(amps) else 0j
+
+
+def _refuse_off_support(d: np.ndarray, ref: complex, message: str) -> None:
+    """UnsupportedStateError(message) if any offset d of a column from its
+    nearest support point (`_bell_column`) exceeds 1e-9 (1 + |ref|), i.e. an
+    amplitude lies off the support {+ref, -ref}.  |d| is bitwise
+    min(|x - ref|, |x + ref|): d = x - ref or x - (-ref), and x - (-ref) is
+    x + ref exactly."""
+    if np.count_nonzero(np.abs(d) > 1e-9 * (1 + abs(ref))):
+        raise UnsupportedStateError(message)
 
 
 def _parity_class_weights(amp_mag2: float) -> tuple[float, float, float]:
@@ -254,12 +250,14 @@ def parity_projection(s: CoherentSuperposition, mode: int) -> dict[str, Measurem
     s.check_mode(mode)
     col = s.amps[:, mode]
     ref = _reference(col)
+    signs, d, _ = _bell_column(col, ref)
+    _refuse_off_support(d, ref, _OFF_SUPPORT)
     z0, even_nz, odd = _parity_class_weights(abs(ref) ** 2)
     ones = np.ones(s.nterms)
     return _table("parity", s.coeffs, _rest(s, [mode]), [
         ("zero", z0, ones, True),
         ("even_nonzero", even_nz, ones, True),
-        ("odd", odd, _nearest_signs(col, ref), True),
+        ("odd", odd, signs, True),
     ])
 
 
@@ -375,27 +373,51 @@ def bell_outcomes(
     modes is classified as I=(even>0, 0), II=(odd, 0), III=(0, even>0),
     IV=(0, odd) and FAIL=(0, 0).  The FAIL record carries no state.
     Amplitudes off {+a, -a} for the a of mode_a's largest amplitude are
-    refused; the rows are those of `_bell_rows`, which every teleport
-    reads too."""
+    refused.  The table is the one-state case of `_bell_scores`, whose rows
+    are those of `_bell_rows`, which every teleport reads too."""
     s.check_mode(mode_a)
     s.check_mode(mode_b)
     if mode_a == mode_b:
         raise ValueError("Bell measurement needs two distinct modes")
-    a, b = s.amps[:, mode_a], s.amps[:, mode_b]
+    rows, rest, norms = _bell_scores(s.coeffs, s.amps, mode_a, mode_b)
+    return _table("bell_measurement", s.coeffs, rest, rows, norms)
+
+
+def _bell_scores(
+    coeffs: np.ndarray, amps: np.ndarray, mode_a: int, mode_b: int
+) -> tuple[list, np.ndarray, np.ndarray]:
+    """The Bell-cat measurement on modes mode_a and mode_b of the amplitude
+    rows `amps` (K terms), scored for every coefficient vector of the
+    (..., K) stack `coeffs`: (rows, rest, norms), the `_bell_rows` rows, the
+    amplitude rows of the remaining modes and the (..., 5) squared branch
+    norms, one per row, so that row i of state j has probability factor_i *
+    norms[j, i].
+
+    The columns are scanned once (`_bell_column`), against one reference,
+    mode_a's largest amplitude, and an amplitude off {+a, -a} in either
+    column is refused from the same scan; the norms of the whole
+    (..., 5, K) stack come from one `_branch_norms` call, so states that
+    share their amplitude rows share one Gram matrix.  A (K,) `coeffs` is
+    the one-state case `bell_outcomes` scores."""
+    a, b = amps[:, mode_a], amps[:, mode_b]
     ref = _reference(a)
-    if _off_support(b, ref):
-        raise UnsupportedStateError(
-            "the two measured modes are not supported on {+a, -a} for a common a"
-        )
-    return _table("bell_measurement", s.coeffs, _rest(s, [mode_a, mode_b]), _bell_rows(a, b, ref))
+    col_a, col_b = _bell_column(a, ref), _bell_column(b, ref)
+    _refuse_off_support(col_a[1], ref, _OFF_SUPPORT)
+    _refuse_off_support(
+        col_b[1], ref, "the two measured modes are not supported on {+a, -a} for a common a")
+    rows = _bell_rows(col_a, col_b, ref)
+    rest = amps[:, [m for m in range(amps.shape[1]) if m not in (mode_a, mode_b)]]
+    norms = _branch_norms(coeffs[..., None, :], rest, np.array([w for _, _, w, _ in rows]))
+    return rows, rest, norms
 
 
 def _bell_column(col: np.ndarray, ref: complex) -> tuple:
     """(signs, d, conj(r) d) of one measured column of a Bell-cat
-    measurement against `ref`: each amplitude x's nearest sign (+1 or -1),
-    its offset d = x - r from r = sign * ref, the support point nearest
-    it, and conj(r) d.  d is exactly 0 where x lies on {+ref, -ref}."""
-    signs = _nearest_signs(col, ref)
+    measurement against `ref`: each amplitude x's nearest sign (+1 where x
+    is nearer +ref than -ref, ties included, else -1), its offset d = x - r
+    from r = sign * ref, the support point nearest it, and conj(r) d.  d is
+    exactly 0 where x lies on {+ref, -ref}."""
+    signs = np.where(np.abs(col - ref) <= np.abs(col + ref), 1.0, -1.0)
     r = signs * ref
     d = col - r
     return signs, d, r.conj() * d
@@ -411,9 +433,10 @@ def _bell_weights(d2: np.ndarray, h: np.ndarray) -> tuple:
     return np.exp(e + 1j * h.imag), np.exp(e - h.real)
 
 
-def _bell_rows(a: np.ndarray, b: np.ndarray, ref: complex) -> list[tuple]:
+def _bell_rows(col_a: tuple, col_b: tuple, ref: complex) -> list[tuple]:
     """The `_table` rows of the Bell-cat measurement from its two measured
-    columns, one amplitude per term in each, against the reference `ref`.
+    columns, one amplitude per term in each, each scanned against the
+    reference `ref` by `_bell_column`.
 
     The phase and beam splitter send |x, y> to |(x + y)/sqrt(2),
     i(y - x)/sqrt(2)>, so a term with x = s_a r and y = s_b r leaves as
@@ -434,10 +457,10 @@ def _bell_rows(a: np.ndarray, b: np.ndarray, ref: complex) -> list[tuple]:
     |y|^2)/2), written exp(-|d|^2/2 - Re(conj(r) d)) per mode, again exactly
     1 on the support.  Each column's part comes from `_bell_column`, which
     a gate's table reads for its input's column alone
-    (`gates._bell_step`)."""
-    ref = complex(ref)
-    signs_a, da, ha = _bell_column(a, ref)
-    signs_b, db, hb = _bell_column(b, ref)
+    (`gates._bell_step`).  The rows do not depend on any coefficient, so one
+    call serves every state of a `_bell_scores` stack."""
+    signs_a, da, ha = col_a
+    signs_b, db, hb = col_b
     w, fail = _bell_weights(np.abs(da) ** 2 + np.abs(db) ** 2, ha + hb)
     same = signs_a == signs_b
     z0, even_nz, odd = _parity_class_weights(2 * abs(ref) ** 2)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from catsim import __version__, cli, gates, measure, optics
+from catsim import __version__, cli, gates, measure, optics, states
 from catsim.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
@@ -269,6 +269,29 @@ def test_tiny_alpha_bell_stats_identifies_the_odd_bell_cats(capsys):
     for col in ("p_correct_ii", "p_correct_iv"):
         assert row[col] == pytest.approx(1.0, rel=0, abs=1e-15)
     assert row["completeness_error"] <= 1e-15
+
+
+@pytest.mark.parametrize("grid", [("1e-3", "6", "120"), ("1e-150", "1e-3", "7")])
+def test_bell_stats_reads_the_public_bell_tables_bit_for_bit(grid, capsys):
+    # bell-stats scores the four cats of each alpha as one stack; each
+    # printed cell is the one the four `bell_outcomes` tables give
+    lo, hi, steps = grid
+    rows = _bell_stats_rows(["--alpha-min", lo, "--alpha-max", hi, "--alpha-steps", steps], capsys)
+    assert len(rows) == int(steps)
+    for row in rows:
+        tables = [measure.bell_outcomes(states.bell_cat(row["alpha"], kind), 0, 1)
+                  for kind in ("i", "ii", "iii", "iv")]
+        for kind, name, table in zip(("i", "ii", "iii", "iv"), ("I", "II", "III", "IV"), tables):
+            assert row[f"p_correct_{kind}"] == table[name].probability, (row["alpha"], kind)
+        worst = max(abs(sum(r.probability for r in t.values()) - 1.0) for t in tables)
+        assert row["completeness_error"] == worst, row["alpha"]
+
+
+def test_bell_stats_names_the_odd_bell_cat_of_zero_norm(capsys):
+    code = main(["bell-stats", "--alpha-min", "1e-200"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_CONFIG, "")
+    assert captured.err == "config error: alpha = 1e-200: Bell cat ii has zero norm\n"
 
 
 def test_seeded_rows_draw_from_independent_streams(capsys):

@@ -867,6 +867,13 @@ def test_per_gate_state_constructions_and_gram_forms(
 # tables of input (x) resource from the input's other modes and the
 # resource's pair, against the joint state
 
+def _bell_rows(a, b, ref):
+    """`measure._bell_rows` on two measured columns, each scanned against
+    ref by `measure._bell_column`."""
+    ref = complex(ref)
+    return measure._bell_rows(measure._bell_column(a, ref), measure._bell_column(b, ref), ref)
+
+
 def _register(n, alpha, rng, leaked):
     """An n-qubit register on modes 0..n-1 (K = 2^n terms); a leaked one
     moves every amplitude off {+alpha, -alpha} by its own small shift."""
@@ -922,7 +929,7 @@ def test_factored_tables_match_the_tables_of_the_joint_state(monkeypatch, leaked
                 # against the +/-alpha nearest the mode's largest amplitude
                 top = s.amps[np.abs(s.amps[:, mode]).argmax(), mode]
                 ref = alpha if abs(top - alpha) <= abs(top + alpha) else -alpha
-                rows = measure._bell_rows(joint.amps[:, mode], joint.amps[:, n], ref)
+                rows = _bell_rows(joint.amps[:, mode], joint.amps[:, n], ref)
                 bell = table("bell_measurement", joint.coeffs, rest, rows)
             else:
                 bell = measure.bell_outcomes(joint, mode, n)
@@ -978,7 +985,7 @@ def test_gate_tables_match_a_50_digit_sum_over_the_joint_rest(monkeypatch, alpha
         joint = optics.tensor(s, optics.bell_resource(alpha))
         top = s.amps[np.abs(s.amps[:, 0]).argmax(), 0]
         ref = alpha if abs(top - alpha) <= abs(top + alpha) else -alpha
-        bell = measure._bell_rows(joint.amps[:, 0], joint.amps[:, 1], ref)
+        bell = _bell_rows(joint.amps[:, 0], joint.amps[:, 1], ref)
         mixed = optics.beamsplitter(joint, 0, 1, np.pi / (8 * alpha**2))
         a, b = mixed.amps[:, :2].T
         wa = dict(zip(parity, measure._cat_weights(alpha, a)))
@@ -1034,7 +1041,7 @@ def _joint_pair_bell_table(s, enc):
     a = s.amps[:, enc.mode]
     top = complex(a[np.abs(a).argmax()])
     ref = enc.alpha if abs(top - enc.alpha) <= abs(top + enc.alpha) else -enc.alpha
-    rows = measure._bell_rows(np.repeat(a, 2), np.tile(x, s.nterms), ref)
+    rows = _bell_rows(np.repeat(a, 2), np.tile(x, s.nterms), ref)
     rest = measure._rest(s, [enc.mode])
     v = np.array([w for _, _, w, _ in rows]) * coeffs
     v0, v1 = v[..., 0::2], v[..., 1::2]

@@ -100,7 +100,7 @@ def test_parity_projection_requires_two_point_support():
     lambda s: bell_outcomes(optics.tensor(cat(2.0), s), 0, 1),
 ], ids=["parity", "bell"])
 def test_support_tolerance_refuses_an_amplitude_three_tolerances_off(measure_fn):
-    # `_off_support` accepts an amplitude within 1e-9 (1 + |a|) of +/-a, as
+    # `_refuse_off_support` accepts an amplitude within 1e-9 (1 + |a|) of +/-a, as
     # round-off, and refuses one three times that far off, which a
     # tenfold looser tolerance would take as supported
     a = 2.0
@@ -220,13 +220,17 @@ def test_measurements_on_a_zero_term_state_read_all_zero():
 
 
 def test_bell_outcomes_scans_each_measured_column_once(monkeypatch):
+    # the support refusal reads the offsets of the same one scan per column
     calls = []
-    nearest = measure._nearest_signs
+    scan = measure._bell_column
     monkeypatch.setattr(
-        measure, "_nearest_signs", lambda amps, ref: calls.append(len(amps)) or nearest(amps, ref))
+        measure, "_bell_column", lambda amps, ref: calls.append(len(amps)) or scan(amps, ref))
     s = optics.tensor(gates.encode(0.6, 0.8, gates.QubitEncoding(2.0)), optics.bell_resource(2.0))
     bell_outcomes(s, 0, 1)
     assert calls == [s.nterms, s.nterms]
+    calls.clear()
+    parity_projection(s, 0)
+    assert calls == [s.nterms]
 
 
 def test_parity_classes_stay_finite_at_large_amplitude(monkeypatch):
@@ -520,6 +524,13 @@ def test_leaked_bell_table_is_near_the_physical_measurement(alpha, theta_alpha2)
         assert abs(q - p) <= gap + DIST_TOL, (name, q, p, gap)
 
 
+def _bell_rows(a, b, ref):
+    """`measure._bell_rows` on two measured columns, each scanned against
+    ref by `measure._bell_column`."""
+    ref = complex(ref)
+    return measure._bell_rows(measure._bell_column(a, ref), measure._bell_column(b, ref), ref)
+
+
 def test_bell_rows_on_the_support_are_the_counting_classes():
     # on {+a, -a} every nearest-point overlap and the FAIL weight are
     # exactly 1, so the rows are the sign classes bit for bit; off it the
@@ -538,14 +549,14 @@ def test_bell_rows_on_the_support_are_the_counting_classes():
         z0, even_nz, odd = measure._parity_class_weights(2 * abs(ref) ** 2)
         expected = [("I", even_nz, same), ("II", odd, same * signs_a), ("III", even_nz, ~same),
                     ("IV", odd, ~same * signs_a), ("FAIL", z0, np.ones(len(a)))]
-        rows = measure._bell_rows(a, b, ref)
+        rows = _bell_rows(a, b, ref)
         assert [(o, f) for o, f, _, _ in rows] == [(o, f) for o, f, _ in expected]
         for (outcome, _, w, _), (_, _, ref_w) in zip(rows, expected):
             assert np.array_equal(w, ref_w), outcome
         # off the support: the I row's weight is <r|x> <r'|y> against the
         # nearest points, and FAIL's the vacuum ratio <0|x><0|y> / <0|r>^2
         x, y = (c + rng.normal(scale=0.1, size=c.shape) * (1 + 1j) for c in (a, b))
-        rows = measure._bell_rows(x, y, ref)
+        rows = _bell_rows(x, y, ref)
         overlap = (states.coherent_overlap(signs_a * ref, x)
                    * states.coherent_overlap(signs_b * ref, y))
         vac = np.exp(abs(ref) ** 2 - 0.5 * (np.abs(x) ** 2 + np.abs(y) ** 2))
