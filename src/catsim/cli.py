@@ -71,12 +71,10 @@ class Field(NamedTuple):
 
 
 def _fmt(value) -> str:
-    if type(value) is float:  # most cells: one step
+    if isinstance(value, float):  # np.float64 too
         return "%.17g" % value
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
     return str(value)
 
 
@@ -187,11 +185,11 @@ def run_bell_stats(cfg: dict, seed: int) -> tuple[list[str], list[list], list[tu
     The four cats of one alpha are scored as one stack
     (`measure._bell_scores`): their 8 terms concatenated, with a
     block-diagonal (4, 8) coefficient stack, in one Gram call.  Each
-    probability is class factor times norm, as `measure.bell_outcomes`
-    reads it, and each cat's five rows are summed in table order.  The
-    cats' remaining modes are empty, so every overlap is exactly 1, and a
-    zero coefficient adds an exact 0 to every sum: each printed byte is the
-    one the four separate tables give."""
+    probability is the scorer's class factor times norm, the product
+    `measure.bell_outcomes` reads, and each cat's five rows are summed in
+    table order.  The cats' remaining modes are empty, so every overlap is
+    exactly 1, and a zero coefficient adds an exact 0 to every sum: each
+    printed byte is the one the four separate tables give."""
     columns = [
         "alpha", "p_correct_i", "p_correct_ii", "p_correct_iii", "p_correct_iv",
         "p_fail_teleport", "completeness_error",
@@ -211,12 +209,10 @@ def run_bell_stats(cfg: dict, seed: int) -> tuple[list[str], list[list], list[tu
                 raise ConfigError(f"alpha = {alpha}: Bell cat {kind} has zero norm") from exc
             coeffs[k, 2 * k:2 * k + 2] = state.coeffs
             amps.append(state.amps)
-        bell_rows, _, norms = measure._bell_scores(coeffs, np.concatenate(amps), 0, 1)
-        factors = [factor for _, factor, _, _ in bell_rows]
-        for k, cat_norms in enumerate(norms.tolist()):
-            probs = [f * n2 for f, n2 in zip(factors, cat_norms)]
-            worst_completeness = max(worst_completeness, abs(sum(probs) - 1.0))
-            row.append(probs[k])  # cat k reads outcome k: I, II, III, IV
+        probs = measure._bell_scores(coeffs, np.concatenate(amps), 0, 1)[3].tolist()
+        for k, cat_probs in enumerate(probs):
+            worst_completeness = max(worst_completeness, abs(sum(cat_probs) - 1.0))
+            row.append(cat_probs[k])  # cat k reads outcome k: I, II, III, IV
         # the Bell table every teleport of `plus` draws from
         enc = gates.QubitEncoding(alpha)
         table = gates._bell_step(gates.encode(1.0, 1.0, enc), enc)[0]

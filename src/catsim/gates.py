@@ -259,7 +259,7 @@ def _bell_step(s: CoherentSuperposition, enc: QubitEncoding) -> tuple[dict, bool
     w, fail = measure._bell_weights(np.abs(d) ** 2, h)
     sw = signs * w
     c = s.coeffs * c
-    rest = measure._rest(s, [enc.mode])
+    rest = measure._rest(s.amps, [enc.mode])
     f = _forms(rest, np.array([w, sw, fail]) * c)
     sq = enc.alpha * enc.alpha
     even, odd = _pair_form(f[0], f[1], sq), _pair_form(f[1], f[0], sq)
@@ -450,7 +450,7 @@ def gate_rx(
     # the mixed columns do not factor: the pair's eigen-forms on the 2K joint
     # terms, F(v_0 +/- v_1) over s's other modes
     v = np.array([w for _, _, w, _ in rows]) * coeffs
-    rest = measure._rest(s, [enc.mode])
+    rest = measure._rest(s.amps, [enc.mode])
     f = _forms(rest, np.stack([v[:, 0::2] + v[:, 1::2], v[:, 0::2] - v[:, 1::2]]))
     norms = _pair_form(f[0], f[1], enc.alpha * enc.alpha)
     table = measure._table("cat_projection", coeffs, rest, rows, norms)

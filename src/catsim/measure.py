@@ -60,6 +60,7 @@ __all__ = [
 
 PROB_FLOOR = 1e-300
 _OFF_SUPPORT = "mode amplitudes are not supported on {+a, -a} for a common a"
+_OFF_SUPPORT_PAIR = "the two measured modes are not supported on {+a, -a} for a common a"
 
 
 class UnsupportedStateError(ValueError):
@@ -93,9 +94,10 @@ def _branch_state(coeffs, w, n2, amps) -> CoherentSuperposition:
     return CoherentSuperposition(coeffs[live] * w[live] / np.sqrt(n2), amps[live]).merge_terms()
 
 
-def _rest(s: CoherentSuperposition, modes: list[int]) -> np.ndarray:
-    """Amplitude columns of the modes of `s` not in `modes`, gathered by index."""
-    return s.amps[:, [m for m in range(s.modes) if m not in modes]]
+def _rest(amps: np.ndarray, modes) -> np.ndarray:
+    """The columns of the amplitude rows `amps` of the modes not in `modes`,
+    gathered by index."""
+    return amps[:, [m for m in range(amps.shape[1]) if m not in modes]]
 
 
 def _table(
@@ -103,7 +105,7 @@ def _table(
     norms: Optional[np.ndarray] = None,
 ) -> dict:
     """Branch table {outcome: MeasurementRecord} of a measurement whose
-    terms `coeffs` remain in the amplitude rows `rest` (`_rest(s, modes)`
+    terms `coeffs` remain in the amplitude rows `rest` (`_rest(s.amps, modes)`
     of a plain state; one row per term).  Row (outcome, factor, weights,
     keep) has probability factor times the squared norm of the unmerged
     branch (per-term contraction `weights`): `norms`, one per row, or else
@@ -202,14 +204,14 @@ def photon_statistics(s: CoherentSuperposition, mode: int, n_max: int | None = N
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     w = fock_amplitude(np.arange(n_max + 1)[:, None], s.amps[:, mode])
-    return _branch_norms(s.coeffs, _rest(s, [mode]), w)
+    return _branch_norms(s.coeffs, _rest(s.amps, [mode]), w)
 
 
 def project_photon_number(s: CoherentSuperposition, mode: int, n: int) -> MeasurementRecord:
     """Condition on counting exactly n photons in `mode`."""
     s.check_mode(mode)
     w = fock_amplitude(n, s.amps[:, mode])
-    (rec,) = _table("photon_count", s.coeffs, _rest(s, [mode]), [(n, 1.0, w, True)]).values()
+    (rec,) = _table("photon_count", s.coeffs, _rest(s.amps, [mode]), [(n, 1.0, w, True)]).values()
     if rec.state is None:
         raise ZeroNormError(f"photon-number branch n={n} has probability 0")
     return rec
@@ -254,7 +256,7 @@ def parity_projection(s: CoherentSuperposition, mode: int) -> dict[str, Measurem
     _refuse_off_support(d, ref, _OFF_SUPPORT)
     z0, even_nz, odd = _parity_class_weights(abs(ref) ** 2)
     ones = np.ones(s.nterms)
-    return _table("parity", s.coeffs, _rest(s, [mode]), [
+    return _table("parity", s.coeffs, _rest(s.amps, [mode]), [
         ("zero", z0, ones, True),
         ("even_nonzero", even_nz, ones, True),
         ("odd", odd, signs, True),
@@ -307,7 +309,7 @@ def cat_projection(
     outcome = "even" if parity > 0 else "odd"
     even, odd = _cat_weights(ref_amp, s.amps[:, mode])
     rows = [(outcome, 1.0, even if parity > 0 else odd, True)]
-    return _table("cat_projection", s.coeffs, _rest(s, [mode]), rows)[outcome]
+    return _table("cat_projection", s.coeffs, _rest(s.amps, [mode]), rows)[outcome]
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +330,7 @@ def homodyne_pdf(s: CoherentSuperposition, mode: int, x: float | np.ndarray) -> 
     over an array of x (a scalar x gives a scalar)."""
     s.check_mode(mode)
     w = _quadrature_overlap(np.asarray(x, dtype=float)[..., None], s.amps[:, mode])
-    return np.maximum(_branch_norms(s.coeffs, _rest(s, [mode]), w), 0.0)[()]
+    return np.maximum(_branch_norms(s.coeffs, _rest(s.amps, [mode]), w), 0.0)[()]
 
 
 def homodyne_condition(s: CoherentSuperposition, mode: int, x: float) -> MeasurementRecord:
@@ -336,7 +338,8 @@ def homodyne_condition(s: CoherentSuperposition, mode: int, x: float) -> Measure
     probability field holds the density at x."""
     s.check_mode(mode)
     w = _quadrature_overlap(x, s.amps[:, mode])
-    (rec,) = _table("homodyne", s.coeffs, _rest(s, [mode]), [(float(x), 1.0, w, True)]).values()
+    rest = _rest(s.amps, [mode])
+    (rec,) = _table("homodyne", s.coeffs, rest, [(float(x), 1.0, w, True)]).values()
     if rec.state is None:
         raise ZeroNormError(f"zero homodyne density at x={x}")
     return rec
@@ -379,19 +382,19 @@ def bell_outcomes(
     s.check_mode(mode_b)
     if mode_a == mode_b:
         raise ValueError("Bell measurement needs two distinct modes")
-    rows, rest, norms = _bell_scores(s.coeffs, s.amps, mode_a, mode_b)
+    rows, rest, norms, _ = _bell_scores(s.coeffs, s.amps, mode_a, mode_b)
     return _table("bell_measurement", s.coeffs, rest, rows, norms)
 
 
 def _bell_scores(
     coeffs: np.ndarray, amps: np.ndarray, mode_a: int, mode_b: int
-) -> tuple[list, np.ndarray, np.ndarray]:
+) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
     """The Bell-cat measurement on modes mode_a and mode_b of the amplitude
     rows `amps` (K terms), scored for every coefficient vector of the
-    (..., K) stack `coeffs`: (rows, rest, norms), the `_bell_rows` rows, the
-    amplitude rows of the remaining modes and the (..., 5) squared branch
-    norms, one per row, so that row i of state j has probability factor_i *
-    norms[j, i].
+    (..., K) stack `coeffs`: (rows, rest, norms, probs), the `_bell_rows`
+    rows, the amplitude rows of the remaining modes, the (..., 5) squared
+    branch norms, one per row, and the (..., 5) probabilities factor_i *
+    norms[..., i], the product `_table` forms for each record.
 
     The columns are scanned once (`_bell_column`), against one reference,
     mode_a's largest amplitude, and an amplitude off {+a, -a} in either
@@ -403,12 +406,11 @@ def _bell_scores(
     ref = _reference(a)
     col_a, col_b = _bell_column(a, ref), _bell_column(b, ref)
     _refuse_off_support(col_a[1], ref, _OFF_SUPPORT)
-    _refuse_off_support(
-        col_b[1], ref, "the two measured modes are not supported on {+a, -a} for a common a")
+    _refuse_off_support(col_b[1], ref, _OFF_SUPPORT_PAIR)
     rows = _bell_rows(col_a, col_b, ref)
-    rest = amps[:, [m for m in range(amps.shape[1]) if m not in (mode_a, mode_b)]]
+    rest = _rest(amps, (mode_a, mode_b))
     norms = _branch_norms(coeffs[..., None, :], rest, np.array([w for _, _, w, _ in rows]))
-    return rows, rest, norms
+    return rows, rest, norms, np.array([factor for _, factor, _, _ in rows]) * norms
 
 
 def _bell_column(col: np.ndarray, ref: complex) -> tuple:

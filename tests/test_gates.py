@@ -23,6 +23,8 @@ from catsim.gates import (
 )
 from catsim.states import CoherentSuperposition, cat, coherent_overlap, fidelity
 
+from bell_columns import bell_rows
+
 ENC = QubitEncoding(2.0)
 
 
@@ -778,7 +780,7 @@ def test_a_gate_returns_its_drawn_records_landed_state(monkeypatch, gate):
         else:
             # the 2K joint terms landed, an odd input's kept column negated
             coeffs, w, n2, _ = rec.build
-            landed = _joint_pair_landing(coeffs, w, n2, measure._rest(s, [1]), 1.5, 1,
+            landed = _joint_pair_landing(coeffs, w, n2, measure._rest(s.amps, [1]), 1.5, 1,
                                          key in _X_CORRECTED)
             assert out.state.amps.tobytes() == landed.amps.tobytes(), key
             assert out.state.coeffs.tobytes() == landed.coeffs.tobytes(), key
@@ -867,13 +869,6 @@ def test_per_gate_state_constructions_and_gram_forms(
 # tables of input (x) resource from the input's other modes and the
 # resource's pair, against the joint state
 
-def _bell_rows(a, b, ref):
-    """`measure._bell_rows` on two measured columns, each scanned against
-    ref by `measure._bell_column`."""
-    ref = complex(ref)
-    return measure._bell_rows(measure._bell_column(a, ref), measure._bell_column(b, ref), ref)
-
-
 def _register(n, alpha, rng, leaked):
     """An n-qubit register on modes 0..n-1 (K = 2^n terms); a leaked one
     moves every amplitude off {+alpha, -alpha} by its own small shift."""
@@ -900,7 +895,7 @@ def _assert_same_table(table, joint_table, s, enc):
     probabilities to ~1e-16 (seen: 2e-16) and the states' squared distance
     2 - 2 Re<x|y> to its own round-off (seen: 2e-15)."""
     assert list(table) == list(joint_table)
-    rest = measure._rest(s, [enc.mode])
+    rest = measure._rest(s.amps, [enc.mode])
     for outcome, rec in table.items():
         ref = joint_table[outcome]
         assert abs(rec.probability - ref.probability) <= 1e-13, outcome
@@ -929,7 +924,7 @@ def test_factored_tables_match_the_tables_of_the_joint_state(monkeypatch, leaked
                 # against the +/-alpha nearest the mode's largest amplitude
                 top = s.amps[np.abs(s.amps[:, mode]).argmax(), mode]
                 ref = alpha if abs(top - alpha) <= abs(top + alpha) else -alpha
-                rows = _bell_rows(joint.amps[:, mode], joint.amps[:, n], ref)
+                rows = bell_rows(joint.amps[:, mode], joint.amps[:, n], ref)
                 bell = table("bell_measurement", joint.coeffs, rest, rows)
             else:
                 bell = measure.bell_outcomes(joint, mode, n)
@@ -985,7 +980,7 @@ def test_gate_tables_match_a_50_digit_sum_over_the_joint_rest(monkeypatch, alpha
         joint = optics.tensor(s, optics.bell_resource(alpha))
         top = s.amps[np.abs(s.amps[:, 0]).argmax(), 0]
         ref = alpha if abs(top - alpha) <= abs(top + alpha) else -alpha
-        bell = _bell_rows(joint.amps[:, 0], joint.amps[:, 1], ref)
+        bell = bell_rows(joint.amps[:, 0], joint.amps[:, 1], ref)
         mixed = optics.beamsplitter(joint, 0, 1, np.pi / (8 * alpha**2))
         a, b = mixed.amps[:, :2].T
         wa = dict(zip(parity, measure._cat_weights(alpha, a)))
@@ -1013,7 +1008,7 @@ def test_no_gate_on_a_six_qubit_register_forms_an_overlap_matrix_past_its_terms(
     monkeypatch.setattr(states, "_overlap_matrix",
                         lambda x, y: rows.append((len(x), terms[0])) or overlap(x, y))
     monkeypatch.setattr(measure, "_rest",
-                        lambda x, modes: terms.__setitem__(0, x.nterms) or rest(x, modes))
+                        lambda x, modes: terms.__setitem__(0, len(x)) or rest(x, modes))
     enc_a, enc_b = QubitEncoding(1.5, 2), QubitEncoding(1.5, 4)
     for seed in range(3):
         rng = np.random.default_rng(seed)
@@ -1041,8 +1036,8 @@ def _joint_pair_bell_table(s, enc):
     a = s.amps[:, enc.mode]
     top = complex(a[np.abs(a).argmax()])
     ref = enc.alpha if abs(top - enc.alpha) <= abs(top + enc.alpha) else -enc.alpha
-    rows = _bell_rows(np.repeat(a, 2), np.tile(x, s.nterms), ref)
-    rest = measure._rest(s, [enc.mode])
+    rows = bell_rows(np.repeat(a, 2), np.tile(x, s.nterms), ref)
+    rest = measure._rest(s.amps, [enc.mode])
     v = np.array([w for _, _, w, _ in rows]) * coeffs
     v0, v1 = v[..., 0::2], v[..., 1::2]
     u = np.stack([v0 + v1, v0 - v1])
@@ -1109,7 +1104,7 @@ def test_no_bell_table_reads_the_joint_terms(monkeypatch, leaked):
     monkeypatch.setattr(gates, "_forms",
                         lambda r, u: forms.append((u.shape[-1], terms[0])) or pair_forms(r, u))
     monkeypatch.setattr(measure, "_rest",
-                        lambda x, modes: terms.__setitem__(0, x.nterms) or rest(x, modes))
+                        lambda x, modes: terms.__setitem__(0, len(x)) or rest(x, modes))
     monkeypatch.setattr(measure, "_table",
                         lambda *a: tables.append((terms[0], table(*a))) or tables[-1][1])
     monkeypatch.setattr(states, "_overlap_matrix",

@@ -34,6 +34,8 @@ from catsim.states import (
     vacuum,
 )
 
+from bell_columns import bell_rows
+
 
 def test_fock_amplitude_closed_form():
     a = 1.3 * np.exp(0.4j)
@@ -347,7 +349,7 @@ def test_table_keeps_the_columns_np_delete_keeps():
             s = CoherentSuperposition(s.coeffs, rng.normal(size=(s.nterms, m)) + 0j)
             modes = [int(x) for x in rng.permutation(m)[: int(rng.integers(1, m + 1))]]
             rows = [("x", 1.0, np.ones(s.nterms), True)]
-            (rec,) = measure._table("t", s.coeffs, measure._rest(s, modes), rows).values()
+            (rec,) = measure._table("t", s.coeffs, measure._rest(s.amps, modes), rows).values()
             rest = rec.build[3]
             expected = np.delete(s.amps, modes, axis=1)
             assert rest.shape == expected.shape and rest.tobytes() == expected.tobytes()
@@ -524,13 +526,6 @@ def test_leaked_bell_table_is_near_the_physical_measurement(alpha, theta_alpha2)
         assert abs(q - p) <= gap + DIST_TOL, (name, q, p, gap)
 
 
-def _bell_rows(a, b, ref):
-    """`measure._bell_rows` on two measured columns, each scanned against
-    ref by `measure._bell_column`."""
-    ref = complex(ref)
-    return measure._bell_rows(measure._bell_column(a, ref), measure._bell_column(b, ref), ref)
-
-
 def test_bell_rows_on_the_support_are_the_counting_classes():
     # on {+a, -a} every nearest-point overlap and the FAIL weight are
     # exactly 1, so the rows are the sign classes bit for bit; off it the
@@ -549,14 +544,14 @@ def test_bell_rows_on_the_support_are_the_counting_classes():
         z0, even_nz, odd = measure._parity_class_weights(2 * abs(ref) ** 2)
         expected = [("I", even_nz, same), ("II", odd, same * signs_a), ("III", even_nz, ~same),
                     ("IV", odd, ~same * signs_a), ("FAIL", z0, np.ones(len(a)))]
-        rows = _bell_rows(a, b, ref)
+        rows = bell_rows(a, b, ref)
         assert [(o, f) for o, f, _, _ in rows] == [(o, f) for o, f, _ in expected]
         for (outcome, _, w, _), (_, _, ref_w) in zip(rows, expected):
             assert np.array_equal(w, ref_w), outcome
         # off the support: the I row's weight is <r|x> <r'|y> against the
         # nearest points, and FAIL's the vacuum ratio <0|x><0|y> / <0|r>^2
         x, y = (c + rng.normal(scale=0.1, size=c.shape) * (1 + 1j) for c in (a, b))
-        rows = _bell_rows(x, y, ref)
+        rows = bell_rows(x, y, ref)
         overlap = (states.coherent_overlap(signs_a * ref, x)
                    * states.coherent_overlap(signs_b * ref, y))
         vac = np.exp(abs(ref) ** 2 - 0.5 * (np.abs(x) ** 2 + np.abs(y) ** 2))
