@@ -184,12 +184,13 @@ def run_bell_stats(cfg: dict, seed: int) -> tuple[list[str], list[list], list[tu
 
     The four cats of one alpha are scored as one stack
     (`measure._bell_scores`): their 8 terms concatenated, with a
-    block-diagonal (4, 8) coefficient stack, in one Gram call.  Each
-    probability is the scorer's class factor times norm, the product
-    `measure.bell_outcomes` reads, and each cat's five rows are summed in
-    table order.  The cats' remaining modes are empty, so every overlap is
-    exactly 1, and a zero coefficient adds an exact 0 to every sum: each
-    printed byte is the one the four separate tables give."""
+    block-diagonal (4, 8) coefficient stack, in one `measure._forms` call.
+    The cats leave no mode unmeasured, so each form is |sum v|^2 and no
+    overlap matrix is built.  Each probability is the scorer's class factor
+    times norm, the product `measure.bell_outcomes` reads, and each cat's
+    five rows are summed in table order.  A zero coefficient adds an exact
+    0 to every sum: each printed byte is the one the four separate tables
+    give."""
     columns = [
         "alpha", "p_correct_i", "p_correct_ii", "p_correct_iii", "p_correct_iv",
         "p_fail_teleport", "completeness_error",

@@ -27,7 +27,10 @@ measured column is exactly +/-alpha, so each input term meets one
 resource term per outcome.  Only gate_rx, which mixes that column with
 the input before it measures, reads the 2K joint terms of input (x)
 resource.  Both score their rows from the pair's two eigen-forms
-(`_pair_form`), Gram forms on the input's other modes only (`_forms`).
+(`_pair_form`), branch forms on the input's other modes only, read through
+`measure._forms`, the one form helper (|sum v|^2 with no overlap matrix on
+a single-mode input).  A teleport's five rows are named, factored and
+kept through `measure._bell_classes`, as `bell_outcomes`' are.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import numpy as np
 
 from . import measure, optics
 from .optics import _beamsplitter_u, _passive
-from .states import CoherentSuperposition, _gram_forms, _pair, _pair_norm, coherent_overlap
+from .states import CoherentSuperposition, _pair, _pair_norm, coherent_overlap
 
 __all__ = [
     "QubitEncoding",
@@ -88,10 +91,6 @@ class GateOutcome:
     probability: float
     repetitions: int = 1
     trace: tuple = ()
-
-
-def _traced(element: str, params: str, outcome: str, probability: float) -> tuple:
-    return (element, params, outcome, float(probability))
 
 
 def encode(mu: complex, nu: complex, enc: QubitEncoding) -> CoherentSuperposition:
@@ -206,13 +205,6 @@ def _resource(s: CoherentSuperposition, enc: QubitEncoding) -> tuple[float, np.n
     return 1 / _pair_norm(2 * enc.alpha * enc.alpha, 1, 1), x
 
 
-def _forms(rest: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The Gram form F(u) = u^dag G u on `rest` for every row of a (..., K)
-    stack u: one `states._gram_forms` call, or |sum u|^2 when `rest` has no
-    modes (no overlap matrix)."""
-    return _gram_forms(rest, u, rest, u).real if rest.shape[1] else np.abs(u.sum(axis=-1)) ** 2
-
-
 def _pair_form(f_plus, f_minus, sq: float):
     """The squared norm of a branch whose terms also sit in the resource's
     pair x, -x, ||x||^2 = sq, from its two eigen-forms.  The pair's Gram
@@ -232,8 +224,9 @@ def _bell_step(s: CoherentSuperposition, enc: QubitEncoding) -> tuple[dict, bool
 
     The rows are those of `measure._bell_rows` on s (x) resource against
     ref = sigma alpha, the +alpha or -alpha nearest the mode's largest
-    amplitude (the reference `measure.bell_outcomes` takes on a logical
-    input), scored and landed on s's K terms alone.  The resource
+    amplitude (`measure._reference`, the reference `measure.bell_outcomes`
+    takes on a logical input), scored and landed on s's K terms alone, and
+    named through `measure._bell_classes`.  The resource
     (`_resource`: coefficient c, pair x) measures exactly x_r = (-1)^r
     alpha in term r: its offset is 0, so its weight factor is 1, and s's
     term j, of nearest sign s_j, meets resource term r* with (-1)^{r*} =
@@ -253,28 +246,21 @@ def _bell_step(s: CoherentSuperposition, enc: QubitEncoding) -> tuple[dict, bool
     space.  IndexError for an enc.mode outside s."""
     c, x = _resource(s, enc)
     a = s.amps[:, enc.mode]
-    top = complex(a[np.abs(a).argmax()])
+    top = measure._reference(a)
     ref = enc.alpha if abs(top - enc.alpha) <= abs(top + enc.alpha) else -enc.alpha
     signs, d, h = measure._bell_column(a, complex(ref))
     w, fail = measure._bell_weights(np.abs(d) ** 2, h)
     sw = signs * w
     c = s.coeffs * c
     rest = measure._rest(s.amps, [enc.mode])
-    f = _forms(rest, np.array([w, sw, fail]) * c)
+    f = measure._forms(rest, np.array([w, sw, fail]) * c)
     sq = enc.alpha * enc.alpha
     even, odd = _pair_form(f[0], f[1], sq), _pair_form(f[1], f[0], sq)
     r = (signs * ref < 0).astype(np.intp)  # r*, the resource term each input term meets in I/II
     kept, flipped = s.amps.copy(), s.amps.copy()
     kept[:, enc.mode] = x[r]
     flipped[:, enc.mode] = -x[1 - r]
-    z0, even_nz, odd_nz = measure._parity_class_weights(2 * enc.alpha ** 2)
-    rows = [
-        ("I", even_nz, w, kept),
-        ("II", odd_nz, sw, kept),
-        ("III", even_nz, w, flipped),
-        ("IV", odd_nz, sw, flipped),
-        ("FAIL", z0, fail, False),
-    ]
+    rows = measure._bell_classes(ref, (w, sw, w, sw), fail, (kept, kept, flipped, flipped))
     norms = (even, odd, even, odd, _pair_form(4 * f[2], 0.0, sq))
     return measure._table("bell_measurement", c, rest, rows, norms), not d.any()
 
@@ -294,12 +280,12 @@ def _draw(
     reads no state and keeps out.state: nothing reads it."""
     rec = _pick(table, rng, canonical)
     p, reps = out.probability * rec.probability, out.repetitions + 1
-    trace = out.trace + (_traced(rec.kind, f"alpha={enc.alpha}", str(rec.outcome), rec.probability),)
+    trace = out.trace + ((rec.kind, f"alpha={enc.alpha}", str(rec.outcome), rec.probability),)
     if rec.outcome == "FAIL":
         return GateOutcome(out.state, False, "FAIL", p, reps, trace)
     flip, z = _CORRECTIONS[rec.outcome]
     if flip:
-        trace += (_traced("phase_shift", "theta=pi (X correction)", "-", 1.0),)
+        trace += (("phase_shift", "theta=pi (X correction)", "-", 1.0),)
     applied = "Z" if z != (out.applied == "Z") else "identity"
     state = out.state if reuse and applied == out.applied else rec.state
     return GateOutcome(state, True, applied, p, reps, trace)
@@ -392,7 +378,7 @@ def gate_rz(
     """
     _warn_outside_regime(theta, enc.alpha)
     displaced = optics.displace(s, enc.mode, 1j * enc.alpha * theta)
-    trace = (_traced("displace", f"beta={1j * enc.alpha * theta:.6g}", "-", 1.0),)
+    trace = (("displace", f"beta={1j * enc.alpha * theta:.6g}", "-", 1.0),)
     table = _bell_step(displaced, enc)[0]
     out = _draw(GateOutcome(displaced, True, "identity", 1.0, 0, trace), enc, table, rng, "I")
     return _named(s, _settle(out, enc, rng), f"Rz({4 * theta * enc.alpha ** 2:.6g})")
@@ -432,7 +418,7 @@ def gate_rx(
     # the two cat projections each contribute e^{+/- i (theta/2) alpha^2};
     # the beam splitter touches only the two measured columns
     a, b = _passive(cols, _beamsplitter_u(theta / 2.0)).T
-    trace = (_traced("beamsplitter", f"theta={theta / 2.0:.6g}", "-", 1.0),)
+    trace = (("beamsplitter", f"theta={theta / 2.0:.6g}", "-", 1.0),)
 
     # joint cat projection of the input mode and the resource's first mode,
     # keys (pa, pb); term 2j + r lands s's row j with the resource's kept
@@ -451,7 +437,7 @@ def gate_rx(
     # terms, F(v_0 +/- v_1) over s's other modes
     v = np.array([w for _, _, w, _ in rows]) * coeffs
     rest = measure._rest(s.amps, [enc.mode])
-    f = _forms(rest, np.stack([v[:, 0::2] + v[:, 1::2], v[:, 0::2] - v[:, 1::2]]))
+    f = measure._forms(rest, np.stack([v[:, 0::2] + v[:, 1::2], v[:, 0::2] - v[:, 1::2]]))
     norms = _pair_form(f[0], f[1], enc.alpha * enc.alpha)
     table = measure._table("cat_projection", coeffs, rest, rows, norms)
     out = _draw(GateOutcome(s, True, "identity", 1.0, 0, trace), enc, table, rng, ("even", "even"))
@@ -477,7 +463,7 @@ def entangling_gate(
     _warn_outside_regime(theta, max(enc_a.alpha, enc_b.alpha))
     # each of the two teleport projections contributes half the phase
     mixed = optics.beamsplitter(s, enc_a.mode, enc_b.mode, theta / 2.0)
-    trace = (_traced("beamsplitter", f"theta={theta / 2.0:.6g}", "-", 1.0),)
+    trace = (("beamsplitter", f"theta={theta / 2.0:.6g}", "-", 1.0),)
     out = GateOutcome(mixed, True, "identity", 1.0, 0, trace)
     for enc in (enc_a, enc_b):
         if out.success:

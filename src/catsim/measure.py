@@ -1,14 +1,18 @@
 """Photon counting, parity conditioning, homodyne detection and the
 Bell-cat measurement, with exact outcome probabilities and conditioned
 pure states.  Every conditioning is an exact branch table {outcome:
-MeasurementRecord} scored from the Gram matrix of its remaining modes
-(`_table`).  Every Bell-cat table, `bell_outcomes` and every teleport's,
+MeasurementRecord} scored from the Gram forms of its remaining modes
+(`_table`).  One helper, `_forms`, gives every branch form F(v) = v^dag G v
+here and in `gates`: one `states._gram_forms` call, or |sum v|^2 with no
+overlap matrix when no mode remains (a single-mode cat counted, a Bell cat
+measured).  Every Bell-cat table, `bell_outcomes` and every teleport's,
 weights its terms by one per-column function, `_bell_column`, and one
 weight function, `_bell_weights`: a term off {+a, -a} is weighted by its
 overlap with the nearest support point, exactly 1 on the support.
 `_bell_rows` composes two measured columns; a teleport's table reads its
-input's column alone (`gates._bell_step`).  `_bell_scores` scores a stack
-of coefficient vectors on one set of amplitude rows in one Gram call:
+input's column alone (`gates._bell_step`), and both name their five rows
+through `_bell_classes`.  `_bell_scores` scores a stack of coefficient
+vectors on one set of amplitude rows in one `_forms` call:
 `bell_outcomes` is its one-state case, and `catsim bell-stats` scores the
 four Bell cats of each alpha as one stack.  The parity and Bell-cat
 measurements return the whole table, `sample` draws one outcome and
@@ -100,6 +104,14 @@ def _rest(amps: np.ndarray, modes) -> np.ndarray:
     return amps[:, [m for m in range(amps.shape[1]) if m not in modes]]
 
 
+def _forms(rest: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The branch form F(v) = v^dag G v, G the Gram matrix of the amplitude
+    rows `rest`, for every row of a (..., K) stack v: one
+    `states._gram_forms` call, or |sum v|^2 when `rest` has no modes (G is
+    all ones; no overlap matrix)."""
+    return _gram_forms(rest, v, rest, v).real if rest.shape[1] else np.abs(v.sum(axis=-1)) ** 2
+
+
 def _table(
     kind: str, coeffs: np.ndarray, rest: np.ndarray, rows: list[tuple],
     norms: Optional[np.ndarray] = None,
@@ -109,14 +121,15 @@ def _table(
     of a plain state; one row per term).  Row (outcome, factor, weights,
     keep) has probability factor times the squared norm of the unmerged
     branch (per-term contraction `weights`): `norms`, one per row, or else
-    all rows from one `_branch_norms` call.  `keep` is False for a
-    discarded branch, True for one that remains in `rest`, or the amplitude
-    rows, one per term, that the branch remains in instead (a gate's landed
-    output).  A kept branch above PROB_FLOOR carries its normalized, merged
-    state, built on the record's first read by `_branch_state` from the
-    row's nonzero-weight terms; the others carry None."""
+    all rows from one `_forms` call on the stack weights * coeffs.  `keep`
+    is False for a discarded branch, True for one that remains in `rest`,
+    or the amplitude rows, one per term, that the branch remains in instead
+    (a gate's landed output).  A kept branch above PROB_FLOOR carries its
+    normalized, merged state, built on the record's first read by
+    `_branch_state` from the row's nonzero-weight terms; the others carry
+    None."""
     if norms is None:
-        norms = _branch_norms(coeffs, rest, np.array([w for _, _, w, _ in rows]))
+        norms = _forms(rest, np.array([w for _, _, w, _ in rows]) * coeffs)
     table = {}
     for (outcome, factor, w, keep), n2 in zip(rows, norms):
         p = float(factor * n2)
@@ -187,15 +200,6 @@ def default_nmax(amp_scale: float) -> int:
     return math.ceil(a * a + 10 * a + 20)
 
 
-def _branch_norms(coeffs: np.ndarray, rest: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Squared norm of the branch sum_k w_k c_k |rest_k> for every row of
-    the (..., K) stack v = weights * coeffs, the two broadcast (a stack of
-    weights, or of coefficient vectors too, as `_bell_scores` passes):
-    v* G v with G the Gram matrix of `rest`, one `states._gram_forms` call."""
-    v = weights * coeffs
-    return _gram_forms(rest, v, rest, v).real
-
-
 def photon_statistics(s: CoherentSuperposition, mode: int, n_max: int | None = None) -> np.ndarray:
     """P(n) for n = 0..n_max of counting photons in `mode`."""
     s.check_mode(mode)
@@ -204,7 +208,7 @@ def photon_statistics(s: CoherentSuperposition, mode: int, n_max: int | None = N
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     w = fock_amplitude(np.arange(n_max + 1)[:, None], s.amps[:, mode])
-    return _branch_norms(s.coeffs, _rest(s.amps, [mode]), w)
+    return _forms(_rest(s.amps, [mode]), w * s.coeffs)
 
 
 def project_photon_number(s: CoherentSuperposition, mode: int, n: int) -> MeasurementRecord:
@@ -219,7 +223,7 @@ def project_photon_number(s: CoherentSuperposition, mode: int, n: int) -> Measur
 
 def _reference(amps: np.ndarray) -> complex:
     """The largest amplitude of a column (0 for an empty one)."""
-    return complex(amps[np.argmax(np.abs(amps))]) if len(amps) else 0j
+    return complex(amps[np.abs(amps).argmax()]) if len(amps) else 0j
 
 
 def _refuse_off_support(d: np.ndarray, ref: complex, message: str) -> None:
@@ -330,7 +334,7 @@ def homodyne_pdf(s: CoherentSuperposition, mode: int, x: float | np.ndarray) -> 
     over an array of x (a scalar x gives a scalar)."""
     s.check_mode(mode)
     w = _quadrature_overlap(np.asarray(x, dtype=float)[..., None], s.amps[:, mode])
-    return np.maximum(_branch_norms(s.coeffs, _rest(s.amps, [mode]), w), 0.0)[()]
+    return np.maximum(_forms(_rest(s.amps, [mode]), w * s.coeffs), 0.0)[()]
 
 
 def homodyne_condition(s: CoherentSuperposition, mode: int, x: float) -> MeasurementRecord:
@@ -399,9 +403,11 @@ def _bell_scores(
     The columns are scanned once (`_bell_column`), against one reference,
     mode_a's largest amplitude, and an amplitude off {+a, -a} in either
     column is refused from the same scan; the norms of the whole
-    (..., 5, K) stack come from one `_branch_norms` call, so states that
-    share their amplitude rows share one Gram matrix.  A (K,) `coeffs` is
-    the one-state case `bell_outcomes` scores."""
+    (..., 5, K) stack come from one `_forms` call, so states that share
+    their amplitude rows share one Gram matrix, and a stack with no mode
+    left unmeasured (a Bell cat, each of bell-stats' four) builds none: its
+    forms are |sum v|^2.  A (K,) `coeffs` is the one-state case
+    `bell_outcomes` scores."""
     a, b = amps[:, mode_a], amps[:, mode_b]
     ref = _reference(a)
     col_a, col_b = _bell_column(a, ref), _bell_column(b, ref)
@@ -409,7 +415,7 @@ def _bell_scores(
     _refuse_off_support(col_b[1], ref, _OFF_SUPPORT_PAIR)
     rows = _bell_rows(col_a, col_b, ref)
     rest = _rest(amps, (mode_a, mode_b))
-    norms = _branch_norms(coeffs[..., None, :], rest, np.array([w for _, _, w, _ in rows]))
+    norms = _forms(rest, np.array([w for _, _, w, _ in rows]) * coeffs[..., None, :])
     return rows, rest, norms, np.array([factor for _, factor, _, _ in rows]) * norms
 
 
@@ -465,11 +471,17 @@ def _bell_rows(col_a: tuple, col_b: tuple, ref: complex) -> list[tuple]:
     signs_b, db, hb = col_b
     w, fail = _bell_weights(np.abs(da) ** 2 + np.abs(db) ** 2, ha + hb)
     same = signs_a == signs_b
+    weights = (same * w, same * signs_a * w, ~same * w, ~same * signs_a * w)
+    return _bell_classes(ref, weights, fail, (True,) * 4)
+
+
+def _bell_classes(ref: complex, weights: tuple, fail: np.ndarray, keeps: tuple) -> list[tuple]:
+    """The five `_table` rows of a Bell-cat measurement against `ref`: I,
+    II, III and IV with the per-term `weights` and the `keeps` given in that
+    order, and FAIL with weight `fail`, which keeps no state.  Their class
+    factors are those of photon counting at |sqrt(2) ref|^2 = 2 |ref|^2:
+    even > 0 for I and III, odd for II and IV, zero for FAIL."""
     z0, even_nz, odd = _parity_class_weights(2 * abs(ref) ** 2)
-    return [
-        ("I", even_nz, same * w, True),
-        ("II", odd, same * signs_a * w, True),
-        ("III", even_nz, ~same * w, True),
-        ("IV", odd, ~same * signs_a * w, True),
-        ("FAIL", z0, fail, False),
-    ]
+    (w1, w2, w3, w4), (k1, k2, k3, k4) = weights, keeps
+    return [("I", even_nz, w1, k1), ("II", odd, w2, k2), ("III", even_nz, w3, k3),
+            ("IV", odd, w4, k4), ("FAIL", z0, fail, False)]

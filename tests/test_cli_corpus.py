@@ -13,6 +13,13 @@ tried.  gate-check, weak-force and oracle-audit move bytes under some of
 those, so a byte comparison there would hold only on the machine that wrote
 the file.
 
+Each entry of EXITS is one run that ends in an error, one per exit code
+(2 config, 3 budget, 4 property check, 5 output): its file holds
+`exit <code>` and the run's one stderr line, and no stdout (weak-force's
+rows, printed before its failed check, are not SIMD-stable; the others
+print none).  The output error writes to `/dev/full`, so it is skipped
+where that device is missing.
+
 Rewrite the corpus, and print every cell that moved, with
 
     PYTHONPATH=src python tests/test_cli_corpus.py --update
@@ -28,6 +35,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from catsim import cli
 
@@ -41,6 +49,12 @@ ARGVS = {
     "ruler": ["ruler"],
 }
 DIGESTED = {"ruler": 100}  # entry: the stride of the rows kept
+EXITS = {  # entry: (argv, exit code)
+    "bell-stats-alpha-min-minus-1": (["bell-stats", "--alpha-min", "-1"], cli.EXIT_CONFIG),
+    "bell-stats-alpha-steps-1001": (["bell-stats", "--alpha-steps", "1001"], cli.EXIT_BUDGET),
+    "weak-force-epsilon-1e-9": (["weak-force", "--epsilon", "1e-9"], cli.EXIT_PROPERTY),
+    "ramsey-output-dev-full": (["ramsey", "--output", "/dev/full"], cli.EXIT_OUTPUT),
+}
 
 
 def _platform() -> str:
@@ -70,6 +84,20 @@ def run(name: str) -> str:
     assert code == cli.EXIT_OK, (name, code)
     out = buf.getvalue()
     return _digest(out, DIGESTED[name]) if name in DIGESTED else out
+
+
+def run_error(name: str) -> str:
+    """The stored form of error entry `name`: its exit code and stderr."""
+    argv, code = EXITS[name]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        got = cli.main(argv)
+    assert got == code, (name, got)
+    return f"exit {got}\n{err.getvalue()}"
+
+
+def _runnable(name: str) -> bool:
+    return "/dev/full" not in EXITS[name][0] or Path("/dev/full").exists()
 
 
 def _body(text: str) -> str:
@@ -105,11 +133,23 @@ def test_cli_stdout_matches_the_corpus_byte_for_byte():
     assert not moved, "\n".join(moved)
 
 
+@pytest.mark.parametrize("name", EXITS)
+def test_cli_errors_match_the_corpus(name):
+    if not _runnable(name):
+        pytest.skip("no /dev/full device")
+    stored = _body((CORPUS / f"{name}.tsv").read_bytes().decode())
+    now = run_error(name)
+    assert len(now.splitlines()) == 2, now
+    assert now == stored
+
+
 def _update() -> None:
     CORPUS.mkdir(parents=True, exist_ok=True)
-    for name, argv in ARGVS.items():
+    entries = {name: (argv, run) for name, argv in ARGVS.items()}
+    entries.update({name: (EXITS[name][0], run_error) for name in EXITS if _runnable(name)})
+    for name, (argv, runner) in entries.items():
         path = CORPUS / f"{name}.tsv"
-        new = run(name)
+        new = runner(name)
         if path.exists():
             for line in _cell_diff(name, _body(path.read_bytes().decode()), new):
                 print(line)

@@ -136,6 +136,26 @@ def test_only_gram_forms_reads_the_overlap_matrix():
     assert readers == ["states.py:_gram_forms"]
 
 
+def test_one_helper_forms_every_branch():
+    """Every branch form F(v) = v^dag G v of a measurement or gate table is
+    a `measure._forms` call: the module-level readers of `states._gram_forms`
+    are that helper, the norm, the inner product and the two metrology
+    moments, so a second form helper cannot come back unseen."""
+    readers = sorted(
+        f"{path.name}:{getattr(node, 'name', '<module>')}"
+        for path in sorted((ROOT / "src" / "catsim").glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if "_gram_forms" in _loads(node)
+    )
+    assert readers == [
+        "measure.py:_forms",
+        "metrology.py:mean_photon_number",
+        "metrology.py:qfi_displacement",
+        "states.py:CoherentSuperposition",
+        "states.py:inner_product",
+    ]
+
+
 def test_ast_count_counts_the_lines_that_hold_code():
     """`tests/ast_count.py`, the count ROADMAP quotes: docstrings, comments
     and blank lines count nothing; a decorator, a line with a trailing

@@ -10,7 +10,9 @@ floats.  Those two compare within REL = 1e-12 relative: to the probability,
 and to the row's largest coefficient magnitude.  A Gram form sums through
 BLAS, and another BLAS kernel (or SIMD dispatch) rounds it otherwise, so a
 bitwise comparison would only hold on the machine that wrote the file; the
-header records that machine's platform.
+header records that machine's platform, in the one record the CLI corpus
+writes too (`test_cli_corpus._platform`: NumPy version, BLAS configuration
+and SIMD level).
 
 Rewrite the file with
 
@@ -19,13 +21,13 @@ Rewrite the file with
 
 from __future__ import annotations
 
-import platform
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from catsim import gates, optics
+from test_cli_corpus import _platform
 
 GOLDEN = Path(__file__).with_name("golden") / "gate_sweep.tsv"
 ALPHAS = (1.5, 2.0, 3.0)
@@ -35,12 +37,6 @@ REL = 1e-12
 COLUMNS = ("alpha", "qubits", "seed", "gate", "modes", "theta", "success", "applied",
            "repetitions", "path", "probability", "coefficients")
 EXACT = COLUMNS[:10]
-
-
-def _platform() -> str:
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return (f"{platform.system()} {platform.machine()}, Python {platform.python_version()}, "
-            f"NumPy {np.__version__}, BLAS {blas['name']} {blas['version']}")
 
 
 def _calls(alpha: float, n: int, seed: int):

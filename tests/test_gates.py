@@ -1100,8 +1100,8 @@ def test_no_bell_table_reads_the_joint_terms(monkeypatch, leaked):
     s = _register(3, 1.5, np.random.default_rng(9), leaked)
     terms, tables, grams, forms = [0], [], [], []
     rest, table, overlap = measure._rest, measure._table, states._overlap_matrix
-    pair_forms = gates._forms
-    monkeypatch.setattr(gates, "_forms",
+    pair_forms = measure._forms
+    monkeypatch.setattr(measure, "_forms",
                         lambda r, u: forms.append((u.shape[-1], terms[0])) or pair_forms(r, u))
     monkeypatch.setattr(measure, "_rest",
                         lambda x, modes: terms.__setitem__(0, len(x)) or rest(x, modes))

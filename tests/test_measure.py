@@ -674,7 +674,11 @@ def _leaked_pair():
 
 
 @pytest.mark.parametrize("measure_fn, make_args, count", [
-    (bell_outcomes, lambda: (bell_cat(1.5, "ii"), 0, 1), 1),
+    # a table that leaves no mode unmeasured forms |sum v|^2, no overlap matrix
+    (bell_outcomes, lambda: (bell_cat(1.5, "ii"), 0, 1), 0),
+    (photon_statistics, lambda: (cat(1.5, -1), 0), 0),
+    (homodyne_pdf, lambda: (cat(1.5, +1), 0, np.linspace(-4.0, 4.0, 33)), 0),
+    (project_photon_number, lambda: (cat(1.2, +1), 0, 2), 0),
     (lambda s, enc: gates._bell_step(s, enc)[0],
      lambda: (_leaked_pair(), gates.QubitEncoding(1.5)), 1),
     (parity_projection, lambda: (optics.tensor(cat(1.5, +1), coherent(0.5, 1.5)), 0), 1),
@@ -692,7 +696,8 @@ def _leaked_pair():
     (states.ghz_cat, lambda: (2.0, 3), 0),
     (gates.encode, lambda: (0.6, -0.8j, gates.QubitEncoding(1.5)), 0),
     (optics.bell_resource, lambda: (1.5,), 0),
-], ids=["bell_outcomes", "bell_table", "parity_projection", "cat_projection",
+], ids=["bell_outcomes", "photon_statistics_cat", "homodyne_pdf_cat",
+        "project_photon_number_cat", "bell_table", "parity_projection", "cat_projection",
         "photon_statistics", "homodyne_pdf", "norm_squared", "inner_product",
         "qfi_displacement", "mean_photon_number", "cat", "bell_cat", "ghz_cat", "encode",
         "bell_resource"])
@@ -789,18 +794,41 @@ def test_branch_norms_of_two_factors_match_the_joint_rest():
         coeffs = rng.normal(size=k) + 1j * rng.normal(size=k)
         weights = rng.normal(size=(4, k)) + 1j * rng.normal(size=(4, k))
         v = weights * coeffs
-        f = gates._forms(first, np.stack([v[:, 0::2] + v[:, 1::2], v[:, 0::2] - v[:, 1::2]]))
+        f = measure._forms(first, np.stack([v[:, 0::2] + v[:, 1::2], v[:, 0::2] - v[:, 1::2]]))
         factored = gates._pair_form(f[0], f[1], float(np.vdot(x, x).real))
-        joint = measure._branch_norms(coeffs, _joint_rest(first, pair), weights)
+        joint = measure._forms(_joint_rest(first, pair), v)
         assert factored.shape == joint.shape == (4,)
         assert np.allclose(factored, joint, rtol=1e-12, atol=0), first_modes
+
+
+def test_forms_with_no_mode_left_sum_the_stack():
+    # with no mode left the Gram matrix is all ones (exp(0) = 1 exactly), so
+    # both paths round |S|^2, S = sum_j v_j, A = sum_j |v_j|.  A sum of K
+    # complex terms in any order is within sqrt(2) gamma_{K-1} A of S
+    # (gamma_n = n u / (1 - n u), u = 2^-53, per real part), so |S-hat|^2,
+    # with its abs and square (gamma_3), is within 2 sqrt(2) gamma_{K-1} A^2
+    # + gamma_3 A^2 of |S|^2.  The Gram path forms conj(S-hat_1) (one sum;
+    # each product by 1 is exact), then sum_k conj(S-hat_1) v_k: complex
+    # products within sqrt(2) gamma_2 and a K-term sum, so it is within
+    # 2 sqrt(2) gamma_{K+1} A^2 of |S|^2.  The two differ by at most
+    # (4 sqrt(2) (K + 1) + 3) u A^2 (1 + O(K u)) <= 8 (K + 1) u A^2 for
+    # K >= 1: the bound, relative to A^2 since |S|^2 may cancel.
+    rng = np.random.default_rng(17)
+    for shape in ((1,), (2,), (7,), (3, 5), (2, 4, 16), (6, 40), (128,)):
+        v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        rest = np.empty((shape[-1], 0), dtype=complex)
+        forms = measure._forms(rest, v)
+        gram = states._gram_forms(rest, v, rest, v).real
+        assert forms.shape == gram.shape == shape[:-1]
+        a2 = np.abs(v).sum(axis=-1) ** 2
+        assert np.all(np.abs(forms - gram) <= 8 * (shape[-1] + 1) * 2.0**-53 * a2), shape
 
 
 def _eager_states(kind, coeffs, rest, rows, norms=None):
     """{outcome: state} as a table that built every kept branch's state at
     once would give: the row's nonzero-weight terms, normalized, then merged."""
     if norms is None:
-        norms = measure._branch_norms(coeffs, rest, np.array([w for _, _, w, _ in rows]))
+        norms = measure._forms(rest, np.array([w for _, _, w, _ in rows]) * coeffs)
     out = {}
     for (outcome, factor, w, keep), n2 in zip(rows, norms):
         amps = keep if isinstance(keep, np.ndarray) else rest
