@@ -216,7 +216,7 @@ def run_bell_stats(cfg: dict, seed: int) -> tuple[list[str], list[list], list[tu
             row.append(cat_probs[k])  # cat k reads outcome k: I, II, III, IV
         # the Bell table every teleport of `plus` draws from
         enc = gates.QubitEncoding(alpha)
-        table = gates._bell_step(gates.encode(1.0, 1.0, enc), enc)[0]
+        table = gates._bell_step(gates.encode(1.0, 1.0, enc), enc)
         row += [table["FAIL"].probability, worst_completeness]
         if worst_completeness > 1e-10:
             failed.append((index, "completeness_error > 1e-10"))

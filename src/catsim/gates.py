@@ -217,10 +217,9 @@ def _pair_form(f_plus, f_minus, sq: float):
     return (1 + 0.5 * e) * f_plus - 0.5 * e * f_minus
 
 
-def _bell_step(s: CoherentSuperposition, enc: QubitEncoding) -> tuple[dict, bool]:
+def _bell_step(s: CoherentSuperposition, enc: QubitEncoding) -> dict:
     """The Bell table of teleporting the qubit in enc.mode through a fresh
-    Bell-cat resource, and whether that mode lies exactly on {+alpha,
-    -alpha} (its every offset d is 0).
+    Bell-cat resource.
 
     The rows are those of `measure._bell_rows` on s (x) resource against
     ref = sigma alpha, the +alpha or -alpha nearest the mode's largest
@@ -262,7 +261,7 @@ def _bell_step(s: CoherentSuperposition, enc: QubitEncoding) -> tuple[dict, bool
     flipped[:, enc.mode] = -x[1 - r]
     rows = measure._bell_classes(ref, (w, sw, w, sw), fail, (kept, kept, flipped, flipped))
     norms = (even, odd, even, odd, _pair_form(4 * f[2], 0.0, sq))
-    return measure._table("bell_measurement", c, rest, rows, norms), not d.any()
+    return measure._table("bell_measurement", c, rest, rows, norms)
 
 
 def _draw(
@@ -306,17 +305,20 @@ def _settle(
     an input exactly on that support.  Such an attempt builds no state
     unless its landing changes out.applied (`_draw`'s `reuse`): the next
     attempt reads the kept table, and a FAIL's state is the input's
-    (`_named`).  Whether an input lies exactly on the support is read off
-    the table's own offsets (`_bell_step`).  Any other input builds a
-    second table from its first landing, which the teleport has projected
-    onto the logical space."""
+    (`_named`).  Whether an input lies exactly on the support is read
+    once, for the first table of an input that has not drawn (gate_z's):
+    every amplitude x of its column equals +alpha or -alpha.  That is the
+    table's own test, every offset d = x - r zero (`measure._bell_column`):
+    r is +/-alpha + (+/-0)i, and d is 0 exactly when x equals r.  Any other
+    input builds a second table from its first landing, which the teleport
+    has projected onto the logical space."""
     cap, table = out.repetitions + MAX_REPEATS, None
     while out.success and out.applied != want:
         if out.repetitions == cap:
             raise GateFailure(f"Z branch did not land within {MAX_REPEATS} teleports")
         if table is None:
-            table, exact = _bell_step(out.state, enc)
-            keep = out.repetitions > 0 or exact
+            table = _bell_step(out.state, enc)
+            keep = out.repetitions > 0 or (((x := out.state.amps[:, enc.mode]) == enc.alpha) | (x == -enc.alpha)).all()
         out = _draw(out, enc, table, rng, "II", reuse=keep)
         if not keep:
             table = None
@@ -340,7 +342,7 @@ def teleport(
     decides the residual: I/III land the identity (after X correction for
     III), II/IV land Z.  With rng=None the 'I' branch is post-selected.
     """
-    return _draw(GateOutcome(s, True, "identity", 1.0, 0), enc, _bell_step(s, enc)[0], rng, "I")
+    return _draw(GateOutcome(s, True, "identity", 1.0, 0), enc, _bell_step(s, enc), rng, "I")
 
 
 def gate_z(
@@ -379,7 +381,7 @@ def gate_rz(
     _warn_outside_regime(theta, enc.alpha)
     displaced = optics.displace(s, enc.mode, 1j * enc.alpha * theta)
     trace = (("displace", f"beta={1j * enc.alpha * theta:.6g}", "-", 1.0),)
-    table = _bell_step(displaced, enc)[0]
+    table = _bell_step(displaced, enc)
     out = _draw(GateOutcome(displaced, True, "identity", 1.0, 0, trace), enc, table, rng, "I")
     return _named(s, _settle(out, enc, rng), f"Rz({4 * theta * enc.alpha ** 2:.6g})")
 
@@ -467,7 +469,7 @@ def entangling_gate(
     out = GateOutcome(mixed, True, "identity", 1.0, 0, trace)
     for enc in (enc_a, enc_b):
         if out.success:
-            out = _settle(_draw(out, enc, _bell_step(out.state, enc)[0], rng, "I"), enc, rng)
+            out = _settle(_draw(out, enc, _bell_step(out.state, enc), rng, "I"), enc, rng)
     return _named(s, out, f"ZZ({theta * (enc_a.alpha * enc_b.alpha):.6g})")
 
 

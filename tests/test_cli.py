@@ -320,7 +320,7 @@ def _assert_within_4_sigma_of_exact_table(row, trials):
     enc = gates.QubitEncoding(alpha)
     plus = gates.encode(1.0, 1.0, enc)
     # the table every teleport of `plus` draws from, which the CLI reads
-    p = {name: rec.probability for name, rec in gates._bell_step(plus, enc)[0].items()}
+    p = {name: rec.probability for name, rec in gates._bell_step(plus, enc).items()}
     assert row["p_fail_teleport"] == p["FAIL"]
     # the joint state's table: the same Gram forms on 2 K terms instead of
     # the pair's eigen-forms on K, exponents of size up to 4 alpha^2 summed

@@ -180,10 +180,10 @@ def test_gate_rz_table_is_continuous_in_the_angle(alpha):
     s = encode(0.6 + 0.2j, 0.7 - 0.3j, enc)
     res = optics.bell_resource(alpha)
     joint = float(np.sum(np.abs(s.coeffs) ** 2) * np.sum(np.abs(res.coeffs) ** 2))
-    at_zero = gates._bell_step(s, enc)[0]
+    at_zero = gates._bell_step(s, enc)
     for theta_alpha2 in (1e-12, 1e-10, 1e-9, 3e-9, 1e-8, 1e-6, 1e-4, 1e-2):
         theta = theta_alpha2 / alpha**2
-        table = gates._bell_step(optics.displace(s, 0, 1j * alpha * theta), enc)[0]
+        table = gates._bell_step(optics.displace(s, 0, 1j * alpha * theta), enc)
         bound = 2 * s.nterms * joint * (4 * theta_alpha2 + theta * theta_alpha2) + 8 * _EPS
         for outcome, rec in table.items():
             step = abs(rec.probability - at_zero[outcome].probability)
@@ -803,7 +803,7 @@ def test_a_record_drawn_again_builds_its_state_once(monkeypatch):
             assert len(builds) == 1
     assert repeated
     # one record landed twice: built on its first read, then reused
-    table = gates._bell_step(s, ENC)[0]
+    table = gates._bell_step(s, ENC)
     builds.clear()
     start = GateOutcome(s, True, "identity", 1.0, 0)
     first = gates._draw(start, ENC, table, None, "II")
@@ -928,7 +928,7 @@ def test_factored_tables_match_the_tables_of_the_joint_state(monkeypatch, leaked
                 bell = table("bell_measurement", joint.coeffs, rest, rows)
             else:
                 bell = measure.bell_outcomes(joint, mode, n)
-            _assert_same_table(gates._bell_step(s, enc)[0], bell, s, enc)
+            _assert_same_table(gates._bell_step(s, enc), bell, s, enc)
             # gate_rx's table, against `_table` on the joint state's mixed columns
             built = []
             monkeypatch.setattr(measure, "_table", lambda *a: built.append(table(*a)) or built[-1])
@@ -1075,7 +1075,7 @@ def test_bell_tables_on_the_inputs_terms_match_the_joint_pair_tables(leaked):
             for mode in range(n):
                 enc = QubitEncoding(alpha, mode)
                 joint, coeffs, rest = _joint_pair_bell_table(s, enc)
-                table = gates._bell_step(s, enc)[0]
+                table = gates._bell_step(s, enc)
                 assert list(table) == list(joint)
                 for outcome, rec in table.items():
                     p, w, n2 = joint[outcome]

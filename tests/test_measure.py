@@ -501,7 +501,7 @@ def test_leaked_bell_table_is_near_the_physical_measurement(alpha, theta_alpha2)
     enc = gates.QubitEncoding(alpha)
     theta = theta_alpha2 / alpha**2
     s = optics.displace(gates.encode(0.6 + 0.2j, 0.7 - 0.3j, enc), 0, 1j * alpha * theta)
-    table = gates._bell_step(s, enc)[0]
+    table = gates._bell_step(s, enc)
     phi = optics.tensor(s, optics.bell_resource(alpha))
     near = alpha * np.where(phi.amps[:, :2].real >= 0, 1.0, -1.0)
     w = np.prod(states.coherent_overlap(near, phi.amps[:, :2]), axis=1)
@@ -573,7 +573,7 @@ def _assert_teleport_table_is_counting(s, enc):
     resource: the same outcomes, probabilities and branch states, each
     counting branch landed in enc.mode, X-corrected for III and IV."""
     counting = bell_outcomes(optics.tensor(s, optics.bell_resource(enc.alpha)), enc.mode, s.modes)
-    table = gates._bell_step(s, enc)[0]
+    table = gates._bell_step(s, enc)
     assert list(table) == list(counting)
     for name in table:
         assert table[name].probability == pytest.approx(counting[name].probability, abs=1e-12)
@@ -679,7 +679,7 @@ def _leaked_pair():
     (photon_statistics, lambda: (cat(1.5, -1), 0), 0),
     (homodyne_pdf, lambda: (cat(1.5, +1), 0, np.linspace(-4.0, 4.0, 33)), 0),
     (project_photon_number, lambda: (cat(1.2, +1), 0, 2), 0),
-    (lambda s, enc: gates._bell_step(s, enc)[0],
+    (lambda s, enc: gates._bell_step(s, enc),
      lambda: (_leaked_pair(), gates.QubitEncoding(1.5)), 1),
     (parity_projection, lambda: (optics.tensor(cat(1.5, +1), coherent(0.5, 1.5)), 0), 1),
     (cat_projection, lambda: (optics.tensor(coherent(0.3), cat(1.5, -1)), 1, 1.5, -1), 1),
@@ -850,7 +850,7 @@ def _leaked_rx_input():
     (cat_projection, lambda: (optics.tensor(coherent(0.3), cat(1.5, -1)), 1, 1.5, -1)),
     (bell_outcomes, lambda: (optics.tensor(gates.encode(0.6, 0.8, gates.QubitEncoding(2.0)),
                                            optics.bell_resource(2.0)), 0, 1)),
-    (lambda s, enc: gates._bell_step(s, enc)[0],
+    (lambda s, enc: gates._bell_step(s, enc),
      lambda: (_leaked_pair(), gates.QubitEncoding(1.5))),
     (project_photon_number, lambda: (optics.tensor(cat(1.2, +1), coherent(0.4, 1.0)), 1, 2)),
     (homodyne_condition, lambda: (optics.tensor(cat(1.5, -1), coherent(0.7)), 0, 0.4)),
@@ -919,7 +919,7 @@ def _sorted_term_bytes(s):
     (parity_projection, lambda s: (s, 0)),
     (cat_projection, lambda s: (s, 3, 1.5, -1)),
     (bell_outcomes, lambda s: (_joint_with_resource(s), 0, 5)),
-    (lambda s, enc: gates._bell_step(s, enc)[0], lambda s: (s, gates.QubitEncoding(1.5, mode=2))),
+    (lambda s, enc: gates._bell_step(s, enc), lambda s: (s, gates.QubitEncoding(1.5, mode=2))),
     (project_photon_number, lambda s: (s, 1, 2)),
     (homodyne_condition, lambda s: (s, 4, 0.4)),
     (gates.gate_rx, lambda s: (s, gates.QubitEncoding(1.5, mode=2))),
