@@ -136,6 +136,25 @@ def test_only_gram_forms_reads_the_overlap_matrix():
     assert readers == ["states.py:_gram_forms"]
 
 
+def test_one_referee_holds_the_only_mpmath_context():
+    """One 50-digit referee: `tests/referee.py` is the one file of `tests/`
+    that imports mpmath (`import mpmath`, `from mpmath ...`, or a call given
+    the name, as `importorskip("mpmath")`) or stores a `dps` or `prec`
+    attribute.  So every exactness test reads its reference from that one
+    context, and none changes mpmath's global precision under the tests
+    that run after it."""
+    sites = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in (ROOT / "tests").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "mpmath" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mpmath"
+        or isinstance(node, ast.Call) and "mpmath" in [getattr(a, "value", None) for a in node.args]
+        or isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) and node.attr in {"dps", "prec"}
+    )
+    assert {site.split(":")[0] for site in sites} == {"referee.py"}, sites
+
+
 def test_one_helper_forms_every_branch():
     """Every branch form F(v) = v^dag G v of a measurement or gate table is
     a `measure._forms` call: the module-level readers of `states._gram_forms`

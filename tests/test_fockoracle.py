@@ -20,6 +20,8 @@ from catsim.fockoracle import (
 )
 from catsim.states import CoherentSuperposition, cat, coherent, vacuum
 
+import referee
+
 
 def test_vacuum_is_unit_vector():
     v = to_fock(vacuum(), 10)
@@ -316,8 +318,7 @@ def test_span_matches_a_50_digit_referee_on_cancelling_states():
     # R read from a Cholesky factor of the Gram matrix A^H A fails here: it
     # loses digits as the Gram form does, u (S / ||T||)^2 rather than
     # u S / ||T||, or A^H A does not factor at all
-    mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 50
+    ctx = referee.ctx()
     u = 2.0**-53
 
     def gamma(k, c=1):
@@ -328,14 +329,11 @@ def test_span_matches_a_50_digit_referee_on_cancelling_states():
         g, m, d = cols.shape
         got = fock_norm_squared(fockoracle._assemble(coeffs, fockoracle._span(cols)))
         # the referee: sum_jk conj(c_j) c_k prod_m <a_jm|a_km> of the same columns
-        c = [mp.mpc(complex(x)) for x in coeffs]
-        a = [[[mp.mpc(complex(x)) for x in cols[k, mode]] for mode in range(m)] for k in range(g)]
-        exact = mp.re(mp.fsum(
-            mp.conj(c[j]) * c[k] * mp.fprod(mp.fdot(a[k][mode], a[j][mode], conjugate=True) for mode in range(m))
-            for j in range(g)
-            for k in range(g)
-        ))
-        norm = float(mp.sqrt(exact))
+        a = [[[ctx.mpc(x) for x in col] for col in group] for group in cols]
+        fock_gram = [[ctx.fprod(ctx.fdot(ak, aj, conjugate=True) for ak, aj in zip(k_cols, j_cols))
+                      for k_cols in a] for j_cols in a]
+        exact = referee.form(coeffs, fock_gram).real
+        norm = float(ctx.sqrt(exact))
         size = float(np.sum(np.abs(coeffs) * np.prod(np.linalg.norm(cols, axis=2), axis=1)))
         moved = (1 + gamma(d * g, 16)) ** m
         delta = (moved - 1 + math.sqrt(2) * gamma(2 * m + g) * moved) * size

@@ -24,6 +24,7 @@ from catsim.gates import (
 from catsim.states import CoherentSuperposition, cat, coherent_overlap, fidelity
 
 from bell_columns import bell_rows
+import referee
 
 ENC = QubitEncoding(2.0)
 
@@ -402,19 +403,14 @@ def test_logical_coefficients_on_permuted_modes():
 def _logical_solve_50_digits(s, encs):
     """The normal equations G x = b of the logical fit (mode 0 the most
     significant bit, logical 0 = -alpha), solved in 50-digit arithmetic."""
-    mp = pytest.importorskip("mpmath")
+    ctx = referee.ctx()
     n = len(encs)
     basis = [[e.alpha if (i >> (n - 1 - q)) & 1 else -e.alpha for q, e in enumerate(encs)]
              for i in range(2**n)]
     terms = [[complex(a[e.mode]) for e in encs] for a in s.amps]
-    with mp.workdps(50):
-        def overlap(xs, ys):
-            return mp.fprod(mp.exp(-abs(mp.mpc(x)) ** 2 / 2 - abs(mp.mpc(y)) ** 2 / 2
-                                   + mp.conj(mp.mpc(x)) * mp.mpc(y)) for x, y in zip(xs, ys))
-        g = mp.matrix([[overlap(bi, bj) for bj in basis] for bi in basis])
-        b = mp.matrix([mp.fsum(complex(c) * overlap(bi, t) for c, t in zip(s.coeffs, terms))
-                       for bi in basis])
-        return np.array([complex(v) for v in mp.lu_solve(g, b)])
+    b = [ctx.fsum(complex(c) * referee.overlap(bi, t) for c, t in zip(s.coeffs, terms))
+         for bi in basis]
+    return np.array([complex(v) for v in ctx.lu_solve(referee.gram(basis), b)])
 
 
 def test_logical_coefficients_match_a_50_digit_solve():
@@ -946,18 +942,9 @@ def test_factored_tables_match_the_tables_of_the_joint_state(monkeypatch, leaked
 def _table_probabilities_50_digits(coeffs, rest, rows):
     """Each row's factor times sum_jk conj(v_j) v_k <x_j|x_k>, v = w *
     coeffs, over the remaining amplitude rows x, in 50-digit arithmetic."""
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(50):
-        x = [[mp.mpc(a) for a in row] for row in rest]
-        gram = [[mp.exp(mp.fsum(-abs(a) ** 2 / 2 - abs(b) ** 2 / 2 + mp.conj(a) * b
-                                for a, b in zip(xj, xk))) for xk in x] for xj in x]
-        out = []
-        for _, factor, w, _ in rows:
-            v = [mp.mpc(c) * mp.mpc(complex(wk)) for c, wk in zip(coeffs, w)]
-            form = mp.fsum(mp.conj(v[j]) * gram[j][k] * v[k]
-                           for j in range(len(v)) for k in range(len(v)))
-            out.append(float(mp.mpf(factor) * form.real))
-        return out
+    ctx, gram = referee.ctx(), referee.gram(rest)
+    return [float(referee.form([ctx.mpc(c) * wk for c, wk in zip(coeffs, w)], gram).real * factor)
+            for _, factor, w, _ in rows]
 
 
 @pytest.mark.parametrize("alpha", [1e-2, 1e-3, 1e-4])
@@ -969,7 +956,12 @@ def test_gate_tables_match_a_50_digit_sum_over_the_joint_rest(monkeypatch, alpha
     # where the input's own terms cancel (a K-term form, not the pair).
     # The reference sums over the joint state s (x) resource with the rows
     # of its measured columns: the Bell rows against the gate's reference,
-    # and gate_rx's cat weights after its beam splitter.
+    # and gate_rx's cat weights after its beam splitter.  Those row weights
+    # are catsim's floats (`bell_rows`, `_cat_weights`), not 50-digit ones:
+    # at these alpha the pair's forms cancel, and only with the same float
+    # weights on both sides does the 4 eps bound measure the summation
+    # alone; the weights' own rounding, magnified by the cancellation,
+    # could exceed it.
     built = []
     table = measure._table
     monkeypatch.setattr(measure, "_table", lambda *a: built.append(table(*a)) or built[-1])

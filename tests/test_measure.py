@@ -35,6 +35,7 @@ from catsim.states import (
 )
 
 from bell_columns import bell_rows
+import referee
 
 
 def test_fock_amplitude_closed_form():
@@ -724,23 +725,16 @@ def test_cat_projection_of_a_cat_onto_its_own_parity_reads_1(alpha):
 
 
 def test_cat_weights_match_50_digits_and_never_overflow():
-    mp = pytest.importorskip("mpmath")
+    ctx = referee.ctx()
     xs = np.array([-100.0, -16.5, -1.0, -3e-7, 0.0, 2e-7, 1e-3j, 0.7 + 0.4j, 16.0, 100.0])
     for alpha in (1e-7, 1e-3, 1.0, 16.0 * np.exp(0.2j)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an exponential overflowing, or 0 * inf
             weights = measure._cat_weights(alpha, xs)
         for parity, w in zip((+1, -1), weights):
-            with mp.workdps(50):
-                r = mp.mpc(complex(alpha))
-
-                def overlap(x, y):
-                    return mp.exp(-abs(x) ** 2 / 2 - abs(y) ** 2 / 2 + mp.conj(x) * y)
-
-                norm = mp.sqrt(2 + 2 * parity * mp.exp(-2 * abs(r) ** 2))
-                exact = np.array([complex((overlap(r, mp.mpc(complex(x)))
-                                           + parity * overlap(-r, mp.mpc(complex(x)))) / norm)
-                                  for x in xs])
+            norm = ctx.sqrt(2 + 2 * parity * ctx.exp(-2 * ctx.fabs(alpha) ** 2))
+            exact = np.array([complex((referee.overlap([alpha], [x])
+                                       + parity * referee.overlap([-alpha], [x])) / norm) for x in xs])
             # relative, plus the rounding of the overlap's exponent, whose
             # terms are of size (|r| + |x|)^2: an error of that exponent
             # moves a weight by the same relative amount

@@ -23,6 +23,8 @@ from catsim.metrology import (
 )
 from catsim.states import CoherentSuperposition, cat, coherent, fidelity, ghz_cat
 
+import referee
+
 
 def test_classical_reference():
     assert classical_snr(0.01) == pytest.approx(0.02)
@@ -114,9 +116,7 @@ def test_multimode_scaling_exact():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_probe_photon_number_matches_mpmath(n):
-    mp = pytest.importorskip("mpmath")
-    ctx = mp.mp.clone()
-    ctx.dps = 50
+    ctx = referee.ctx()
     for alpha in (1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 2.0, 4.0, 16.0):
         sq = ctx.mpf(alpha) ** 2
         exact = sq * ctx.tanh(sq)
@@ -172,9 +172,7 @@ def test_weak_force_moments_match_the_full_support_sum_in_mpmath(alpha):
     # the estimator's moments summed over every count 0..trials at 50 digits,
     # on the same p and the same estimates eps_hat(k); a log-pmf built from
     # math.lgamma is off by about 1.1e-11 of the mass at 10^4 trials and fails
-    mp = pytest.importorskip("mpmath")
-    ctx = mp.mp.clone()
-    ctx.dps = 50
+    ctx = referee.ctx()
     for n in (1, 3):
         eps = math.pi / (8 * math.sqrt(n) * alpha)
         p = ctx.mpf(float(ruler_probability(alpha, 2 * math.sqrt(n) * eps)))
@@ -273,18 +271,13 @@ def test_ruler_probability_and_its_inverse_match_mpmath():
     # and read out against the normalized even and odd cats, at 50 digits and
     # the exact product alpha theta, over whole scans down to alpha = 1e-4,
     # where the branch norms underflow and the odd norm cancels in floats
-    mpmath = pytest.importorskip("mpmath")
-    ctx = mpmath.mp.clone()
-    ctx.dps = 50
-
-    def overlap(x, y):
-        return ctx.exp(-abs(x) ** 2 / 2 - abs(y) ** 2 / 2 + ctx.conj(x) * y)
+    ctx = referee.ctx()
 
     def readout(alpha, theta):
         a, beta = ctx.mpf(alpha), ctx.mpc(0, ctx.mpf(theta) / 2)
         # per term t: its displacement phase times <+a|t + beta> and <-a|t + beta>
-        terms = [(ctx.exp((beta * t - ctx.conj(beta) * t) / 2), overlap(a, t + beta),
-                  overlap(-a, t + beta)) for t in (a, -a)]
+        terms = [(ctx.exp((beta * t - ctx.conj(beta) * t) / 2), referee.overlap([a], [t + beta]),
+                  referee.overlap([-a], [t + beta])) for t in (a, -a)]
         even, odd = (abs(sum(ph * (plus + parity * minus) for ph, plus, minus in terms)) ** 2
                      / (2 + 2 * parity * ctx.exp(-2 * a * a)) for parity in (1, -1))
         return even / (even + odd)

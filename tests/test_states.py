@@ -22,6 +22,8 @@ from catsim.states import (
     vacuum,
 )
 
+import referee
+
 
 def test_overlap_closed_form():
     for alpha in np.linspace(0.5, 3.0, 11):
@@ -123,25 +125,26 @@ def test_ghz_cat():
     assert ghz_cat(2.0, 1).modes == 1
 
 
-def _norm_squared_minus_1_at_50_digits(s):
-    """||s||^2 - 1 of the stored coefficients and amplitudes, summed over
-    the full Gram matrix in 50-digit arithmetic."""
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(50):
-        cs = [mp.mpc(complex(c)) for c in s.coeffs]
-        rows = [[mp.mpc(complex(a)) for a in row] for row in s.amps]
-        n2 = mp.fsum(
-            mp.conj(cj) * ck * mp.exp(mp.fsum(-abs(x) ** 2 / 2 - abs(y) ** 2 / 2 + mp.conj(x) * y
-                                             for x, y in zip(rj, rk)))
-            for cj, rj in zip(cs, rows) for ck, rk in zip(cs, rows)
-        )
-        return float(mp.re(n2) - 1)
+def test_the_50_digit_referee_matches_closed_forms_it_shares_no_code_with():
+    # the even and odd cats' norm^2 2 +/- 2 e^{-2 alpha^2} = 4 + 2 o and -2 o,
+    # o = expm1(-2 alpha^2), so the odd one keeps its digits at alpha = 1e-3;
+    # and |<x|y>|^2 = e^{-||x - y||^2} of two 3-mode product states
+    ctx, rng = referee.ctx(), np.random.default_rng(48)
+    for alpha in (1e-3, 1.0, 4.0):
+        o = ctx.expm1(-2 * ctx.mpf(alpha) ** 2)
+        for parity, want in ((1, 4 + 2 * o), (-1, -2 * o)):
+            assert abs(referee.form([1, parity], referee.gram([[alpha], [-alpha]])) / want - 1) <= 1e-45
+        x, y = alpha * (rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3)))
+        want = ctx.exp(-ctx.fsum(abs(ctx.mpc(p) - ctx.mpc(q)) ** 2 for p, q in zip(x, y)))
+        assert abs(abs(referee.overlap(x, y)) ** 2 / want - 1) <= 1e-45, alpha
 
 
 @pytest.mark.parametrize("alpha", [1e-9, 1e-7, 1e-5, 1e-3, 0.1, 1.0, 4.0, 16.0])
 def test_two_term_states_are_normalized_to_round_off(alpha):
     # the odd ones' Gram norm^2 2 - 2 e^{-2 ||x||^2} cancels at small alpha:
-    # 8e-4 off at alpha = 1e-7, and 0 at 1e-9; the closed form keeps the digits
+    # 8e-4 off at alpha = 1e-7, and 0 at 1e-9; the closed form keeps the digits.
+    # ||s||^2 - 1 of the stored coefficients and amplitudes is summed over the
+    # full Gram matrix by the 50-digit referee
     rng = np.random.default_rng(25)
     mus = rng.normal(size=(4, 2)) @ [1, 1j]
     pairs = [(mus[0], mus[1]), (mus[2], mus[3]), (mus[0], -mus[0]), (1, 1j)]
@@ -154,7 +157,7 @@ def test_two_term_states_are_normalized_to_round_off(alpha):
         + [encode(mu, nu, enc) for mu, nu in pairs]
     )
     for i, s in enumerate(made):
-        assert abs(_norm_squared_minus_1_at_50_digits(s)) <= 1e-15, i
+        assert abs(float(referee.form(s.coeffs, referee.gram(s.amps)).real - 1)) <= 1e-15, i
 
 
 def test_merge_terms_combines_and_drops():
