@@ -8,6 +8,8 @@ from catsim import audit, fockoracle, measure, optics
 from catsim.cli import EXIT_OK, main
 from catsim.states import CoherentSuperposition
 
+from recorder import record
+
 
 def test_displacement_off_by_one_part_in_a_million_fails_only_its_row(monkeypatch):
     # 1 - fidelity reads such a beta error squared, about 3e-11; the distance
@@ -239,24 +241,17 @@ def test_like_term_rows_match_the_two_tensor_reference(monkeypatch, row, moved):
 
 
 @pytest.fixture
-def assembled(monkeypatch):
-    """Each `_assemble` call, in call order: the number of groups G, the
-    number U of modes it sums over (those of its Fock columns), and the
-    shape of its result, whose axes are the first of those modes, the
-    block's, then the others."""
-    calls, assemble = [], fockoracle._assemble
-
-    def recorded(blocks, cols):
-        out = assemble(blocks, cols)
-        calls.append(SimpleNamespace(groups=len(blocks), summed=cols.shape[1], shape=np.shape(out)))
-        return out
-
-    monkeypatch.setattr(fockoracle, "_assemble", recorded)
-    return calls
+def assembled():
+    """Each `_assemble` call, in call order: its args (blocks, cols), the
+    G blocks and the Fock columns of the U modes it sums over, and its
+    result, whose axes are the first of those modes, the block's, then the
+    others."""
+    with record("assemblies") as log:
+        yield log.assemblies
 
 
 def _ndims(assembled):
-    return [len(call.shape) for call in assembled]
+    return [np.ndim(call.result) for call in assembled]
 
 
 @pytest.mark.parametrize("row", ["phase_shift", "displace", "beamsplitter"])
@@ -293,11 +288,12 @@ def test_no_row_holds_a_mode_it_only_sums_over_on_more_than_g_levels(assembled, 
         assembled.clear()
         check(np.random.default_rng(i), s, 3.0)
         assert assembled, (row, i)
-        shared = sum(call.groups for call in assembled)
+        shared = sum(len(call.args[0]) for call in assembled)
         for call in assembled:
-            groups = shared if row == "inner_product" else call.groups
-            summed = [0] + list(range(len(call.shape) - call.summed + 1, len(call.shape)))
-            assert all(call.shape[axis] <= groups for axis in summed[: call.summed]), (row, i, call)
+            (blocks, cols), shape = call.args, np.shape(call.result)
+            groups, u = (shared if row == "inner_product" else len(blocks)), cols.shape[1]
+            summed = [0] + list(range(len(shape) - u + 1, len(shape)))
+            assert all(shape[axis] <= groups for axis in summed[:u]), (row, i, len(blocks), u, shape)
 
 
 def test_oracle_audit_passes_at_the_alpha_cap(capsys):
@@ -345,16 +341,10 @@ def test_oracle_caches_decompose_each_key_once_at_the_alpha_cap(monkeypatch):
     assert info.misses == info.currsize == len(cutoffs["displace"])
 
 
-def test_qubit_rows_draw_amplitudes_within_alpha_max(monkeypatch):
-    drawn = []
-    qubit_like = audit._random_qubit_like
-
-    def recorded(rng, alpha_max):
-        drawn.append(qubit_like(rng, alpha_max))
-        return drawn[-1]
-
-    monkeypatch.setattr(audit, "_random_qubit_like", recorded)
-    audit.run_audit(0, 5, alpha_max=1.0)
+def test_qubit_rows_draw_amplitudes_within_alpha_max():
+    with record("qubit_draws") as log:
+        audit.run_audit(0, 5, alpha_max=1.0)
+    drawn = [call.result for call in log.qubit_draws]
     assert len(drawn) == 10
     assert max(float(np.max(np.abs(s.amps))) for s in drawn) <= 1.0
     with pytest.raises(ValueError):

@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 import catsim
+from catsim import audit, gates, measure, optics, states
+from recorder import KERNELS, record
 
 MODULES = ["catsim"] + [f"catsim.{m.name}" for m in pkgutil.iter_modules(catsim.__path__)]
 
@@ -153,6 +155,48 @@ def test_one_referee_holds_the_only_mpmath_context():
         or isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) and node.attr in {"dps", "prec"}
     )
     assert {site.split(":")[0] for site in sites} == {"referee.py"}, sites
+
+
+def test_only_the_recorder_patches_a_private_name():
+    """One recording seam: no file of `tests/` but `recorder.py` passes
+    `setattr` a private attribute, as a string (`"_table"`, or a dotted
+    target ending in one) or through a parameter of the helper it sits in,
+    called with one (`_count_calls(monkeypatch, "_table")`).  Fakes of
+    public names stay, as does `setitem` on a private table."""
+    sites = set()
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        if path.name == "recorder.py":
+            continue
+        tree = ast.parse(path.read_text())
+        calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+        for fn in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+            params = [a.arg for a in fn.args.args]
+            for call in ast.walk(fn):
+                if not (isinstance(call, ast.Call) and len(call.args) > 1
+                        and getattr(call.func, "attr", getattr(call.func, "id", None)) == "setattr"):
+                    continue
+                attr = call.args[0] if isinstance(call.args[0], ast.Constant) else call.args[1]
+                names = [attr]
+                if isinstance(attr, ast.Name) and attr.id in params:
+                    i = params.index(attr.id)
+                    names = [c.args[i] for c in calls if getattr(c.func, "id", None) == fn.name and len(c.args) > i]
+                if any(isinstance(n, ast.Constant) and str(n.value).rsplit(".", 1)[-1].startswith("_")
+                       for n in names):
+                    sites.add(f"{path.name}:{call.lineno}")
+    assert not sites, sorted(sites)
+
+
+def test_every_recorded_kind_logs_a_call():
+    """The recorder checks itself: in one small run every kind of
+    `recorder.KERNELS` logs at least one call, so a kernel that stops doing
+    its work fails here rather than leaving a cost bound to hold on an
+    empty log."""
+    leaked = optics.tensor(optics.displace(states.cat(1.5, -1), 0, 0.02j), states.cat(1.5, +1))
+    with record(*KERNELS) as log:
+        gates.gate_rx(leaked, gates.QubitEncoding(1.5))
+        measure.bell_outcomes(states.bell_cat(1.5, "i"), 0, 1)
+        audit.run_audit(0, 1)
+    assert [kind for kind in KERNELS if not getattr(log, kind)] == []
 
 
 def test_one_helper_forms_every_branch():

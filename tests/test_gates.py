@@ -25,6 +25,9 @@ from catsim.states import CoherentSuperposition, cat, coherent_overlap, fidelity
 
 from bell_columns import bell_rows
 import referee
+from recorder import ScriptedRng, record, scripted_draws  # noqa: F401 (a fixture)
+
+pytestmark = pytest.mark.usefixtures("scripted_draws")
 
 ENC = QubitEncoding(2.0)
 
@@ -52,13 +55,13 @@ def test_gate_x_swaps_logical_amplitudes():
 def test_teleport_branches_realize_identity_or_z():
     s = encode(0.6, 0.8j, ENC)
     for branch, residual in ((_I, "identity"), (_II, "Z"), (_III, "identity"), (_IV, "Z")):
-        out = teleport(s, ENC, _ScriptedRng(branch))
+        out = teleport(s, ENC, ScriptedRng(branch))
         assert out.success and out.applied == residual
         m, n, _ = decode(out.state, ENC)
         expected = (0.8j / 0.6) * (-1 if residual == "Z" else 1)
         assert n / m == pytest.approx(expected, rel=1e-9)
     # branch probabilities over all five outcomes sum to one
-    total = sum(teleport(s, ENC, _ScriptedRng(b)).probability for b in range(5))
+    total = sum(teleport(s, ENC, ScriptedRng(b)).probability for b in range(5))
     assert total == pytest.approx(1.0, abs=1e-10)
 
 
@@ -82,7 +85,7 @@ def test_teleport_sampling_frequencies():
         out = teleport(s, ENC, rng=rng)
         counts[out.applied if out.success else "FAIL"] += 1
     # identity and Z each land with probability ~(1 - p_fail)/2
-    p_fail = teleport(s, ENC, _ScriptedRng(_FAIL)).probability
+    p_fail = teleport(s, ENC, ScriptedRng(_FAIL)).probability
     expect = (1 - p_fail) / 2
     sigma = math.sqrt(expect * (1 - expect) * trials)
     assert abs(counts["identity"] - expect * trials) < 4 * sigma
@@ -352,7 +355,7 @@ def test_gate_outcome_trace_records():
 
 def test_teleport_fail_branch():
     s = encode(1.0, 1.0, ENC)
-    out = teleport(s, ENC, _ScriptedRng(_FAIL))
+    out = teleport(s, ENC, ScriptedRng(_FAIL))
     assert not out.success and out.applied == "FAIL"
     # FAIL probability lives on the double-vacuum weight scale e^{-2 alpha^2}
     assert 0 < out.probability < 10 * math.exp(-2 * ENC.alpha**2)
@@ -557,7 +560,7 @@ def test_every_returned_state_is_already_merged(leaked):
     s = optics.tensor(encode(0.6, 0.8, enc_a), encode(1.0, 1.0j, enc_b))
     if leaked:
         s = optics.displace(s, 0, 0.03 + 0.02j).normalize()
-    outs = [teleport(s, enc_a, _ScriptedRng(b)) for b in range(5)]
+    outs = [teleport(s, enc_a, ScriptedRng(b)) for b in range(5)]
     for seed in (None, *range(12)):
         def rng():
             return None if seed is None else np.random.default_rng(seed)
@@ -571,28 +574,6 @@ def test_every_returned_state_is_already_merged(leaked):
     assert {o.success for o in outs} == {True, False}
     for out in outs:
         assert out.state.merge_terms() is out.state
-
-
-class _ScriptedRng:
-    """Stands in for a Generator: each `measure.sample` draw from it takes
-    the next scripted index into the branch table."""
-
-    def __init__(self, *picks):
-        self.picks = iter(picks)
-
-
-@pytest.fixture(autouse=True)
-def _scripted_draws(monkeypatch):
-    """`measure.sample` (which `gates._pick` calls through the module) takes
-    a `_ScriptedRng`'s next index; a Generator draws as usual."""
-    draw = measure.sample
-
-    def sample(table, rng):
-        if isinstance(rng, _ScriptedRng):
-            return table[list(table)[next(rng.picks)]]
-        return draw(table, rng)
-
-    monkeypatch.setattr(measure, "sample", sample)
 
 
 # indices into the Bell table (I, II, III, IV, FAIL) and the gate_rx table
@@ -611,7 +592,7 @@ _I, _II, _III, _IV, _FAIL, _EVEN_ODD = 0, 1, 2, 3, 4, 2
 ], ids=["gate_rz", "gate_rx", "entangling_gate", "gate_z"])
 def test_a_fail_inside_gate_z_counts_every_teleport_the_gate_ran(gate, picks, repetitions):
     s = optics.tensor(encode(0.6, 0.8, QubitEncoding(1.0)), encode(1.0, 1.0j, QubitEncoding(1.0, 1)))
-    out = gate(s, _ScriptedRng(*picks))
+    out = gate(s, ScriptedRng(*picks))
     assert not out.success and out.applied == "FAIL" and out.state is s
     steps = [t for t in out.trace if t[0] in ("bell_measurement", "cat_projection")]
     assert steps[-1][2] == "FAIL"
@@ -623,7 +604,7 @@ def test_a_gate_rx_flip_branch_lands_like_a_teleport():
     enc = QubitEncoding(2.0)
     mu, nu = 0.6 + 0.2j, 0.7 - 0.3j
     # (odd, even): X correction, then a Z residual that gate_z lands on II
-    out = gate_rx(encode(mu, nu, enc), enc, rng=_ScriptedRng(1, _II))
+    out = gate_rx(encode(mu, nu, enc), enc, rng=ScriptedRng(1, _II))
     assert out.success and out.applied == "Rx(1.5708)" and out.repetitions == 2
     assert [t[0] for t in out.trace] == [
         "beamsplitter", "cat_projection", "phase_shift", "bell_measurement"]
@@ -674,28 +655,20 @@ def test_gate_z_matches_one_teleport_per_attempt(alpha, leaked):
     assert outcomes >= {"I", "II", "III", "IV"} | ({"FAIL"} if alpha == 1.0 else set())
 
 
-def _count_calls(monkeypatch, name):
-    calls = []
-    fn = getattr(measure, name)
-    monkeypatch.setattr(measure, name, lambda *a: calls.append(a) or fn(*a))
-    return calls
-
-
-def test_gate_z_draws_every_attempt_from_one_table(monkeypatch):
-    tables = _count_calls(monkeypatch, "_table")
-    landings = _count_calls(monkeypatch, "_branch_state")
-    out = gate_z(encode(0.6, 0.8, ENC), ENC, _ScriptedRng(_I, 2, _I, _II))
-    assert out.success and out.applied == "Z" and out.repetitions == 4
-    assert [t[2] for t in out.trace if t[0] == "bell_measurement"] == ["I", "III", "I", "II"]
-    assert sum(t[0] == "phase_shift" for t in out.trace) == 1
-    assert len(tables) == 1
-    # only the Z landing builds a state: the identity landings' states
-    # would be read by no one, as the next attempt reads the kept table
-    assert len(landings) == 1
-    # identity landings all the way to the cap: still one table, then a GateFailure
-    with pytest.raises(GateFailure, match=f"within {gates.MAX_REPEATS} teleports"):
-        gate_z(encode(0.6, 0.8, ENC), ENC, _ScriptedRng(*[_I] * gates.MAX_REPEATS))
-    assert len(tables) == 2
+def test_gate_z_draws_every_attempt_from_one_table():
+    with record("tables", "branch_states") as log:
+        out = gate_z(encode(0.6, 0.8, ENC), ENC, ScriptedRng(_I, 2, _I, _II))
+        assert out.success and out.applied == "Z" and out.repetitions == 4
+        assert [t[2] for t in out.trace if t[0] == "bell_measurement"] == ["I", "III", "I", "II"]
+        assert sum(t[0] == "phase_shift" for t in out.trace) == 1
+        assert len(log.tables) == 1
+        # only the Z landing builds a state: the identity landings' states
+        # would be read by no one, as the next attempt reads the kept table
+        assert len(log.branch_states) == 1
+        # identity landings all the way to the cap: still one table, then a GateFailure
+        with pytest.raises(GateFailure, match=f"within {gates.MAX_REPEATS} teleports"):
+            gate_z(encode(0.6, 0.8, ENC), ENC, ScriptedRng(*[_I] * gates.MAX_REPEATS))
+    assert len(log.tables) == 2
 
 
 @pytest.mark.parametrize("gate, z_landing, name", [
@@ -706,39 +679,39 @@ def test_the_z_fix_inside_a_gate_keeps_the_repeat_cap(gate, z_landing, name):
     s = encode(0.6, 0.8, ENC)
     # a Z landing, then identity landings only: the fix gives up after MAX_REPEATS teleports
     with pytest.raises(GateFailure, match=f"Z branch did not land within {gates.MAX_REPEATS} teleports"):
-        gate(s, _ScriptedRng(z_landing, *[_I] * gates.MAX_REPEATS))
+        gate(s, ScriptedRng(z_landing, *[_I] * gates.MAX_REPEATS))
     # one identity landing fewer, then II: the fix's last teleport lands the Z
-    out = gate(s, _ScriptedRng(z_landing, *[_I] * (gates.MAX_REPEATS - 1), _II))
+    out = gate(s, ScriptedRng(z_landing, *[_I] * (gates.MAX_REPEATS - 1), _II))
     assert out.success and out.applied == name
     assert out.repetitions == gates.MAX_REPEATS + 1
 
 
 @pytest.mark.parametrize("picks, second_tables", [((_II,), 0), ((_I, 2, _I, _II), 1)])
-def test_gate_z_on_a_leaked_input_builds_at_most_two_tables(monkeypatch, picks, second_tables):
-    tables = _count_calls(monkeypatch, "_table")
+def test_gate_z_on_a_leaked_input_builds_at_most_two_tables(picks, second_tables):
     s = optics.displace(encode(0.6, 0.8, ENC), 0, 0.03 + 0.02j).normalize()
-    out = gate_z(s, ENC, _ScriptedRng(*picks))
+    with record("tables") as log:
+        out = gate_z(s, ENC, ScriptedRng(*picks))
     assert out.success and out.applied == "Z" and out.repetitions == len(picks)
     # the input's own table, then, if the first landing was not the Z, one
     # table of that landed logical state for every later attempt
-    assert len(tables) == 1 + second_tables
+    assert len(log.tables) == 1 + second_tables
 
 
 @pytest.mark.parametrize("land", [
-    lambda s: teleport(s, ENC, _ScriptedRng(_III)),
-    lambda s: teleport(s, ENC, _ScriptedRng(_IV)),
-    lambda s: gate_rx(s, ENC, rng=_ScriptedRng(3)),
+    lambda s: teleport(s, ENC, ScriptedRng(_III)),
+    lambda s: teleport(s, ENC, ScriptedRng(_IV)),
+    lambda s: gate_rx(s, ENC, rng=ScriptedRng(3)),
 ], ids=["teleport_III", "teleport_IV", "gate_rx_odd_odd"])
-def test_gate_z_on_an_x_corrected_landing_builds_one_table(monkeypatch, land):
+def test_gate_z_on_an_x_corrected_landing_builds_one_table(land):
     # the X correction negates the landed column exactly, so the output is
     # exactly on {+alpha, -alpha} and gate_z keeps its first table
     landed = land(encode(0.6, 0.8, ENC))
     assert any(t[0] == "phase_shift" for t in landed.trace)
     assert np.isin(landed.state.amps, (-ENC.alpha, ENC.alpha)).all()
-    tables = _count_calls(monkeypatch, "_table")
-    out = gate_z(landed.state, ENC, _ScriptedRng(_I, _III, _II))
+    with record("tables") as log:
+        out = gate_z(landed.state, ENC, ScriptedRng(_I, _III, _II))
     assert out.success and out.applied == "Z" and out.repetitions == 3
-    assert len(tables) == 1
+    assert len(log.tables) == 1
 
 
 def _z(s, mode):
@@ -750,23 +723,22 @@ def _z(s, mode):
 
 @pytest.mark.parametrize("gate", [teleport, lambda s, enc, rng: gate_rx(s, enc, rng=rng)],
                          ids=["teleport", "gate_rx"])
-def test_a_gate_returns_its_drawn_records_landed_state(monkeypatch, gate):
+def test_a_gate_returns_its_drawn_records_landed_state(gate):
     # the record carries the landing, X-corrected for III/IV and an odd
     # input: the gate's output is that record's own state object, with no
     # second build and no correction after the draw
-    tables, table = [], measure._table
-    monkeypatch.setattr(measure, "_table", lambda *a: tables.append(table(*a)) or tables[-1])
     enc = QubitEncoding(1.5, 1)
     s = _register(2, 1.5, np.random.default_rng(5), False)
     drawn = set()
     for seed in range(40):
-        tables.clear()
-        out = gate(s, enc, np.random.default_rng(seed))
+        with record("tables") as log:
+            out = gate(s, enc, np.random.default_rng(seed))
         if not out.success or out.repetitions > 1:
             continue  # a FAIL, or a Z fix's teleport landed last
         (outcome,) = [t[2] for t in out.trace if t[0] in ("bell_measurement", "cat_projection")]
-        key = {str(k): k for k in tables[0]}[outcome]
-        rec = tables[0][key]
+        table = log.tables[0].result
+        key = {str(k): k for k in table}[outcome]
+        rec = table[key]
         drawn.add(key)
         assert out.state is rec.state
         if gate is teleport:
@@ -783,29 +755,26 @@ def test_a_gate_returns_its_drawn_records_landed_state(monkeypatch, gate):
     assert drawn & set(_X_CORRECTED) and drawn - set(_X_CORRECTED)
 
 
-def test_a_record_drawn_again_builds_its_state_once(monkeypatch):
-    builds = _count_calls(monkeypatch, "_branch_state")
-    tables = _count_calls(monkeypatch, "_table")
+def test_a_record_drawn_again_builds_its_state_once():
     s = encode(0.6, 0.8, ENC)
     repeated = 0
     for seed in range(30):
-        builds.clear()
-        tables.clear()
-        out = gate_z(s, ENC, np.random.default_rng(seed))
+        with record("branch_states", "tables") as log:
+            out = gate_z(s, ENC, np.random.default_rng(seed))
         if out.success and out.repetitions > 1:
             # several draws from one kept table; only the Z landing is read
             repeated += 1
-            assert len(tables) == 1
-            assert len(builds) == 1
+            assert len(log.tables) == 1
+            assert len(log.branch_states) == 1
     assert repeated
     # one record landed twice: built on its first read, then reused
     table = gates._bell_step(s, ENC)
-    builds.clear()
     start = GateOutcome(s, True, "identity", 1.0, 0)
-    first = gates._draw(start, ENC, table, None, "II")
-    again = gates._draw(start, ENC, table, None, "II")
-    assert again.state is first.state is table["II"].state
-    assert len(builds) == 1
+    with record("branch_states") as log:
+        first = gates._draw(start, ENC, table, None, "II")
+        again = gates._draw(start, ENC, table, None, "II")
+        assert again.state is first.state is table["II"].state
+    assert len(log.branch_states) == 1
 
 
 # (CoherentSuperposition constructions, overlap matrices, Bell resources) of
@@ -817,8 +786,8 @@ def test_a_record_drawn_again_builds_its_state_once(monkeypatch):
 # builds no joint state and at most one overlap matrix, of the input's
 # other modes, with no more rows than the input has terms: none for a
 # single-mode input (the resource's kept mode is a pair, scored by its two
-# eigen-forms).  The resources are exact, one closed-form pair read
-# (`gates._pair_norm`) per Bell table or Rx table, with no state built.
+# eigen-forms).  The resources are exact, one closed-form read
+# (`gates._resource`) per Bell table or Rx table, with no state built.
 _ENC_A, _ENC_B = QubitEncoding(2.0, 0), QubitEncoding(2.0, 1)
 
 
@@ -829,36 +798,15 @@ _ENC_A, _ENC_B = QubitEncoding(2.0, 0), QubitEncoding(2.0, 1)
     (lambda one, two, rng: gate_rx(one, ENC, rng=rng), 3, 0, 2, 2),
     (lambda one, two, rng: entangling_gate(two, _ENC_A, _ENC_B, 0.005, rng), 4, 3, 3, 4),
 ], ids=["teleport", "gate_z", "gate_rz", "gate_rx", "entangling_gate"])
-def test_per_gate_state_constructions_and_gram_forms(
-    monkeypatch, gate, constructions, grams, resources, terms
-):
+def test_per_gate_state_constructions_and_gram_forms(gate, constructions, grams, resources, terms):
     one = encode(0.6, 0.8, ENC)
     two = optics.tensor(encode(0.6, 0.8, _ENC_A), encode(0.8, 0.6j, _ENC_B))
-    counts = {"constructions": 0, "grams": 0, "resources": 0, "rows": 0}
-    post_init, overlap = states.CoherentSuperposition.__post_init__, states._overlap_matrix
-    pair_norm = gates._pair_norm
-
-    def counted_post_init(self):
-        counts["constructions"] += 1
-        post_init(self)
-
-    def counted_overlap(*args):
-        counts["grams"] += 1
-        counts["rows"] = max(counts["rows"], len(args[0]))
-        return overlap(*args)
-
-    def counted_pair_norm(*args):
-        counts["resources"] += 1
-        return pair_norm(*args)
-
-    monkeypatch.setattr(states.CoherentSuperposition, "__post_init__", counted_post_init)
-    monkeypatch.setattr(states, "_overlap_matrix", counted_overlap)
-    monkeypatch.setattr(gates, "_pair_norm", counted_pair_norm)
-    assert gate(one, two, np.random.default_rng(1)).success
-    assert counts["constructions"] <= constructions
-    assert counts["grams"] <= grams
-    assert counts["rows"] <= terms
-    assert counts["resources"] == resources
+    with record("states", "grams", "resources") as log:
+        assert gate(one, two, np.random.default_rng(1)).success
+    assert len(log.states) <= constructions
+    assert len(log.grams) <= grams
+    assert max((len(g.args[0]) for g in log.grams), default=0) <= terms
+    assert len(log.resources) == resources
 
 
 # ---------------------------------------------------------------------------
@@ -906,7 +854,7 @@ def _assert_same_table(table, joint_table, s, enc):
 
 
 @pytest.mark.parametrize("leaked", [False, True], ids=["strict", "leaked"])
-def test_factored_tables_match_the_tables_of_the_joint_state(monkeypatch, leaked):
+def test_factored_tables_match_the_tables_of_the_joint_state(leaked):
     table = measure._table
     rng = np.random.default_rng(17)
     for n, alpha in ((1, 1.0), (2, 1.5), (4, 2.0), (6, 1.5)):
@@ -926,17 +874,15 @@ def test_factored_tables_match_the_tables_of_the_joint_state(monkeypatch, leaked
                 bell = measure.bell_outcomes(joint, mode, n)
             _assert_same_table(gates._bell_step(s, enc), bell, s, enc)
             # gate_rx's table, against `_table` on the joint state's mixed columns
-            built = []
-            monkeypatch.setattr(measure, "_table", lambda *a: built.append(table(*a)) or built[-1])
-            gate_rx(s, enc)
-            monkeypatch.setattr(measure, "_table", table)
+            with record("tables") as log:
+                gate_rx(s, enc)
             a, b = optics.beamsplitter(joint, mode, n, np.pi / (8 * alpha**2)).amps[:, [mode, n]].T
             parity = ("even", "odd")
             wa = dict(zip(parity, measure._cat_weights(alpha, a)))
             wb = dict(zip(parity, measure._cat_weights(alpha, b)))
             rows = [((ka, kb), 1.0, wa[ka] * wb[kb], True) for kb in parity for ka in parity]
             joint_rx = table("cat_projection", joint.coeffs, rest, rows)
-            _assert_same_table(built[0], joint_rx, s, enc)
+            _assert_same_table(log.tables[0].result, joint_rx, s, enc)
 
 
 def _table_probabilities_50_digits(coeffs, rest, rows):
@@ -948,7 +894,7 @@ def _table_probabilities_50_digits(coeffs, rest, rows):
 
 
 @pytest.mark.parametrize("alpha", [1e-2, 1e-3, 1e-4])
-def test_gate_tables_match_a_50_digit_sum_over_the_joint_rest(monkeypatch, alpha):
+def test_gate_tables_match_a_50_digit_sum_over_the_joint_rest(alpha):
     # The resource's pair is scored by its two eigen-forms, each >= 0, with
     # 1 - o from expm1; the pair's plain form F00 + F11 + 2o Re F01 cancels
     # here, by up to 8e-10 relative at alpha = 1e-4.  An odd input (mu =
@@ -962,9 +908,6 @@ def test_gate_tables_match_a_50_digit_sum_over_the_joint_rest(monkeypatch, alpha
     # weights on both sides does the 4 eps bound measure the summation
     # alone; the weights' own rounding, magnified by the cancellation,
     # could exceed it.
-    built = []
-    table = measure._table
-    monkeypatch.setattr(measure, "_table", lambda *a: built.append(table(*a)) or built[-1])
     enc = QubitEncoding(alpha)
     parity = ("even", "odd")
     for mu, nu in ((1, 1), (0.6, 0.8j)):
@@ -980,34 +923,28 @@ def test_gate_tables_match_a_50_digit_sum_over_the_joint_rest(monkeypatch, alpha
         rx = [((ka, kb), 1.0, wa[ka] * wb[kb], True) for kb in parity for ka in parity]
         for name, gate, rows, rest in (("bell", gates._bell_step, bell, joint.amps[:, 2:]),
                                        ("rx", gate_rx, rx, mixed.amps[:, 2:])):
-            built.clear()
-            gate(s, enc)
+            with record("tables") as log:
+                gate(s, enc)
             refs = _table_probabilities_50_digits(joint.coeffs, rest, rows)
             for (outcome, *_), ref_p in zip(rows, refs):
-                p = built[0][outcome].probability
+                p = log.tables[0].result[outcome].probability
                 assert abs(p - ref_p) <= 4 * 2.0**-52 * ref_p, (name, mu, nu, outcome)
 
 
 @pytest.mark.parametrize("leaked", [False, True], ids=["strict", "leaked"])
-def test_no_gate_on_a_six_qubit_register_forms_an_overlap_matrix_past_its_terms(
-    monkeypatch, leaked
-):
+def test_no_gate_on_a_six_qubit_register_forms_an_overlap_matrix_past_its_terms(leaked):
     s = _register(6, 1.5, np.random.default_rng(3), leaked)
+    enc_a, enc_b = QubitEncoding(1.5, 2), QubitEncoding(1.5, 4)
+    with record("rests", "grams") as log:
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            teleport(s, enc_a, rng)
+            gate_rz(s, enc_a, 0.02, rng)
+            gate_rx(s, enc_b, rng=rng)
+            entangling_gate(s, enc_a, enc_b, 0.02, rng)
     # (rows, terms of the state whose table is being scored) per overlap
     # matrix; every gate's table reads its input's other modes by `_rest`
-    rows, terms = [], [0]
-    overlap, rest = states._overlap_matrix, measure._rest
-    monkeypatch.setattr(states, "_overlap_matrix",
-                        lambda x, y: rows.append((len(x), terms[0])) or overlap(x, y))
-    monkeypatch.setattr(measure, "_rest",
-                        lambda x, modes: terms.__setitem__(0, len(x)) or rest(x, modes))
-    enc_a, enc_b = QubitEncoding(1.5, 2), QubitEncoding(1.5, 4)
-    for seed in range(3):
-        rng = np.random.default_rng(seed)
-        teleport(s, enc_a, rng)
-        gate_rz(s, enc_a, 0.02, rng)
-        gate_rx(s, enc_b, rng=rng)
-        entangling_gate(s, enc_a, enc_b, 0.02, rng)
+    rows = [(len(g.args[0]), len(r.args[0])) for r, g in log.pairs("rests", "grams")]
     assert rows and all(n <= k for n, k in rows)
     if not leaked:
         # every branch merges back to the register's 64 terms; a leaked
@@ -1084,30 +1021,25 @@ def test_bell_tables_on_the_inputs_terms_match_the_joint_pair_tables(leaked):
 
 
 @pytest.mark.parametrize("leaked", [False, True], ids=["strict", "leaked"])
-def test_no_bell_table_reads_the_joint_terms(monkeypatch, leaked):
+def test_no_bell_table_reads_the_joint_terms(leaked):
     # every Bell table of teleport, Z, Rz and the entangling gate is scored
     # and landed on its input's K terms: no pair form of more than K terms
     # (gate_rx's joint read), no 2K-row array in a record, no overlap
     # matrix past K x K, and every landing in the input's own modes
     s = _register(3, 1.5, np.random.default_rng(9), leaked)
-    terms, tables, grams, forms = [0], [], [], []
-    rest, table, overlap = measure._rest, measure._table, states._overlap_matrix
-    pair_forms = measure._forms
-    monkeypatch.setattr(measure, "_forms",
-                        lambda r, u: forms.append((u.shape[-1], terms[0])) or pair_forms(r, u))
-    monkeypatch.setattr(measure, "_rest",
-                        lambda x, modes: terms.__setitem__(0, len(x)) or rest(x, modes))
-    monkeypatch.setattr(measure, "_table",
-                        lambda *a: tables.append((terms[0], table(*a))) or tables[-1][1])
-    monkeypatch.setattr(states, "_overlap_matrix",
-                        lambda x, y: grams.append((len(x), terms[0])) or overlap(x, y))
     enc_a, enc_b = QubitEncoding(1.5, 0), QubitEncoding(1.5, 2)
-    for seed in range(4):
-        rng = np.random.default_rng(seed)
-        teleport(s, enc_a, rng)
-        gate_z(s, enc_b, rng)
-        gate_rz(s, enc_a, 0.02, rng)
-        entangling_gate(s, enc_a, enc_b, 0.02, rng)
+    with record("rests", "forms", "tables", "grams") as log:
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            teleport(s, enc_a, rng)
+            gate_z(s, enc_b, rng)
+            gate_rz(s, enc_a, 0.02, rng)
+            entangling_gate(s, enc_a, enc_b, 0.02, rng)
+    # each call paired with the terms of the state being scored, the rows
+    # of the last `_rest` read before it
+    forms = [(f.args[1].shape[-1], len(r.args[0])) for r, f in log.pairs("rests", "forms")]
+    tables = [(len(r.args[0]), t.result) for r, t in log.pairs("rests", "tables")]
+    grams = [(len(g.args[0]), len(r.args[0])) for r, g in log.pairs("rests", "grams")]
     assert tables and grams and forms
     assert all(n <= k for n, k in grams)
     assert all(n == k for n, k in forms)

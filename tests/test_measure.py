@@ -36,6 +36,7 @@ from catsim.states import (
 
 from bell_columns import bell_rows
 import referee
+from recorder import ScriptedRng, record, scripted_draws  # noqa: F401,F811 (a fixture)
 
 
 def test_fock_amplitude_closed_form():
@@ -222,21 +223,18 @@ def test_measurements_on_a_zero_term_state_read_all_zero():
             assert rec.state is None
 
 
-def test_bell_outcomes_scans_each_measured_column_once(monkeypatch):
+def test_bell_outcomes_scans_each_measured_column_once():
     # the support refusal reads the offsets of the same one scan per column
-    calls = []
-    scan = measure._bell_column
-    monkeypatch.setattr(
-        measure, "_bell_column", lambda amps, ref: calls.append(len(amps)) or scan(amps, ref))
     s = optics.tensor(gates.encode(0.6, 0.8, gates.QubitEncoding(2.0)), optics.bell_resource(2.0))
-    bell_outcomes(s, 0, 1)
-    assert calls == [s.nterms, s.nterms]
-    calls.clear()
-    parity_projection(s, 0)
-    assert calls == [s.nterms]
+    with record("scans") as log:
+        bell_outcomes(s, 0, 1)
+    assert [len(c.args[0]) for c in log.scans] == [s.nterms, s.nterms]
+    with record("scans") as log:
+        parity_projection(s, 0)
+    assert [len(c.args[0]) for c in log.scans] == [s.nterms]
 
 
-def test_parity_classes_stay_finite_at_large_amplitude(monkeypatch):
+def test_parity_classes_stay_finite_at_large_amplitude(scripted_draws):
     # 2|a|^2 = 722 and |a|^2 = 729 are past where cosh and sinh overflow
     assert bell_outcomes(bell_cat(19.0, "i"), 0, 1)["I"].probability == pytest.approx(
         1.0, abs=1e-12)
@@ -244,23 +242,19 @@ def test_parity_classes_stay_finite_at_large_amplitude(monkeypatch):
         1.0, abs=1e-12)
     enc = gates.QubitEncoding(19.0)
     s = gates.encode(0.6, 0.8, enc)
-    # in place of an rng, the index of the Bell branch that `sample` picks
-    monkeypatch.setattr(measure, "sample", lambda table, i: table[list(table)[i]])
-    total = sum(gates.teleport(s, enc, i).probability for i in range(5))
+    total = sum(gates.teleport(s, enc, ScriptedRng(i)).probability for i in range(5))
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
-def test_teleport_cleans_leaked_input(monkeypatch):
+def test_teleport_cleans_leaked_input(scripted_draws):
     # leaked qubit mode: small imaginary displacement off +/- a
     enc = gates.QubitEncoding(2.0)
     a = enc.alpha
     leaked = CoherentSuperposition(
         np.array([0.7, 0.3]), np.array([[a + 0.05j], [-a + 0.05j]])
     ).normalize()
-    # in place of an rng, the index of the Bell branch that `sample` picks
-    monkeypatch.setattr(measure, "sample", lambda table, i: table[list(table)[i]])
     for i, name in enumerate(("I", "II", "III", "IV")):
-        out = gates.teleport(leaked, enc, i)
+        out = gates.teleport(leaked, enc, ScriptedRng(i))
         assert out.trace[0][2] == name
         # the teleported output lives exactly on {+a, -a}: the X correction
         # of III and IV negates the landed column exactly
@@ -623,16 +617,7 @@ def _sequential_rx_table(mixed, mode, m, alpha):
     return table
 
 
-def test_gate_rx_table_matches_sequential_projections_and_fock_oracle(monkeypatch):
-    built = []
-    table = measure._table
-
-    def recording(kind, coeffs, rest, rows, norms=None):
-        out = table(kind, coeffs, rest, rows, norms)
-        built.append((kind, coeffs, out))
-        return out
-
-    monkeypatch.setattr(measure, "_table", recording)
+def test_gate_rx_table_matches_sequential_projections_and_fock_oracle():
     rng = np.random.default_rng(25)
     for _ in range(8):
         alpha = rng.uniform(1.0, 2.0)
@@ -640,9 +625,9 @@ def test_gate_rx_table_matches_sequential_projections_and_fock_oracle(monkeypatc
         # single-mode input near the logical amplitudes, K <= 8 terms
         amps = alpha * rng.choice([-1.0, 1.0], size=(k, 1)) + rng.normal(scale=0.1, size=(k, 1))
         s = CoherentSuperposition(rng.normal(size=k) + 1j * rng.normal(size=k), amps).normalize()
-        built.clear()
-        gates.gate_rx(s, gates.QubitEncoding(alpha))
-        (coeffs, recs), = [b[1:] for b in built if b[0] == "cat_projection"]
+        with record("tables") as log:
+            gates.gate_rx(s, gates.QubitEncoding(alpha))
+        (coeffs, recs), = [(c.args[1], c.result) for c in log.tables if c.args[0] == "cat_projection"]
         # gate_rx builds neither the joint state nor its mixed columns:
         # rebuild the whole mixed state, input mode 0 and resource half 1.
         # An odd input's branch lands X-corrected in mode 0: the reference
@@ -702,17 +687,13 @@ def _leaked_pair():
         "photon_statistics", "homodyne_pdf", "norm_squared", "inner_product",
         "qfi_displacement", "mean_photon_number", "cat", "bell_cat", "ghz_cat", "encode",
         "bell_resource"])
-def test_each_table_builds_one_gram_matrix(monkeypatch, measure_fn, make_args, count):
+def test_each_table_builds_one_gram_matrix(measure_fn, make_args, count):
     args = make_args()
-    calls = []
-    overlap = states._overlap_matrix
     # only `states` binds the overlap kernel, so a second Gram matrix (say a
     # per-branch norm_squared()) or a by-name import elsewhere shows here
-    monkeypatch.setattr(
-        states, "_overlap_matrix", lambda x, y: calls.append(x.shape) or overlap(x, y)
-    )
-    measure_fn(*args)
-    assert len(calls) == count
+    with record("grams") as log:
+        measure_fn(*args)
+    assert len(log.grams) == count
 
 
 @pytest.mark.parametrize("alpha", [1e-7, 1e-5, 1e-3])
@@ -850,18 +831,10 @@ def _leaked_rx_input():
     (homodyne_condition, lambda: (optics.tensor(cat(1.5, -1), coherent(0.7)), 0, 0.4)),
     (gates.gate_rx, lambda: (_leaked_rx_input(), gates.QubitEncoding(1.6))),
 ], ids=["parity", "cat", "bell", "bell_cat", "photon_count", "homodyne", "gate_rx"])
-def test_branch_states_built_on_first_read_match_eager_build(monkeypatch, measure_fn, make_args):
-    built = []
-    table = measure._table
-
-    def recording(*args):
-        out = table(*args)
-        built.append((args, out))
-        return out
-
-    monkeypatch.setattr(measure, "_table", recording)
-    measure_fn(*make_args())
-    (args, recs), = built
+def test_branch_states_built_on_first_read_match_eager_build(measure_fn, make_args):
+    with record("tables") as log:
+        measure_fn(*make_args())
+    (_, args, recs), = log.tables
     if measure_fn is gates.gate_rx:
         assert list(recs) == [("even", "even"), ("odd", "even"), ("even", "odd"), ("odd", "odd")]
     eager = _eager_states(*args)
@@ -918,12 +891,10 @@ def _sorted_term_bytes(s):
     (homodyne_condition, lambda s: (s, 4, 0.4)),
     (gates.gate_rx, lambda s: (s, gates.QubitEncoding(1.5, mode=2))),
 ], ids=["parity", "cat", "bell", "bell_cat", "photon_count", "homodyne", "gate_rx"])
-def test_branch_state_from_supported_terms_is_the_full_branch(monkeypatch, measure_fn, args, leaked):
-    tables = []
-    table = measure._table
-    monkeypatch.setattr(measure, "_table", lambda *a: tables.append(table(*a)) or tables[-1])
-    measure_fn(*args(_five_qubit_register(leaked)))
-    kept = [rec for recs in tables for rec in recs.values() if rec.build is not None]
+def test_branch_state_from_supported_terms_is_the_full_branch(measure_fn, args, leaked):
+    with record("tables") as log:
+        measure_fn(*args(_five_qubit_register(leaked)))
+    kept = [rec for t in log.tables for rec in t.result.values() if rec.build is not None]
     assert kept
     for rec in kept:
         coeffs, w, n2, amps = rec.build
@@ -935,65 +906,46 @@ def test_branch_state_from_supported_terms_is_the_full_branch(monkeypatch, measu
 
 
 @pytest.mark.parametrize("seed", [None, 11], ids=["canonical", "sampled"])
-def test_no_dead_term_reaches_merge_terms(monkeypatch, seed):
-    merged, building = [], []
-    merge, branch_state = CoherentSuperposition.merge_terms, measure._branch_state
-
-    def recording_merge(self):
-        if building:
-            merged.append(self)
-        return merge(self)
-
-    def recording_branch_state(*args):
-        building.append(True)
-        try:
-            return branch_state(*args)
-        finally:
-            building.pop()
-
-    monkeypatch.setattr(CoherentSuperposition, "merge_terms", recording_merge)
-    monkeypatch.setattr(measure, "_branch_state", recording_branch_state)
+def test_no_dead_term_reaches_merge_terms(seed):
     s = _five_qubit_register(False)
     rng = None if seed is None else np.random.default_rng(seed)
     enc_a, enc_b = gates.QubitEncoding(1.5, mode=1), gates.QubitEncoding(1.5, mode=3)
-    assert gates.teleport(s, enc_a, rng).success
-    assert gates.gate_z(s, enc_b, rng).success
-    assert gates.entangling_gate(s, enc_a, enc_b, 0.1, rng).success
+    with record("merges", "branch_states") as log:
+        assert gates.teleport(s, enc_a, rng).success
+        assert gates.gate_z(s, enc_b, rng).success
+        assert gates.entangling_gate(s, enc_a, enc_b, 0.1, rng).success
+    # the input of the merge inside each branch state: the last merge before
+    # the branch state returns, whose result it returns
+    merged = [m.args[0] for m, b in log.pairs("merges", "branch_states") if m and m.result is b.result]
     assert len(merged) >= 4
     for branch in merged:
         assert branch.nterms <= s.nterms == 32
         assert np.count_nonzero(branch.coeffs == 0) == 0
 
 
-def test_fail_and_floored_branches_read_none(monkeypatch):
-    monkeypatch.setattr(measure, "_branch_state", lambda *a: pytest.fail("state built"))
-    recs = bell_outcomes(bell_cat(2.0, "ii"), 0, 1)
-    assert recs["II"].probability == pytest.approx(1.0)
-    for name in ("I", "III", "IV", "FAIL"):
-        assert recs[name].probability <= measure.PROB_FLOOR
-        assert recs[name].state is None
-    fail = bell_outcomes(bell_cat(2.0, "i"), 0, 1)["FAIL"]
-    assert fail.probability > 1e-4 and fail.state is None
+def test_fail_and_floored_branches_read_none():
+    with record("branch_states") as log:
+        recs = bell_outcomes(bell_cat(2.0, "ii"), 0, 1)
+        assert recs["II"].probability == pytest.approx(1.0)
+        for name in ("I", "III", "IV", "FAIL"):
+            assert recs[name].probability <= measure.PROB_FLOOR
+            assert recs[name].state is None
+        fail = bell_outcomes(bell_cat(2.0, "i"), 0, 1)["FAIL"]
+        assert fail.probability > 1e-4 and fail.state is None
+    assert not log.branch_states
 
 
-def test_bell_outcomes_constructs_no_state_until_a_branch_is_read(monkeypatch):
+def test_bell_outcomes_constructs_no_state_until_a_branch_is_read():
     s = optics.tensor(gates.encode(0.6, 0.8, gates.QubitEncoding(2.0)), optics.bell_resource(2.0))
-    built = []
-    post_init = CoherentSuperposition.__post_init__
-    monkeypatch.setattr(
-        CoherentSuperposition, "__post_init__", lambda self: built.append(self) or post_init(self))
-    recs = bell_outcomes(s, 0, 1)
-    # the beam splitter and phase shift act on the measured columns only
-    assert built == []
-    assert recs["I"].state is not None
-    assert len(built) >= 1
+    with record("states") as log:
+        recs = bell_outcomes(s, 0, 1)
+        # the beam splitter and phase shift act on the measured columns only
+        assert log.states == []
+        assert recs["I"].state is not None
+    assert len(log.states) >= 1
 
 
-def test_sampled_teleport_builds_one_branch_state(monkeypatch):
-    branch_state = measure._branch_state
-    builds = []
-    monkeypatch.setattr(
-        measure, "_branch_state", lambda *a: builds.append(a) or branch_state(*a))
+def test_sampled_teleport_builds_one_branch_state():
     enc = gates.QubitEncoding(2.0)
     register = gates.encode(0.6, 0.8, enc)
     for _ in range(3):
@@ -1001,17 +953,18 @@ def test_sampled_teleport_builds_one_branch_state(monkeypatch):
     rng = np.random.default_rng(5)
     outcomes = set()
     for mode in (0, 2, 3, 1, 0, 2):
-        builds.clear()
-        out = gates.teleport(register, gates.QubitEncoding(2.0, mode=mode), rng)
+        with record("branch_states") as log:
+            out = gates.teleport(register, gates.QubitEncoding(2.0, mode=mode), rng)
         outcomes.add(out.applied)
-        assert len(builds) == (1 if out.success else 0)
+        assert len(log.branch_states) == (1 if out.success else 0)
     assert {"identity", "Z"} <= outcomes
 
 
-def test_records_compare_and_print_without_building_a_state(monkeypatch):
-    monkeypatch.setattr(measure, "_branch_state", lambda *a: pytest.fail("state built"))
-    first, again = (parity_projection(bell_cat(1.5, "i"), 0) for _ in range(2))
-    assert first == again
-    assert first["zero"] == again["zero"] and first["zero"] != again["odd"]
-    assert repr(first["zero"]) == (
-        f"MeasurementRecord(kind='parity', outcome='zero', probability={first['zero'].probability!r})")
+def test_records_compare_and_print_without_building_a_state():
+    with record("branch_states") as log:
+        first, again = (parity_projection(bell_cat(1.5, "i"), 0) for _ in range(2))
+        assert first == again
+        assert first["zero"] == again["zero"] and first["zero"] != again["odd"]
+        assert repr(first["zero"]) == (
+            f"MeasurementRecord(kind='parity', outcome='zero', probability={first['zero'].probability!r})")
+    assert not log.branch_states
